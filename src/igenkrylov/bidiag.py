@@ -77,7 +77,10 @@ def _orthogonalize(vec, basis, weight_apply, passes=2):
 
 
 def igenGK_init(A, inexact, prior, noise, b):
-    """Initial state: u1 = b / ||b||_{R^{-1}}, v1 from the iteration-1 adjoint."""
+    """Initial state: u1 = b / ||b||_{R^{-1}}, v1 from the iteration-1 adjoint.
+
+    Raises DegenerateInputError when b is zero or its adjoint image vanishes.
+    """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.nrows,):
         raise DimensionError("right-hand side length does not match operator rows")
@@ -90,7 +93,8 @@ def igenGK_init(A, inexact, prior, noise, b):
     qv = prior.Q.apply(vbar)
     c11 = math.sqrt(max(float(np.dot(vbar, qv)), 0.0))
     if c11 <= BREAKDOWN_RTOL * beta1:
-        raise BreakdownSignal("adjoint of right-hand side is degenerate", where="init")
+        # No column can be built, so there is nothing to solve: an input error.
+        raise DegenerateInputError("adjoint of right-hand side is degenerate")
     v1 = vbar / c11
 
     return BidiagState(
@@ -187,7 +191,7 @@ def gk_decompose(A, b, steps, reorthogonalize=True):
     w = A.apply_adjoint(us[0])
     alpha = float(np.linalg.norm(w))
     if alpha <= tol:
-        raise BreakdownSignal("adjoint of right-hand side is degenerate", where="init")
+        raise DegenerateInputError("adjoint of right-hand side is degenerate")
     vs = [w / alpha]
     alphas.append(alpha)
 

@@ -10,11 +10,13 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import config_from_json, preset
+from .config import SOLVER_MODES, config_from_json, preset
 from .errors import ConfigError, IgenKrylovError, NumericalError
 from .harness import COMMANDS
+from .regparam import RULES
 
-REG_ALIASES = {"none": "none", "fixed": "fixed", "opt": "optimal", "dp": "dp", "wgcv": "wgcv"}
+# --reg takes the rule names, with "opt" standing for "optimal".
+REG_ALIASES = {("opt" if rule == "optimal" else rule): rule for rule in RULES}
 
 
 def build_parser():
@@ -33,7 +35,7 @@ def build_parser():
         p.add_argument("--beta", type=float, action="append", default=None,
                        help="inexactness level; repeatable for verify-relations sweeps")
         p.add_argument("--reg", choices=sorted(REG_ALIASES), default=None)
-        p.add_argument("--mode", choices=("gk", "igk", "gengk", "igengk"), default=None)
+        p.add_argument("--mode", choices=SOLVER_MODES, default=None)
         p.add_argument("--noise-level", type=float, default=None)
     return parser
 

@@ -8,13 +8,13 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
+from .linop import MODES as INEXACT_MODES
+from .regparam import check_rule_fields
 
 SCHEMA_VERSION = 1
 
 EXPERIMENTS = ("verify-relations", "reconstruct", "compare-reg", "inexact-angles")
 SOLVER_MODES = ("gk", "igk", "gengk", "igengk")
-REG_RULES = ("none", "fixed", "optimal", "dp", "wgcv")
-INEXACT_MODES = ("none", "gaussian-entry", "angle-perturbation")
 
 
 @dataclass
@@ -66,16 +66,7 @@ class RegConfig:
     omega_mode: str = "fixed"
 
     def validate(self):
-        if self.rule not in REG_RULES:
-            raise ConfigError(f"unknown regularization rule {self.rule!r}")
-        if self.rule == "fixed" and self.lambda_fixed is None:
-            raise ConfigError("reg.rule 'fixed' requires reg.lambda_fixed")
-        if not 0.0 < self.omega <= 1.0:
-            raise ConfigError("reg.omega must lie in (0, 1]")
-        if self.omega_mode not in ("fixed", "adaptive"):
-            raise ConfigError(f"unknown reg.omega_mode {self.omega_mode!r}")
-        if self.nu_dp <= 0:
-            raise ConfigError("reg.nu_dp must be positive")
+        check_rule_fields(self.rule, self.lambda_fixed, self.nu_dp, self.omega, self.omega_mode)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import bidiag, solve, tomo
 from .linop import EXACT, InexactnessModel
 from .prior import CovarianceOperator, Grid, MaternKernel, NoiseModel, PriorModel, identity_prior
-from .regparam import RegRule
+from .regparam import SELECTING_RULES, RegRule
 
 ORTH_GATE = 1e-10
 RATIO_GATE = 0.10
@@ -120,26 +120,11 @@ def inexactness_for(cfg, schedule=None):
     return InexactnessModel(mode=cfg.inexactness.mode, beta=cfg.inexactness.beta, seed=seed)
 
 
-def reg_rule_for(cfg, problem):
-    r = cfg.reg
-    if r.rule == "dp":
-        return RegRule(
-            kind="dp", nu_dp=r.nu_dp, noise_norm=problem.weighted_noise_norm
-        )
-    return RegRule(
-        kind=r.rule,
-        lambda_fixed=r.lambda_fixed,
-        nu_dp=r.nu_dp,
-        omega=r.omega,
-        omega_mode=r.omega_mode,
-    )
-
-
 def run_reconstruction(cfg, problem, inexact=None, rule=None, snapshot_iters=()):
     if inexact is None:
         inexact = inexactness_for(cfg)
     if rule is None:
-        rule = reg_rule_for(cfg, problem)
+        rule = RegRule.from_config(cfg.reg, problem.weighted_noise_norm)
     sc = solve.SolveConfig(
         max_iter=cfg.max_iter, reg=rule, s_true=problem.s_true, snapshot_iters=snapshot_iters
     )
@@ -244,14 +229,13 @@ def cmd_reconstruct(cfg):
 
 
 def cmd_compare_reg(cfg):
-    """Optimal vs DP vs WGCV on the identical observation."""
+    """Every lambda-selecting rule (optimal, DP, WGCV) on the identical observation."""
     cfg.validate()
     out = _outdir(cfg)
     problem = build_problem(cfg)
     rules = {
-        "optimal": RegRule(kind="optimal"),
-        "dp": RegRule(kind="dp", nu_dp=cfg.reg.nu_dp, noise_norm=problem.weighted_noise_norm),
-        "wgcv": RegRule(kind="wgcv", omega=cfg.reg.omega, omega_mode=cfg.reg.omega_mode),
+        name: RegRule.from_config(replace(cfg.reg, rule=name), problem.weighted_noise_norm)
+        for name in SELECTING_RULES
     }
 
     def one_rule(item):

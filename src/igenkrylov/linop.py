@@ -108,20 +108,6 @@ class IdentityOperator(LinearOperator):
         return y.copy()
 
 
-class ScaledIdentityOperator(LinearOperator):
-    kind = "scaled-identity"
-
-    def __init__(self, n, gamma):
-        super().__init__(n, n)
-        self.gamma = float(gamma)
-
-    def _apply(self, x):
-        return self.gamma * x
-
-    def _apply_adjoint(self, y):
-        return self.gamma * y
-
-
 class ComposedOperator(LinearOperator):
     """Composition outer @ inner, applied matrix-free."""
 
@@ -139,30 +125,6 @@ class ComposedOperator(LinearOperator):
 
     def _apply_adjoint(self, y):
         return self.inner.apply_adjoint(self.outer.apply_adjoint(y))
-
-
-class PerturbedOperator(LinearOperator):
-    """Base operator with the iteration-k error bound in.
-
-    Convenience view for inspection; the decompositions call
-    ``perturbed_apply`` / ``perturbed_apply_adjoint`` directly so they control
-    the iteration index. Perturbed kinds are exempt from the adjoint dot test
-    (E_k and F_k are independent).
-    """
-
-    kind = "perturbed"
-
-    def __init__(self, base, model, k):
-        super().__init__(base.nrows, base.ncols)
-        self.base = base
-        self.model = model
-        self.k = int(k)
-
-    def _apply(self, x):
-        return perturbed_apply(self.base, self.model, self.k, x)
-
-    def _apply_adjoint(self, y):
-        return perturbed_apply_adjoint(self.base, self.model, self.k, y)
 
 
 MODES = ("none", "gaussian-entry", "angle-perturbation")
@@ -242,16 +204,6 @@ def materialize_error(model, nrows, ncols, k, direction):
     for start, block in _gaussian_blocks(model.seed, k, dir_code, nrows, ncols):
         G[start : start + block.shape[0]] = block
     return model.beta * G
-
-
-def apply(op, x):
-    """Exact forward product A x."""
-    return op.apply(x)
-
-
-def apply_adjoint(op, y):
-    """Exact adjoint product A^T y."""
-    return op.apply_adjoint(y)
 
 
 def perturbed_apply(op, model, k, x):

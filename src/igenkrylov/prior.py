@@ -71,11 +71,6 @@ class MaternKernel:
         return self.variance * val
 
 
-def matern_eval(kernel, r):
-    """Kernel value at distance r (scalar in, scalar out)."""
-    return float(kernel(np.asarray(r, dtype=float)))
-
-
 @dataclass(frozen=True)
 class Grid:
     """Regular grid of cell centers on the unit interval/square.
@@ -205,12 +200,6 @@ class IdentityCovariance:
         return x
 
 
-def fft_cov_apply(grid, kernel, x):
-    """One-shot FFT covariance matvec Q x (builds the symbol on the fly)."""
-    op = CovarianceOperator(grid, kernel, backend="fft-bttb")
-    return op.apply(x)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Observation noise covariance R = sigma^2 I with cheap inverse."""
@@ -235,11 +224,6 @@ class NoiseModel:
         if self.sigma == 1.0:
             return x
         return x / (self.sigma * self.sigma)
-
-
-def apply_Rinv(noise, x):
-    """R^{-1} x for the diagonal noise covariance."""
-    return noise.apply_rinv(x)
 
 
 @dataclass

@@ -2,12 +2,14 @@
 
 The decomposition reduces the generalized least-squares problem to a small
 (k+1)-by-k problem  min ||M y - beta1 e1||^2 + lambda^2 ||y||^2, solved here
-through the SVD of M (filter factors sigma_i / (sigma_i^2 + lambda^2)). The
-solution in original coordinates is mu + Q (V y).
+through the SVD of M and its filter factors
+phi_i = sigma_i^2 / (sigma_i^2 + lambda^2). The solution in original
+coordinates is mu + Q (V y).
 """
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,6 +17,19 @@ from . import bidiag
 from .errors import BreakdownSignal, DimensionError, NumericalError
 
 RANK_RTOL = 1e-12
+
+
+class Filters(NamedTuple):
+    """Tikhonov filter factors of the projected SVD at one lambda.
+
+    ``phi`` = sigma^2 / (sigma^2 + lambda^2), ``psi`` = 1 - phi and
+    ``gain`` = phi / sigma, the latter two evaluated directly so that neither
+    loses digits where phi is close to 1 or sigma is close to 0.
+    """
+
+    phi: np.ndarray
+    psi: np.ndarray
+    gain: np.ndarray
 
 
 @dataclass
@@ -52,6 +67,31 @@ class ProjectedProblem:
         tail2 = max(self.beta1**2 - float(np.dot(bhat, bhat)), 0.0)
         return s, bhat, tail2
 
+    def filters(self, lam):
+        """Filter factors at ``lam``; at lambda = 0 the SVD is truncated.
+
+        The truncation keeps the singular values above RANK_RTOL * sigma_max,
+        which gives the minimum-norm solution of a rank-deficient M.
+        """
+        if lam < 0:
+            raise NumericalError("lambda must be nonnegative")
+        s = self.svd[1]
+        if lam == 0.0:
+            keep = s > RANK_RTOL * self.sigma_max
+            phi = keep.astype(float)
+            return Filters(phi, 1.0 - phi, np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0))
+        lam2 = lam * lam
+        denom = s * s + lam2
+        return Filters(s * s / denom, lam2 / denom, s / denom)
+
+    def residual_norm2(self, filt):
+        """Squared projected residual ||M y - beta1 e1||^2 for the given filters.
+
+        Closed form sum(((1 - phi_i) bhat_i)^2) + tail^2, without forming y.
+        """
+        _, bhat, tail2 = self.svd_projection
+        return float(np.sum((filt.psi * bhat) ** 2)) + tail2
+
 
 @dataclass
 class SolveOutcome:
@@ -66,17 +106,9 @@ def projected_tikhonov(prob, lam):
     At lambda = 0 a rank-deficient M gets the minimum-norm solution through
     truncation at a relative rank tolerance.
     """
-    if lam < 0:
-        raise NumericalError("lambda must be nonnegative")
-    U, s, Vt = prob.svd
-    bhat = prob.beta1 * U[0, :]
-    if lam == 0.0:
-        cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
-        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-        coeff = inv * bhat
-    else:
-        coeff = (s / (s * s + lam * lam)) * bhat
-    y = Vt.T @ coeff
+    gain = prob.filters(lam).gain
+    _, bhat, _ = prob.svd_projection
+    y = prob.svd[2].T @ (gain * bhat)
     resid = prob.M @ y
     resid[0] -= prob.beta1
     return SolveOutcome(y=y, lambda_used=float(lam), projected_residual_norm=float(np.linalg.norm(resid)))
@@ -96,7 +128,7 @@ class SolveConfig:
     """Outer-iteration options: length, regularization rule, error tracking."""
 
     max_iter: int
-    reg: object  # RegRule
+    reg: object  # regparam.RegRule: chooser(prior, s_true) -> per-iteration (lambda, omega)
     s_true: np.ndarray = None
     snapshot_iters: tuple = ()
 
@@ -142,9 +174,6 @@ def run_iterative_solve(A, inexact, prior, noise, b, config):
     snapshots only at requested checkpoints plus the final iterate. Breakdown
     of the recurrence is a normal early stop.
     """
-    from . import regparam as rp
-
-    rule = config.reg
     s_true = None if config.s_true is None else np.asarray(config.s_true, dtype=float)
     s_true_norm = float(np.linalg.norm(s_true)) if s_true is not None else 0.0
 
@@ -158,7 +187,7 @@ def run_iterative_solve(A, inexact, prior, noise, b, config):
     state = bidiag.igenGK_init(A, inexact, prior, noise, b)
     timings["decomposition_s"] += time.perf_counter() - t0
 
-    omega_suggestions = []
+    choose = config.reg.chooser(prior, s_true)
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         try:
@@ -175,24 +204,9 @@ def run_iterative_solve(A, inexact, prior, noise, b, config):
         Vk = state.V[:, : state.M.shape[1]]
 
         t0 = time.perf_counter()
-        if rule.kind == "none":
-            lam = 0.0
-        elif rule.kind == "fixed":
-            lam = float(rule.lambda_fixed)
-        elif rule.kind == "optimal":
-            lam, _ = rp.select_lambda_optimal(prob, Vk, prior, s_true)
-        elif rule.kind == "dp":
-            lam, _ = rp.select_lambda_dp(prob, rule)
-        elif rule.kind == "wgcv":
-            if rule.omega_mode == "adaptive":
-                omega_suggestions.append(rp.suggest_omega(prob))
-                om = float(np.mean(omega_suggestions))
-            else:
-                om = rule.omega
-            lam, _, om = rp.select_lambda_wgcv(prob, rule, omega=om)
-            omegas.append(om)
-        else:
-            raise NumericalError(f"unhandled rule {rule.kind!r}")
+        lam, omega = choose(prob, Vk)
+        if omega is not None:
+            omegas.append(omega)
         timings["param_selection_s"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -170,16 +170,6 @@ def _jittered_operator(geom, alpha_k, seed, k):
     return RadonOperator(geom.with_angles(jittered))
 
 
-def radon_apply(geom, image):
-    """Sinogram of a column-major image vector."""
-    return RadonOperator(geom).apply(image)
-
-
-def radon_adjoint(geom, sinogram):
-    """Back-projection: exact transpose of the ray-weight matrix."""
-    return RadonOperator(geom).apply_adjoint(sinogram)
-
-
 # Shepp-Logan-style ellipses: (value, semi-axis a, semi-axis b, x0, y0, angle deg)
 _ELLIPSES = (
     (1.0, 0.69, 0.92, 0.0, 0.0, 0.0),
@@ -230,7 +220,7 @@ def synthesize_observation(geom, s_true, noise_level, seed):
     """Noisy sinogram with the noise norm scaled exactly to the target level."""
     if noise_level < 0:
         raise InvalidParameterError("noise level must be nonnegative")
-    d_true = radon_apply(geom, s_true)
+    d_true = system_matrix(geom) @ LinearOperator._check_vector(s_true, geom.ncols)
     if noise_level == 0:
         return d_true, 0.0
     d_norm = float(np.linalg.norm(d_true))
@@ -262,18 +252,10 @@ class AngleSchedule:
         return np.geomspace(self.alpha_start, self.alpha_end, self.num_iters)
 
 
-def perturbed_angle_operator(geom, schedule, k):
-    """Radon operator at iteration k with angles theta + alpha_k * g_k."""
-    if not 1 <= k <= schedule.num_iters:
-        raise InvalidParameterError(f"iteration {k} outside schedule range")
-    alpha_k = float(schedule.alphas[k - 1])
-    return _jittered_operator(geom, alpha_k, int(schedule.seed), int(k))
-
-
 # ---------------------------------------------------------------------------
-# File formats: 16-bit binary PGM for images, CSV (one row per angle) for
-# sinograms. Images are stored row-major as (row=iy, col=ix); the package's
-# vectors are the column-major flattening of the transpose (see image_to_grid).
+# Images are stored as 16-bit binary PGM, row-major as (row=iy, col=ix); the
+# package's vectors are the column-major flattening of the transpose (see
+# image_to_grid).
 
 
 def write_pgm(path, vec, n):
@@ -296,19 +278,3 @@ def read_pgm(path):
     arr = np.frombuffer(raw, dtype=">u2").reshape((height, width)).astype(float) / maxval
     return grid_to_image(arr), width
 
-
-def write_sinogram_csv(path, sino, geom):
-    rows = np.asarray(sino, dtype=float).reshape((len(geom.angles), geom.nrays))
-    with open(path, "w", encoding="ascii") as fh:
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_sinogram_csv(path):
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.asarray(rows, dtype=float).reshape(-1)

@@ -183,26 +183,6 @@ def test_model_validation():
         linop.InexactnessModel(mode="angle-perturbation")
 
 
-def test_scaled_identity():
-    op = linop.ScaledIdentityOperator(3, 2.5)
-    np.testing.assert_allclose(op.apply(np.array([1.0, 2.0, 0.0])), [2.5, 5.0, 0.0])
-    np.testing.assert_allclose(op.apply_adjoint(np.array([2.0, 0.0, 4.0])), [5.0, 0.0, 10.0])
-
-
-def test_perturbed_wrapper_operator():
-    rng = np.random.default_rng(77)
-    base = linop.DenseOperator(rng.standard_normal((9, 7)))
-    model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=5)
-    op = linop.PerturbedOperator(base, model, k=2)
-    assert op.kind == "perturbed" and op.shape == (9, 7)
-    x = rng.standard_normal(7)
-    np.testing.assert_array_equal(op.apply(x), linop.perturbed_apply(base, model, 2, x))
-    y = rng.standard_normal(9)
-    np.testing.assert_array_equal(
-        op.apply_adjoint(y), linop.perturbed_apply_adjoint(base, model, 2, y)
-    )
-
-
 def test_structural_perturbation_unsupported_on_dense():
     op = linop.DenseOperator(np.eye(4))
     model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1,), seed=0)

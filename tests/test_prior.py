@@ -29,21 +29,21 @@ def kv_formula(nu, alpha, r):
 @pytest.mark.parametrize("nu,alpha", [(0.5, 1.0), (1.5, 2.0), (2.5, 0.5), (1.1, 3.0)])
 def test_kernel_value_at_zero(nu, alpha):
     k = prior.MaternKernel(nu=nu, alpha=alpha)
-    assert prior.matern_eval(k, 0.0) == 1.0
+    assert float(k(0.0)) == 1.0
 
 
 def test_half_smoothness_is_exponential():
     k = prior.MaternKernel(nu=0.5, alpha=2.0)
     for r in (0.1, 1.0, 3.0):
-        assert abs(prior.matern_eval(k, r) - math.exp(-2.0 * r)) <= 1e-12
+        assert abs(float(k(r)) - math.exp(-2.0 * r)) <= 1e-12
 
 
 def test_three_halves_closed_form_vs_bessel():
     k = prior.MaternKernel(nu=1.5, alpha=1.0)
     r = 0.5
     expected = (1 + math.sqrt(3) * r) * math.exp(-math.sqrt(3) * r)
-    assert abs(prior.matern_eval(k, r) - expected) <= 1e-12
-    assert abs(prior.matern_eval(k, r) - kv_formula(1.5, 1.0, r)) <= 1e-12
+    assert abs(float(k(r)) - expected) <= 1e-12
+    assert abs(float(k(r)) - kv_formula(1.5, 1.0, r)) <= 1e-12
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 0.8, 3.7])
@@ -83,7 +83,7 @@ def test_dense_cov_two_points():
     Q = prior.build_dense_cov(prior.Grid((2,)), k)
     r = 0.5  # cell centers 0.25 and 0.75
     assert Q[0, 1] == Q[1, 0]
-    assert abs(Q[0, 1] - prior.matern_eval(k, r)) <= 1e-15
+    assert abs(Q[0, 1] - float(k(r))) <= 1e-15
     np.testing.assert_array_equal(np.diag(Q), [1.0, 1.0])
 
 
@@ -105,7 +105,7 @@ def test_fft_matches_dense_column():
     Qd = prior.build_dense_cov(g, k)
     e1 = np.zeros(16)
     e1[0] = 1.0
-    np.testing.assert_allclose(prior.fft_cov_apply(g, k, e1), Qd[:, 0], atol=1e-12)
+    np.testing.assert_allclose(prior.CovarianceOperator(g, k).apply(e1), Qd[:, 0], atol=1e-12)
 
 
 def test_fft_matches_dense_random():
@@ -114,7 +114,7 @@ def test_fft_matches_dense_random():
     Qd = prior.build_dense_cov(g, k)
     x = np.random.default_rng(0).standard_normal(256)
     ref = Qd @ x
-    got = prior.fft_cov_apply(g, k, x)
+    got = prior.CovarianceOperator(g, k).apply(x)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -122,7 +122,7 @@ def test_fft_short_correlation_limit_is_identity():
     k = prior.MaternKernel(nu=1.5, alpha=1e6)
     g = prior.Grid((8, 8))
     x = np.random.default_rng(1).standard_normal(64)
-    assert np.linalg.norm(prior.fft_cov_apply(g, k, x) - x) <= 1e-6 * np.linalg.norm(x)
+    assert np.linalg.norm(prior.CovarianceOperator(g, k).apply(x) - x) <= 1e-6 * np.linalg.norm(x)
 
 
 def test_fft_backend_symmetric_and_psd():
@@ -142,7 +142,7 @@ def test_fft_backend_1d():
     g = prior.Grid((25,))
     Qd = prior.build_dense_cov(g, k)
     x = np.random.default_rng(3).standard_normal(25)
-    np.testing.assert_allclose(prior.fft_cov_apply(g, k, x), Qd @ x, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(prior.CovarianceOperator(g, k).apply(x), Qd @ x, rtol=1e-12, atol=1e-13)
 
 
 def test_covariance_dimension_check():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igenkrylov import prior, regparam, solve
+from igenkrylov.config import RegConfig
 from igenkrylov.errors import ConfigError
 
 
@@ -37,6 +38,58 @@ def test_rule_validation():
         regparam.RegRule(kind="wgcv", omega=0.0)
     with pytest.raises(ConfigError):
         regparam.RegRule(kind="nope")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"rule": "nope"},
+        {"rule": "fixed"},
+        {"rule": "wgcv", "omega": 0.0},
+        {"rule": "wgcv", "omega_mode": "sometimes"},
+        {"rule": "dp", "nu_dp": 0.0},
+    ],
+)
+def test_config_and_rule_share_checks(fields):
+    with pytest.raises(ConfigError):
+        RegConfig(**fields).validate()
+    rule_fields = {k: v for k, v in fields.items() if k != "rule"}
+    with pytest.raises(ConfigError):
+        regparam.RegRule(kind=fields["rule"], noise_norm=1.0, **rule_fields)
+
+
+@pytest.mark.parametrize("kind", regparam.RULES)
+def test_every_rule_name_dispatches(kind):
+    rng = np.random.default_rng(10)
+    prob = make_prob(rng.standard_normal((7, 6)), 1.2)
+    V = rng.standard_normal((9, 6))
+    rule = regparam.RegRule(kind=kind, lambda_fixed=0.3, noise_norm=0.4)
+    choose = rule.chooser(prior.identity_prior(9), rng.standard_normal(9))
+    lam, omega = choose(prob, V)
+    assert np.isfinite(lam) and lam >= 0.0
+    assert (omega is not None) == (kind == "wgcv")
+
+
+def test_adaptive_wgcv_averages_suggestions():
+    rng = np.random.default_rng(11)
+    probs = [make_prob(rng.standard_normal((k + 1, k)), 1.0) for k in (3, 4, 5)]
+    rule = regparam.RegRule(kind="wgcv", omega_mode="adaptive")
+    choose = rule.chooser(prior.identity_prior(5))
+    for i, prob in enumerate(probs):
+        lam, omega = choose(prob, None)
+        expected = float(np.mean([regparam.suggest_omega(p) for p in probs[: i + 1]]))
+        assert omega == expected
+        assert lam == regparam.select_lambda_wgcv(prob, rule, omega=expected)[0]
+
+
+def test_dp_closed_form_residual_matches_explicit():
+    rng = np.random.default_rng(12)
+    for rows, cols in ((7, 6), (12, 9), (4, 1)):
+        prob = make_prob(rng.standard_normal((rows, cols)), 1.7)
+        for lam in np.concatenate([[0.0], regparam._lambda_grid(prob)]):
+            closed = np.sqrt(prob.residual_norm2(prob.filters(lam)))
+            explicit = solve.projected_tikhonov(prob, lam).projected_residual_norm
+            assert abs(closed - explicit) <= 1e-10 * explicit
 
 
 def test_dp_closed_form_root():

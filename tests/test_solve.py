@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from igenkrylov import linop, prior, regparam, solve
-from igenkrylov.errors import DimensionError, NumericalError
+from igenkrylov.errors import DegenerateInputError, DimensionError, NumericalError
 
 from conftest import DenseSPDCovariance, dense_generalized_tikhonov, random_spd
 
@@ -174,3 +174,13 @@ def test_snapshots_recorded_at_checkpoints():
     rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, cfg)
     assert set(rec.snapshots) == {2, 4}
     assert rec.iterations == 5
+
+
+def test_degenerate_adjoint_of_rhs_is_input_error():
+    # A^T b = 0 with b != 0: no Krylov column exists, so the driver reports bad input
+    A = linop.DenseOperator(np.diag([1.0, 0.0]))
+    b = np.array([0.0, 1.0])
+    cfg = solve.SolveConfig(max_iter=3, reg=regparam.RegRule(kind="none"))
+    with pytest.raises(DegenerateInputError):
+        solve.run_iterative_solve(A, linop.EXACT, prior.identity_prior(2),
+                                  prior.NoiseModel(sigma=1.0, dimension=2), b, cfg)
