@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run all four desk-scale experiments into results/desk/<command>/.
 
-Desk scale (n=64, 36 angles, 91 rays) finishes in a few minutes; the inexact
-runs dominate because every perturbed product regenerates its error stream.
+Desk scale (n=64, 36 angles, 91 rays) finishes in a few minutes; each
+inexact product draws one error vector, so the exact Radon and covariance
+products and the angle-jitter rebuilds take most of the time.
 """
 
 import sys

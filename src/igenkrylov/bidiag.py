@@ -37,7 +37,6 @@ class BidiagState:
     may be square (the subdiagonal entry vanished and no new U column exists).
     """
 
-    mode: str
     U: np.ndarray
     V: np.ndarray
     M: np.ndarray
@@ -49,14 +48,6 @@ class BidiagState:
     @property
     def k(self):
         return self.M.shape[1]
-
-
-def mode_label(inexact, prior, noise):
-    generalized = not (prior.Q.is_identity and noise.is_identity)
-    active = inexact is not None and inexact.active
-    if generalized:
-        return "igengk" if active else "gengk"
-    return "igk" if active else "gk"
 
 
 def _orthogonalize(vec, basis, weight_apply, passes=2):
@@ -98,7 +89,6 @@ def igenGK_init(A, inexact, prior, noise, b):
     v1 = vbar / c11
 
     return BidiagState(
-        mode=mode_label(inexact, prior, noise),
         U=u1[:, None],
         V=v1[:, None],
         M=np.zeros((1, 0)),
@@ -232,7 +222,6 @@ def gk_decompose(A, b, steps, reorthogonalize=True):
         if j + 1 < nv:
             C[j, j + 1] = betas[j]
     return BidiagState(
-        mode="gk",
         U=np.column_stack(us),
         V=np.column_stack(vs),
         M=M,

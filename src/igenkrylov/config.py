@@ -5,7 +5,7 @@ validates its configuration before doing any work.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .linop import MODES as INEXACT_MODES
@@ -127,46 +127,61 @@ class ExperimentConfig:
         return text
 
 
-_SECTIONS = {
-    "geometry": GeometryConfig,
-    "prior": PriorConfig,
-    "inexactness": InexactConfig,
-    "reg": RegConfig,
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_number_list(v):
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+# What a JSON value must be for a field of each type: (description, check).
+# The two tuple fields are named, because their element types differ.
+_VALUE_CHECKS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    "betas": ("a list of numbers", _is_number_list),
+    "angle_schedules": (
+        "a list of lists of numbers",
+        lambda v: isinstance(v, list) and all(map(_is_number_list, v)),
+    ),
 }
 
 
-def _build_section(cls, data, name):
+def _build(cls, data, prefix=""):
+    """Instance of the config dataclass ``cls`` from a JSON object.
+
+    Every value is checked against its field's type before anything is built:
+    int fields reject bools and floats, float fields accept ints, and a field
+    whose default is None also accepts null. Nested objects build the section
+    dataclasses; JSON lists become tuples.
+    """
     if not isinstance(data, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - fields
+        raise ConfigError(f"{prefix.rstrip('.') or 'configuration root'} must be an object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(data) - set(known)
     if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    return cls(**data)
+        raise ConfigError(f"unknown configuration keys: {[prefix + k for k in sorted(unknown)]}")
+    kwargs = {}
+    for key, value in data.items():
+        f = known[key]
+        if is_dataclass(f.type):
+            kwargs[key] = _build(f.type, value, f"{prefix}{key}.")
+            continue
+        what, ok = _VALUE_CHECKS.get(key) or _VALUE_CHECKS[f.type]
+        if not (ok(value) or (value is None and f.default is None)):
+            raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
+        kwargs[key] = _to_tuples(value)
+    return cls(**kwargs)
+
+
+def _to_tuples(value):
+    return tuple(_to_tuples(v) for v in value) if isinstance(value, list) else value
 
 
 def config_from_dict(data):
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be an object")
-    fields = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - fields
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value, key)
-        elif key == "betas":
-            kwargs[key] = tuple(value)
-        elif key == "angle_schedules":
-            kwargs[key] = tuple(tuple(s) for s in value)
-        else:
-            kwargs[key] = value
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"malformed configuration: {exc}") from exc
-    return cfg.validate()
+    return _build(ExperimentConfig, data).validate()
 
 
 def config_from_json(path):

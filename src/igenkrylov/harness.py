@@ -120,14 +120,12 @@ def inexactness_for(cfg, schedule=None):
     return InexactnessModel(mode=cfg.inexactness.mode, beta=cfg.inexactness.beta, seed=seed)
 
 
-def run_reconstruction(cfg, problem, inexact=None, rule=None, snapshot_iters=()):
+def run_reconstruction(cfg, problem, inexact=None, rule=None):
     if inexact is None:
         inexact = inexactness_for(cfg)
     if rule is None:
         rule = RegRule.from_config(cfg.reg, problem.weighted_noise_norm)
-    sc = solve.SolveConfig(
-        max_iter=cfg.max_iter, reg=rule, s_true=problem.s_true, snapshot_iters=snapshot_iters
-    )
+    sc = solve.SolveConfig(max_iter=cfg.max_iter, reg=rule, s_true=problem.s_true)
     return solve.run_iterative_solve(
         problem.A, inexact, problem.prior, problem.noise, problem.b, sc
     )

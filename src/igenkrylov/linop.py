@@ -4,10 +4,18 @@ Operators expose ``apply`` / ``apply_adjoint`` only; nothing here assumes the
 matrix is stored. Inexactness is modeled as an additive random matrix per
 iteration: the forward product at iteration k returns (A + E_k) x and the
 adjoint returns (A + F_k)^T y, where E_k and F_k have i.i.d. N(0, beta^2)
-entries. The error matrices are never stored for large operators; their
-action is streamed row-block by row-block from a counter-based generator
-keyed by (seed, k, direction, block), which makes every perturbed product
-bitwise reproducible and exactly proportional to beta.
+entries.
+
+Each (k, direction) error matrix enters exactly one product per run, so only
+the law of that one product matters, and it is exact to draw from it: for a
+fixed x, E_k x has the law of beta ||x||_2 g with g ~ N(0, I_m), and F_k^T y
+that of beta ||y||_2 h with h ~ N(0, I_n). A perturbed product therefore draws
+one standard-normal vector of its output length from the substream keyed by
+(seed, k, direction). The price is that the error is not linear across two
+products at the same (k, direction): a caller that reused an error matrix
+would get two independent draws, not one matrix applied twice. The draws are
+bitwise reproducible, independent of the thread schedule, exactly
+proportional to beta, and independent between the two directions.
 """
 
 from dataclasses import dataclass
@@ -15,20 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapacityError,
     DimensionError,
     InvalidInputError,
     InvalidParameterError,
     UnsupportedError,
 )
 from .rng import DIR_ADJOINT, DIR_FORWARD, TAG_MATVEC_ERROR, substream
-
-# Rows of an error matrix generated per block. Fixed: changing it would change
-# nothing mathematically but is kept stable so streams stay reproducible.
-ROW_BLOCK = 256
-
-# Largest nrows*ncols for which an error matrix may be materialized (diagnostics).
-MATERIALIZE_LIMIT = 10**6
 
 
 class LinearOperator:
@@ -167,43 +167,10 @@ class InexactnessModel:
 EXACT = InexactnessModel()
 
 
-def _gaussian_blocks(seed, k, direction, nrows, ncols):
-    """Yield (row_start, block) for the standard-normal matrix G_k."""
-    for start in range(0, nrows, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, nrows)
-        gen = substream(seed, TAG_MATVEC_ERROR, k, direction, start // ROW_BLOCK)
-        yield start, gen.standard_normal((stop - start, ncols))
-
-
-def _stream_forward(model, k, nrows, ncols, x):
-    """Compute G_k x without materializing G_k."""
-    out = np.empty(nrows)
-    for start, block in _gaussian_blocks(model.seed, k, DIR_FORWARD, nrows, ncols):
-        out[start : start + block.shape[0]] = block @ x
-    return out
-
-
-def _stream_adjoint(model, k, nrows, ncols, y):
-    """Compute F_k^T y without materializing F_k."""
-    out = np.zeros(ncols)
-    for start, block in _gaussian_blocks(model.seed, k, DIR_ADJOINT, nrows, ncols):
-        out += block.T @ y[start : start + block.shape[0]]
-    return out
-
-
-def materialize_error(model, nrows, ncols, k, direction):
-    """Dense error matrix (beta-scaled) for oracle tests; capped in size.
-
-    Blocks match the streamed products, so ``materialize_error(...) @ x``
-    agrees with the streamed perturbation up to summation rounding.
-    """
-    if nrows * ncols > MATERIALIZE_LIMIT:
-        raise CapacityError(f"refusing to materialize {nrows}x{ncols} error matrix")
-    dir_code = DIR_FORWARD if direction == "forward" else DIR_ADJOINT
-    G = np.empty((nrows, ncols))
-    for start, block in _gaussian_blocks(model.seed, k, dir_code, nrows, ncols):
-        G[start : start + block.shape[0]] = block
-    return model.beta * G
+def _error_draw(model, k, direction, v, size):
+    """One draw of the error product E v: beta ||v||_2 times a standard normal."""
+    g = substream(model.seed, TAG_MATVEC_ERROR, k, direction).standard_normal(size)
+    return (model.beta * np.linalg.norm(v)) * g
 
 
 def perturbed_apply(op, model, k, x):
@@ -213,8 +180,7 @@ def perturbed_apply(op, model, k, x):
     if model.mode == "angle-perturbation":
         return op.perturbed_variant(model, k).apply(x)
     x = op._check_vector(x, op.ncols)
-    exact = op._apply(x)
-    return exact + model.beta * _stream_forward(model, k, op.nrows, op.ncols, x)
+    return op._apply(x) + _error_draw(model, k, DIR_FORWARD, x, op.nrows)
 
 
 def perturbed_apply_adjoint(op, model, k, y):
@@ -224,5 +190,4 @@ def perturbed_apply_adjoint(op, model, k, y):
     if model.mode == "angle-perturbation":
         return op.perturbed_variant(model, k).apply_adjoint(y)
     y = op._check_vector(y, op.nrows)
-    exact = op._apply_adjoint(y)
-    return exact + model.beta * _stream_adjoint(model, k, op.nrows, op.ncols, y)
+    return op._apply_adjoint(y) + _error_draw(model, k, DIR_ADJOINT, y, op.ncols)

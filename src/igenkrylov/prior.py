@@ -228,16 +228,13 @@ class NoiseModel:
 
 @dataclass
 class PriorModel:
-    """Gaussian prior: mean ``mu``, covariance operator ``Q``, precision scale."""
+    """Gaussian prior: mean ``mu`` and covariance operator ``Q``."""
 
     mu: np.ndarray
     Q: object
-    lambda_scale: float = 1.0
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
-        if self.lambda_scale <= 0:
-            raise InvalidParameterError("lambda_scale must be positive")
         if self.mu.shape != (self.Q.n,):
             raise DimensionError("prior mean and covariance dimensions disagree")
 

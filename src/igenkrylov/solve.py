@@ -130,7 +130,6 @@ class SolveConfig:
     max_iter: int
     reg: object  # regparam.RegRule: chooser(prior, s_true) -> per-iteration (lambda, omega)
     s_true: np.ndarray = None
-    snapshot_iters: tuple = ()
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -146,7 +145,6 @@ class ReconRecord:
     lambdas: list
     proj_residual: list
     solution: np.ndarray
-    snapshots: dict
     stop_reason: str
     timings: dict
     omegas: list = field(default_factory=list)
@@ -170,16 +168,14 @@ def run_iterative_solve(A, inexact, prior, noise, b, config):
     """Drive the decomposition, selecting lambda each iteration per the rule.
 
     Records the relative error against the true solution (when given), the
-    selected lambda, and the projected residual at every iteration; solution
-    snapshots only at requested checkpoints plus the final iterate. Breakdown
-    of the recurrence is a normal early stop.
+    selected lambda, and the projected residual at every iteration, and keeps
+    the final iterate. Breakdown of the recurrence is a normal early stop.
     """
     s_true = None if config.s_true is None else np.asarray(config.s_true, dtype=float)
     s_true_norm = float(np.linalg.norm(s_true)) if s_true is not None else 0.0
 
     timings = {"decomposition_s": 0.0, "param_selection_s": 0.0, "projected_solve_s": 0.0}
     relerr, lambdas, residuals, omegas = [], [], [], []
-    snapshots = {}
     stop_reason = "max_iter"
     solution = prior.mu.copy()
 
@@ -218,8 +214,6 @@ def run_iterative_solve(A, inexact, prior, noise, b, config):
         residuals.append(outcome.projected_residual_norm)
         if s_true is not None:
             relerr.append(float(np.linalg.norm(solution - s_true) / s_true_norm))
-        if it in config.snapshot_iters:
-            snapshots[it] = solution.copy()
         if stop_reason == "breakdown":
             break
 
@@ -229,7 +223,6 @@ def run_iterative_solve(A, inexact, prior, noise, b, config):
         lambdas=lambdas,
         proj_residual=residuals,
         solution=solution,
-        snapshots=snapshots,
         stop_reason=stop_reason,
         timings=timings,
         omegas=omegas,

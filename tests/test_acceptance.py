@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The desk-scale CT problem
-(n=64, 36 angles, 91 rays) keeps the whole suite in the minutes range; the
-inexact runs regenerate full error-matrix streams every product, which
-dominates the runtime.
+(n=64, 36 angles, 91 rays) keeps the whole suite at about two minutes on two
+cores; each inexact product draws a single error vector, so the exact Radon
+and covariance products and the angle-jitter rebuilds dominate the runtime.
 """
 
 import time

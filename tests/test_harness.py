@@ -47,6 +47,18 @@ def test_config_rejects_bad_schema_version():
         config_from_dict({"schema_version": 99})
 
 
+# JSON values of the wrong type: each must be a ConfigError, not a TypeError
+# from validation or a silently accepted value.
+TYPE_MISMATCHES = (
+    {"reg": {"nu_dp": "x"}},
+    {"geometry": {"n": "64"}},
+    {"betas": 5},
+    {"max_iter": 2.5},
+    {"seed": True},
+    {"angle_schedules": [[1, "a"]]},
+)
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         config_from_dict({"schema_version": 1, "mode": "quantum"})
@@ -54,6 +66,16 @@ def test_config_rejects_bad_values():
         config_from_dict({"schema_version": 1, "noise_level": -0.1})
     with pytest.raises(ConfigError):
         config_from_dict({"schema_version": 1, "reg": {"rule": "fixed"}})
+    for bad in TYPE_MISMATCHES:
+        with pytest.raises(ConfigError):
+            config_from_dict({"schema_version": 1, **bad})
+
+
+def test_config_accepts_ints_for_floats_and_null_for_none_defaults():
+    cfg = config_from_dict(
+        {"schema_version": 1, "noise_level": 0, "geometry": {"nrays": None}, "betas": [1, 0.5]}
+    )
+    assert cfg.noise_level == 0 and cfg.geometry.nrays is None and cfg.betas == (1, 0.5)
 
 
 def test_presets():
@@ -221,13 +243,18 @@ def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
     assert (tmp_path / "out_mt" / "relations.csv").read_bytes() == serial
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["reconstruct", "--config", str(bad)]) == 2
     good_but_wrong = tmp_path / "wrong.json"
     good_but_wrong.write_text(json.dumps({"schema_version": 1, "mode": "martian"}))
     assert cli.main(["reconstruct", "--config", str(good_but_wrong)]) == 2
+    for mismatch in TYPE_MISMATCHES:
+        good_but_wrong.write_text(json.dumps(mismatch))
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--config", str(good_but_wrong)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
 
 
 def test_cli_runs_tiny_reconstruction(tmp_path):

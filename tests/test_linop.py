@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from igenkrylov import linop
+from igenkrylov.rng import DIR_ADJOINT, DIR_FORWARD, TAG_MATVEC_ERROR, substream
 from igenkrylov.errors import (
-    CapacityError,
     DimensionError,
     InvalidInputError,
     InvalidParameterError,
@@ -56,6 +57,14 @@ def test_dimension_and_finiteness_errors():
         op.apply_adjoint(np.ones(2))
     with pytest.raises(InvalidInputError):
         op.apply(np.array([1.0, np.nan, 0.0]))
+    # the perturbed products check their input the same way
+    model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=0)
+    with pytest.raises(DimensionError):
+        linop.perturbed_apply(op, model, 1, np.ones(4))
+    with pytest.raises(DimensionError):
+        linop.perturbed_apply_adjoint(op, model, 1, np.ones(2))
+    with pytest.raises(InvalidInputError):
+        linop.perturbed_apply(op, model, 1, np.array([1.0, np.inf, 0.0]))
 
 
 def test_composed_operator():
@@ -129,18 +138,68 @@ def test_perturbation_norm_monte_carlo():
         pert = linop.perturbed_apply(op, model, 1, x) - exact
         if lo <= np.linalg.norm(pert) <= hi:
             inside += 1
-        if seed < 5:
-            E = linop.materialize_error(model, n, n, 1, "forward")
-            assert np.linalg.norm(E @ x - pert) <= 1e-10
     assert inside >= 990
 
 
+# Significance level of the law tests below. Their seeds are fixed, so each
+# test is deterministic; the level sets how large a departure from the law
+# they would catch.
+LAW_TEST_LEVEL = 1e-3
+
+
+def _standardized_errors(direction, seeds, k=3, beta=1e-2):
+    """(perturbed - exact) / (beta ||v||) for one fixed vector v, one row per seed."""
+    rng = np.random.default_rng(12)
+    op = linop.DenseOperator(rng.standard_normal((40, 30)))
+    if direction == "forward":
+        v = rng.standard_normal(op.ncols)
+        exact, perturbed = op.apply(v), linop.perturbed_apply
+    else:
+        v = rng.standard_normal(op.nrows)
+        exact, perturbed = op.apply_adjoint(v), linop.perturbed_apply_adjoint
+    rows = []
+    for seed in seeds:
+        model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=seed)
+        rows.append((perturbed(op, model, k, v) - exact) / (beta * np.linalg.norm(v)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("direction", ["forward", "adjoint"])
+def test_perturbation_law_is_standard_normal(direction):
+    # For a fresh E with N(0, beta^2) entries, E v ~ beta ||v|| N(0, I): the
+    # pooled standardized entries are N(0, 1) and each product's squared norm
+    # is chi-square with (output length) degrees of freedom.
+    z = _standardized_errors(direction, range(400))
+    assert z.shape == (400, 40 if direction == "forward" else 30)
+    assert stats.kstest(z.ravel(), "norm").pvalue >= LAW_TEST_LEVEL
+    sq = np.sum(z * z, axis=1)
+    assert stats.kstest(sq, "chi2", args=(z.shape[1],)).pvalue >= LAW_TEST_LEVEL
+
+
 def test_forward_and_adjoint_streams_independent():
-    model = linop.InexactnessModel(mode="gaussian-entry", beta=1.0, seed=11)
-    E = linop.materialize_error(model, 100, 100, 3, "forward").ravel()
-    F = linop.materialize_error(model, 100, 100, 3, "adjoint").ravel()
-    corr = np.corrcoef(E, F)[0, 1]
-    assert abs(corr) < 0.05
+    # Same (seed, k), both directions: the draws are uncorrelated. Under
+    # independence the sample correlation of N pairs is about N(0, 1/N), so
+    # 4/sqrt(N) is far outside its spread.
+    fwd = _standardized_errors("forward", range(200))[:, :30]
+    adj = _standardized_errors("adjoint", range(200))
+    corr = np.corrcoef(fwd.ravel(), adj.ravel())[0, 1]
+    assert abs(corr) < 4.0 / np.sqrt(fwd.size)
+
+
+def test_products_draw_one_vector_from_named_substream():
+    # Each product draws exactly one standard-normal vector of its output
+    # length from the (seed, k, direction) substream, scaled by beta ||v||.
+    rng = np.random.default_rng(9)
+    op = linop.DenseOperator(rng.standard_normal((40, 30)))
+    x = rng.standard_normal(30)
+    y = rng.standard_normal(40)
+    model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=33)
+    pert = linop.perturbed_apply(op, model, 6, x) - op.apply(x)
+    g = substream(33, TAG_MATVEC_ERROR, 6, DIR_FORWARD).standard_normal(40)
+    np.testing.assert_allclose(pert, 1e-3 * np.linalg.norm(x) * g, rtol=0, atol=1e-12)
+    pert = linop.perturbed_apply_adjoint(op, model, 6, y) - op.apply_adjoint(y)
+    h = substream(33, TAG_MATVEC_ERROR, 6, DIR_ADJOINT).standard_normal(30)
+    np.testing.assert_allclose(pert, 1e-3 * np.linalg.norm(y) * h, rtol=0, atol=1e-12)
 
 
 def test_error_scaling_exactly_linear_in_beta():
@@ -156,22 +215,6 @@ def test_error_scaling_exactly_linear_in_beta():
     assert abs(ratio / 100.0 - 1.0) <= 1e-10
     # and well within the 10% band required of full runs
     assert abs(norms[1e-4] - 1e-2 * norms[1e-2]) <= 0.1 * norms[1e-4]
-
-
-def test_adjoint_stream_matches_materialized():
-    rng = np.random.default_rng(9)
-    op = linop.DenseOperator(rng.standard_normal((40, 30)))
-    y = rng.standard_normal(40)
-    model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=33)
-    pert = linop.perturbed_apply_adjoint(op, model, 6, y) - op.apply_adjoint(y)
-    F = linop.materialize_error(model, 40, 30, 6, "adjoint")
-    np.testing.assert_allclose(pert, F.T @ y, atol=1e-12)
-
-
-def test_materialize_capacity_guard():
-    model = linop.InexactnessModel(mode="gaussian-entry", beta=1.0, seed=0)
-    with pytest.raises(CapacityError):
-        linop.materialize_error(model, 2000, 2000, 1, "forward")
 
 
 def test_model_validation():

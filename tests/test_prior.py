@@ -188,7 +188,5 @@ def test_prior_model_validation():
     Q = prior.IdentityCovariance(3)
     with pytest.raises(DimensionError):
         prior.PriorModel(mu=np.zeros(4), Q=Q)
-    with pytest.raises(InvalidParameterError):
-        prior.PriorModel(mu=np.zeros(3), Q=Q, lambda_scale=0.0)
     pm = prior.identity_prior(3)
     assert pm.Q.is_identity and pm.n == 3

@@ -163,19 +163,6 @@ def test_driver_is_deterministic():
     assert r1.proj_residual == r2.proj_residual
 
 
-def test_snapshots_recorded_at_checkpoints():
-    Amat, Qm, sigma, b, A, pm, nm = full_rank_generalized_problem(11)
-    cfg = solve.SolveConfig(
-        max_iter=5,
-        reg=regparam.RegRule(kind="none"),
-        s_true=None,
-        snapshot_iters=(2, 4),
-    )
-    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, cfg)
-    assert set(rec.snapshots) == {2, 4}
-    assert rec.iterations == 5
-
-
 def test_degenerate_adjoint_of_rhs_is_input_error():
     # A^T b = 0 with b != 0: no Krylov column exists, so the driver reports bad input
     A = linop.DenseOperator(np.diag([1.0, 0.0]))
