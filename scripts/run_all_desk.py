@@ -2,8 +2,9 @@
 """Run all four desk-scale experiments into results/desk/<command>/.
 
 Desk scale (n=64, 36 angles, 91 rays) finishes in a few minutes; each
-inexact product draws one error vector, so the exact Radon and covariance
-products and the angle-jitter rebuilds take most of the time.
+inexact product draws one error vector and each iteration makes one
+covariance product, so the exact Radon products and the angle-jitter
+rebuilds take most of the time.
 """
 
 import sys

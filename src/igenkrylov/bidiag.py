@@ -7,13 +7,10 @@ products the projected matrix is numerically bidiagonal; with inexact products
 it fills in to upper Hessenberg, and the adjoint-side coefficients fill a
 triangular matrix, which is what keeps the bases orthonormal at machine
 precision regardless of the error level.
-
-A standalone two-term-recurrence implementation of the classic process is
-provided as an independent oracle (``gk_decompose``).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,35 +21,83 @@ from .prior import weighted_norm
 # Normalization coefficients below BREAKDOWN_RTOL * beta1 stop the recurrence.
 BREAKDOWN_RTOL = 1e-14
 
+# Columns a basis buffer holds before its first growth; each growth doubles it.
+INITIAL_CAPACITY = 8
 
-@dataclass
+
+class _Columns:
+    """Columns appended to a column-major buffer that doubles when full.
+
+    ``view`` is the filled part. Appending writes one column in place; only a
+    growth copies, so n-by-k columns cost O(n k) in total rather than per step.
+    """
+
+    def __init__(self, first):
+        self._buf = np.empty((first.size, INITIAL_CAPACITY), order="F")
+        self._buf[:, 0] = first
+        self.count = 1
+
+    def append(self, col):
+        if self.count == self._buf.shape[1]:
+            grown = np.empty((self._buf.shape[0], 2 * self.count), order="F")
+            grown[:, : self.count] = self._buf
+            self._buf = grown
+        self._buf[:, self.count] = col
+        self.count += 1
+
+    @property
+    def view(self):
+        return self._buf[:, : self.count]
+
+
 class BidiagState:
     """Iteration-k factorization state.
 
     U has k+1 columns orthonormal in the R^{-1} inner product and V has k+1
     columns orthonormal in the Q inner product (the last V column is the
-    look-ahead vector for the next step; the solve basis is V[:, :k]). M is
-    the (k+1)-by-k projected matrix, C = L^T the (k+1)-by-(k+1) upper
-    triangular adjoint-side coefficient matrix. After a terminal breakdown M
-    may be square (the subdiagonal entry vanished and no new U column exists).
+    look-ahead vector for the next step; the solve basis is V[:, :k]). Z = Q V
+    column by column: each column is the covariance product made when its V
+    column was normalized, kept so that no later use of Q V applies Q again;
+    its last column is the input of the next forward product. Under an
+    identity prior Z is V and shares its buffer. U, V and Z are views of the
+    filled part of their buffers; a view taken before a later step does not
+    see that step's column. M is the (k+1)-by-k projected matrix, C = L^T the
+    (k+1)-by-(k+1) upper triangular adjoint-side coefficient matrix. After a
+    terminal breakdown M may be square (the subdiagonal entry vanished and no
+    new U column exists).
     """
 
-    U: np.ndarray
-    V: np.ndarray
-    M: np.ndarray
-    C: np.ndarray
-    beta1: float
-    qv: np.ndarray = field(repr=False, default=None)  # cached Q @ V[:, -1]
-    terminated: bool = False
+    def __init__(self, u1, v1, z1, c11, beta1):
+        self._U = _Columns(u1)
+        self._V = _Columns(v1)
+        self._Z = self._V if z1 is None else _Columns(z1)  # None: Q = I
+        self.M = np.zeros((1, 0))
+        self.C = np.array([[c11]])
+        self.beta1 = beta1
+        self.terminated = False
+
+    @property
+    def U(self):
+        return self._U.view
+
+    @property
+    def V(self):
+        return self._V.view
+
+    @property
+    def Z(self):
+        return self._Z.view
 
     @property
     def k(self):
         return self.M.shape[1]
 
 
-def _orthogonalize(vec, basis, weight_apply, passes=2):
-    """Gram-Schmidt against ``basis`` in the ``weight_apply`` inner product.
+def _orthogonalize(vec, basis, coefficients, passes=2):
+    """Gram-Schmidt against ``basis``, given its inner-product coefficients.
 
+    ``coefficients(w)`` returns the inner products of w with the basis columns
+    in the basis' own inner product (U^T R^{-1} w, or Z^T w = V^T Q w).
     Classical Gram-Schmidt, two passes. Coefficients of both passes are
     accumulated so the expansion vec = basis @ coeffs + remainder stays exact,
     which keeps the factorization residuals at rounding level while the second
@@ -60,8 +105,7 @@ def _orthogonalize(vec, basis, weight_apply, passes=2):
     """
     coeffs = np.zeros(basis.shape[1])
     for _ in range(passes):
-        w = weight_apply(vec)
-        c = basis.T @ w
+        c = coefficients(vec)
         vec = vec - basis @ c
         coeffs += c
     return vec, coeffs
@@ -86,16 +130,8 @@ def igenGK_init(A, inexact, prior, noise, b):
     if c11 <= BREAKDOWN_RTOL * beta1:
         # No column can be built, so there is nothing to solve: an input error.
         raise DegenerateInputError("adjoint of right-hand side is degenerate")
-    v1 = vbar / c11
-
-    return BidiagState(
-        U=u1[:, None],
-        V=v1[:, None],
-        M=np.zeros((1, 0)),
-        C=np.array([[c11]]),
-        beta1=beta1,
-        qv=qv / c11,
-    )
+    z1 = None if prior.Q.is_identity else qv / c11
+    return BidiagState(u1, vbar / c11, z1, c11, beta1)
 
 
 def igenGK_step(state, A, inexact, prior, noise):
@@ -103,18 +139,20 @@ def igenGK_step(state, A, inexact, prior, noise):
 
     Iteration i = k+1 computes u_{i+1} from the forward product with Q v_i and
     v_{i+1} from the adjoint product at iteration i+1, each fully
-    reorthogonalized in its weighted inner product. On breakdown of the U-side
-    normalization the projected matrix is committed in square, terminal form
-    (its last subdiagonal vanished), so the projected problem built so far is
-    still solvable; a BreakdownSignal is raised either way.
+    reorthogonalized in its weighted inner product. The V-side coefficients
+    come from Z, so the step applies Q once, to the new v. On breakdown of the
+    U-side normalization the projected matrix is committed in square, terminal
+    form (its last subdiagonal vanished), so the projected problem built so far
+    is still solvable; a BreakdownSignal is raised either way.
     """
     if state.terminated:
         raise BreakdownSignal("state is terminal", where="u")
     i = state.k + 1
     tol = BREAKDOWN_RTOL * state.beta1
 
-    ubar = linop.perturbed_apply(A, inexact, i, state.qv)
-    u, mcol = _orthogonalize(ubar, state.U, noise.apply_rinv)
+    ubar = linop.perturbed_apply(A, inexact, i, state.Z[:, -1])
+    U = state.U
+    u, mcol = _orthogonalize(ubar, U, lambda w: U.T @ noise.apply_rinv(w))
     norm_u = weighted_norm(u, noise.apply_rinv)
     if norm_u <= tol:
         # Terminal commit: M becomes i-by-i, relations hold with U_i exactly.
@@ -128,10 +166,11 @@ def igenGK_step(state, A, inexact, prior, noise):
     unew = u / norm_u
 
     vbar = linop.perturbed_apply_adjoint(A, inexact, i + 1, noise.apply_rinv(unew))
-    v, lrow = _orthogonalize(vbar, state.V, prior.Q.apply)
+    Z = state.Z
+    v, lrow = _orthogonalize(vbar, state.V, lambda w: Z.T @ w)
     qv = prior.Q.apply(v)
     norm_v = math.sqrt(max(float(np.dot(v, qv)), 0.0))
-    state.U = np.column_stack([state.U, unew])
+    state._U.append(unew)
     state.M = Mnew
     if norm_v <= tol:
         state.terminated = True
@@ -140,9 +179,10 @@ def igenGK_step(state, A, inexact, prior, noise):
     Cnew[:i, :i] = state.C
     Cnew[:i, i] = lrow
     Cnew[i, i] = norm_v
-    state.V = np.column_stack([state.V, v / norm_v])
+    state._V.append(v / norm_v)
+    if state._Z is not state._V:
+        state._Z.append(qv / norm_v)
     state.C = Cnew
-    state.qv = qv / norm_v
     return state
 
 
@@ -157,78 +197,6 @@ def igenGK_run(A, inexact, prior, noise, b, steps):
             reason = "breakdown"
             break
     return state, reason
-
-
-def gk_decompose(A, b, steps, reorthogonalize=True):
-    """Classic two-term Golub-Kahan recurrence (independent of the engine).
-
-    beta_{k+1} u_{k+1} = A v_k - alpha_k u_k and
-    alpha_{k+1} v_{k+1} = A^T u_{k+1} - beta_{k+1} v_k, with optional full
-    reorthogonalization. The bidiagonal matrix is returned inside M; C holds
-    its adjoint-side transpose so relation diagnostics apply unchanged.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.nrows,):
-        raise DimensionError("right-hand side length does not match operator rows")
-    beta1 = float(np.linalg.norm(b))
-    if beta1 == 0.0:
-        raise DegenerateInputError("right-hand side is zero")
-    tol = BREAKDOWN_RTOL * beta1
-
-    us = [b / beta1]
-    alphas = []
-    betas = []
-    w = A.apply_adjoint(us[0])
-    alpha = float(np.linalg.norm(w))
-    if alpha <= tol:
-        raise DegenerateInputError("adjoint of right-hand side is degenerate")
-    vs = [w / alpha]
-    alphas.append(alpha)
-
-    terminated = False
-    for i in range(steps):
-        w = A.apply(vs[i]) - alphas[i] * us[i]
-        if reorthogonalize:
-            U = np.column_stack(us)
-            for _ in range(2):
-                w = w - U @ (U.T @ w)
-        beta = float(np.linalg.norm(w))
-        if beta <= tol:
-            terminated = True
-            break
-        us.append(w / beta)
-        betas.append(beta)
-
-        w = A.apply_adjoint(us[i + 1]) - beta * vs[i]
-        if reorthogonalize:
-            V = np.column_stack(vs)
-            for _ in range(2):
-                w = w - V @ (V.T @ w)
-        alpha = float(np.linalg.norm(w))
-        if alpha <= tol:
-            terminated = True
-            break
-        vs.append(w / alpha)
-        alphas.append(alpha)
-
-    nu, nv = len(us), len(vs)
-    M = np.zeros((nu, nv))
-    C = np.zeros((nv, nv))
-    for j in range(nv):
-        M[j, j] = alphas[j]
-        C[j, j] = alphas[j]
-        if j + 1 < nu:
-            M[j + 1, j] = betas[j] if j < len(betas) else 0.0
-        if j + 1 < nv:
-            C[j, j + 1] = betas[j]
-    return BidiagState(
-        U=np.column_stack(us),
-        V=np.column_stack(vs),
-        M=M,
-        C=C,
-        beta1=beta1,
-        terminated=terminated,
-    )
 
 
 @dataclass

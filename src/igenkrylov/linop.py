@@ -108,25 +108,6 @@ class IdentityOperator(LinearOperator):
         return y.copy()
 
 
-class ComposedOperator(LinearOperator):
-    """Composition outer @ inner, applied matrix-free."""
-
-    kind = "composed"
-
-    def __init__(self, outer, inner):
-        if outer.ncols != inner.nrows:
-            raise DimensionError("composition dimension mismatch")
-        super().__init__(outer.nrows, inner.ncols)
-        self.outer = outer
-        self.inner = inner
-
-    def _apply(self, x):
-        return self.outer.apply(self.inner.apply(x))
-
-    def _apply_adjoint(self, y):
-        return self.inner.apply_adjoint(self.outer.apply_adjoint(y))
-
-
 MODES = ("none", "gaussian-entry", "angle-perturbation")
 
 

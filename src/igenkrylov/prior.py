@@ -2,7 +2,10 @@
 
 The covariance matrix Q on a regular grid with a stationary kernel is
 (block-)Toeplitz, so Q x can be evaluated by embedding into a circulant
-matrix of size prod(2*n_i - 1), diagonalizing with the FFT, and truncating.
+matrix, diagonalizing with the FFT, and truncating. Along each axis the
+circulant has the smallest FFT-friendly size m_i >= 2*n_i - 1, and its
+entries at offsets |d| >= n_i are zero; the truncated product is exact for
+any such m_i.
 Q is never factorized or inverted anywhere in the package; all solvers only
 need its action.
 """
@@ -118,22 +121,41 @@ def build_dense_cov(grid, kernel, dense_limit=DENSE_LIMIT):
     return kernel(r)
 
 
-def _embedding_symbol(grid, kernel):
-    """FFT of the circulant embedding of the (block-)Toeplitz covariance."""
-    if len(grid.shape) == 1:
-        (n,) = grid.shape
-        h = 1.0 / n
-        d = np.arange(2 * n - 1)
-        d = np.where(d < n, d, d - (2 * n - 1))
-        return np.fft.rfft(kernel(np.abs(d) * h))
-    n1, n2 = grid.shape
-    h1, h2 = 1.0 / n1, 1.0 / n2
-    d1 = np.arange(2 * n1 - 1)
-    d1 = np.where(d1 < n1, d1, d1 - (2 * n1 - 1))
-    d2 = np.arange(2 * n2 - 1)
-    d2 = np.where(d2 < n2, d2, d2 - (2 * n2 - 1))
-    r = np.hypot((d1 * h1)[:, None], (d2 * h2)[None, :])
-    return np.fft.rfft2(kernel(r))
+def _fast_len(target):
+    """Smallest 2^a 3^b 5^c >= target, a length the FFT transforms fast.
+
+    Equal to scipy.fft.next_fast_len(target, real=True); computed here because
+    importing scipy.fft adds about 1 MB to the resident size of a process.
+    """
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _embedding_symbol(grid, kernel, shape):
+    """FFT of the circulant embedding of the (block-)Toeplitz covariance.
+
+    Entry j of an axis of size m holds the signed offset d = j (j < n) or
+    j - m; offsets with |d| >= n never meet the truncated product and are zero.
+    """
+    dist, keep = [], []
+    for n, m in zip(grid.shape, shape):
+        j = np.arange(m)
+        d = np.abs(np.where(j < n, j, j - m))
+        dist.append(d * (1.0 / n))
+        keep.append(d < n)
+    if len(shape) == 1:
+        r, inside = dist[0], keep[0]
+    else:
+        r = np.hypot(dist[0][:, None], dist[1][None, :])
+        inside = keep[0][:, None] & keep[1][None, :]
+    return np.fft.rfftn(np.where(inside, kernel(r), 0.0))
 
 
 class CovarianceOperator:
@@ -156,7 +178,8 @@ class CovarianceOperator:
             self._symbol = None
         else:
             self._dense = None
-            self._symbol = _embedding_symbol(self.grid, kernel)
+            self._fft_shape = tuple(_fast_len(2 * n - 1) for n in self.grid.shape)
+            self._symbol = _embedding_symbol(self.grid, kernel, self._fft_shape)
 
     @property
     def is_identity(self):
@@ -168,19 +191,13 @@ class CovarianceOperator:
             raise DimensionError(f"expected vector of length {self.n}")
         if self.backend == "dense":
             return self._dense @ x
-        if len(self.grid.shape) == 1:
-            (n,) = self.grid.shape
-            m = 2 * n - 1
-            xpad = np.zeros(m)
-            xpad[:n] = x
-            out = np.fft.irfft(np.fft.rfft(xpad) * self._symbol, m)
-            return out[:n]
-        n1, n2 = self.grid.shape
-        m1, m2 = 2 * n1 - 1, 2 * n2 - 1
-        xpad = np.zeros((m1, m2))
-        xpad[:n1, :n2] = x.reshape((n1, n2), order="F")
-        out = np.fft.irfft2(np.fft.rfft2(xpad) * self._symbol, s=(m1, m2))
-        return out[:n1, :n2].ravel(order="F")
+        shape = self.grid.shape
+        inner = tuple(slice(0, n) for n in shape)
+        xpad = np.zeros(self._fft_shape)
+        xpad[inner] = x.reshape(shape, order="F")
+        axes = tuple(range(len(shape)))
+        out = np.fft.irfftn(np.fft.rfftn(xpad) * self._symbol, s=self._fft_shape, axes=axes)
+        return out[inner].ravel(order="F")
 
 
 class IdentityCovariance:

@@ -85,7 +85,7 @@ class RegRule:
         )
 
     def chooser(self, prior, s_true=None):
-        """Per-solve selection: ``choose(prob, V) -> (lambda, omega)``.
+        """Per-solve selection: ``choose(prob, Z) -> (lambda, omega)``, Z = Q V_k.
 
         ``omega`` is the WGCV weight used, None under the other rules. In
         adaptive mode it is the mean of ``suggest_omega`` over the iterations
@@ -94,13 +94,13 @@ class RegRule:
         """
         suggestions = []
 
-        def choose(prob, V):
+        def choose(prob, Z):
             if self.kind == "none":
                 return 0.0, None
             if self.kind == "fixed":
                 return float(self.lambda_fixed), None
             if self.kind == "optimal":
-                return select_lambda_optimal(prob, V, prior, s_true)[0], None
+                return select_lambda_optimal(prob, Z, prior, s_true)[0], None
             if self.kind == "dp":
                 return select_lambda_dp(prob, self)[0], None
             om = self.omega
@@ -156,15 +156,18 @@ def _grid_then_refine(prob, objective):
     return float(lam)
 
 
-def select_lambda_optimal(prob, V, prior, s_true):
-    """Oracle rule: minimize the reconstruction error against the true solution."""
+def select_lambda_optimal(prob, Z, prior, s_true):
+    """Oracle rule: minimize the reconstruction error against the true solution.
+
+    ``Z`` = Q V_k, so each evaluation of the error is an n-by-k product.
+    """
     if s_true is None:
         raise ConfigError("optimal rule requires the true solution")
     s_true = np.asarray(s_true, dtype=float)
 
     def objective(lam):
         y = projected_tikhonov(prob, lam).y
-        s = recover_solution(prior, V, y)
+        s = recover_solution(prior, Z, y)
         d = s - s_true
         return float(np.dot(d, d))
 

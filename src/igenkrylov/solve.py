@@ -4,7 +4,8 @@ The decomposition reduces the generalized least-squares problem to a small
 (k+1)-by-k problem  min ||M y - beta1 e1||^2 + lambda^2 ||y||^2, solved here
 through the SVD of M and its filter factors
 phi_i = sigma_i^2 / (sigma_i^2 + lambda^2). The solution in original
-coordinates is mu + Q (V y).
+coordinates is mu + Q (V y) = mu + Z y, with Z = Q V kept by the
+decomposition, so recovering it applies no covariance product.
 """
 
 import time
@@ -114,13 +115,13 @@ def projected_tikhonov(prob, lam):
     return SolveOutcome(y=y, lambda_used=float(lam), projected_residual_norm=float(np.linalg.norm(resid)))
 
 
-def recover_solution(prior, V, y):
-    """Solution in original coordinates: mu + Q (V y), one covariance matvec."""
-    V = np.asarray(V, dtype=float)
+def recover_solution(prior, Z, y):
+    """Solution in original coordinates: mu + Z y, where Z = Q V (no covariance product)."""
+    Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
-    if V.ndim != 2 or V.shape[1] != y.size:
+    if Z.ndim != 2 or Z.shape[1] != y.size:
         raise DimensionError("basis and coefficient dimensions disagree")
-    return prior.mu + prior.Q.apply(V @ y)
+    return prior.mu + Z @ y
 
 
 @dataclass
@@ -197,17 +198,17 @@ def run_iterative_solve(A, inexact, prior, noise, b, config):
             break
 
         prob = ProjectedProblem(M=state.M, beta1=state.beta1)
-        Vk = state.V[:, : state.M.shape[1]]
+        Zk = state.Z[:, : state.M.shape[1]]
 
         t0 = time.perf_counter()
-        lam, omega = choose(prob, Vk)
+        lam, omega = choose(prob, Zk)
         if omega is not None:
             omegas.append(omega)
         timings["param_selection_s"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         outcome = projected_tikhonov(prob, lam)
-        solution = recover_solution(prior, Vk, outcome.y)
+        solution = recover_solution(prior, Zk, outcome.y)
         timings["projected_solve_s"] += time.perf_counter() - t0
 
         lambdas.append(outcome.lambda_used)

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from igenkrylov import tomo
+from igenkrylov import linop, tomo
+from igenkrylov.bidiag import BREAKDOWN_RTOL
+from igenkrylov.errors import DegenerateInputError, DimensionError
 
 
 class DenseSPDCovariance:
@@ -17,6 +21,97 @@ class DenseSPDCovariance:
 
     def apply(self, x):
         return self.mat @ x
+
+
+class ComposedOperator(linop.LinearOperator):
+    """Composition outer @ inner, applied matrix-free."""
+
+    kind = "composed"
+
+    def __init__(self, outer, inner):
+        if outer.ncols != inner.nrows:
+            raise DimensionError("composition dimension mismatch")
+        super().__init__(outer.nrows, inner.ncols)
+        self.outer = outer
+        self.inner = inner
+
+    def _apply(self, x):
+        return self.outer.apply(self.inner.apply(x))
+
+    def _apply_adjoint(self, y):
+        return self.inner.apply_adjoint(self.outer.apply_adjoint(y))
+
+
+def gk_decompose(A, b, steps, reorthogonalize=True):
+    """Classic two-term Golub-Kahan recurrence, independent of the engine.
+
+    beta_{k+1} u_{k+1} = A v_k - alpha_k u_k and
+    alpha_{k+1} v_{k+1} = A^T u_{k+1} - beta_{k+1} v_k, with optional full
+    reorthogonalization. Returns U, V, the bidiagonal matrix M, its
+    adjoint-side transpose C, beta1 and whether the recurrence terminated.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.shape != (A.nrows,):
+        raise DimensionError("right-hand side length does not match operator rows")
+    beta1 = float(np.linalg.norm(b))
+    if beta1 == 0.0:
+        raise DegenerateInputError("right-hand side is zero")
+    tol = BREAKDOWN_RTOL * beta1
+
+    us = [b / beta1]
+    alphas = []
+    betas = []
+    w = A.apply_adjoint(us[0])
+    alpha = float(np.linalg.norm(w))
+    if alpha <= tol:
+        raise DegenerateInputError("adjoint of right-hand side is degenerate")
+    vs = [w / alpha]
+    alphas.append(alpha)
+
+    terminated = False
+    for i in range(steps):
+        w = A.apply(vs[i]) - alphas[i] * us[i]
+        if reorthogonalize:
+            U = np.column_stack(us)
+            for _ in range(2):
+                w = w - U @ (U.T @ w)
+        beta = float(np.linalg.norm(w))
+        if beta <= tol:
+            terminated = True
+            break
+        us.append(w / beta)
+        betas.append(beta)
+
+        w = A.apply_adjoint(us[i + 1]) - beta * vs[i]
+        if reorthogonalize:
+            V = np.column_stack(vs)
+            for _ in range(2):
+                w = w - V @ (V.T @ w)
+        alpha = float(np.linalg.norm(w))
+        if alpha <= tol:
+            terminated = True
+            break
+        vs.append(w / alpha)
+        alphas.append(alpha)
+
+    nu, nv = len(us), len(vs)
+    M = np.zeros((nu, nv))
+    C = np.zeros((nv, nv))
+    for j in range(nv):
+        M[j, j] = alphas[j]
+        C[j, j] = alphas[j]
+        if j + 1 < nu:
+            M[j + 1, j] = betas[j] if j < len(betas) else 0.0
+        if j + 1 < nv:
+            C[j, j + 1] = betas[j]
+    return SimpleNamespace(
+        U=np.column_stack(us),
+        V=np.column_stack(vs),
+        M=M,
+        C=C,
+        beta1=beta1,
+        terminated=terminated,
+    )
 
 
 def random_spd(n, rng, cond=10.0):

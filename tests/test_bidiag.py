@@ -4,7 +4,7 @@ import pytest
 from igenkrylov import bidiag, linop, prior, tomo
 from igenkrylov.errors import BreakdownSignal, DegenerateInputError
 
-from conftest import DenseSPDCovariance, random_spd
+from conftest import DenseSPDCovariance, gk_decompose, random_spd
 
 
 def identity_setting(m, n):
@@ -83,7 +83,7 @@ def test_engine_matches_two_term_oracle():
     A = linop.DenseOperator(mat)
     pm, nm = identity_setting(10, 8)
     state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 5)
-    oracle = bidiag.gk_decompose(A, b, 5)
+    oracle = gk_decompose(A, b, 5)
     assert np.max(np.abs(state.M - oracle.M[:6, :5])) <= 1e-12
     assert basis_sign_distance(state.U, oracle.U) <= 1e-10
     assert basis_sign_distance(state.V, oracle.V) <= 1e-10
@@ -112,7 +112,7 @@ def test_reduction_chain_to_classic_gk():
         A = linop.DenseOperator(mat)
         pm, nm = identity_setting(20, 15)
         eng, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 8)
-        gk = bidiag.gk_decompose(A, b, 8, reorthogonalize=True)
+        gk = gk_decompose(A, b, 8, reorthogonalize=True)
         assert basis_sign_distance(eng.U, gk.U) <= 1e-10
         assert basis_sign_distance(eng.V, gk.V) <= 1e-10
         assert np.max(np.abs(np.abs(eng.M) - np.abs(gk.M[:9, :8]))) <= 1e-10
@@ -122,7 +122,7 @@ def test_gk_identity_operator_breaks_down_immediately():
     A = linop.IdentityOperator(5)
     b = np.zeros(5)
     b[0] = 1.0
-    state = bidiag.gk_decompose(A, b, 4)
+    state = gk_decompose(A, b, 4)
     assert state.terminated
     assert state.U.shape == (5, 1)
     assert state.V.shape == (5, 1)
@@ -135,7 +135,7 @@ def test_gk_recurrence_residuals_without_reorthogonalization():
     mat = rng.standard_normal((12, 10))
     b = rng.standard_normal(12)
     A = linop.DenseOperator(mat)
-    state = bidiag.gk_decompose(A, b, 6, reorthogonalize=False)
+    state = gk_decompose(A, b, 6, reorthogonalize=False)
     k = 6
     AV = mat @ state.V[:, :k]
     lhs = np.linalg.norm(AV - state.U[:, : k + 1] @ state.M[: k + 1, :k])
@@ -154,7 +154,7 @@ def test_gk_ritz_value_approximates_dominant_singular_value():
     svals = np.concatenate([[10.0, 1.0], np.geomspace(0.9, 0.01, 18)])
     mat = u[:, :20] @ np.diag(svals) @ v.T
     A = linop.DenseOperator(mat)
-    state = bidiag.gk_decompose(A, rng.standard_normal(30), 10)
+    state = gk_decompose(A, rng.standard_normal(30), 10)
     ritz = np.linalg.svd(state.M, compute_uv=False)
     assert abs(ritz[0] - 10.0) <= 0.01 * 10.0
     full = np.linalg.svd(mat, compute_uv=False)
@@ -205,6 +205,65 @@ def test_exact_modes_numerically_bidiagonal():
     for i in range(state.M.shape[1]):
         for j in range(i):
             assert abs(state.M[j, i]) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_z_is_q_times_v(beta):
+    # gengk (exact products) and igengk (inexact products) keep Z = Q V
+    rng = np.random.default_rng(15)
+    mat = rng.standard_normal((15, 12))
+    b = rng.standard_normal(15)
+    A = linop.DenseOperator(mat)
+    pm, nm = generalized_setting(15, 12, seed=16)
+    model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=17)
+    state, reason = bidiag.igenGK_run(A, model, pm, nm, b, 6)
+    assert reason == "max_iter"
+    assert state.Z.shape == state.V.shape == (12, 7)
+    for j in range(7):
+        ref = pm.Q.mat @ state.V[:, j]
+        assert np.linalg.norm(state.Z[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_z_is_v_under_identity_prior():
+    rng = np.random.default_rng(22)
+    A = linop.DenseOperator(rng.standard_normal((15, 12)))
+    pm, nm = identity_setting(15, 12)
+    state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, rng.standard_normal(15), 6)
+    np.testing.assert_array_equal(state.Z, state.V)
+
+
+def test_diagnostics_do_not_read_z():
+    rng = np.random.default_rng(18)
+    mat = rng.standard_normal((15, 12))
+    b = rng.standard_normal(15)
+    A = linop.DenseOperator(mat)
+    pm, nm = generalized_setting(15, 12, seed=19)
+    state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
+    before = bidiag.relation_diagnostics(state, A, pm, nm).as_dict()
+    state.Z[:] = 0.0
+    after = bidiag.relation_diagnostics(state, A, pm, nm).as_dict()
+    assert after == before
+
+
+def test_basis_buffers_grow_without_moving_columns():
+    rng = np.random.default_rng(20)
+    steps = 2 * bidiag.INITIAL_CAPACITY + 3
+    mat = rng.standard_normal((3 * steps, 2 * steps))
+    b = rng.standard_normal(3 * steps)
+    A = linop.DenseOperator(mat)
+    pm, nm = generalized_setting(3 * steps, 2 * steps, seed=21)
+    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
+    first = None
+    for k in range(1, steps + 1):
+        bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
+        assert state.k == k
+        for basis, n in ((state.U, 3 * steps), (state.V, 2 * steps), (state.Z, 2 * steps)):
+            assert basis.shape == (n, k + 1)
+        if k + 1 == bidiag.INITIAL_CAPACITY:  # buffers full: the next step grows them
+            first = [basis.copy() for basis in (state.U, state.V, state.Z)]
+    cols = bidiag.INITIAL_CAPACITY
+    for kept, basis in zip(first, (state.U, state.V, state.Z)):
+        np.testing.assert_array_equal(basis[:, :cols], kept)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from igenkrylov.errors import (
     UnsupportedError,
 )
 
-from conftest import dot_test, naive_matvec
+from conftest import ComposedOperator, dot_test, naive_matvec
 
 
 def test_identity_apply():
@@ -71,12 +71,12 @@ def test_composed_operator():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 4))
     b = rng.standard_normal((4, 5))
-    op = linop.ComposedOperator(linop.DenseOperator(a), linop.DenseOperator(b))
+    op = ComposedOperator(linop.DenseOperator(a), linop.DenseOperator(b))
     x = rng.standard_normal(5)
     np.testing.assert_allclose(op.apply(x), a @ b @ x, rtol=1e-12)
     assert dot_test(op, rng) <= 1e-10
     with pytest.raises(DimensionError):
-        linop.ComposedOperator(linop.DenseOperator(b), linop.DenseOperator(a @ b))
+        ComposedOperator(linop.DenseOperator(b), linop.DenseOperator(a @ b))
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
@@ -143,6 +144,24 @@ def test_fft_backend_1d():
     Qd = prior.build_dense_cov(g, k)
     x = np.random.default_rng(3).standard_normal(25)
     np.testing.assert_allclose(prior.CovarianceOperator(g, k).apply(x), Qd @ x, rtol=1e-12, atol=1e-13)
+
+
+def test_fast_len_matches_scipy():
+    for target in range(1, 3000):
+        assert prior._fast_len(target) == next_fast_len(target, real=True)
+
+
+@pytest.mark.parametrize("shape", [(64,), (7, 12)])
+def test_fft_padded_embedding_matches_dense(shape):
+    # 2 n - 1 is no fast FFT length on any axis, so the circulant is padded
+    assert all(next_fast_len(2 * n - 1, real=True) > 2 * n - 1 for n in shape)
+    k = prior.MaternKernel(nu=1.5, alpha=2.0)  # long correlation: every offset counts
+    g = prior.Grid(shape)
+    Qd = prior.build_dense_cov(g, k)
+    x = np.random.default_rng(4).standard_normal(g.npoints)
+    ref = Qd @ x
+    got = prior.CovarianceOperator(g, k).apply(x)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_covariance_dimension_check():

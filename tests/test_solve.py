@@ -99,12 +99,12 @@ def test_recover_dense_covariance_oracle():
     Qm = random_spd(6, rng)
     mu = rng.standard_normal(6)
     pm = prior.PriorModel(mu=mu, Q=DenseSPDCovariance(Qm))
-    V = rng.standard_normal((6, 3))
+    Z = Qm @ rng.standard_normal((6, 3))
     y = rng.standard_normal(3)
-    expected = mu + Qm @ (V @ y)
-    np.testing.assert_allclose(solve.recover_solution(pm, V, y), expected, atol=1e-12)
+    expected = mu + Z @ y
+    np.testing.assert_allclose(solve.recover_solution(pm, Z, y), expected, atol=1e-12)
     with pytest.raises(DimensionError):
-        solve.recover_solution(pm, V, np.ones(4))
+        solve.recover_solution(pm, Z, np.ones(4))
 
 
 def test_identity_problem_solved_in_one_step():
