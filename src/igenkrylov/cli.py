@@ -2,8 +2,9 @@
 
     igenkrylov <command> [--config FILE] [--preset desk|paper] [options]
 
-Exit codes: 0 success, 1 an acceptance threshold failed, 2 usage or
-configuration error, 3 numerical failure.
+Exit codes: 0 success, 1 an acceptance threshold failed, 2 usage,
+configuration or output error (the output directory cannot be created or
+written), 3 numerical failure.
 """
 
 import argparse
@@ -80,6 +81,9 @@ def main(argv=None):
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ class CapacityError(IgenKrylovError):
 
 
 class UnsupportedError(IgenKrylovError):
-    """Requested combination of backend / operator kind is not supported."""
+    """Requested operation is not supported by this operator kind."""
 
 
 class NumericalError(IgenKrylovError):

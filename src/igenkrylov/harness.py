@@ -101,23 +101,33 @@ def build_problem(cfg):
     return CTProblem(geom, A, prior_model, noise, s_true, d, b, noise_norm)
 
 
-def inexactness_for(cfg, schedule=None):
-    """Inexactness model implied by the solver mode and config."""
-    if cfg.mode in ("gk", "gengk"):
-        return EXACT
+def inexactness_for(cfg, beta=None, angles=None):
+    """The InexactnessModel of a run; no other code turns a config into one.
+
+    ``mode`` picks the prior. For ``reconstruct`` and ``compare-reg`` (no
+    argument given), the "i" of ``igk``/``igengk`` also switches inexact
+    products on, and ``inexactness.mode`` says which kind: ``gaussian-entry``
+    at ``inexactness.beta``, or ``angle-perturbation`` with the first of
+    ``angle_schedules``. The two sweep commands bring their own inexactness
+    whatever the mode: ``verify-relations`` passes each of ``betas`` as
+    ``beta`` and ``inexact-angles`` each of ``angle_schedules`` as ``angles``
+    (its exact baseline is ``EXACT``). A schedule ``(start, end)`` jitters
+    iteration k by ``np.geomspace(start, end, max_iter)[k - 1]``. The seed is
+    ``inexactness.seed``, else the experiment ``seed``.
+    """
+    if beta is None and angles is None:
+        if cfg.mode in ("gk", "gengk") or cfg.inexactness.mode == "none":
+            return EXACT
+        if cfg.inexactness.mode == "gaussian-entry":
+            beta = cfg.inexactness.beta
+        else:
+            angles = cfg.angle_schedules[0]
     seed = cfg.inexactness.seed if cfg.inexactness.seed is not None else cfg.seed
-    if schedule is None and cfg.inexactness.mode == "angle-perturbation":
-        start, end = cfg.angle_schedules[0]
-        schedule = tomo.AngleSchedule(
-            alpha_start=start, alpha_end=end, num_iters=cfg.max_iter, seed=seed
-        )
-    if schedule is not None:
-        return InexactnessModel(
-            mode="angle-perturbation", schedule=tuple(schedule.alphas), seed=schedule.seed
-        )
-    if cfg.inexactness.mode == "none":
-        return EXACT
-    return InexactnessModel(mode=cfg.inexactness.mode, beta=cfg.inexactness.beta, seed=seed)
+    if angles is not None:
+        start, end = angles
+        schedule = np.geomspace(start, end, cfg.max_iter)
+        return InexactnessModel(mode="angle-perturbation", schedule=schedule, seed=seed)
+    return InexactnessModel(mode="gaussian-entry", beta=float(beta), seed=seed)
 
 
 def run_reconstruction(cfg, problem, inexact=None, rule=None):
@@ -162,11 +172,10 @@ def cmd_verify_relations(cfg):
     cfg.validate()
     out = _outdir(cfg)
     problem = build_problem(cfg)
-    seed = cfg.inexactness.seed if cfg.inexactness.seed is not None else cfg.seed
 
     def one_beta(beta):
         t0 = time.perf_counter()
-        model = InexactnessModel(mode="gaussian-entry", beta=float(beta), seed=seed)
+        model = inexactness_for(cfg, beta=beta)
         state, reason = bidiag.igenGK_run(
             problem.A, model, problem.prior, problem.noise, problem.b, cfg.max_iter
         )
@@ -281,19 +290,16 @@ def cmd_inexact_angles(cfg):
     cfg.validate()
     out = _outdir(cfg)
     problem = build_problem(cfg)
-    runs = [("exact", None)]
-    for idx, (start, end) in enumerate(cfg.angle_schedules):
-        sched = tomo.AngleSchedule(
-            alpha_start=start, alpha_end=end, num_iters=cfg.max_iter, seed=cfg.seed
-        )
-        runs.append((f"sched{idx}", sched))
+    runs = [("exact", None)] + [
+        (f"sched{idx}", pair) for idx, pair in enumerate(cfg.angle_schedules)
+    ]
 
     def one_run(item):
-        name, sched = item
+        name, angles = item
         t0 = time.perf_counter()
-        inexact = EXACT if sched is None else inexactness_for(cfg, schedule=sched)
+        inexact = EXACT if angles is None else inexactness_for(cfg, angles=angles)
         record = run_reconstruction(cfg, problem, inexact=inexact)
-        return name, sched, record, time.perf_counter() - t0
+        return name, angles, record, time.perf_counter() - t0
 
     results = []
     timings = {}
@@ -314,8 +320,7 @@ def cmd_inexact_angles(cfg):
             "schema_version": cfg.schema_version,
             "config": cfg.to_dict(),
             "schedules": {
-                name: (None if sched is None else [sched.alpha_start, sched.alpha_end])
-                for name, sched, _ in results
+                name: (None if angles is None else list(angles)) for name, angles, _ in results
             },
             "final_relerr": {name: rec.final_relerr for name, _, rec in results},
             "min_relerr": {name: rec.min_relerr for name, _, rec in results},

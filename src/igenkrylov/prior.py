@@ -22,7 +22,6 @@ from .errors import (
     DimensionError,
     InvalidParameterError,
     NumericalError,
-    UnsupportedError,
 )
 
 DENSE_LIMIT = 4096
@@ -161,25 +160,17 @@ def _embedding_symbol(grid, kernel, shape):
 class CovarianceOperator:
     """Symmetric PSD covariance operator Q on a regular grid.
 
-    backend "dense" stores Q explicitly (small grids only); "fft-bttb"
-    applies Q in O(n log n) through the circulant embedding. Instances are
-    immutable after construction and safe for concurrent matvecs.
+    Q is applied in O(n log n) through the circulant embedding;
+    ``build_dense_cov`` is the dense reference. Instances are immutable after
+    construction and safe for concurrent matvecs.
     """
 
-    def __init__(self, grid, kernel, backend="fft-bttb", dense_limit=DENSE_LIMIT):
-        if backend not in ("dense", "fft-bttb"):
-            raise UnsupportedError(f"unknown covariance backend {backend!r}")
+    def __init__(self, grid, kernel):
         self.grid = grid if isinstance(grid, Grid) else Grid(tuple(np.atleast_1d(grid)))
         self.kernel = kernel
-        self.backend = backend
         self.n = self.grid.npoints
-        if backend == "dense":
-            self._dense = build_dense_cov(self.grid, kernel, dense_limit)
-            self._symbol = None
-        else:
-            self._dense = None
-            self._fft_shape = tuple(_fast_len(2 * n - 1) for n in self.grid.shape)
-            self._symbol = _embedding_symbol(self.grid, kernel, self._fft_shape)
+        self._fft_shape = tuple(_fast_len(2 * n - 1) for n in self.grid.shape)
+        self._symbol = _embedding_symbol(self.grid, kernel, self._fft_shape)
 
     @property
     def is_identity(self):
@@ -189,8 +180,6 @@ class CovarianceOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionError(f"expected vector of length {self.n}")
-        if self.backend == "dense":
-            return self._dense @ x
         shape = self.grid.shape
         inner = tuple(slice(0, n) for n in shape)
         xpad = np.zeros(self._fft_shape)

@@ -146,13 +146,14 @@ class RadonOperator(LinearOperator):
         super().__init__(geom.nrows, geom.ncols)
         self.geom = geom
         self._mat = system_matrix(geom)
-        self._mat_t = self._mat.T.tocsr()
 
     def _apply(self, x):
         return self._mat @ x
 
     def _apply_adjoint(self, y):
-        return self._mat_t @ y
+        # A CSC view of the CSR matrix: no copy, and the same sums in the same
+        # order as a stored CSR transpose.
+        return self._mat.T @ y
 
     def perturbed_variant(self, model, k):
         """Radon operator rebuilt with iteration-k jittered projection angles."""
@@ -230,26 +231,6 @@ def synthesize_observation(geom, s_true, noise_level, seed):
     eps = g * (noise_level * d_norm / float(np.linalg.norm(g)))
     noise_norm = noise_level * d_norm
     return d_true + eps, noise_norm
-
-
-@dataclass(frozen=True)
-class AngleSchedule:
-    """Per-iteration angle-jitter magnitudes, log-spaced between the endpoints."""
-
-    alpha_start: float
-    alpha_end: float
-    num_iters: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.alpha_start <= 0 or self.alpha_end <= 0:
-            raise InvalidParameterError("schedule endpoints must be positive")
-        if self.num_iters < 2:
-            raise InvalidParameterError("schedule needs at least two iterations")
-
-    @property
-    def alphas(self):
-        return np.geomspace(self.alpha_start, self.alpha_end, self.num_iters)
 
 
 # ---------------------------------------------------------------------------

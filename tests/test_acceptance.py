@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from igenkrylov import bidiag, linop, prior, regparam, solve, tomo
+from igenkrylov import bidiag, harness, linop, prior, regparam, solve, tomo
+from igenkrylov.config import ExperimentConfig
 from igenkrylov.regparam import RegRule
 
 from conftest import (
@@ -210,13 +211,9 @@ def test_criterion_07_angle_inexactness_ordering(desk):
     cfg = solve.SolveConfig(max_iter=DESK_ITERS, reg=RegRule(kind="optimal"), s_true=s_true)
     finals = {}
     finals["exact"] = solve.run_iterative_solve(A, linop.EXACT, pm, nm, d, cfg).final_relerr
+    run_cfg = ExperimentConfig(max_iter=DESK_ITERS, seed=DESK_SEED).validate()
     for label, start in (("small", 1e-1), ("large", 1e0)):
-        sched = tomo.AngleSchedule(
-            alpha_start=start, alpha_end=1e-6, num_iters=DESK_ITERS, seed=DESK_SEED
-        )
-        model = linop.InexactnessModel(
-            mode="angle-perturbation", schedule=tuple(sched.alphas), seed=DESK_SEED
-        )
+        model = harness.inexactness_for(run_cfg, angles=(start, 1e-6))
         finals[label] = solve.run_iterative_solve(A, model, pm, nm, d, cfg).final_relerr
     elapsed = time.perf_counter() - t0
     ok = (
@@ -239,11 +236,11 @@ def test_criterion_08_covariance_backends():
     rng = np.random.default_rng(11)
     for shape in ((8, 8), (16, 16), (32, 32)):
         g = prior.Grid(shape)
-        dense_op = prior.CovarianceOperator(g, kernel, backend="dense")
-        fft_op = prior.CovarianceOperator(g, kernel, backend="fft-bttb")
+        dense = prior.build_dense_cov(g, kernel)
+        fft_op = prior.CovarianceOperator(g, kernel)
         for _ in range(50):
             x = rng.standard_normal(g.npoints)
-            ref = dense_op.apply(x)
+            ref = dense @ x
             worst = max(worst, np.linalg.norm(fft_op.apply(x) - ref) / np.linalg.norm(ref))
     big = prior.CovarianceOperator(prior.Grid((128, 128)), kernel)
     xb = rng.standard_normal(128 * 128)

@@ -225,6 +225,46 @@ def test_reconstruct_with_angle_mode_uses_first_schedule(tmp_path):
     assert (tmp_path / "out" / "history.csv").exists()
 
 
+def test_inexact_angles_jitters_under_exact_mode(tmp_path):
+    # The sweep brings its own inexactness: gengk only picks the prior.
+    cfg = tiny_config(
+        tmp_path, experiment="inexact-angles", mode="gengk", angle_schedules=((1e0, 1e-1),)
+    )
+    assert harness.cmd_inexact_angles(cfg) == 0
+    rows = (tmp_path / "out" / "comparison.csv").read_text().splitlines()[1:]
+    exact = [r.split(",")[1] for r in rows]
+    sched0 = [r.split(",")[2] for r in rows]
+    assert all(e != s for e, s in zip(exact, sched0))
+
+
+def test_angle_perturbation_runs_with_one_iteration(tmp_path):
+    cfg = tiny_config(
+        tmp_path,
+        mode="igk",
+        inexactness=InexactConfig(mode="angle-perturbation"),
+        max_iter=1,
+    )
+    assert harness.cmd_reconstruct(cfg) == 0
+    assert harness.cmd_inexact_angles(cfg) == 0
+    assert len((tmp_path / "out" / "history_sched1.csv").read_text().splitlines()) == 2
+
+
+def test_inexact_angles_and_reconstruct_share_the_seed_rule(tmp_path):
+    common = dict(
+        mode="igengk",
+        reg=RegConfig(rule="optimal"),
+        inexactness=InexactConfig(mode="angle-perturbation", seed=99),
+        angle_schedules=((1e0, 1e-3),),
+    )
+    recon = tiny_config(tmp_path, output_dir=str(tmp_path / "recon"), **common)
+    angles = tiny_config(tmp_path, output_dir=str(tmp_path / "angles"), **common)
+    assert harness.cmd_reconstruct(recon) == 0
+    assert harness.cmd_inexact_angles(angles) == 0
+    assert (tmp_path / "angles" / "history_sched0.csv").read_bytes() == (
+        tmp_path / "recon" / "history.csv"
+    ).read_bytes()
+
+
 def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
     cfg = tiny_config(
         tmp_path, experiment="verify-relations", max_iter=5, betas=(1e-2, 1e-4)
@@ -255,6 +295,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["reconstruct", "--config", str(good_but_wrong)]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_cli_output_error_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--out", str(out), "--max-iter", "1"]) == 2
+        assert capsys.readouterr().err.startswith("output error:")
 
 
 def test_cli_runs_tiny_reconstruction(tmp_path):

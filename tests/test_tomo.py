@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from igenkrylov import linop, tomo
-from igenkrylov.errors import DegenerateInputError, InvalidParameterError
+from igenkrylov import harness, linop, tomo
+from igenkrylov.config import ExperimentConfig, InexactConfig
+from igenkrylov.errors import ConfigError, DegenerateInputError, InvalidParameterError
 
 from conftest import dot_test
 
@@ -137,16 +138,28 @@ def test_synthesize_observation_exact_level():
         tomo.synthesize_observation(geom, np.zeros(256), 0.04, seed=5)
 
 
+def angle_model(start, end, max_iter, seed):
+    """The angle-perturbation model a run with these settings uses."""
+    cfg = ExperimentConfig(
+        mode="igk",
+        inexactness=InexactConfig(mode="angle-perturbation"),
+        angle_schedules=((start, end),),
+        max_iter=max_iter,
+        seed=seed,
+    )
+    return harness.inexactness_for(cfg.validate())
+
+
 def test_angle_schedule_endpoints_and_ratio():
-    sched = tomo.AngleSchedule(alpha_start=1e-1, alpha_end=1e-6, num_iters=100, seed=0)
-    a = sched.alphas
+    a = np.array(angle_model(1e-1, 1e-6, max_iter=100, seed=0).schedule)
+    assert a.size == 100
     assert a[0] == 1e-1
     assert a[-1] == 1e-6
     assert np.all(np.diff(a) < 0)
     ratios = a[1:] / a[:-1]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
-    with pytest.raises(InvalidParameterError):
-        tomo.AngleSchedule(alpha_start=0.0, alpha_end=1e-6, num_iters=10)
+    with pytest.raises(ConfigError):
+        angle_model(0.0, 1e-6, max_iter=10, seed=0)
 
 
 def test_zero_jitter_is_bitwise_exact(small_ct):
@@ -164,10 +177,7 @@ def test_zero_jitter_is_bitwise_exact(small_ct):
 
 def test_jittered_operator_deterministic(small_ct):
     geom, op = small_ct
-    sched = tomo.AngleSchedule(alpha_start=1e-1, alpha_end=1e-3, num_iters=5, seed=4)
-    model = linop.InexactnessModel(
-        mode="angle-perturbation", schedule=tuple(sched.alphas), seed=sched.seed
-    )
+    model = angle_model(1e-1, 1e-3, max_iter=5, seed=4)
     op1 = op.perturbed_variant(model, 3)
     op2 = op.perturbed_variant(model, 3)
     x = np.random.default_rng(4).standard_normal(geom.ncols)
