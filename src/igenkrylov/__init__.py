@@ -2,7 +2,7 @@
 
 Subpackages:
   linop    - linear-operator abstraction and inexact matrix-vector products
-  prior    - Matern covariance (dense / FFT-Toeplitz), noise model, weighted norms
+  prior    - Matern covariance (FFT-Toeplitz), noise model, weighted norms
   bidiag   - the bidiagonalization family with full reorthogonalization
   solve    - projected Tikhonov solves and the outer iterative driver
   regparam - optimal / discrepancy-principle / weighted-GCV parameter rules

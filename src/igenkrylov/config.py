@@ -55,6 +55,8 @@ class InexactConfig:
             raise ConfigError(f"unknown inexactness mode {self.mode!r}")
         if self.beta < 0:
             raise ConfigError("inexactness.beta must be nonnegative")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("inexactness.seed must be nonnegative")
 
 
 @dataclass
@@ -101,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("noise_sigma must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         for b in self.betas:
             if b < 0:
                 raise ConfigError("betas must be nonnegative")

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bidiag, solve, tomo
+from .errors import ConfigError
 from .linop import EXACT, InexactnessModel
 from .prior import CovarianceOperator, Grid, MaternKernel, NoiseModel, PriorModel, identity_prior
 from .regparam import SELECTING_RULES, RegRule
@@ -113,13 +114,19 @@ def inexactness_for(cfg, beta=None, angles=None):
     ``beta`` and ``inexact-angles`` each of ``angle_schedules`` as ``angles``
     (its exact baseline is ``EXACT``). A schedule ``(start, end)`` jitters
     iteration k by ``np.geomspace(start, end, max_iter)[k - 1]``. The seed is
-    ``inexactness.seed``, else the experiment ``seed``.
+    ``inexactness.seed``, else the experiment ``seed``. An empty
+    ``angle_schedules`` is a ``ConfigError`` only where the first schedule
+    is needed.
     """
     if beta is None and angles is None:
         if cfg.mode in ("gk", "gengk") or cfg.inexactness.mode == "none":
             return EXACT
         if cfg.inexactness.mode == "gaussian-entry":
             beta = cfg.inexactness.beta
+        elif not cfg.angle_schedules:
+            raise ConfigError(
+                f"{cfg.mode} with angle-perturbation needs at least one angle_schedules entry"
+            )
         else:
             angles = cfg.angle_schedules[0]
     seed = cfg.inexactness.seed if cfg.inexactness.seed is not None else cfg.seed
@@ -225,9 +232,10 @@ def cmd_verify_relations(cfg):
 def cmd_reconstruct(cfg):
     """One reconstruction run: history.csv, final.pgm, summary.json."""
     cfg.validate()
+    inexact = inexactness_for(cfg)
     out = _outdir(cfg)
     problem = build_problem(cfg)
-    record = run_reconstruction(cfg, problem)
+    record = run_reconstruction(cfg, problem, inexact=inexact)
     write_csv(out / "history.csv", HISTORY_HEADER, _history_rows(record))
     tomo.write_pgm(out / "final.pgm", record.solution, problem.geom.n)
     write_json(out / "summary.json", _summary(cfg, record))
@@ -238,6 +246,7 @@ def cmd_reconstruct(cfg):
 def cmd_compare_reg(cfg):
     """Every lambda-selecting rule (optimal, DP, WGCV) on the identical observation."""
     cfg.validate()
+    inexact = inexactness_for(cfg)
     out = _outdir(cfg)
     problem = build_problem(cfg)
     rules = {
@@ -248,7 +257,7 @@ def cmd_compare_reg(cfg):
     def one_rule(item):
         name, rule = item
         t0 = time.perf_counter()
-        record = run_reconstruction(cfg, problem, rule=rule)
+        record = run_reconstruction(cfg, problem, inexact=inexact, rule=rule)
         return name, record, time.perf_counter() - t0
 
     results = dict()

@@ -76,38 +76,6 @@ class LinearOperator:
         return v
 
 
-class DenseOperator(LinearOperator):
-    """Operator backed by an explicit dense matrix."""
-
-    kind = "dense"
-
-    def __init__(self, mat):
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2:
-            raise DimensionError("dense operator needs a 2-d array")
-        super().__init__(mat.shape[0], mat.shape[1])
-        self.mat = mat
-
-    def _apply(self, x):
-        return self.mat @ x
-
-    def _apply_adjoint(self, y):
-        return self.mat.T @ y
-
-
-class IdentityOperator(LinearOperator):
-    kind = "identity"
-
-    def __init__(self, n):
-        super().__init__(n, n)
-
-    def _apply(self, x):
-        return x.copy()
-
-    def _apply_adjoint(self, y):
-        return y.copy()
-
-
 MODES = ("none", "gaussian-entry", "angle-perturbation")
 
 

@@ -1,11 +1,128 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from igenkrylov import linop, tomo
 from igenkrylov.bidiag import BREAKDOWN_RTOL
 from igenkrylov.errors import DegenerateInputError, DimensionError
+
+
+class DenseOperator(linop.LinearOperator):
+    """Operator backed by an explicit dense matrix."""
+
+    kind = "dense"
+
+    def __init__(self, mat):
+        mat = np.asarray(mat, dtype=float)
+        if mat.ndim != 2:
+            raise DimensionError("dense operator needs a 2-d array")
+        super().__init__(mat.shape[0], mat.shape[1])
+        self.mat = mat
+
+    def _apply(self, x):
+        return self.mat @ x
+
+    def _apply_adjoint(self, y):
+        return self.mat.T @ y
+
+
+class IdentityOperator(linop.LinearOperator):
+    kind = "identity"
+
+    def __init__(self, n):
+        super().__init__(n, n)
+
+    def _apply(self, x):
+        return x.copy()
+
+    def _apply_adjoint(self, y):
+        return y.copy()
+
+
+def read_pgm(path):
+    with open(path, "rb") as fh:
+        magic = fh.readline().strip()
+        if magic != b"P5":
+            raise DimensionError("not a binary PGM file")
+        dims = fh.readline().split()
+        width, height = int(dims[0]), int(dims[1])
+        maxval = int(fh.readline())
+        raw = fh.read(width * height * 2)
+    arr = np.frombuffer(raw, dtype=">u2").reshape((height, width)).astype(float) / maxval
+    return tomo.grid_to_image(arr), width
+
+
+_REF_PARALLEL_EPS = 1e-12
+_REF_MIN_SEGMENT = 1e-12
+
+
+def _reference_angle_triplets(n, theta_deg, offsets):
+    """(ray, pixel, length) triplets of one angle: every grid crossing of every ray.
+
+    The original assembly, kept as the bitwise oracle for tomo.system_matrix:
+    each ray clips and sorts its crossings with all 2n+2 grid lines.
+    """
+    t = math.radians(theta_deg)
+    dx, dy = -math.sin(t), math.cos(t)
+    ex, ey = math.cos(t), math.sin(t)
+    h = n / 2.0
+    px = offsets * ex
+    py = offsets * ey
+    nray = offsets.size
+
+    t_lo = np.full(nray, -np.inf)
+    t_hi = np.full(nray, np.inf)
+    miss = np.zeros(nray, dtype=bool)
+    for d, p in ((dx, px), (dy, py)):
+        if abs(d) > _REF_PARALLEL_EPS:
+            t1 = (-h - p) / d
+            t2 = (h - p) / d
+            t_lo = np.maximum(t_lo, np.minimum(t1, t2))
+            t_hi = np.minimum(t_hi, np.maximum(t1, t2))
+        else:
+            miss |= (p < -h) | (p > h)
+    miss |= t_lo >= t_hi
+    t_lo = np.where(miss, 0.0, t_lo)
+    t_hi = np.where(miss, 0.0, t_hi)
+
+    edges = np.arange(n + 1) - h
+    params = [t_lo[:, None], t_hi[:, None]]
+    if abs(dx) > _REF_PARALLEL_EPS:
+        params.append((edges[None, :] - px[:, None]) / dx)
+    if abs(dy) > _REF_PARALLEL_EPS:
+        params.append((edges[None, :] - py[:, None]) / dy)
+    allt = np.concatenate(params, axis=1)
+    allt = np.clip(allt, t_lo[:, None], t_hi[:, None])
+    allt.sort(axis=1)
+
+    seg = np.diff(allt, axis=1)
+    mid = (allt[:, :-1] + allt[:, 1:]) / 2.0
+    ix = np.floor(px[:, None] + mid * dx + h).astype(np.int64)
+    iy = np.floor(py[:, None] + mid * dy + h).astype(np.int64)
+    valid = (seg > _REF_MIN_SEGMENT) & (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
+
+    ray_idx = np.broadcast_to(np.arange(nray)[:, None], seg.shape)[valid]
+    pix_idx = (iy + n * ix)[valid]
+    return ray_idx, pix_idx, seg[valid]
+
+
+def reference_system_matrix(geom):
+    """The Radon matrix assembled from COO triplets, as tomo.system_matrix once did."""
+    offsets = geom.offsets()
+    rows, cols, vals = [], [], []
+    for a, theta in enumerate(geom.angles):
+        r, c, v = _reference_angle_triplets(geom.n, theta, offsets)
+        rows.append(r + a * geom.nrays)
+        cols.append(c)
+        vals.append(v)
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geom.nrows, geom.ncols),
+    )
+    return mat.tocsr()
 
 
 class DenseSPDCovariance:

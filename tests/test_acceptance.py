@@ -18,6 +18,7 @@ from igenkrylov.regparam import RegRule
 
 from conftest import (
     ComposedOperator,
+    DenseOperator,
     DenseSPDCovariance,
     dense_generalized_tikhonov,
     dot_test,
@@ -96,7 +97,7 @@ def test_criterion_02_reduction_chain():
         rng = np.random.default_rng(9000 + seed)
         mat = rng.standard_normal((20, 15))
         b = rng.standard_normal(20)
-        A = linop.DenseOperator(mat)
+        A = DenseOperator(mat)
 
         Qm = random_spd(15, rng, cond=6.0)
         pm_gen = prior.PriorModel(mu=np.zeros(15), Q=DenseSPDCovariance(Qm))
@@ -138,7 +139,7 @@ def test_criterion_03_dense_oracle_equivalence():
     Qm = random_spd(15, rng, cond=5.0)
     sigma = 1.2
     b = rng.standard_normal(20)
-    A = linop.DenseOperator(Amat)
+    A = DenseOperator(Amat)
     pm = prior.PriorModel(mu=np.zeros(15), Q=DenseSPDCovariance(Qm))
     nm = prior.NoiseModel(sigma=sigma, dimension=20)
     worst = 0.0
@@ -270,11 +271,11 @@ def test_criterion_09_adjoint_dot_tests(desk):
         for _ in range(3):
             worst = max(worst, dot_test(op, rng))
     for shape in ((7, 5), (20, 15)):
-        op = linop.DenseOperator(rng.standard_normal(shape))
+        op = DenseOperator(rng.standard_normal(shape))
         worst = max(worst, dot_test(op, rng))
     comp = ComposedOperator(
-        linop.DenseOperator(rng.standard_normal((9, 6))),
-        linop.DenseOperator(rng.standard_normal((6, 4))),
+        DenseOperator(rng.standard_normal((9, 6))),
+        DenseOperator(rng.standard_normal((6, 4))),
     )
     worst = max(worst, dot_test(comp, rng))
     elapsed = time.perf_counter() - t0

@@ -4,7 +4,7 @@ import pytest
 from igenkrylov import bidiag, linop, prior, tomo
 from igenkrylov.errors import BreakdownSignal, DegenerateInputError
 
-from conftest import DenseSPDCovariance, gk_decompose, random_spd
+from conftest import DenseOperator, DenseSPDCovariance, IdentityOperator, gk_decompose, random_spd
 
 
 def identity_setting(m, n):
@@ -37,7 +37,7 @@ def test_init_euclidean_norm():
     b = np.zeros(m)
     b[0], b[1] = 3.0, 4.0
     pm, nm = identity_setting(m, 4)
-    A = linop.DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
+    A = DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
     state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
     assert state.beta1 == pytest.approx(5.0, rel=1e-15)
     np.testing.assert_allclose(state.U[:, 0], b / 5.0, rtol=1e-15)
@@ -49,7 +49,7 @@ def test_init_weighted_norm():
     b[0], b[1] = 3.0, 4.0
     pm = prior.identity_prior(4)
     nm = prior.NoiseModel(sigma=2.0, dimension=m)
-    A = linop.DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
+    A = DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
     state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
     assert state.beta1 == pytest.approx(2.5, rel=1e-15)
     np.testing.assert_allclose(state.U[:, 0], b / 2.5, rtol=1e-15)
@@ -59,7 +59,7 @@ def test_init_matches_classic_start():
     rng = np.random.default_rng(1)
     mat = rng.standard_normal((9, 7))
     b = rng.standard_normal(9)
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     pm, nm = identity_setting(9, 7)
     state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
     u1 = b / np.linalg.norm(b)
@@ -70,7 +70,7 @@ def test_init_matches_classic_start():
 
 
 def test_init_rejects_zero_rhs():
-    A = linop.DenseOperator(np.eye(3))
+    A = DenseOperator(np.eye(3))
     pm, nm = identity_setting(3, 3)
     with pytest.raises(DegenerateInputError):
         bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.zeros(3))
@@ -80,7 +80,7 @@ def test_engine_matches_two_term_oracle():
     rng = np.random.default_rng(2)
     mat = rng.standard_normal((10, 8))
     b = rng.standard_normal(10)
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     pm, nm = identity_setting(10, 8)
     state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 5)
     oracle = gk_decompose(A, b, 5)
@@ -93,7 +93,7 @@ def test_inexact_zero_beta_reduces_bitwise():
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((12, 9))
     b = rng.standard_normal(12)
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     pm, nm = generalized_setting(12, 9, seed=4)
     zero_err = linop.InexactnessModel(mode="gaussian-entry", beta=0.0, seed=5)
     s1, _ = bidiag.igenGK_run(A, zero_err, pm, nm, b, 6)
@@ -109,7 +109,7 @@ def test_reduction_chain_to_classic_gk():
         rng = np.random.default_rng(100 + seed)
         mat = rng.standard_normal((20, 15))
         b = rng.standard_normal(20)
-        A = linop.DenseOperator(mat)
+        A = DenseOperator(mat)
         pm, nm = identity_setting(20, 15)
         eng, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 8)
         gk = gk_decompose(A, b, 8, reorthogonalize=True)
@@ -119,7 +119,7 @@ def test_reduction_chain_to_classic_gk():
 
 
 def test_gk_identity_operator_breaks_down_immediately():
-    A = linop.IdentityOperator(5)
+    A = IdentityOperator(5)
     b = np.zeros(5)
     b[0] = 1.0
     state = gk_decompose(A, b, 4)
@@ -134,7 +134,7 @@ def test_gk_recurrence_residuals_without_reorthogonalization():
     rng = np.random.default_rng(6)
     mat = rng.standard_normal((12, 10))
     b = rng.standard_normal(12)
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     state = gk_decompose(A, b, 6, reorthogonalize=False)
     k = 6
     AV = mat @ state.V[:, :k]
@@ -153,7 +153,7 @@ def test_gk_ritz_value_approximates_dominant_singular_value():
     v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     svals = np.concatenate([[10.0, 1.0], np.geomspace(0.9, 0.01, 18)])
     mat = u[:, :20] @ np.diag(svals) @ v.T
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     state = gk_decompose(A, rng.standard_normal(30), 10)
     ritz = np.linalg.svd(state.M, compute_uv=False)
     assert abs(ritz[0] - 10.0) <= 0.01 * 10.0
@@ -165,7 +165,7 @@ def test_weighted_orthogonality_invariants():
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((25, 18))
     b = rng.standard_normal(25)
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     pm, nm = generalized_setting(25, 18, seed=9)
     state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 10)
     rep = bidiag.relation_diagnostics(state, A, pm, nm)
@@ -179,7 +179,7 @@ def test_hessenberg_and_triangular_structure_exact():
     rng = np.random.default_rng(10)
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     pm, nm = generalized_setting(15, 12, seed=11)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=12)
     state, _ = bidiag.igenGK_run(A, model, pm, nm, b, 7)
@@ -198,7 +198,7 @@ def test_exact_modes_numerically_bidiagonal():
     rng = np.random.default_rng(13)
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     pm, nm = generalized_setting(15, 12, seed=14)
     state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 7)
     scale = np.linalg.norm(state.M)
@@ -213,7 +213,7 @@ def test_z_is_q_times_v(beta):
     rng = np.random.default_rng(15)
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     pm, nm = generalized_setting(15, 12, seed=16)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=17)
     state, reason = bidiag.igenGK_run(A, model, pm, nm, b, 6)
@@ -226,7 +226,7 @@ def test_z_is_q_times_v(beta):
 
 def test_z_is_v_under_identity_prior():
     rng = np.random.default_rng(22)
-    A = linop.DenseOperator(rng.standard_normal((15, 12)))
+    A = DenseOperator(rng.standard_normal((15, 12)))
     pm, nm = identity_setting(15, 12)
     state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, rng.standard_normal(15), 6)
     np.testing.assert_array_equal(state.Z, state.V)
@@ -236,7 +236,7 @@ def test_diagnostics_do_not_read_z():
     rng = np.random.default_rng(18)
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     pm, nm = generalized_setting(15, 12, seed=19)
     state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
     before = bidiag.relation_diagnostics(state, A, pm, nm).as_dict()
@@ -250,7 +250,7 @@ def test_basis_buffers_grow_without_moving_columns():
     steps = 2 * bidiag.INITIAL_CAPACITY + 3
     mat = rng.standard_normal((3 * steps, 2 * steps))
     b = rng.standard_normal(3 * steps)
-    A = linop.DenseOperator(mat)
+    A = DenseOperator(mat)
     pm, nm = generalized_setting(3 * steps, 2 * steps, seed=21)
     state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
     first = None
@@ -313,7 +313,7 @@ def test_exact_relations_at_rounding_level(small_ct_problem):
 
 def test_breakdown_leaves_state_solvable():
     # engine on the identity problem: terminal square commit at step 1
-    A = linop.IdentityOperator(4)
+    A = IdentityOperator(4)
     b = np.zeros(4)
     b[1] = 2.0
     pm, nm = identity_setting(4, 4)

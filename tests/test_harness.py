@@ -329,3 +329,35 @@ def test_cli_flag_overrides(tmp_path):
     assert assembled.reg.rule == "optimal"
     assert assembled.mode == "gengk"
     assert assembled.seed == 7
+
+
+def test_empty_angle_schedules_exit_code(tmp_path, capsys):
+    cfg = tiny_config(
+        tmp_path, angle_schedules=(), inexactness=InexactConfig(mode="angle-perturbation")
+    )
+    path = tmp_path / "cfg.json"
+    cfg.to_json(path)
+    for command in ("reconstruct", "compare-reg"):
+        for mode in ("igk", "igengk"):
+            out = tmp_path / f"{command}_{mode}"
+            capsys.readouterr()
+            rc = cli.main([command, "--config", str(path), "--mode", mode, "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("configuration error:")
+            assert not out.exists()
+    # The sweep has its exact baseline to run; the exact modes ignore the schedules.
+    out = tmp_path / "angles"
+    assert cli.main(["inexact-angles", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("history_*.csv")) == ["history_exact.csv"]
+    gk = ["reconstruct", "--config", str(path), "--mode", "gk", "--out", str(tmp_path / "gk")]
+    assert cli.main(gk) == 0
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    tiny_config(tmp_path).to_json(path)
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--config", str(path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    with pytest.raises(ConfigError):
+        config_from_dict({"schema_version": 1, "inexactness": {"seed": -1}})

@@ -13,33 +13,33 @@ from igenkrylov.errors import (
     UnsupportedError,
 )
 
-from conftest import ComposedOperator, dot_test, naive_matvec
+from conftest import ComposedOperator, DenseOperator, IdentityOperator, dot_test, naive_matvec
 
 
 def test_identity_apply():
-    op = linop.IdentityOperator(3)
+    op = IdentityOperator(3)
     np.testing.assert_array_equal(op.apply(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
 
 def test_dense_apply_2x2():
-    op = linop.DenseOperator([[1.0, 2.0], [3.0, 4.0]])
+    op = DenseOperator([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_allclose(op.apply(np.array([1.0, 1.0])), [3.0, 7.0])
 
 
 def test_identity_adjoint():
-    op = linop.IdentityOperator(2)
+    op = IdentityOperator(2)
     np.testing.assert_array_equal(op.apply_adjoint(np.array([4.0, 5.0])), [4.0, 5.0])
 
 
 def test_dense_adjoint_first_row():
-    op = linop.DenseOperator([[1.0, 2.0], [3.0, 4.0]])
+    op = DenseOperator([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_allclose(op.apply_adjoint(np.array([1.0, 0.0])), [1.0, 2.0])
 
 
 def test_adjoint_pairing_vs_naive_oracle():
     rng = np.random.default_rng(42)
     mat = rng.standard_normal((7, 5))
-    op = linop.DenseOperator(mat)
+    op = DenseOperator(mat)
     u = rng.standard_normal(7)
     v = rng.standard_normal(5)
     lhs = float(np.dot(u, naive_matvec(mat, v)))
@@ -50,7 +50,7 @@ def test_adjoint_pairing_vs_naive_oracle():
 
 
 def test_dimension_and_finiteness_errors():
-    op = linop.DenseOperator(np.eye(3))
+    op = DenseOperator(np.eye(3))
     with pytest.raises(DimensionError):
         op.apply(np.ones(4))
     with pytest.raises(DimensionError):
@@ -71,12 +71,12 @@ def test_composed_operator():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 4))
     b = rng.standard_normal((4, 5))
-    op = ComposedOperator(linop.DenseOperator(a), linop.DenseOperator(b))
+    op = ComposedOperator(DenseOperator(a), DenseOperator(b))
     x = rng.standard_normal(5)
     np.testing.assert_allclose(op.apply(x), a @ b @ x, rtol=1e-12)
     assert dot_test(op, rng) <= 1e-10
     with pytest.raises(DimensionError):
-        ComposedOperator(linop.DenseOperator(b), linop.DenseOperator(a @ b))
+        ComposedOperator(DenseOperator(b), DenseOperator(a @ b))
 
 
 @settings(max_examples=25, deadline=None)
@@ -87,7 +87,7 @@ def test_composed_operator():
 )
 def test_linearity_of_exact_apply(a, b, seed):
     rng = np.random.default_rng(seed)
-    op = linop.DenseOperator(rng.standard_normal((6, 4)))
+    op = DenseOperator(rng.standard_normal((6, 4)))
     x = rng.standard_normal(4)
     y = rng.standard_normal(4)
     lhs = op.apply(a * x + b * y)
@@ -98,7 +98,7 @@ def test_linearity_of_exact_apply(a, b, seed):
 
 def test_perturbed_beta_zero_is_exact():
     rng = np.random.default_rng(5)
-    op = linop.DenseOperator(rng.standard_normal((8, 6)))
+    op = DenseOperator(rng.standard_normal((8, 6)))
     x = rng.standard_normal(6)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=0.0, seed=1)
     np.testing.assert_array_equal(linop.perturbed_apply(op, model, 1, x), op.apply(x))
@@ -111,7 +111,7 @@ def test_perturbed_beta_zero_is_exact():
 
 def test_perturbed_determinism_bitwise():
     rng = np.random.default_rng(6)
-    op = linop.DenseOperator(rng.standard_normal((30, 20)))
+    op = DenseOperator(rng.standard_normal((30, 20)))
     x = rng.standard_normal(20)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=99)
     first = linop.perturbed_apply(op, model, 4, x)
@@ -126,7 +126,7 @@ def test_perturbation_norm_monte_carlo():
     # ||(A_hat - A) x||_2 concentrates around beta * sqrt(m) for a unit vector x
     rng = np.random.default_rng(7)
     n = 100
-    op = linop.DenseOperator(rng.standard_normal((n, n)))
+    op = DenseOperator(rng.standard_normal((n, n)))
     beta = 1e-2
     x = np.zeros(n)
     x[3] = 1.0
@@ -150,7 +150,7 @@ LAW_TEST_LEVEL = 1e-3
 def _standardized_errors(direction, seeds, k=3, beta=1e-2):
     """(perturbed - exact) / (beta ||v||) for one fixed vector v, one row per seed."""
     rng = np.random.default_rng(12)
-    op = linop.DenseOperator(rng.standard_normal((40, 30)))
+    op = DenseOperator(rng.standard_normal((40, 30)))
     if direction == "forward":
         v = rng.standard_normal(op.ncols)
         exact, perturbed = op.apply(v), linop.perturbed_apply
@@ -190,7 +190,7 @@ def test_products_draw_one_vector_from_named_substream():
     # Each product draws exactly one standard-normal vector of its output
     # length from the (seed, k, direction) substream, scaled by beta ||v||.
     rng = np.random.default_rng(9)
-    op = linop.DenseOperator(rng.standard_normal((40, 30)))
+    op = DenseOperator(rng.standard_normal((40, 30)))
     x = rng.standard_normal(30)
     y = rng.standard_normal(40)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=33)
@@ -204,7 +204,7 @@ def test_products_draw_one_vector_from_named_substream():
 
 def test_error_scaling_exactly_linear_in_beta():
     rng = np.random.default_rng(8)
-    op = linop.DenseOperator(rng.standard_normal((50, 40)))
+    op = DenseOperator(rng.standard_normal((50, 40)))
     x = rng.standard_normal(40)
     exact = op.apply(x)
     norms = {}
@@ -227,7 +227,7 @@ def test_model_validation():
 
 
 def test_structural_perturbation_unsupported_on_dense():
-    op = linop.DenseOperator(np.eye(4))
+    op = DenseOperator(np.eye(4))
     model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1,), seed=0)
     with pytest.raises(UnsupportedError):
         linop.perturbed_apply(op, model, 1, np.ones(4))

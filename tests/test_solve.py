@@ -4,7 +4,13 @@ import pytest
 from igenkrylov import linop, prior, regparam, solve
 from igenkrylov.errors import DegenerateInputError, DimensionError, NumericalError
 
-from conftest import DenseSPDCovariance, dense_generalized_tikhonov, random_spd
+from conftest import (
+    DenseOperator,
+    DenseSPDCovariance,
+    IdentityOperator,
+    dense_generalized_tikhonov,
+    random_spd,
+)
 
 
 def make_prob(M, beta1):
@@ -111,7 +117,7 @@ def test_identity_problem_solved_in_one_step():
     n = 8
     rng = np.random.default_rng(7)
     s_true = rng.standard_normal(n)
-    A = linop.IdentityOperator(n)
+    A = IdentityOperator(n)
     pm = prior.identity_prior(n)
     nm = prior.NoiseModel(sigma=1.0, dimension=n)
     cfg = solve.SolveConfig(max_iter=5, reg=regparam.RegRule(kind="none"), s_true=s_true)
@@ -126,7 +132,7 @@ def full_rank_generalized_problem(seed):
     Qm = random_spd(15, rng, cond=5.0)
     sigma = 1.3
     b = rng.standard_normal(20)
-    A = linop.DenseOperator(Amat)
+    A = DenseOperator(Amat)
     pm = prior.PriorModel(mu=np.zeros(15), Q=DenseSPDCovariance(Qm))
     nm = prior.NoiseModel(sigma=sigma, dimension=20)
     return Amat, Qm, sigma, b, A, pm, nm
@@ -165,7 +171,7 @@ def test_driver_is_deterministic():
 
 def test_degenerate_adjoint_of_rhs_is_input_error():
     # A^T b = 0 with b != 0: no Krylov column exists, so the driver reports bad input
-    A = linop.DenseOperator(np.diag([1.0, 0.0]))
+    A = DenseOperator(np.diag([1.0, 0.0]))
     b = np.array([0.0, 1.0])
     cfg = solve.SolveConfig(max_iter=3, reg=regparam.RegRule(kind="none"))
     with pytest.raises(DegenerateInputError):

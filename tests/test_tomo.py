@@ -7,7 +7,7 @@ from igenkrylov import harness, linop, tomo
 from igenkrylov.config import ExperimentConfig, InexactConfig
 from igenkrylov.errors import ConfigError, DegenerateInputError, InvalidParameterError
 
-from conftest import dot_test
+from conftest import dot_test, read_pgm, reference_system_matrix
 
 
 def sampled_line_integral(vec, n, theta_deg, offset, nsamples=200001):
@@ -68,6 +68,42 @@ def test_forward_matches_sampled_integral_oracle():
     for ray in (5, 11, 17):
         ref = sampled_line_integral(vec, n, 33.0, offsets[ray])
         assert sino[ray] == pytest.approx(ref, abs=5e-3)
+
+
+def oracle_angle_sets():
+    """Angle sets the windowed assembly must reproduce bit for bit."""
+    rng = np.random.default_rng(11)
+    default = np.array(tomo.default_angles())
+    return {
+        "default": tuple(default),
+        "jittered": tuple(default + 0.1 * rng.standard_normal(default.size)),
+        "axis-parallel": (0.0, 90.0, 180.0, 270.0, -90.0, 45.0, 135.0),
+        "uniform": tuple(rng.uniform(-360.0, 360.0, 50)),
+        # Rays grazing a grid line split one pixel's chord in two: the
+        # duplicate entries must be summed as the COO conversion sums them.
+        "grazing": (90.0000000001, 1e-9, math.degrees(2e-12), -44.9999999999),
+        # With n=6 and 48 rays, the 60-degree ray at offset 1.5 enters at a
+        # grid corner: its chord starts at y-coordinate exactly 3, yet its
+        # crossing with that grid line rounds one ulp inside the chord, so
+        # the window must start at floor(a) itself.
+        "corner": (60.0, 30.0, 120.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "n, nrays", [(n, nrays) for n in (16, 17, 64, 128) for nrays in (None, 7)] + [(6, 48)]
+)
+def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
+    for name, angles in oracle_angle_sets().items():
+        geom = tomo.CTGeometry(n=n, angles=angles, nrays=nrays)
+        ref = reference_system_matrix(geom)
+        mat = tomo.system_matrix(geom)
+        assert mat.format == "csr" and mat.shape == ref.shape, name
+        for arr in ("indptr", "indices"):
+            got, want = getattr(mat, arr), getattr(ref, arr)
+            assert got.dtype == want.dtype, (name, arr)
+            np.testing.assert_array_equal(got, want, err_msg=f"{name} {arr}")
+        assert mat.data.tobytes() == ref.data.tobytes(), name
 
 
 def test_adjoint_dot_test(small_ct):
@@ -222,7 +258,7 @@ def test_pgm_roundtrip(tmp_path):
     vec = tomo.make_phantom(16)
     path = tmp_path / "img.pgm"
     tomo.write_pgm(path, vec, 16)
-    back, n = tomo.read_pgm(path)
+    back, n = read_pgm(path)
     assert n == 16
     assert np.max(np.abs(back - vec)) <= 1.0 / 65535.0
 
