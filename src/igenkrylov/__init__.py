@@ -13,7 +13,6 @@ Subpackages:
 from . import bidiag, config, harness, linop, prior, regparam, solve, tomo
 from .errors import (
     BreakdownSignal,
-    CapacityError,
     ConfigError,
     DegenerateInputError,
     DimensionError,

@@ -123,13 +123,6 @@ class ExperimentConfig:
         d["angle_schedules"] = [list(s) for s in self.angle_schedules]
         return d
 
-    def to_json(self, path=None):
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(text + "\n")
-        return text
-
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)

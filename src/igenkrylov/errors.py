@@ -17,10 +17,6 @@ class InvalidParameterError(IgenKrylovError):
     """A scalar parameter is outside its admissible range."""
 
 
-class CapacityError(IgenKrylovError):
-    """Requested dense computation exceeds the configured size limit."""
-
-
 class UnsupportedError(IgenKrylovError):
     """Requested operation is not supported by this operator kind."""
 

@@ -17,14 +17,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .errors import (
-    CapacityError,
-    DimensionError,
-    InvalidParameterError,
-    NumericalError,
-)
-
-DENSE_LIMIT = 4096
+from .errors import DimensionError, InvalidParameterError, NumericalError
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -109,17 +102,6 @@ class Grid:
         return np.column_stack([rr.ravel(order="F"), cc.ravel(order="F")])
 
 
-def build_dense_cov(grid, kernel, dense_limit=DENSE_LIMIT):
-    """Dense covariance matrix Q_ij = kernel(|x_i - x_j|)."""
-    n = grid.npoints
-    if n > dense_limit:
-        raise CapacityError(f"{n} grid points exceed dense limit {dense_limit}")
-    pts = grid.points()
-    diff = pts[:, None, :] - pts[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    return kernel(r)
-
-
 def _fast_len(target):
     """Smallest 2^a 3^b 5^c >= target, a length the FFT transforms fast.
 
@@ -160,9 +142,8 @@ def _embedding_symbol(grid, kernel, shape):
 class CovarianceOperator:
     """Symmetric PSD covariance operator Q on a regular grid.
 
-    Q is applied in O(n log n) through the circulant embedding;
-    ``build_dense_cov`` is the dense reference. Instances are immutable after
-    construction and safe for concurrent matvecs.
+    Q is applied in O(n log n) through the circulant embedding. Instances
+    are immutable after construction and safe for concurrent matvecs.
     """
 
     def __init__(self, grid, kernel):

@@ -2,11 +2,23 @@
 
 Three rules operate on the small (k+1)-by-k projected least-squares problem:
 an oracle rule minimizing the true reconstruction error, the discrepancy
-principle, and weighted GCV. All are pure functions of the projected problem
-and their auxiliary inputs, evaluated through the filter factors of its
-cached SVD (``ProjectedProblem.filters``). This module is the one home of the
-rule names, their field checks and the per-iteration dispatch
-(``RegRule.chooser``); configuration, CLI and harness read them from here.
+principle, and weighted GCV. Each evaluates its objective in the coordinates
+of the projected SVD, through the filter factors of
+``ProjectedProblem.filters``, so one evaluation is k-sized work and never
+touches an n-vector:
+
+- the oracle error ||mu + Z y - s_true||^2 is dd + 2 c^T y + y^T G y, with
+  the k-by-k Gram matrix G = Z^T Z and c = Z^T (mu - s_true) kept by
+  ``OracleGram``, which a solve grows by one row and column per iteration
+  (Chung & Saibaba, SISC 39(5), 2017);
+- the grid search of the oracle and WGCV rules evaluates all grid points in
+  one call, and golden-section refinement evaluates scalars;
+- the discrepancy principle brackets its root on the same grid and refines
+  it by a safeguarded secant step in log lambda.
+
+This module is the one home of the rule names, their field checks and the
+per-iteration dispatch (``RegRule.chooser``); configuration, CLI and harness
+read them from here.
 """
 
 import logging
@@ -15,8 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .solve import projected_tikhonov, recover_solution
+from .errors import ConfigError, DimensionError
+
+# recover_solution is not called here any more; it stays bound in this module,
+# where the benchmark's tracer wraps it next to projected_tikhonov.
+from .solve import projected_tikhonov, recover_solution  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -87,12 +102,14 @@ class RegRule:
     def chooser(self, prior, s_true=None):
         """Per-solve selection: ``choose(prob, Z) -> (lambda, omega)``, Z = Q V_k.
 
-        ``omega`` is the WGCV weight used, None under the other rules. In
-        adaptive mode it is the mean of ``suggest_omega`` over the iterations
-        so far, which is the state the chooser carries. The selectors are
+        ``omega`` is the WGCV weight used, None under the other rules. The
+        chooser carries the state of one solve: in adaptive WGCV mode the
+        ``suggest_omega`` values so far (omega is their mean), under the
+        oracle rule the ``OracleGram`` of the growing Z. The selectors are
         looked up in this module at call time.
         """
         suggestions = []
+        gram = OracleGram(prior, s_true) if self.kind == "optimal" else None
 
         def choose(prob, Z):
             if self.kind == "none":
@@ -100,7 +117,7 @@ class RegRule:
             if self.kind == "fixed":
                 return float(self.lambda_fixed), None
             if self.kind == "optimal":
-                return select_lambda_optimal(prob, Z, prior, s_true)[0], None
+                return select_lambda_optimal(prob, Z, prior, s_true, gram=gram)[0], None
             if self.kind == "dp":
                 return select_lambda_dp(prob, self)[0], None
             om = self.omega
@@ -113,13 +130,76 @@ class RegRule:
         return choose
 
 
-def _lambda_bounds(prob):
-    s1 = prob.sigma_max
-    return GRID_FLOOR_RTOL * s1, GRID_TOP_FACTOR * s1
+class OracleGram:
+    """Gram data of the oracle error ||mu + Z y - s_true||^2 = dd + 2 c^T y + y^T G y.
+
+    G = Z^T Z, c = Z^T d and dd = ||d||^2, with d = mu - s_true. ``update``
+    brings G and c up to date with a basis Z. When Z has exactly one column
+    more than at the last update, the earlier columns are taken as unchanged
+    (a solve only appends to Z) and only the new row and column are computed,
+    O(n k); otherwise G and c are rebuilt from Z, O(n k^2).
+    """
+
+    def __init__(self, prior, s_true):
+        if s_true is None:
+            raise ConfigError("optimal rule requires the true solution")
+        self.d = prior.mu - np.asarray(s_true, dtype=float)
+        self.dd = float(np.dot(self.d, self.d))
+        self.G = np.zeros((0, 0))
+        self.c = np.zeros(0)
+
+    def update(self, Z):
+        Z = np.asarray(Z, dtype=float)
+        if Z.ndim != 2 or Z.shape[0] != self.d.size:
+            raise DimensionError("basis and solution dimensions disagree")
+        k = Z.shape[1]
+        if k == self.c.size + 1:
+            znew = Z[:, -1]
+            g = Z.T @ znew
+            G = np.empty((k, k))
+            G[:-1, :-1] = self.G
+            G[-1, :] = g
+            G[:, -1] = g
+            self.G, self.c = G, np.append(self.c, np.dot(znew, self.d))
+        else:
+            self.G, self.c = Z.T @ Z, Z.T @ self.d
+
+    def objective(self, prob):
+        """The error as a function of lambda, a scalar or a 1-D grid.
+
+        With y = Vt^T z and z = gain(lambda) * bhat, the error is
+        dd + 2 c^T y + y^T G y. It is evaluated in the eigenvectors P of G:
+        with u = P^T y, e = P^T c and t = -e / w it reads
+        const + sum_i w_i (u_i - t_i)^2, a sum of nonnegative terms whose
+        rounding error scales with the distance from the unconstrained
+        minimizer, not with dd, so that a minimum near zero error (s_true in
+        range(Z)) is still resolved. Eigenvalues at rounding level of the
+        largest keep the expanded form 2 e_i u_i + w_i u_i^2. The
+        eigen-decomposition and the rotation R = Vt P are done once here;
+        each evaluation is k-sized.
+        """
+        if self.c.size != prob.M.shape[1]:
+            raise DimensionError("basis and coefficient dimensions disagree")
+        _, bhat, _ = prob.svd_projection
+        w, P = np.linalg.eigh(self.G)
+        R = prob.svd[2] @ P
+        e = P.T @ self.c
+        big = w > w.size * np.finfo(float).eps * max(w[-1], 0.0)
+        t = np.where(big, -e / np.where(big, w, 1.0), 0.0)
+        lin = np.where(big, 0.0, 2.0 * e)
+        const = self.dd - float(np.sum(w[big] * t[big] ** 2))
+
+        def error(lam):
+            u = (prob.filters(lam).gain * bhat) @ R
+            du = u - t
+            return const + (w * du * du + lin * u).sum(axis=-1)
+
+        return error
 
 
 def _lambda_grid(prob):
-    return np.geomspace(*_lambda_bounds(prob), GRID_POINTS)
+    s1 = prob.sigma_max
+    return np.geomspace(GRID_FLOOR_RTOL * s1, GRID_TOP_FACTOR * s1, GRID_POINTS)
 
 
 def _golden_refine(f, lo, hi):
@@ -141,9 +221,13 @@ def _golden_refine(f, lo, hi):
 
 
 def _grid_then_refine(prob, objective):
-    """Minimize an objective over the log-lambda grid, then refine locally."""
+    """Minimize an objective over the log-lambda grid, then refine locally.
+
+    ``objective`` takes a scalar lambda or the whole grid, for which it
+    returns one value per grid point.
+    """
     grid = _lambda_grid(prob)
-    vals = np.array([objective(lam) for lam in grid])
+    vals = objective(grid)
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -156,34 +240,32 @@ def _grid_then_refine(prob, objective):
     return float(lam)
 
 
-def select_lambda_optimal(prob, Z, prior, s_true):
+def select_lambda_optimal(prob, Z, prior, s_true, gram=None):
     """Oracle rule: minimize the reconstruction error against the true solution.
 
-    ``Z`` = Q V_k, so each evaluation of the error is an n-by-k product.
+    ``Z`` = Q V_k. The error is evaluated from the Gram data of Z
+    (``OracleGram``), k-sized work per evaluation. A solve passes the
+    ``gram`` it carries across iterations, which is updated here by the new
+    column of Z; without one, G and c are built from Z in one shot.
     """
-    if s_true is None:
-        raise ConfigError("optimal rule requires the true solution")
-    s_true = np.asarray(s_true, dtype=float)
-
-    def objective(lam):
-        y = projected_tikhonov(prob, lam).y
-        s = recover_solution(prior, Z, y)
-        d = s - s_true
-        return float(np.dot(d, d))
-
-    lam = _grid_then_refine(prob, objective)
+    if gram is None:
+        gram = OracleGram(prior, s_true)
+    gram.update(Z)
+    lam = _grid_then_refine(prob, gram.objective(prob))
     return lam, projected_tikhonov(prob, lam).y
 
 
 def select_lambda_dp(prob, rule):
     """Discrepancy principle: residual norm matches nu_dp times the noise norm.
 
-    The projected residual is nondecreasing in lambda, so the root is found by
-    bisection in log-lambda to 1e-6 relative accuracy in the residual, which
-    is evaluated in closed form from the filter factors. If the lambda=0
-    residual already exceeds the target, lambda=0 is returned; if even the top
-    of the grid cannot reach the target, the top is returned. Both
-    saturations are logged.
+    The projected residual is nondecreasing in lambda and is evaluated in
+    closed form from the filter factors. The root is bracketed between two
+    neighbouring points of the lambda grid, all evaluated in one call, and
+    refined by safeguarded secant steps in log-lambda until the residual is
+    within 1e-6 relative of the target. If the lambda=0 residual already
+    exceeds the target, lambda=0 is returned; if even the top of the grid
+    cannot reach the target, the top is returned. Both saturations are
+    logged.
     """
     if rule.noise_norm is None:
         raise ConfigError("dp rule requires noise_norm")
@@ -193,7 +275,7 @@ def select_lambda_dp(prob, rule):
 
 def _dp_lambda(prob, target):
     def residual(lam):
-        return math.sqrt(prob.residual_norm2(prob.filters(lam)))
+        return np.sqrt(prob.residual_norm2(prob.filters(lam)))
 
     tol = 1e-6 * max(target, prob.beta1 * 1e-300)
     r0 = residual(0.0)
@@ -202,47 +284,67 @@ def _dp_lambda(prob, target):
             log.warning("dp: residual at lambda=0 (%.6e) already exceeds target %.6e", r0, target)
         return 0.0
 
-    lo, hi = _lambda_bounds(prob)
-    r_hi = residual(hi)
-    if r_hi < target:
+    grid = _lambda_grid(prob)
+    r = residual(grid)
+    if r[-1] < target:
         log.warning(
-            "dp: target %.6e unreachable, residual at lambda=%.3e is %.6e", target, hi, r_hi
+            "dp: target %.6e unreachable, residual at lambda=%.3e is %.6e", target, grid[-1], r[-1]
         )
-        return hi
-    if residual(lo) >= target:
-        return lo
+        return float(grid[-1])
+    if r[0] >= target:
+        return float(grid[0])
 
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        r = residual(mid)
-        if abs(r - target) <= tol:
-            lo = hi = mid
-            break
-        if r < target:
-            lo = mid
+    # r[j - 1] < target <= r[j]. Secant steps on log(r / target) against
+    # log(lambda) through the two latest points; the root stays bracketed in
+    # [a, b], and a step that would leave the bracket bisects it instead.
+    j = int(np.argmax(r >= target))
+    a, b = math.log(grid[j - 1]), math.log(grid[j])
+    t0, f0 = a, math.log(r[j - 1] / target)
+    t1, f1 = b, math.log(r[j] / target)
+    for _ in range(100):
+        t = t1 - f1 * (t1 - t0) / (f1 - f0) if f1 != f0 else 0.5 * (a + b)
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        rt = float(residual(math.exp(t)))
+        if abs(rt - target) <= tol:
+            return math.exp(t)
+        ft = math.log(rt / target)
+        if ft < 0.0:
+            a = t
         else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
+            b = t
+        t0, f0, t1, f1 = t1, f1, t, ft
+        if b - a <= 1e-14 * max(abs(a), abs(b), 1.0):
             break
-    return math.sqrt(lo * hi)
+    return math.exp(0.5 * (a + b))
+
+
+def _wgcv_objective(prob, omega):
+    """G_omega as a function of lambda, a scalar or a 1-D grid."""
+    rows = prob.M.shape[0]
+
+    def value(lam):
+        filt = prob.filters(lam)
+        trace = rows - omega * filt.phi.sum(axis=-1)
+        return prob.residual_norm2(filt) / (trace * trace)
+
+    return value
 
 
 def wgcv_value(prob, lam, omega):
-    """Weighted GCV functional G_omega(lambda) for the projected problem.
+    """Weighted GCV functional G_omega(lambda) for the projected problem, at one lambda.
 
     Numerator: squared projected residual. Denominator: the squared weighted
     trace (k+1) - omega * sum_i phi_i. omega = 1 is standard GCV.
     """
-    filt = prob.filters(lam)
-    trace = prob.M.shape[0] - omega * float(np.sum(filt.phi))
-    return prob.residual_norm2(filt) / (trace * trace)
+    return float(_wgcv_objective(prob, omega)(lam))
 
 
 def select_lambda_wgcv(prob, rule, omega=None):
     """Minimize the weighted GCV functional over the lambda grid."""
     om = rule.omega if omega is None else float(omega)
     _check_omega(om)
-    lam = _grid_then_refine(prob, lambda lam: wgcv_value(prob, lam, om))
+    lam = _grid_then_refine(prob, _wgcv_objective(prob, om))
     return lam, projected_tikhonov(prob, lam).y, om
 
 

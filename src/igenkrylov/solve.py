@@ -40,6 +40,7 @@ class ProjectedProblem:
     M: np.ndarray
     beta1: float
     _svd: tuple = field(default=None, repr=False, compare=False)
+    _projection: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.M = np.asarray(self.M, dtype=float)
@@ -63,35 +64,46 @@ class ProjectedProblem:
     @property
     def svd_projection(self):
         """(singular values, U^T beta1 e1, squared residual tail outside range(M))."""
-        U, s, _ = self.svd
-        bhat = self.beta1 * U[0, :]
-        tail2 = max(self.beta1**2 - float(np.dot(bhat, bhat)), 0.0)
-        return s, bhat, tail2
+        if self._projection is None:
+            U, s, _ = self.svd
+            bhat = self.beta1 * U[0, :]
+            tail2 = max(self.beta1**2 - float(np.dot(bhat, bhat)), 0.0)
+            self._projection = (s, bhat, tail2)
+        return self._projection
 
     def filters(self, lam):
-        """Filter factors at ``lam``; at lambda = 0 the SVD is truncated.
+        """Filter factors at ``lam``, a scalar or a 1-D array of positive values.
 
-        The truncation keeps the singular values above RANK_RTOL * sigma_max,
-        which gives the minimum-norm solution of a rank-deficient M.
+        An array gives one row of factors per lambda, so a rule can evaluate a
+        whole grid in one call. At lambda = 0 (a scalar) the SVD is truncated:
+        it keeps the singular values above RANK_RTOL * sigma_max, which gives
+        the minimum-norm solution of a rank-deficient M.
         """
-        if lam < 0:
-            raise NumericalError("lambda must be nonnegative")
         s = self.svd[1]
-        if lam == 0.0:
-            keep = s > RANK_RTOL * self.sigma_max
-            phi = keep.astype(float)
-            return Filters(phi, 1.0 - phi, np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0))
-        lam2 = lam * lam
+        if np.ndim(lam) == 0:
+            if lam == 0.0:
+                keep = s > RANK_RTOL * self.sigma_max
+                phi = keep.astype(float)
+                return Filters(phi, 1.0 - phi, np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0))
+            if not lam > 0.0:
+                raise NumericalError("lambda must be nonnegative")
+            lam2 = float(lam) * float(lam)
+        else:
+            lam = np.asarray(lam, dtype=float)
+            if lam.ndim != 1 or not (lam > 0.0).all():
+                raise NumericalError("a lambda grid must be a 1-D array of positive values")
+            lam2 = (lam * lam)[:, None]
         denom = s * s + lam2
         return Filters(s * s / denom, lam2 / denom, s / denom)
 
     def residual_norm2(self, filt):
         """Squared projected residual ||M y - beta1 e1||^2 for the given filters.
 
-        Closed form sum(((1 - phi_i) bhat_i)^2) + tail^2, without forming y.
+        Closed form sum(((1 - phi_i) bhat_i)^2) + tail^2, without forming y;
+        one value per row of an array of filters.
         """
         _, bhat, tail2 = self.svd_projection
-        return float(np.sum((filt.psi * bhat) ** 2)) + tail2
+        return np.sum((filt.psi * bhat) ** 2, axis=-1) + tail2
 
 
 @dataclass

@@ -168,7 +168,9 @@ def _angle_triplets(n, theta_deg, offsets):
     return valid.sum(axis=1), pix[valid], seg[valid]
 
 
-@functools.lru_cache(maxsize=8)
+# Two entries: the geometries of the two jittered operators a solve keeps
+# (see _jittered_operator); an operator holds its own matrix beyond that.
+@functools.lru_cache(maxsize=2)
 def system_matrix(geom):
     """Sparse ray-weight matrix for the geometry (rows: angle-major rays).
 
@@ -220,7 +222,9 @@ class RadonOperator(LinearOperator):
         return _jittered_operator(self.geom, float(alpha_k), int(model.seed), int(k))
 
 
-@functools.lru_cache(maxsize=8)
+# Iteration k's operator serves the forward product of step k and the adjoint
+# product of step k - 1, so a solve needs at most two alive at once.
+@functools.lru_cache(maxsize=2)
 def _jittered_operator(geom, alpha_k, seed, k):
     if alpha_k == 0.0:
         return RadonOperator(geom)

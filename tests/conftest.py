@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -7,7 +8,33 @@ import scipy.sparse as sp
 
 from igenkrylov import linop, tomo
 from igenkrylov.bidiag import BREAKDOWN_RTOL
-from igenkrylov.errors import DegenerateInputError, DimensionError
+from igenkrylov.errors import DegenerateInputError, DimensionError, IgenKrylovError
+
+DENSE_LIMIT = 4096
+
+
+class CapacityError(IgenKrylovError):
+    """Requested dense computation exceeds the configured size limit."""
+
+
+def build_dense_cov(grid, kernel, dense_limit=DENSE_LIMIT):
+    """Dense covariance matrix Q_ij = kernel(|x_i - x_j|), the reference for the FFT backend."""
+    n = grid.npoints
+    if n > dense_limit:
+        raise CapacityError(f"{n} grid points exceed dense limit {dense_limit}")
+    pts = grid.points()
+    diff = pts[:, None, :] - pts[None, :, :]
+    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    return kernel(r)
+
+
+def config_to_json(cfg, path=None):
+    """An ExperimentConfig as the JSON text ``config_from_json`` reads back."""
+    text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
+    if path is not None:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text + "\n")
+    return text
 
 
 class DenseOperator(linop.LinearOperator):

@@ -20,6 +20,7 @@ from conftest import (
     ComposedOperator,
     DenseOperator,
     DenseSPDCovariance,
+    build_dense_cov,
     dense_generalized_tikhonov,
     dot_test,
     gk_decompose,
@@ -237,7 +238,7 @@ def test_criterion_08_covariance_backends():
     rng = np.random.default_rng(11)
     for shape in ((8, 8), (16, 16), (32, 32)):
         g = prior.Grid(shape)
-        dense = prior.build_dense_cov(g, kernel)
+        dense = build_dense_cov(g, kernel)
         fft_op = prior.CovarianceOperator(g, kernel)
         for _ in range(50):
             x = rng.standard_normal(g.npoints)

@@ -14,6 +14,8 @@ from igenkrylov.config import (
 )
 from igenkrylov.errors import ConfigError
 
+from conftest import config_to_json
+
 
 def tiny_config(tmp_path, **overrides):
     cfg = ExperimentConfig(
@@ -30,7 +32,7 @@ def tiny_config(tmp_path, **overrides):
 def test_config_json_roundtrip(tmp_path):
     cfg = tiny_config(tmp_path)
     path = tmp_path / "cfg.json"
-    cfg.to_json(path)
+    config_to_json(cfg, path)
     back = config_from_json(path)
     assert back == cfg
 
@@ -309,7 +311,7 @@ def test_cli_output_error_exit_code(tmp_path, capsys):
 def test_cli_runs_tiny_reconstruction(tmp_path):
     cfg = tiny_config(tmp_path)
     path = tmp_path / "cfg.json"
-    cfg.to_json(path)
+    config_to_json(cfg, path)
     rc = cli.main(
         ["reconstruct", "--config", str(path), "--out", str(tmp_path / "cli_out"), "--max-iter", "3"]
     )
@@ -321,7 +323,7 @@ def test_cli_runs_tiny_reconstruction(tmp_path):
 def test_cli_flag_overrides(tmp_path):
     cfg = tiny_config(tmp_path)
     path = tmp_path / "cfg.json"
-    cfg.to_json(path)
+    config_to_json(cfg, path)
     args = cli.build_parser().parse_args(
         ["reconstruct", "--config", str(path), "--reg", "opt", "--mode", "gengk", "--seed", "7"]
     )
@@ -336,7 +338,7 @@ def test_empty_angle_schedules_exit_code(tmp_path, capsys):
         tmp_path, angle_schedules=(), inexactness=InexactConfig(mode="angle-perturbation")
     )
     path = tmp_path / "cfg.json"
-    cfg.to_json(path)
+    config_to_json(cfg, path)
     for command in ("reconstruct", "compare-reg"):
         for mode in ("igk", "igengk"):
             out = tmp_path / f"{command}_{mode}"
@@ -355,7 +357,7 @@ def test_empty_angle_schedules_exit_code(tmp_path, capsys):
 
 def test_negative_seed_is_config_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    tiny_config(tmp_path).to_json(path)
+    config_to_json(tiny_config(tmp_path), path)
     capsys.readouterr()
     assert cli.main(["reconstruct", "--config", str(path), "--seed", "-1"]) == 2
     assert capsys.readouterr().err.startswith("configuration error:")

@@ -9,14 +9,9 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
 from igenkrylov import prior
-from igenkrylov.errors import (
-    CapacityError,
-    DimensionError,
-    InvalidParameterError,
-    NumericalError,
-)
+from igenkrylov.errors import DimensionError, InvalidParameterError, NumericalError
 
-from conftest import random_spd
+from conftest import CapacityError, build_dense_cov, random_spd
 
 
 def kv_formula(nu, alpha, r):
@@ -75,13 +70,13 @@ def test_kernel_parameter_validation():
 
 
 def test_dense_cov_single_point():
-    Q = prior.build_dense_cov(prior.Grid((1,)), prior.MaternKernel(nu=1.5, alpha=1.0))
+    Q = build_dense_cov(prior.Grid((1,)), prior.MaternKernel(nu=1.5, alpha=1.0))
     np.testing.assert_array_equal(Q, [[1.0]])
 
 
 def test_dense_cov_two_points():
     k = prior.MaternKernel(nu=1.5, alpha=3.0)
-    Q = prior.build_dense_cov(prior.Grid((2,)), k)
+    Q = build_dense_cov(prior.Grid((2,)), k)
     r = 0.5  # cell centers 0.25 and 0.75
     assert Q[0, 1] == Q[1, 0]
     assert abs(Q[0, 1] - float(k(r))) <= 1e-15
@@ -90,20 +85,20 @@ def test_dense_cov_two_points():
 
 def test_dense_cov_positive_semidefinite():
     k = prior.MaternKernel(nu=1.5, alpha=100.0)  # ell = 0.01
-    Q = prior.build_dense_cov(prior.Grid((8, 8)), k)
+    Q = build_dense_cov(prior.Grid((8, 8)), k)
     eig = np.linalg.eigvalsh(Q)
     assert eig.min() >= -1e-10
 
 
 def test_dense_limit_guard():
     with pytest.raises(CapacityError):
-        prior.build_dense_cov(prior.Grid((80, 80)), prior.MaternKernel(nu=1.5, alpha=1.0))
+        build_dense_cov(prior.Grid((80, 80)), prior.MaternKernel(nu=1.5, alpha=1.0))
 
 
 def test_fft_matches_dense_column():
     k = prior.MaternKernel(nu=1.5, alpha=5.0)
     g = prior.Grid((4, 4))
-    Qd = prior.build_dense_cov(g, k)
+    Qd = build_dense_cov(g, k)
     e1 = np.zeros(16)
     e1[0] = 1.0
     np.testing.assert_allclose(prior.CovarianceOperator(g, k).apply(e1), Qd[:, 0], atol=1e-12)
@@ -112,7 +107,7 @@ def test_fft_matches_dense_column():
 def test_fft_matches_dense_random():
     k = prior.MaternKernel(nu=1.5, alpha=10.0)
     g = prior.Grid((16, 16))
-    Qd = prior.build_dense_cov(g, k)
+    Qd = build_dense_cov(g, k)
     x = np.random.default_rng(0).standard_normal(256)
     ref = Qd @ x
     got = prior.CovarianceOperator(g, k).apply(x)
@@ -141,7 +136,7 @@ def test_fft_backend_symmetric_and_psd():
 def test_fft_backend_1d():
     k = prior.MaternKernel(nu=0.5, alpha=4.0)
     g = prior.Grid((25,))
-    Qd = prior.build_dense_cov(g, k)
+    Qd = build_dense_cov(g, k)
     x = np.random.default_rng(3).standard_normal(25)
     np.testing.assert_allclose(prior.CovarianceOperator(g, k).apply(x), Qd @ x, rtol=1e-12, atol=1e-13)
 
@@ -157,7 +152,7 @@ def test_fft_padded_embedding_matches_dense(shape):
     assert all(next_fast_len(2 * n - 1, real=True) > 2 * n - 1 for n in shape)
     k = prior.MaternKernel(nu=1.5, alpha=2.0)  # long correlation: every offset counts
     g = prior.Grid(shape)
-    Qd = prior.build_dense_cov(g, k)
+    Qd = build_dense_cov(g, k)
     x = np.random.default_rng(4).standard_normal(g.npoints)
     ref = Qd @ x
     got = prior.CovarianceOperator(g, k).apply(x)

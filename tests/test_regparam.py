@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igenkrylov import prior, regparam, solve
+from igenkrylov import bidiag, config, harness, prior, regparam, solve
 from igenkrylov.config import RegConfig
 from igenkrylov.errors import ConfigError
 
@@ -133,6 +133,26 @@ def test_dp_bisection_matches_dense_oracle():
     assert abs(np.log10(lam) - np.log10(lam_grid)) <= 2e-3
 
 
+def test_dp_residual_evaluations_per_iteration(monkeypatch):
+    """The secant root finder needs at most six closed-form residuals per iteration."""
+    cfg = config.config_from_dict(
+        {"mode": "gengk", "geometry": {"n": 16}, "inexactness": {"mode": "none"},
+         "reg": {"rule": "dp"}, "max_iter": 20, "seed": 1234}
+    )
+    evals = []
+    residual_norm2 = solve.ProjectedProblem.residual_norm2
+
+    def counted(prob, filt):
+        evals.append(1)
+        return residual_norm2(prob, filt)
+
+    monkeypatch.setattr(solve.ProjectedProblem, "residual_norm2", counted)
+    rec = harness.run_reconstruction(cfg, harness.build_problem(cfg))
+    assert rec.iterations == 20
+    assert sum(lam > 0.0 for lam in rec.lambdas) >= 10  # mostly interior roots
+    assert len(evals) <= 6 * rec.iterations
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_dp_residual_monotone(seed):
@@ -171,6 +191,19 @@ def test_optimal_noiseless_prefers_floor():
     assert f_sel <= f0 + 1e-10
 
 
+def test_optimal_floor_resolved_when_truth_in_range():
+    """s_true = Z y(0): the error vanishes at lambda -> 0 and must not drown in rounding."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 9))
+        prob = make_prob(rng.standard_normal((k + 1, k)), 1.0)
+        Z = rng.standard_normal((12, k))
+        pm = prior.identity_prior(12)
+        s_true = solve.recover_solution(pm, Z, solve.projected_tikhonov(prob, 0.0).y)
+        lam, _ = regparam.select_lambda_optimal(prob, Z, pm, s_true)
+        assert lam <= 1e-6 * prob.sigma_max, seed
+
+
 def test_optimal_requires_truth():
     prob = scalar_toy()
     with pytest.raises(ConfigError):
@@ -192,6 +225,62 @@ def test_optimal_beats_every_grid_point():
     fsel = f(lam)
     for la in regparam._lambda_grid(prob):
         assert fsel <= f(la) * (1 + 1e-12)
+
+
+def shifted_prior(n, rng):
+    return prior.PriorModel(mu=rng.standard_normal(n), Q=prior.IdentityCovariance(n))
+
+
+def test_gram_oracle_error_matches_explicit_error():
+    rng = np.random.default_rng(20)
+    prob = make_prob(rng.standard_normal((9, 8)), 1.6)
+    Z = rng.standard_normal((40, 8))
+    pm = shifted_prior(40, rng)
+    s_true = rng.standard_normal(40)
+    gram = regparam.OracleGram(pm, s_true)
+    gram.update(Z)
+    error = gram.objective(prob)
+    for lam in regparam._lambda_grid(prob):
+        y = solve.projected_tikhonov(prob, lam).y
+        explicit = np.linalg.norm(solve.recover_solution(pm, Z, y) - s_true) ** 2
+        assert error(lam) == pytest.approx(explicit, rel=1e-10)
+
+
+def test_grid_objectives_match_scalar_evaluations():
+    rng = np.random.default_rng(21)
+    prob = make_prob(rng.standard_normal((8, 7)), 1.2)
+    grid = regparam._lambda_grid(prob)
+    pm = shifted_prior(30, rng)
+    gram = regparam.OracleGram(pm, rng.standard_normal(30))
+    gram.update(rng.standard_normal((30, 7)))
+    error = gram.objective(prob)
+    np.testing.assert_allclose(error(grid), [error(lam) for lam in grid], rtol=1e-12)
+    for omega in (1.0, 0.4):
+        wgcv = regparam._wgcv_objective(prob, omega)(grid)
+        scalar = [regparam.wgcv_value(prob, lam, omega) for lam in grid]
+        np.testing.assert_allclose(wgcv, scalar, rtol=1e-12)
+    with pytest.raises(TypeError):
+        regparam.wgcv_value(prob, grid, 1.0)
+
+
+def test_incremental_gram_selects_from_scratch_lambda():
+    """Across a real igengk run whose Z buffer grows past its first capacity."""
+    cfg = config.config_from_dict(
+        {"mode": "igengk", "geometry": {"n": 16}, "reg": {"rule": "optimal"}, "seed": 3}
+    )
+    problem = harness.build_problem(cfg)
+    args = (problem.A, harness.inexactness_for(cfg), problem.prior, problem.noise)
+    state = bidiag.igenGK_init(*args, problem.b)
+    choose = regparam.RegRule(kind="optimal").chooser(problem.prior, problem.s_true)
+    iterations = 2 * bidiag.INITIAL_CAPACITY
+    for _ in range(iterations):
+        bidiag.igenGK_step(state, *args)
+        prob = solve.ProjectedProblem(M=state.M, beta1=state.beta1)
+        Zk = state.Z[:, : state.k]
+        lam, _ = choose(prob, Zk)
+        scratch, _ = regparam.select_lambda_optimal(prob, Zk, problem.prior, problem.s_true)
+        assert lam == pytest.approx(scratch, rel=1e-8)
+    assert state.k == iterations
 
 
 def test_wgcv_omega_one_is_gcv():

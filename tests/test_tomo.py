@@ -1,9 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from igenkrylov import harness, linop, tomo
+from igenkrylov import harness, linop, prior, regparam, solve, tomo
 from igenkrylov.config import ExperimentConfig, InexactConfig
 from igenkrylov.errors import ConfigError, DegenerateInputError, InvalidParameterError
 
@@ -220,6 +222,32 @@ def test_jittered_operator_deterministic(small_ct):
     np.testing.assert_array_equal(op1.apply(x), op2.apply(x))
     op_other = op.perturbed_variant(model, 4)
     assert np.any(op_other.apply(x) != op1.apply(x))
+
+
+def test_caches_keep_two_jittered_matrices(small_ct, monkeypatch):
+    geom, op = small_ct
+    matrices = []
+    init = tomo.RadonOperator.__init__
+
+    def recording_init(self, g):
+        init(self, g)
+        if g != geom:
+            matrices.append(weakref.ref(self._mat))
+
+    monkeypatch.setattr(tomo.RadonOperator, "__init__", recording_init)
+    tomo.system_matrix.cache_clear()
+    tomo._jittered_operator.cache_clear()
+    model = angle_model(1e-1, 1e-3, max_iter=20, seed=5)
+    cfg = solve.SolveConfig(max_iter=20, reg=regparam.RegRule(kind="none"))
+    rec = solve.run_iterative_solve(
+        op, model, prior.identity_prior(geom.ncols),
+        prior.NoiseModel(sigma=1.0, dimension=geom.nrows), op.apply(tomo.make_phantom(16)), cfg,
+    )
+    assert rec.iterations == 20
+    del rec
+    gc.collect()
+    assert len(matrices) == 21  # iteration k's operator serves steps k - 1 and k
+    assert sum(ref() is not None for ref in matrices) <= 2
 
 
 def power_iteration_norm(apply_fn, apply_t_fn, n, iters=10, seed=0):
