@@ -146,7 +146,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     is still solvable; a BreakdownSignal is raised either way.
     """
     if state.terminated:
-        raise BreakdownSignal("state is terminal", where="u")
+        raise BreakdownSignal("state is terminal")
     i = state.k + 1
     tol = BREAKDOWN_RTOL * state.beta1
 
@@ -158,7 +158,7 @@ def igenGK_step(state, A, inexact, prior, noise):
         # Terminal commit: M becomes i-by-i, relations hold with U_i exactly.
         state.M = np.column_stack([state.M, mcol])
         state.terminated = True
-        raise BreakdownSignal("U-side normalization vanished", where="u")
+        raise BreakdownSignal("U-side normalization vanished")
     Mnew = np.zeros((i + 1, i))
     Mnew[:i, : i - 1] = state.M
     Mnew[:i, i - 1] = mcol
@@ -174,7 +174,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     state.M = Mnew
     if norm_v <= tol:
         state.terminated = True
-        raise BreakdownSignal("V-side normalization vanished", where="v")
+        raise BreakdownSignal("V-side normalization vanished")
     Cnew = np.zeros((i + 1, i + 1))
     Cnew[:i, :i] = state.C
     Cnew[:i, i] = lrow
@@ -207,14 +207,6 @@ class RelationReport:
     err_forward: float
     err_Vorth: float
     err_Uorth: float
-
-    def as_dict(self):
-        return {
-            "err_adjoint": self.err_adjoint,
-            "err_forward": self.err_forward,
-            "err_Vorth": self.err_Vorth,
-            "err_Uorth": self.err_Uorth,
-        }
 
 
 def relation_diagnostics(state, exact_op, prior, noise):

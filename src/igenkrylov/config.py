@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .linop import MODES as INEXACT_MODES
-from .regparam import check_rule_fields
+from .regparam import RegConfig
 
 SCHEMA_VERSION = 1
 
@@ -60,18 +60,6 @@ class InexactConfig:
 
 
 @dataclass
-class RegConfig:
-    rule: str = "none"
-    lambda_fixed: float = None
-    nu_dp: float = 1.0
-    omega: float = 1.0
-    omega_mode: str = "fixed"
-
-    def validate(self):
-        check_rule_fields(self.rule, self.lambda_fixed, self.nu_dp, self.omega, self.omega_mode)
-
-
-@dataclass
 class ExperimentConfig:
     experiment: str = "reconstruct"
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
@@ -114,7 +102,6 @@ class ExperimentConfig:
         self.geometry.validate()
         self.prior.validate()
         self.inexactness.validate()
-        self.reg.validate()
         return self
 
     def to_dict(self):

@@ -39,7 +39,3 @@ class BreakdownSignal(Exception):
     This is a control-flow signal, not an error: the decomposition state is
     still consistent and the driver may solve with the columns built so far.
     """
-
-    def __init__(self, message, where=""):
-        super().__init__(message)
-        self.where = where

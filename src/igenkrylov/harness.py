@@ -21,7 +21,7 @@ from . import bidiag, solve, tomo
 from .errors import ConfigError
 from .linop import EXACT, InexactnessModel
 from .prior import CovarianceOperator, Grid, MaternKernel, NoiseModel, PriorModel, identity_prior
-from .regparam import SELECTING_RULES, RegRule
+from .regparam import SELECTING_RULES
 
 ORTH_GATE = 1e-10
 RATIO_GATE = 0.10
@@ -73,7 +73,6 @@ class CTProblem:
     prior: PriorModel
     noise: NoiseModel
     s_true: np.ndarray
-    d: np.ndarray
     b: np.ndarray
     noise_norm: float
 
@@ -98,8 +97,8 @@ def build_problem(cfg):
     else:
         prior_model = identity_prior(geom.ncols)
     noise = NoiseModel(sigma=cfg.noise_sigma, dimension=geom.nrows)
-    b = d - A.apply(prior_model.mu) if np.any(prior_model.mu) else d
-    return CTProblem(geom, A, prior_model, noise, s_true, d, b, noise_norm)
+    # Both priors have mean zero, so the right-hand side d - A mu is d.
+    return CTProblem(geom, A, prior_model, noise, s_true, d, noise_norm)
 
 
 def inexactness_for(cfg, beta=None, angles=None):
@@ -138,13 +137,14 @@ def inexactness_for(cfg, beta=None, angles=None):
 
 
 def run_reconstruction(cfg, problem, inexact=None, rule=None):
+    """One solve of ``problem`` under ``cfg``; ``rule`` (a RegConfig) defaults to ``cfg.reg``."""
     if inexact is None:
         inexact = inexactness_for(cfg)
     if rule is None:
-        rule = RegRule.from_config(cfg.reg, problem.weighted_noise_norm)
-    sc = solve.SolveConfig(max_iter=cfg.max_iter, reg=rule, s_true=problem.s_true)
+        rule = cfg.reg
     return solve.run_iterative_solve(
-        problem.A, inexact, problem.prior, problem.noise, problem.b, sc
+        problem.A, inexact, problem.prior, problem.noise, problem.b, cfg.max_iter, rule,
+        noise_norm=problem.weighted_noise_norm, s_true=problem.s_true,
     )
 
 
@@ -177,6 +177,8 @@ def _outdir(cfg):
 def cmd_verify_relations(cfg):
     """Factorization-relation residuals per beta, with linear-scaling gates."""
     cfg.validate()
+    if not cfg.betas:
+        raise ConfigError("verify-relations needs at least one betas entry")
     out = _outdir(cfg)
     problem = build_problem(cfg)
 
@@ -249,10 +251,7 @@ def cmd_compare_reg(cfg):
     inexact = inexactness_for(cfg)
     out = _outdir(cfg)
     problem = build_problem(cfg)
-    rules = {
-        name: RegRule.from_config(replace(cfg.reg, rule=name), problem.weighted_noise_norm)
-        for name in SELECTING_RULES
-    }
+    rules = {name: replace(cfg.reg, rule=name) for name in SELECTING_RULES}
 
     def one_rule(item):
         name, rule = item

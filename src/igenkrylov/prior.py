@@ -86,21 +86,6 @@ class Grid:
     def npoints(self):
         return int(np.prod(self.shape))
 
-    @property
-    def spacing(self):
-        return tuple(1.0 / s for s in self.shape)
-
-    def points(self):
-        """Coordinates of all grid points in vectorization order, shape (n, d)."""
-        if len(self.shape) == 1:
-            (n,) = self.shape
-            return ((np.arange(n) + 0.5) / n)[:, None]
-        n1, n2 = self.shape
-        rows = (np.arange(n1) + 0.5) / n1
-        cols = (np.arange(n2) + 0.5) / n2
-        cc, rr = np.meshgrid(cols, rows)  # rr varies fastest down columns
-        return np.column_stack([rr.ravel(order="F"), cc.ravel(order="F")])
-
 
 def _fast_len(target):
     """Smallest 2^a 3^b 5^c >= target, a length the FFT transforms fast.
@@ -199,10 +184,6 @@ class NoiseModel:
             raise InvalidParameterError("sigma must be positive")
         if self.dimension < 1:
             raise InvalidParameterError("dimension must be positive")
-
-    @property
-    def is_identity(self):
-        return self.sigma == 1.0
 
     def apply_rinv(self, x):
         x = np.asarray(x, dtype=float)

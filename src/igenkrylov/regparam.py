@@ -16,9 +16,9 @@ touches an n-vector:
 - the discrepancy principle brackets its root on the same grid and refines
   it by a safeguarded secant step in log lambda.
 
-This module is the one home of the rule names, their field checks and the
-per-iteration dispatch (``RegRule.chooser``); configuration, CLI and harness
-read them from here.
+This module is the one home of the rule names and of ``RegConfig``, the rule
+object from the configuration's ``reg`` section to the per-iteration dispatch
+(``RegConfig.chooser``); configuration, CLI and harness read them from here.
 """
 
 import logging
@@ -48,84 +48,67 @@ REFINE_RELWIDTH = 1e-4
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def check_rule_fields(rule, lambda_fixed, nu_dp, omega, omega_mode):
-    """Field checks shared by ``config.RegConfig`` and ``RegRule``."""
-    if rule not in RULES:
-        raise ConfigError(f"unknown regularization rule {rule!r}")
-    if rule == "fixed" and lambda_fixed is None:
-        raise ConfigError("rule 'fixed' requires lambda_fixed")
-    if nu_dp <= 0:
-        raise ConfigError("nu_dp must be positive")
-    _check_omega(omega)
-    if omega_mode not in OMEGA_MODES:
-        raise ConfigError(f"unknown omega_mode {omega_mode!r}")
-
-
 def _check_omega(omega):
     if not 0.0 < omega <= 1.0:
         raise ConfigError("omega must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
-class RegRule:
-    """Which rule selects lambda, plus the rule's inputs.
+class RegConfig:
+    """The lambda rule of a run: the ``reg`` section of the configuration.
 
-    dp requires ``noise_norm`` (the norm of the data noise in the residual's
-    metric); fixed requires ``lambda_fixed``; wgcv takes a weight omega in
-    (0, 1] either fixed or adapted along the iteration.
+    fixed requires ``lambda_fixed``; dp matches the residual to ``nu_dp``
+    times the noise norm that ``chooser`` is given; wgcv takes a weight omega
+    in (0, 1] either fixed or adapted along the iteration. The fields are
+    checked once, on construction.
     """
 
-    kind: str = "none"
+    rule: str = "none"
     lambda_fixed: float = None
     nu_dp: float = 1.0
-    noise_norm: float = None
     omega: float = 1.0
     omega_mode: str = "fixed"
 
     def __post_init__(self):
-        check_rule_fields(self.kind, self.lambda_fixed, self.nu_dp, self.omega, self.omega_mode)
-        if self.kind == "dp" and self.noise_norm is None:
-            raise ConfigError("rule 'dp' requires noise_norm")
+        if self.rule not in RULES:
+            raise ConfigError(f"unknown regularization rule {self.rule!r}")
+        if self.rule == "fixed" and self.lambda_fixed is None:
+            raise ConfigError("rule 'fixed' requires lambda_fixed")
+        if self.nu_dp <= 0:
+            raise ConfigError("nu_dp must be positive")
+        _check_omega(self.omega)
+        if self.omega_mode not in OMEGA_MODES:
+            raise ConfigError(f"unknown omega_mode {self.omega_mode!r}")
 
-    @classmethod
-    def from_config(cls, reg, noise_norm):
-        """Rule for a ``config.RegConfig``; ``noise_norm`` is in the residual's metric."""
-        return cls(
-            kind=reg.rule,
-            lambda_fixed=reg.lambda_fixed,
-            nu_dp=reg.nu_dp,
-            noise_norm=noise_norm,
-            omega=reg.omega,
-            omega_mode=reg.omega_mode,
-        )
+    def chooser(self, prior, noise_norm=None, s_true=None):
+        """Per-solve selection: ``choose(prob, Z) -> lambda``, Z = Q V_k.
 
-    def chooser(self, prior, s_true=None):
-        """Per-solve selection: ``choose(prob, Z) -> (lambda, omega)``, Z = Q V_k.
-
-        ``omega`` is the WGCV weight used, None under the other rules. The
+        ``noise_norm`` is the norm of the data noise in the residual's metric,
+        required by dp; ``s_true`` is required by the oracle rule. The
         chooser carries the state of one solve: in adaptive WGCV mode the
         ``suggest_omega`` values so far (omega is their mean), under the
         oracle rule the ``OracleGram`` of the growing Z. The selectors are
         looked up in this module at call time.
         """
+        if self.rule == "dp" and noise_norm is None:
+            raise ConfigError("rule 'dp' requires noise_norm")
         suggestions = []
-        gram = OracleGram(prior, s_true) if self.kind == "optimal" else None
+        gram = OracleGram(prior, s_true) if self.rule == "optimal" else None
 
         def choose(prob, Z):
-            if self.kind == "none":
-                return 0.0, None
-            if self.kind == "fixed":
-                return float(self.lambda_fixed), None
-            if self.kind == "optimal":
-                return select_lambda_optimal(prob, Z, prior, s_true, gram=gram)[0], None
-            if self.kind == "dp":
-                return select_lambda_dp(prob, self)[0], None
-            om = self.omega
+            if self.rule == "none":
+                return 0.0
+            if self.rule == "fixed":
+                return float(self.lambda_fixed)
+            if self.rule == "optimal":
+                return select_lambda_optimal(prob, Z, prior, s_true, gram=gram)[0]
+            if self.rule == "dp":
+                return select_lambda_dp(prob, self.nu_dp * noise_norm)[0]
+            omega = self.omega
             if self.omega_mode == "adaptive":
                 suggestions.append(suggest_omega(prob))
-                om = float(np.mean(suggestions))
-            lam, _, om = select_lambda_wgcv(prob, self, omega=om)
-            return lam, om
+                omega = float(np.mean(suggestions))
+            return select_lambda_wgcv(prob, omega)[0]
 
         return choose
 
@@ -255,8 +238,10 @@ def select_lambda_optimal(prob, Z, prior, s_true, gram=None):
     return lam, projected_tikhonov(prob, lam).y
 
 
-def select_lambda_dp(prob, rule):
-    """Discrepancy principle: residual norm matches nu_dp times the noise norm.
+def select_lambda_dp(prob, target):
+    """Discrepancy principle: the projected residual norm matches ``target``.
+
+    ``target`` is nu_dp times the noise norm in the residual's metric.
 
     The projected residual is nondecreasing in lambda and is evaluated in
     closed form from the filter factors. The root is bracketed between two
@@ -267,9 +252,7 @@ def select_lambda_dp(prob, rule):
     cannot reach the target, the top is returned. Both saturations are
     logged.
     """
-    if rule.noise_norm is None:
-        raise ConfigError("dp rule requires noise_norm")
-    lam = _dp_lambda(prob, rule.nu_dp * rule.noise_norm)
+    lam = _dp_lambda(prob, target)
     return lam, projected_tikhonov(prob, lam).y
 
 
@@ -340,12 +323,12 @@ def wgcv_value(prob, lam, omega):
     return float(_wgcv_objective(prob, omega)(lam))
 
 
-def select_lambda_wgcv(prob, rule, omega=None):
-    """Minimize the weighted GCV functional over the lambda grid."""
-    om = rule.omega if omega is None else float(omega)
-    _check_omega(om)
-    lam = _grid_then_refine(prob, _wgcv_objective(prob, om))
-    return lam, projected_tikhonov(prob, lam).y, om
+def select_lambda_wgcv(prob, omega):
+    """Minimize the weighted GCV functional with weight ``omega`` over the lambda grid."""
+    omega = float(omega)
+    _check_omega(omega)
+    lam = _grid_then_refine(prob, _wgcv_objective(prob, omega))
+    return lam, projected_tikhonov(prob, lam).y
 
 
 def suggest_omega(prob):

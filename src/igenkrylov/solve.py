@@ -6,6 +6,10 @@ through the SVD of M and its filter factors
 phi_i = sigma_i^2 / (sigma_i^2 + lambda^2). The solution in original
 coordinates is mu + Q (V y) = mu + Z y, with Z = Q V kept by the
 decomposition, so recovering it applies no covariance product.
+
+The outer driver ``run_iterative_solve`` takes the lambda rule as a
+``regparam.RegConfig`` and asks the rule's chooser for lambda at every
+iteration.
 """
 
 import time
@@ -137,19 +141,6 @@ def recover_solution(prior, Z, y):
 
 
 @dataclass
-class SolveConfig:
-    """Outer-iteration options: length, regularization rule, error tracking."""
-
-    max_iter: int
-    reg: object  # regparam.RegRule: chooser(prior, s_true) -> per-iteration (lambda, omega)
-    s_true: np.ndarray = None
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise DimensionError("max_iter must be at least 1")
-
-
-@dataclass
 class ReconRecord:
     """Per-iteration history of an iterative reconstruction."""
 
@@ -160,7 +151,6 @@ class ReconRecord:
     solution: np.ndarray
     stop_reason: str
     timings: dict
-    omegas: list = field(default_factory=list)
 
     @property
     def final_relerr(self):
@@ -177,18 +167,23 @@ class ReconRecord:
         return int(np.argmin(self.relerr)) + 1
 
 
-def run_iterative_solve(A, inexact, prior, noise, b, config):
-    """Drive the decomposition, selecting lambda each iteration per the rule.
+def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=None, s_true=None):
+    """Run ``max_iter`` iterations of the decomposition, selecting lambda each iteration.
 
-    Records the relative error against the true solution (when given), the
-    selected lambda, and the projected residual at every iteration, and keeps
-    the final iterate. Breakdown of the recurrence is a normal early stop.
+    ``rule`` is a ``regparam.RegConfig``; ``noise_norm`` (the noise norm in
+    the residual's metric) is required by its dp rule and ``s_true`` by its
+    oracle rule. Records the relative error against ``s_true`` (when given),
+    the selected lambda, and the projected residual at every iteration, and
+    keeps the final iterate. Breakdown of the recurrence is a normal early
+    stop.
     """
-    s_true = None if config.s_true is None else np.asarray(config.s_true, dtype=float)
+    if max_iter < 1:
+        raise DimensionError("max_iter must be at least 1")
+    s_true = None if s_true is None else np.asarray(s_true, dtype=float)
     s_true_norm = float(np.linalg.norm(s_true)) if s_true is not None else 0.0
 
     timings = {"decomposition_s": 0.0, "param_selection_s": 0.0, "projected_solve_s": 0.0}
-    relerr, lambdas, residuals, omegas = [], [], [], []
+    relerr, lambdas, residuals = [], [], []
     stop_reason = "max_iter"
     solution = prior.mu.copy()
 
@@ -196,8 +191,8 @@ def run_iterative_solve(A, inexact, prior, noise, b, config):
     state = bidiag.igenGK_init(A, inexact, prior, noise, b)
     timings["decomposition_s"] += time.perf_counter() - t0
 
-    choose = config.reg.chooser(prior, s_true)
-    for it in range(1, config.max_iter + 1):
+    choose = rule.chooser(prior, noise_norm, s_true)
+    for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
         try:
             bidiag.igenGK_step(state, A, inexact, prior, noise)
@@ -213,9 +208,7 @@ def run_iterative_solve(A, inexact, prior, noise, b, config):
         Zk = state.Z[:, : state.M.shape[1]]
 
         t0 = time.perf_counter()
-        lam, omega = choose(prob, Zk)
-        if omega is not None:
-            omegas.append(omega)
+        lam = choose(prob, Zk)
         timings["param_selection_s"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -238,5 +231,4 @@ def run_iterative_solve(A, inexact, prior, noise, b, config):
         solution=solution,
         stop_reason=stop_reason,
         timings=timings,
-        omegas=omegas,
     )

@@ -274,11 +274,6 @@ def image_to_grid(vec, n):
     return vec.reshape((n, n)).T
 
 
-def grid_to_image(arr):
-    """(row=iy, col=ix) array back to the column-major vector."""
-    return np.asarray(arr).T.reshape(-1)
-
-
 def synthesize_observation(geom, s_true, noise_level, seed):
     """Noisy sinogram with the noise norm scaled exactly to the target level."""
     if noise_level < 0:

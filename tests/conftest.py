@@ -17,12 +17,24 @@ class CapacityError(IgenKrylovError):
     """Requested dense computation exceeds the configured size limit."""
 
 
+def grid_points(grid):
+    """Cell centers of a ``prior.Grid`` in vectorization order, shape (n, d)."""
+    if len(grid.shape) == 1:
+        (n,) = grid.shape
+        return ((np.arange(n) + 0.5) / n)[:, None]
+    n1, n2 = grid.shape
+    rows = (np.arange(n1) + 0.5) / n1
+    cols = (np.arange(n2) + 0.5) / n2
+    cc, rr = np.meshgrid(cols, rows)  # rr varies fastest down columns
+    return np.column_stack([rr.ravel(order="F"), cc.ravel(order="F")])
+
+
 def build_dense_cov(grid, kernel, dense_limit=DENSE_LIMIT):
     """Dense covariance matrix Q_ij = kernel(|x_i - x_j|), the reference for the FFT backend."""
     n = grid.npoints
     if n > dense_limit:
         raise CapacityError(f"{n} grid points exceed dense limit {dense_limit}")
-    pts = grid.points()
+    pts = grid_points(grid)
     diff = pts[:, None, :] - pts[None, :, :]
     r = np.sqrt(np.sum(diff * diff, axis=-1))
     return kernel(r)
@@ -69,6 +81,11 @@ class IdentityOperator(linop.LinearOperator):
         return y.copy()
 
 
+def grid_to_image(arr):
+    """(row=iy, col=ix) array back to the column-major vector; inverse of tomo.image_to_grid."""
+    return np.asarray(arr).T.reshape(-1)
+
+
 def read_pgm(path):
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -79,7 +96,7 @@ def read_pgm(path):
         maxval = int(fh.readline())
         raw = fh.read(width * height * 2)
     arr = np.frombuffer(raw, dtype=">u2").reshape((height, width)).astype(float) / maxval
-    return tomo.grid_to_image(arr), width
+    return grid_to_image(arr), width
 
 
 _REF_PARALLEL_EPS = 1e-12

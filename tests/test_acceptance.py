@@ -14,7 +14,7 @@ import pytest
 
 from igenkrylov import bidiag, harness, linop, prior, regparam, solve, tomo
 from igenkrylov.config import ExperimentConfig
-from igenkrylov.regparam import RegRule
+from igenkrylov.regparam import RegConfig
 
 from conftest import (
     ComposedOperator,
@@ -61,9 +61,10 @@ def desk():
 def desk_unregularized(desk):
     geom, A, pm, nm, s_true, d, _ = desk
     model = linop.InexactnessModel(mode="gaussian-entry", beta=DESK_BETA, seed=DESK_SEED)
-    cfg = solve.SolveConfig(max_iter=DESK_ITERS, reg=RegRule(kind="none"), s_true=s_true)
     t0 = time.perf_counter()
-    record = solve.run_iterative_solve(A, model, pm, nm, d, cfg)
+    record = solve.run_iterative_solve(
+        A, model, pm, nm, d, DESK_ITERS, RegConfig(rule="none"), s_true=s_true
+    )
     return record, time.perf_counter() - t0
 
 
@@ -145,9 +146,8 @@ def test_criterion_03_dense_oracle_equivalence():
     nm = prior.NoiseModel(sigma=sigma, dimension=20)
     worst = 0.0
     for lam in (0.0, 0.1, 1.0):
-        rule = RegRule(kind="none") if lam == 0.0 else RegRule(kind="fixed", lambda_fixed=lam)
-        cfg = solve.SolveConfig(max_iter=15, reg=rule)
-        rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, cfg)
+        rule = RegConfig(rule="none") if lam == 0.0 else RegConfig(rule="fixed", lambda_fixed=lam)
+        rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 15, rule)
         s_ref = dense_generalized_tikhonov(Amat, Qm, sigma, b, lam)
         worst = max(worst, np.linalg.norm(rec.solution - s_ref) / np.linalg.norm(s_ref))
     elapsed = time.perf_counter() - t0
@@ -168,9 +168,10 @@ def test_criterion_05_hybrid_stabilization(desk, desk_unregularized):
     geom, A, pm, nm, s_true, d, _ = desk
     unreg, _ = desk_unregularized
     model = linop.InexactnessModel(mode="gaussian-entry", beta=DESK_BETA, seed=DESK_SEED)
-    cfg = solve.SolveConfig(max_iter=DESK_ITERS, reg=RegRule(kind="optimal"), s_true=s_true)
     t0 = time.perf_counter()
-    rec = solve.run_iterative_solve(A, model, pm, nm, d, cfg)
+    rec = solve.run_iterative_solve(
+        A, model, pm, nm, d, DESK_ITERS, RegConfig(rule="optimal"), s_true=s_true
+    )
     elapsed = time.perf_counter() - t0
     e = np.array(rec.relerr)
     kstar = int(np.argmin(e))
@@ -192,16 +193,11 @@ def test_criterion_06_dp_near_optimal():
     for seed in (101, 202, 303):
         geom, A, pm, nm, s_true, d, noise_norm = build_desk_problem(seed=seed)
         model = linop.InexactnessModel(mode="gaussian-entry", beta=DESK_BETA, seed=seed)
-        cfg_opt = solve.SolveConfig(
-            max_iter=DESK_ITERS, reg=RegRule(kind="optimal"), s_true=s_true
+        args = (A, model, pm, nm, d, DESK_ITERS)
+        rec_opt = solve.run_iterative_solve(*args, RegConfig(rule="optimal"), s_true=s_true)
+        rec_dp = solve.run_iterative_solve(
+            *args, RegConfig(rule="dp", nu_dp=1.0), noise_norm=noise_norm, s_true=s_true
         )
-        cfg_dp = solve.SolveConfig(
-            max_iter=DESK_ITERS,
-            reg=RegRule(kind="dp", nu_dp=1.0, noise_norm=noise_norm),
-            s_true=s_true,
-        )
-        rec_opt = solve.run_iterative_solve(A, model, pm, nm, d, cfg_opt)
-        rec_dp = solve.run_iterative_solve(A, model, pm, nm, d, cfg_dp)
         gaps.append(abs(rec_dp.final_relerr - rec_opt.final_relerr))
     elapsed = time.perf_counter() - t0
     report(6, max(gaps) <= 0.05, f"per-seed |final_dp - final_opt| = {[f'{g:.4f}' for g in gaps]}", elapsed)
@@ -210,13 +206,19 @@ def test_criterion_06_dp_near_optimal():
 def test_criterion_07_angle_inexactness_ordering(desk):
     geom, A, pm, nm, s_true, d, _ = desk
     t0 = time.perf_counter()
-    cfg = solve.SolveConfig(max_iter=DESK_ITERS, reg=RegRule(kind="optimal"), s_true=s_true)
+    rule = RegConfig(rule="optimal")
+
+    def final(model):
+        return solve.run_iterative_solve(
+            A, model, pm, nm, d, DESK_ITERS, rule, s_true=s_true
+        ).final_relerr
+
     finals = {}
-    finals["exact"] = solve.run_iterative_solve(A, linop.EXACT, pm, nm, d, cfg).final_relerr
+    finals["exact"] = final(linop.EXACT)
     run_cfg = ExperimentConfig(max_iter=DESK_ITERS, seed=DESK_SEED).validate()
     for label, start in (("small", 1e-1), ("large", 1e0)):
         model = harness.inexactness_for(run_cfg, angles=(start, 1e-6))
-        finals[label] = solve.run_iterative_solve(A, model, pm, nm, d, cfg).final_relerr
+        finals[label] = final(model)
     elapsed = time.perf_counter() - t0
     ok = (
         finals["small"] <= finals["exact"] + 0.02
@@ -286,7 +288,7 @@ def test_criterion_09_adjoint_dot_tests(desk):
 def test_criterion_10_regparam_unit_oracles():
     t0 = time.perf_counter()
     prob = solve.ProjectedProblem(M=np.array([[1.0], [0.0]]), beta1=1.0)
-    lam_dp, _ = regparam.select_lambda_dp(prob, RegRule(kind="dp", noise_norm=0.5))
+    lam_dp, _ = regparam.select_lambda_dp(prob, 0.5)
     dp_ok = abs(lam_dp - 1.0) <= 1e-4
 
     rng = np.random.default_rng(13)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -239,9 +241,9 @@ def test_diagnostics_do_not_read_z():
     A = DenseOperator(mat)
     pm, nm = generalized_setting(15, 12, seed=19)
     state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
-    before = bidiag.relation_diagnostics(state, A, pm, nm).as_dict()
+    before = asdict(bidiag.relation_diagnostics(state, A, pm, nm))
     state.Z[:] = 0.0
-    after = bidiag.relation_diagnostics(state, A, pm, nm).as_dict()
+    after = asdict(bidiag.relation_diagnostics(state, A, pm, nm))
     assert after == before
 
 

@@ -35,8 +35,7 @@ BAD_VALUES = (
     {"n": 16},
 )
 
-# verify-relations is left out: it exits 1 by design when a mutated beta fails its gate.
-COMMANDS = ("reconstruct", "compare-reg", "inexact-angles")
+COMMANDS = ("reconstruct", "compare-reg", "inexact-angles", "verify-relations")
 
 DROP = object()
 
@@ -69,4 +68,5 @@ def test_mutated_config_exits_with_documented_code(command, mutations):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(mutate(BASE, mutations)))
         rc = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
-    assert rc in (0, 2, 3)
+    # verify-relations exits 1 by design when a mutated beta fails its gate.
+    assert rc in ((0, 1, 2, 3) if command == "verify-relations" else (0, 2, 3))

@@ -355,6 +355,32 @@ def test_empty_angle_schedules_exit_code(tmp_path, capsys):
     assert cli.main(gk) == 0
 
 
+def test_empty_betas_exit_code(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    config_to_json(tiny_config(tmp_path, betas=()), path)
+    out = tmp_path / "relations"
+    rc = cli.main(["verify-relations", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+def test_compare_reg_histories_equal_reconstruct_histories(tmp_path):
+    base = {"mode": "igengk", "geometry": {"n": 16}, "max_iter": 6, "seed": 5,
+            "reg": {"nu_dp": 1.3, "omega": 0.5}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base))
+    compared = tmp_path / "compare"
+    assert cli.main(["compare-reg", "--config", str(path), "--out", str(compared)]) == 0
+    for rule in ("optimal", "dp", "wgcv"):
+        path = tmp_path / f"cfg_{rule}.json"
+        path.write_text(json.dumps({**base, "reg": {**base["reg"], "rule": rule}}))
+        out = tmp_path / rule
+        assert cli.main(["reconstruct", "--config", str(path), "--out", str(out)]) == 0
+        history = (out / "history.csv").read_bytes()
+        assert (compared / f"history_{rule}.csv").read_bytes() == history
+
+
 def test_negative_seed_is_config_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     config_to_json(tiny_config(tmp_path), path)

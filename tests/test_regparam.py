@@ -31,13 +31,13 @@ def gcv_reference(M, beta1, lam, omega=1.0):
 
 def test_rule_validation():
     with pytest.raises(ConfigError):
-        regparam.RegRule(kind="dp")
+        RegConfig(rule="dp").chooser(prior.identity_prior(3))
     with pytest.raises(ConfigError):
-        regparam.RegRule(kind="fixed")
+        RegConfig(rule="fixed")
     with pytest.raises(ConfigError):
-        regparam.RegRule(kind="wgcv", omega=0.0)
+        RegConfig(rule="wgcv", omega=0.0)
     with pytest.raises(ConfigError):
-        regparam.RegRule(kind="nope")
+        RegConfig(rule="nope")
 
 
 @pytest.mark.parametrize(
@@ -51,11 +51,9 @@ def test_rule_validation():
     ],
 )
 def test_config_and_rule_share_checks(fields):
+    assert RegConfig is regparam.RegConfig
     with pytest.raises(ConfigError):
-        RegConfig(**fields).validate()
-    rule_fields = {k: v for k, v in fields.items() if k != "rule"}
-    with pytest.raises(ConfigError):
-        regparam.RegRule(kind=fields["rule"], noise_norm=1.0, **rule_fields)
+        RegConfig(**fields)
 
 
 @pytest.mark.parametrize("kind", regparam.RULES)
@@ -63,23 +61,21 @@ def test_every_rule_name_dispatches(kind):
     rng = np.random.default_rng(10)
     prob = make_prob(rng.standard_normal((7, 6)), 1.2)
     V = rng.standard_normal((9, 6))
-    rule = regparam.RegRule(kind=kind, lambda_fixed=0.3, noise_norm=0.4)
-    choose = rule.chooser(prior.identity_prior(9), rng.standard_normal(9))
-    lam, omega = choose(prob, V)
+    rule = RegConfig(rule=kind, lambda_fixed=0.3)
+    choose = rule.chooser(prior.identity_prior(9), 0.4, rng.standard_normal(9))
+    lam = choose(prob, V)
     assert np.isfinite(lam) and lam >= 0.0
-    assert (omega is not None) == (kind == "wgcv")
 
 
 def test_adaptive_wgcv_averages_suggestions():
     rng = np.random.default_rng(11)
     probs = [make_prob(rng.standard_normal((k + 1, k)), 1.0) for k in (3, 4, 5)]
-    rule = regparam.RegRule(kind="wgcv", omega_mode="adaptive")
+    rule = RegConfig(rule="wgcv", omega_mode="adaptive")
     choose = rule.chooser(prior.identity_prior(5))
     for i, prob in enumerate(probs):
-        lam, omega = choose(prob, None)
+        lam = choose(prob, None)
         expected = float(np.mean([regparam.suggest_omega(p) for p in probs[: i + 1]]))
-        assert omega == expected
-        assert lam == regparam.select_lambda_wgcv(prob, rule, omega=expected)[0]
+        assert lam == regparam.select_lambda_wgcv(prob, expected)[0]
 
 
 def test_dp_closed_form_residual_matches_explicit():
@@ -93,15 +89,13 @@ def test_dp_closed_form_residual_matches_explicit():
 
 
 def test_dp_closed_form_root():
-    rule = regparam.RegRule(kind="dp", noise_norm=0.5)
-    lam, y = regparam.select_lambda_dp(scalar_toy(), rule)
+    lam, y = regparam.select_lambda_dp(scalar_toy(), 0.5)
     assert lam == pytest.approx(1.0, abs=1e-4)
     assert y[0] == pytest.approx(0.5, abs=1e-4)
 
 
 def test_dp_zero_target_consistent_system():
-    rule = regparam.RegRule(kind="dp", noise_norm=0.0)
-    lam, y = regparam.select_lambda_dp(scalar_toy(), rule)
+    lam, y = regparam.select_lambda_dp(scalar_toy(), 0.0)
     prob = scalar_toy()
     assert lam <= regparam.GRID_FLOOR_RTOL * prob.sigma_max
     assert solve.projected_tikhonov(prob, lam).projected_residual_norm <= 1e-6
@@ -110,11 +104,9 @@ def test_dp_zero_target_consistent_system():
 def test_dp_saturations():
     prob = make_prob([[1.0], [0.7]], 1.0)  # residual(0) = 0.7/norm... nonzero floor
     floor = solve.projected_tikhonov(prob, 0.0).projected_residual_norm
-    rule_lo = regparam.RegRule(kind="dp", noise_norm=floor / 2.0)
-    lam, _ = regparam.select_lambda_dp(prob, rule_lo)
+    lam, _ = regparam.select_lambda_dp(prob, floor / 2.0)
     assert lam == 0.0
-    rule_hi = regparam.RegRule(kind="dp", noise_norm=2.0)  # above ||beta1 e1||
-    lam_hi, _ = regparam.select_lambda_dp(prob, rule_hi)
+    lam_hi, _ = regparam.select_lambda_dp(prob, 2.0)  # above ||beta1 e1||
     assert lam_hi == pytest.approx(regparam.GRID_TOP_FACTOR * prob.sigma_max)
 
 
@@ -123,8 +115,7 @@ def test_dp_bisection_matches_dense_oracle():
     prob = make_prob(rng.standard_normal((9, 6)), 1.4)
     r0 = solve.projected_tikhonov(prob, 0.0).projected_residual_norm
     target = 0.5 * (r0 + prob.beta1)
-    rule = regparam.RegRule(kind="dp", noise_norm=target)
-    lam, _ = regparam.select_lambda_dp(prob, rule)
+    lam, _ = regparam.select_lambda_dp(prob, target)
     resid = solve.projected_tikhonov(prob, lam).projected_residual_norm
     assert abs(resid - target) <= 1e-6 * target
     grid = np.geomspace(1e-10, 1e4, 20000)
@@ -271,13 +262,13 @@ def test_incremental_gram_selects_from_scratch_lambda():
     problem = harness.build_problem(cfg)
     args = (problem.A, harness.inexactness_for(cfg), problem.prior, problem.noise)
     state = bidiag.igenGK_init(*args, problem.b)
-    choose = regparam.RegRule(kind="optimal").chooser(problem.prior, problem.s_true)
+    choose = RegConfig(rule="optimal").chooser(problem.prior, s_true=problem.s_true)
     iterations = 2 * bidiag.INITIAL_CAPACITY
     for _ in range(iterations):
         bidiag.igenGK_step(state, *args)
         prob = solve.ProjectedProblem(M=state.M, beta1=state.beta1)
         Zk = state.Z[:, : state.k]
-        lam, _ = choose(prob, Zk)
+        lam = choose(prob, Zk)
         scratch, _ = regparam.select_lambda_optimal(prob, Zk, problem.prior, problem.s_true)
         assert lam == pytest.approx(scratch, rel=1e-8)
     assert state.k == iterations
@@ -317,9 +308,7 @@ def test_wgcv_selected_matches_brute_force():
     rng = np.random.default_rng(6)
     M = rng.standard_normal((10, 9))
     prob = make_prob(M, 1.0)
-    rule = regparam.RegRule(kind="wgcv", omega=1.0)
-    lam, y, om = regparam.select_lambda_wgcv(prob, rule)
-    assert om == 1.0
+    lam, y = regparam.select_lambda_wgcv(prob, 1.0)
     grid = np.geomspace(regparam.GRID_FLOOR_RTOL * prob.sigma_max,
                         regparam.GRID_TOP_FACTOR * prob.sigma_max, 10**4)
     vals = [regparam.wgcv_value(prob, g, 1.0) for g in grid]
@@ -330,9 +319,8 @@ def test_wgcv_selected_matches_brute_force():
 
 def test_wgcv_rejects_bad_omega():
     prob = scalar_toy()
-    rule = regparam.RegRule(kind="wgcv", omega=1.0)
     with pytest.raises(ConfigError):
-        regparam.select_lambda_wgcv(prob, rule, omega=1.5)
+        regparam.select_lambda_wgcv(prob, 1.5)
 
 
 def test_suggest_omega_in_unit_interval():
@@ -346,10 +334,5 @@ def test_suggest_omega_in_unit_interval():
 def test_rules_are_pure():
     rng = np.random.default_rng(8)
     prob = make_prob(rng.standard_normal((7, 6)), 1.1)
-    rule = regparam.RegRule(kind="dp", noise_norm=0.4)
-    assert regparam.select_lambda_dp(prob, rule)[0] == regparam.select_lambda_dp(prob, rule)[0]
-    rulew = regparam.RegRule(kind="wgcv")
-    assert (
-        regparam.select_lambda_wgcv(prob, rulew)[0]
-        == regparam.select_lambda_wgcv(prob, rulew)[0]
-    )
+    assert regparam.select_lambda_dp(prob, 0.4)[0] == regparam.select_lambda_dp(prob, 0.4)[0]
+    assert regparam.select_lambda_wgcv(prob, 1.0)[0] == regparam.select_lambda_wgcv(prob, 1.0)[0]

@@ -120,8 +120,8 @@ def test_identity_problem_solved_in_one_step():
     A = IdentityOperator(n)
     pm = prior.identity_prior(n)
     nm = prior.NoiseModel(sigma=1.0, dimension=n)
-    cfg = solve.SolveConfig(max_iter=5, reg=regparam.RegRule(kind="none"), s_true=s_true)
-    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, s_true, cfg)
+    none = regparam.RegConfig(rule="none")
+    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, s_true, 5, none, s_true=s_true)
     assert rec.stop_reason == "breakdown"
     assert rec.relerr[0] <= 1e-12
 
@@ -140,18 +140,15 @@ def full_rank_generalized_problem(seed):
 
 def test_full_subspace_matches_dense_oracle():
     Amat, Qm, sigma, b, A, pm, nm = full_rank_generalized_problem(8)
-    cfg = solve.SolveConfig(max_iter=15, reg=regparam.RegRule(kind="none"), s_true=None)
-    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, cfg)
+    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 15, regparam.RegConfig(rule="none"))
     s_ref = dense_generalized_tikhonov(Amat, Qm, sigma, b, 0.0)
     assert np.linalg.norm(rec.solution - s_ref) <= 1e-8 * np.linalg.norm(s_ref)
 
 
 def test_galerkin_residual_consistency():
     Amat, Qm, sigma, b, A, pm, nm = full_rank_generalized_problem(9)
-    cfg = solve.SolveConfig(
-        max_iter=8, reg=regparam.RegRule(kind="fixed", lambda_fixed=0.4), s_true=None
-    )
-    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, cfg)
+    rule = regparam.RegConfig(rule="fixed", lambda_fixed=0.4)
+    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 8, rule)
     x = np.linalg.solve(Qm, rec.solution)  # x with s = Q x (mu = 0); oracle-side inverse
     full_res = Amat @ Qm @ x - b
     weighted = np.linalg.norm(full_res) / sigma
@@ -161,9 +158,9 @@ def test_galerkin_residual_consistency():
 
 def test_driver_is_deterministic():
     Amat, Qm, sigma, b, A, pm, nm = full_rank_generalized_problem(10)
-    cfg = solve.SolveConfig(max_iter=6, reg=regparam.RegRule(kind="none"), s_true=None)
-    r1 = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, cfg)
-    r2 = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, cfg)
+    rule = regparam.RegConfig(rule="none")
+    r1 = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 6, rule)
+    r2 = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 6, rule)
     np.testing.assert_array_equal(r1.solution, r2.solution)
     assert r1.lambdas == r2.lambdas
     assert r1.proj_residual == r2.proj_residual
@@ -173,7 +170,13 @@ def test_degenerate_adjoint_of_rhs_is_input_error():
     # A^T b = 0 with b != 0: no Krylov column exists, so the driver reports bad input
     A = DenseOperator(np.diag([1.0, 0.0]))
     b = np.array([0.0, 1.0])
-    cfg = solve.SolveConfig(max_iter=3, reg=regparam.RegRule(kind="none"))
     with pytest.raises(DegenerateInputError):
         solve.run_iterative_solve(A, linop.EXACT, prior.identity_prior(2),
-                                  prior.NoiseModel(sigma=1.0, dimension=2), b, cfg)
+                                  prior.NoiseModel(sigma=1.0, dimension=2), b, 3,
+                                  regparam.RegConfig(rule="none"))
+
+
+def test_driver_rejects_zero_iterations():
+    _, _, _, b, A, pm, nm = full_rank_generalized_problem(11)
+    with pytest.raises(DimensionError):
+        solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 0, regparam.RegConfig(rule="none"))

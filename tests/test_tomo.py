@@ -9,7 +9,7 @@ from igenkrylov import harness, linop, prior, regparam, solve, tomo
 from igenkrylov.config import ExperimentConfig, InexactConfig
 from igenkrylov.errors import ConfigError, DegenerateInputError, InvalidParameterError
 
-from conftest import dot_test, read_pgm, reference_system_matrix
+from conftest import dot_test, grid_to_image, read_pgm, reference_system_matrix
 
 
 def sampled_line_integral(vec, n, theta_deg, offset, nsamples=200001):
@@ -238,10 +238,10 @@ def test_caches_keep_two_jittered_matrices(small_ct, monkeypatch):
     tomo.system_matrix.cache_clear()
     tomo._jittered_operator.cache_clear()
     model = angle_model(1e-1, 1e-3, max_iter=20, seed=5)
-    cfg = solve.SolveConfig(max_iter=20, reg=regparam.RegRule(kind="none"))
     rec = solve.run_iterative_solve(
         op, model, prior.identity_prior(geom.ncols),
-        prior.NoiseModel(sigma=1.0, dimension=geom.nrows), op.apply(tomo.make_phantom(16)), cfg,
+        prior.NoiseModel(sigma=1.0, dimension=geom.nrows), op.apply(tomo.make_phantom(16)),
+        20, regparam.RegConfig(rule="none"),
     )
     assert rec.iterations == 20
     del rec
@@ -294,4 +294,4 @@ def test_pgm_roundtrip(tmp_path):
 def test_image_vectorization_roundtrip():
     n = 16
     vec = tomo.make_phantom(n)
-    np.testing.assert_array_equal(tomo.grid_to_image(tomo.image_to_grid(vec, n)), vec)
+    np.testing.assert_array_equal(grid_to_image(tomo.image_to_grid(vec, n)), vec)
