@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    igenkrylov <command> [--config FILE] [--preset desk|paper] [options]
+    igenkrylov <command> [--config FILE | --preset desk|paper] [options]
 
 Exit codes: 0 success, 1 an acceptance threshold failed, 2 usage,
 configuration or output error (the output directory cannot be created or
@@ -28,8 +28,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--preset", choices=("desk", "paper"), default=None)
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="JSON configuration file")
+        source.add_argument("--preset", choices=("desk", "paper"), default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--max-iter", type=int, default=None)

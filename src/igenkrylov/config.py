@@ -5,6 +5,7 @@ validates its configuration before doing any work.
 """
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
@@ -15,6 +16,12 @@ SCHEMA_VERSION = 1
 
 EXPERIMENTS = ("verify-relations", "reconstruct", "compare-reg", "inexact-angles")
 SOLVER_MODES = ("gk", "igk", "gengk", "igengk")
+
+
+# JSON's NaN and Infinity, argparse's float("nan") and JSON integers no float
+# can hold all reach validation; each of them fails a comparison with this
+# bound, so every range check below includes it.
+_MAX = sys.float_info.max
 
 
 @dataclass
@@ -32,6 +39,8 @@ class GeometryConfig:
             raise ConfigError("geometry.angle_count must be positive")
         if self.nrays is not None and self.nrays < 1:
             raise ConfigError("geometry.nrays must be positive")
+        if not (abs(self.angle_start) <= _MAX and abs(self.angle_step) <= _MAX):
+            raise ConfigError("geometry.angle_start and geometry.angle_step must be finite")
 
 
 @dataclass
@@ -40,8 +49,8 @@ class PriorConfig:
     ell: float = 0.01
 
     def validate(self):
-        if self.nu <= 0 or self.ell <= 0:
-            raise ConfigError("prior.nu and prior.ell must be positive")
+        if not (0 < self.nu <= _MAX and 0 < self.ell <= _MAX):
+            raise ConfigError("prior.nu and prior.ell must be finite and positive")
 
 
 @dataclass
@@ -53,8 +62,8 @@ class InexactConfig:
     def validate(self):
         if self.mode not in INEXACT_MODES:
             raise ConfigError(f"unknown inexactness mode {self.mode!r}")
-        if self.beta < 0:
-            raise ConfigError("inexactness.beta must be nonnegative")
+        if not 0 <= self.beta <= _MAX:
+            raise ConfigError("inexactness.beta must be finite and nonnegative")
         if self.seed is not None and self.seed < 0:
             raise ConfigError("inexactness.seed must be nonnegative")
 
@@ -85,20 +94,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.mode not in SOLVER_MODES:
             raise ConfigError(f"unknown solver mode {self.mode!r}")
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be nonnegative")
-        if self.noise_sigma <= 0:
-            raise ConfigError("noise_sigma must be positive")
+        if not 0 <= self.noise_level <= _MAX:
+            raise ConfigError("noise_level must be finite and nonnegative")
+        if not 0 < self.noise_sigma <= _MAX:
+            raise ConfigError("noise_sigma must be finite and positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        for b in self.betas:
-            if b < 0:
-                raise ConfigError("betas must be nonnegative")
+        if not all(0 <= b <= _MAX for b in self.betas):
+            raise ConfigError("betas must be finite and nonnegative")
         for sched in self.angle_schedules:
-            if len(sched) != 2 or sched[0] <= 0 or sched[1] <= 0:
-                raise ConfigError("angle_schedules entries must be (start, end) positives")
+            if len(sched) != 2 or not all(0 < a <= _MAX for a in sched):
+                raise ConfigError("angle_schedules entries must be finite positive (start, end)")
         self.geometry.validate()
         self.prior.validate()
         self.inexactness.validate()

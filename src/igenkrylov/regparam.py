@@ -2,10 +2,11 @@
 
 Three rules operate on the small (k+1)-by-k projected least-squares problem:
 an oracle rule minimizing the true reconstruction error, the discrepancy
-principle, and weighted GCV. Each evaluates its objective in the coordinates
-of the projected SVD, through the filter factors of
-``ProjectedProblem.filters``, so one evaluation is k-sized work and never
-touches an n-vector:
+principle, and weighted GCV. Each returns lambda only; the projected solve
+at that lambda is made once, by the solve driver. Each rule evaluates its
+objective in the coordinates of the SVD that ``ProjectedProblem`` takes on
+construction, through the filter factors of ``ProjectedProblem.filters``, so
+one evaluation is k-sized work and never touches an n-vector:
 
 - the oracle error ||mu + Z y - s_true||^2 is dd + 2 c^T y + y^T G y, with
   the k-by-k Gram matrix G = Z^T Z and c = Z^T (mu - s_true) kept by
@@ -23,14 +24,16 @@ object from the configuration's ``reg`` section to the per-iteration dispatch
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-# recover_solution is not called here any more; it stays bound in this module,
-# where the benchmark's tracer wraps it next to projected_tikhonov.
+# Neither is called in this module: a rule returns lambda and the solve driver
+# makes the projected solve. Both stay bound here, where the benchmark's tracer
+# wraps them.
 from .solve import projected_tikhonov, recover_solution  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -46,6 +49,7 @@ GRID_FLOOR_RTOL = 1e-12
 GRID_TOP_FACTOR = 10.0
 REFINE_RELWIDTH = 1e-4
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_FLOAT_MAX = sys.float_info.max  # NaN, the infinities and larger integers fail <= it
 
 
 def _check_omega(omega):
@@ -74,8 +78,10 @@ class RegConfig:
             raise ConfigError(f"unknown regularization rule {self.rule!r}")
         if self.rule == "fixed" and self.lambda_fixed is None:
             raise ConfigError("rule 'fixed' requires lambda_fixed")
-        if self.nu_dp <= 0:
-            raise ConfigError("nu_dp must be positive")
+        if self.lambda_fixed is not None and not 0.0 <= self.lambda_fixed <= _FLOAT_MAX:
+            raise ConfigError("lambda_fixed must be finite and nonnegative")
+        if not 0.0 < self.nu_dp <= _FLOAT_MAX:
+            raise ConfigError("nu_dp must be finite and positive")
         _check_omega(self.omega)
         if self.omega_mode not in OMEGA_MODES:
             raise ConfigError(f"unknown omega_mode {self.omega_mode!r}")
@@ -101,14 +107,14 @@ class RegConfig:
             if self.rule == "fixed":
                 return float(self.lambda_fixed)
             if self.rule == "optimal":
-                return select_lambda_optimal(prob, Z, prior, s_true, gram=gram)[0]
+                return select_lambda_optimal(prob, Z, prior, s_true, gram=gram)
             if self.rule == "dp":
-                return select_lambda_dp(prob, self.nu_dp * noise_norm)[0]
+                return select_lambda_dp(prob, self.nu_dp * noise_norm)
             omega = self.omega
             if self.omega_mode == "adaptive":
                 suggestions.append(suggest_omega(prob))
                 omega = float(np.mean(suggestions))
-            return select_lambda_wgcv(prob, omega)[0]
+            return select_lambda_wgcv(prob, omega)
 
         return choose
 
@@ -163,9 +169,8 @@ class OracleGram:
         """
         if self.c.size != prob.M.shape[1]:
             raise DimensionError("basis and coefficient dimensions disagree")
-        _, bhat, _ = prob.svd_projection
         w, P = np.linalg.eigh(self.G)
-        R = prob.svd[2] @ P
+        R = prob.Vt @ P
         e = P.T @ self.c
         big = w > w.size * np.finfo(float).eps * max(w[-1], 0.0)
         t = np.where(big, -e / np.where(big, w, 1.0), 0.0)
@@ -173,7 +178,7 @@ class OracleGram:
         const = self.dd - float(np.sum(w[big] * t[big] ** 2))
 
         def error(lam):
-            u = (prob.filters(lam).gain * bhat) @ R
+            u = (prob.filters(lam).gain * prob.bhat) @ R
             du = u - t
             return const + (w * du * du + lin * u).sum(axis=-1)
 
@@ -224,7 +229,7 @@ def _grid_then_refine(prob, objective):
 
 
 def select_lambda_optimal(prob, Z, prior, s_true, gram=None):
-    """Oracle rule: minimize the reconstruction error against the true solution.
+    """Oracle rule: the lambda minimizing the reconstruction error against ``s_true``.
 
     ``Z`` = Q V_k. The error is evaluated from the Gram data of Z
     (``OracleGram``), k-sized work per evaluation. A solve passes the
@@ -234,12 +239,11 @@ def select_lambda_optimal(prob, Z, prior, s_true, gram=None):
     if gram is None:
         gram = OracleGram(prior, s_true)
     gram.update(Z)
-    lam = _grid_then_refine(prob, gram.objective(prob))
-    return lam, projected_tikhonov(prob, lam).y
+    return _grid_then_refine(prob, gram.objective(prob))
 
 
 def select_lambda_dp(prob, target):
-    """Discrepancy principle: the projected residual norm matches ``target``.
+    """Discrepancy principle: the lambda at which the projected residual matches ``target``.
 
     ``target`` is nu_dp times the noise norm in the residual's metric.
 
@@ -252,11 +256,7 @@ def select_lambda_dp(prob, target):
     cannot reach the target, the top is returned. Both saturations are
     logged.
     """
-    lam = _dp_lambda(prob, target)
-    return lam, projected_tikhonov(prob, lam).y
 
-
-def _dp_lambda(prob, target):
     def residual(lam):
         return np.sqrt(prob.residual_norm2(prob.filters(lam)))
 
@@ -324,11 +324,10 @@ def wgcv_value(prob, lam, omega):
 
 
 def select_lambda_wgcv(prob, omega):
-    """Minimize the weighted GCV functional with weight ``omega`` over the lambda grid."""
+    """The lambda minimizing the weighted GCV functional with weight ``omega``."""
     omega = float(omega)
     _check_omega(omega)
-    lam = _grid_then_refine(prob, _wgcv_objective(prob, omega))
-    return lam, projected_tikhonov(prob, lam).y
+    return _grid_then_refine(prob, _wgcv_objective(prob, omega))
 
 
 def suggest_omega(prob):
@@ -339,15 +338,14 @@ def suggest_omega(prob):
     form; clamped into (0, 1]. The adaptive WGCV rule averages these
     suggestions along the iteration.
     """
-    s, bhat, _ = prob.svd_projection
-    smin = float(s[-1]) if s.size else 0.0
+    smin = float(prob.s[-1])
     if smin <= 0:
         return 1.0
     lam = smin
     filt = prob.filters(lam)
     num = prob.residual_norm2(filt)
     dpsi = 2.0 * lam * filt.gain * filt.gain  # d(psi_i)/dlambda = -d(phi_i)/dlambda
-    dnum = float(np.sum(2.0 * filt.psi * bhat * bhat * dpsi))
+    dnum = float(np.sum(2.0 * filt.psi * prob.bhat * prob.bhat * dpsi))
     phi_sum = float(np.sum(filt.phi))
     S = float(np.sum(dpsi))  # = -d(phi_sum)/dlambda
     rows = prob.M.shape[0]

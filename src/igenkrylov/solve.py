@@ -8,12 +8,12 @@ coordinates is mu + Q (V y) = mu + Z y, with Z = Q V kept by the
 decomposition, so recovering it applies no covariance product.
 
 The outer driver ``run_iterative_solve`` takes the lambda rule as a
-``regparam.RegConfig`` and asks the rule's chooser for lambda at every
-iteration.
+``regparam.RegConfig``, asks the rule's chooser for lambda at every
+iteration and then makes that iteration's one projected solve.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,43 +37,25 @@ class Filters(NamedTuple):
     gain: np.ndarray
 
 
-@dataclass
 class ProjectedProblem:
-    """Small projected least-squares problem with a cached SVD."""
+    """Small projected least-squares problem min ||M y - beta1 e1||, factored once.
 
-    M: np.ndarray
-    beta1: float
-    _svd: tuple = field(default=None, repr=False, compare=False)
-    _projection: tuple = field(default=None, repr=False, compare=False)
+    The SVD M = U diag(s) Vt is taken on construction; the problem keeps
+    ``s``, ``Vt``, ``bhat`` = U^T beta1 e1, ``tail2`` (the squared part of
+    beta1 e1 outside range(M)) and ``sigma_max``.
+    """
 
-    def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=float)
+    def __init__(self, M, beta1):
+        self.M = np.asarray(M, dtype=float)
+        self.beta1 = beta1
         if self.M.ndim != 2 or self.M.shape[1] < 1:
             raise DimensionError("projected matrix must have at least one column")
         if not np.all(np.isfinite(self.M)):
             raise NumericalError("projected matrix contains non-finite entries")
-
-    @property
-    def svd(self):
-        if self._svd is None:
-            U, s, Vt = np.linalg.svd(self.M, full_matrices=False)
-            self._svd = (U, s, Vt)
-        return self._svd
-
-    @property
-    def sigma_max(self):
-        s = self.svd[1]
-        return float(s[0]) if s.size else 0.0
-
-    @property
-    def svd_projection(self):
-        """(singular values, U^T beta1 e1, squared residual tail outside range(M))."""
-        if self._projection is None:
-            U, s, _ = self.svd
-            bhat = self.beta1 * U[0, :]
-            tail2 = max(self.beta1**2 - float(np.dot(bhat, bhat)), 0.0)
-            self._projection = (s, bhat, tail2)
-        return self._projection
+        U, self.s, self.Vt = np.linalg.svd(self.M, full_matrices=False)
+        self.bhat = beta1 * U[0, :]
+        self.tail2 = max(beta1**2 - float(np.dot(self.bhat, self.bhat)), 0.0)
+        self.sigma_max = float(self.s[0])
 
     def filters(self, lam):
         """Filter factors at ``lam``, a scalar or a 1-D array of positive values.
@@ -83,7 +65,7 @@ class ProjectedProblem:
         it keeps the singular values above RANK_RTOL * sigma_max, which gives
         the minimum-norm solution of a rank-deficient M.
         """
-        s = self.svd[1]
+        s = self.s
         if np.ndim(lam) == 0:
             if lam == 0.0:
                 keep = s > RANK_RTOL * self.sigma_max
@@ -106,14 +88,12 @@ class ProjectedProblem:
         Closed form sum(((1 - phi_i) bhat_i)^2) + tail^2, without forming y;
         one value per row of an array of filters.
         """
-        _, bhat, tail2 = self.svd_projection
-        return np.sum((filt.psi * bhat) ** 2, axis=-1) + tail2
+        return np.sum((filt.psi * self.bhat) ** 2, axis=-1) + self.tail2
 
 
 @dataclass
 class SolveOutcome:
     y: np.ndarray
-    lambda_used: float
     projected_residual_norm: float
 
 
@@ -123,12 +103,10 @@ def projected_tikhonov(prob, lam):
     At lambda = 0 a rank-deficient M gets the minimum-norm solution through
     truncation at a relative rank tolerance.
     """
-    gain = prob.filters(lam).gain
-    _, bhat, _ = prob.svd_projection
-    y = prob.svd[2].T @ (gain * bhat)
+    y = prob.Vt.T @ (prob.filters(lam).gain * prob.bhat)
     resid = prob.M @ y
     resid[0] -= prob.beta1
-    return SolveOutcome(y=y, lambda_used=float(lam), projected_residual_norm=float(np.linalg.norm(resid)))
+    return SolveOutcome(y=y, projected_residual_norm=float(np.linalg.norm(resid)))
 
 
 def recover_solution(prior, Z, y):
@@ -172,10 +150,11 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=
 
     ``rule`` is a ``regparam.RegConfig``; ``noise_norm`` (the noise norm in
     the residual's metric) is required by its dp rule and ``s_true`` by its
-    oracle rule. Records the relative error against ``s_true`` (when given),
-    the selected lambda, and the projected residual at every iteration, and
-    keeps the final iterate. Breakdown of the recurrence is a normal early
-    stop.
+    oracle rule. Each iteration factors the projected problem once, asks the
+    rule for lambda and makes one projected solve at it. Records the relative
+    error against ``s_true`` (when given), the selected lambda, and the
+    projected residual at every iteration, and keeps the final iterate.
+    Breakdown of the recurrence is a normal early stop.
     """
     if max_iter < 1:
         raise DimensionError("max_iter must be at least 1")
@@ -204,7 +183,9 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=
         if not stepped:
             break
 
+        t0 = time.perf_counter()
         prob = ProjectedProblem(M=state.M, beta1=state.beta1)
+        timings["projected_solve_s"] += time.perf_counter() - t0
         Zk = state.Z[:, : state.M.shape[1]]
 
         t0 = time.perf_counter()
@@ -216,7 +197,7 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=
         solution = recover_solution(prior, Zk, outcome.y)
         timings["projected_solve_s"] += time.perf_counter() - t0
 
-        lambdas.append(outcome.lambda_used)
+        lambdas.append(float(lam))
         residuals.append(outcome.projected_residual_norm)
         if s_true is not None:
             relerr.append(float(np.linalg.norm(solution - s_true) / s_true_norm))

@@ -288,7 +288,7 @@ def test_criterion_09_adjoint_dot_tests(desk):
 def test_criterion_10_regparam_unit_oracles():
     t0 = time.perf_counter()
     prob = solve.ProjectedProblem(M=np.array([[1.0], [0.0]]), beta1=1.0)
-    lam_dp, _ = regparam.select_lambda_dp(prob, 0.5)
+    lam_dp = regparam.select_lambda_dp(prob, 0.5)
     dp_ok = abs(lam_dp - 1.0) <= 1e-4
 
     rng = np.random.default_rng(13)
@@ -306,7 +306,7 @@ def test_criterion_10_regparam_unit_oracles():
     V = rng.standard_normal((9, 5))
     pm = prior.identity_prior(9)
     s_true = rng.standard_normal(9)
-    lam_opt, y_opt = regparam.select_lambda_optimal(p2, V, pm, s_true)
+    lam_opt = regparam.select_lambda_optimal(p2, V, pm, s_true)
 
     def f(la):
         yy = solve.projected_tikhonov(p2, la).y

@@ -28,9 +28,11 @@ PATHS = [(key,) for key in BASE] + [
     (section, key) for section, value in BASE.items() if isinstance(value, dict) for key in value
 ]
 
-# Wrong types, empty and malformed lists, and enum strings no field accepts.
+# Wrong types, empty and malformed lists, enum strings no field accepts, and
+# the NaN and Infinity that JSON lets through.
 BAD_VALUES = (
-    None, True, False, -1, 0, 0.5, -2.5, "", "x", "gaussian-entry", "none", "dp",
+    None, True, False, -1, 0, 0.5, -2.5, float("nan"), float("inf"), "", "x",
+    "gaussian-entry", "none", "dp",
     "angle-perturbation", [], [[]], [[1.0]], [1e-3, 1e-6], [[1e-1, 1e-3, 1.0]], {},
     {"n": 16},
 )

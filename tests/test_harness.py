@@ -60,6 +60,36 @@ TYPE_MISMATCHES = (
     {"angle_schedules": [[1, "a"]]},
 )
 
+NAN, INF = float("nan"), float("inf")
+
+# Numbers of the right type that no check may let through: JSON's NaN and
+# Infinity, integers no float can hold, and a negative fixed lambda.
+NONFINITE_OR_OUT_OF_RANGE = (
+    {"inexactness": {"beta": NAN}},
+    {"inexactness": {"beta": INF}},
+    {"reg": {"rule": "dp", "nu_dp": NAN}},
+    {"reg": {"rule": "dp", "nu_dp": INF}},
+    {"reg": {"rule": "wgcv", "omega": NAN}},
+    {"reg": {"rule": "fixed", "lambda_fixed": -1}},
+    {"reg": {"rule": "fixed", "lambda_fixed": NAN}},
+    {"reg": {"rule": "fixed", "lambda_fixed": INF}},
+    {"noise_level": NAN},
+    {"noise_level": INF},
+    {"noise_sigma": NAN},
+    {"noise_sigma": INF},
+    {"prior": {"ell": NAN}},
+    {"prior": {"nu": INF}},
+    {"geometry": {"angle_step": NAN}},
+    {"geometry": {"angle_start": -INF}},
+    {"betas": [1e-2, NAN]},
+    {"betas": [INF]},
+    {"angle_schedules": [[1e-1, NAN]]},
+    {"angle_schedules": [[INF, 1e-6]]},
+    {"noise_level": 10**400},  # a JSON integer beyond the float range
+    {"inexactness": {"beta": 10**400}},
+    {"reg": {"rule": "fixed", "lambda_fixed": 10**400}},
+)
+
 
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
@@ -68,7 +98,7 @@ def test_config_rejects_bad_values():
         config_from_dict({"schema_version": 1, "noise_level": -0.1})
     with pytest.raises(ConfigError):
         config_from_dict({"schema_version": 1, "reg": {"rule": "fixed"}})
-    for bad in TYPE_MISMATCHES:
+    for bad in TYPE_MISMATCHES + NONFINITE_OR_OUT_OF_RANGE:
         with pytest.raises(ConfigError):
             config_from_dict({"schema_version": 1, **bad})
 
@@ -297,6 +327,42 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["reconstruct", "--config", str(good_but_wrong)]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_cli_nonfinite_numbers_exit_code(tmp_path, capsys):
+    """NaN, Infinity and a negative fixed lambda exit 2 before any output, from JSON or flags."""
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    base = {"geometry": {"n": 16}, "max_iter": 3}
+    for bad in NONFINITE_OR_OUT_OF_RANGE:
+        path.write_text(json.dumps({**base, **bad}))  # json writes NaN and Infinity tokens
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+    path.write_text(json.dumps(base))
+    for flag in (["--beta", "nan"], ["--beta", "inf"], ["--beta", "1e-2", "--beta", "nan"],
+                 ["--noise-level", "nan"], ["--noise-level=-inf"]):
+        for command in ("reconstruct", "verify-relations"):
+            capsys.readouterr()
+            assert cli.main([command, "--config", str(path), "--out", str(out), *flag]) == 2
+            assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+def test_cli_config_and_preset_exclude_each_other(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"geometry": {"n": 16}, "max_iter": 7}))
+    out = tmp_path / "out"
+    for command in ("inexact-angles", "reconstruct"):
+        for name in ("paper", "desk"):
+            argv = [command, "--config", str(path), "--preset", name, "--out", str(out)]
+            assert cli.main(argv) == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+    # Alone, each keeps its meaning: the file's max_iter, the paper angle study's 100.
+    parse = cli.build_parser().parse_args
+    assert cli.assemble_config(parse(["inexact-angles", "--config", str(path)])).max_iter == 7
+    assert cli.assemble_config(parse(["inexact-angles", "--preset", "paper"])).max_iter == 100
 
 
 def test_cli_output_error_exit_code(tmp_path, capsys):

@@ -75,7 +75,7 @@ def test_adaptive_wgcv_averages_suggestions():
     for i, prob in enumerate(probs):
         lam = choose(prob, None)
         expected = float(np.mean([regparam.suggest_omega(p) for p in probs[: i + 1]]))
-        assert lam == regparam.select_lambda_wgcv(prob, expected)[0]
+        assert lam == regparam.select_lambda_wgcv(prob, expected)
 
 
 def test_dp_closed_form_residual_matches_explicit():
@@ -89,14 +89,16 @@ def test_dp_closed_form_residual_matches_explicit():
 
 
 def test_dp_closed_form_root():
-    lam, y = regparam.select_lambda_dp(scalar_toy(), 0.5)
+    prob = scalar_toy()
+    lam = regparam.select_lambda_dp(prob, 0.5)
+    y = solve.projected_tikhonov(prob, lam).y
     assert lam == pytest.approx(1.0, abs=1e-4)
     assert y[0] == pytest.approx(0.5, abs=1e-4)
 
 
 def test_dp_zero_target_consistent_system():
-    lam, y = regparam.select_lambda_dp(scalar_toy(), 0.0)
     prob = scalar_toy()
+    lam = regparam.select_lambda_dp(prob, 0.0)
     assert lam <= regparam.GRID_FLOOR_RTOL * prob.sigma_max
     assert solve.projected_tikhonov(prob, lam).projected_residual_norm <= 1e-6
 
@@ -104,9 +106,9 @@ def test_dp_zero_target_consistent_system():
 def test_dp_saturations():
     prob = make_prob([[1.0], [0.7]], 1.0)  # residual(0) = 0.7/norm... nonzero floor
     floor = solve.projected_tikhonov(prob, 0.0).projected_residual_norm
-    lam, _ = regparam.select_lambda_dp(prob, floor / 2.0)
+    lam = regparam.select_lambda_dp(prob, floor / 2.0)
     assert lam == 0.0
-    lam_hi, _ = regparam.select_lambda_dp(prob, 2.0)  # above ||beta1 e1||
+    lam_hi = regparam.select_lambda_dp(prob, 2.0)  # above ||beta1 e1||
     assert lam_hi == pytest.approx(regparam.GRID_TOP_FACTOR * prob.sigma_max)
 
 
@@ -115,7 +117,7 @@ def test_dp_bisection_matches_dense_oracle():
     prob = make_prob(rng.standard_normal((9, 6)), 1.4)
     r0 = solve.projected_tikhonov(prob, 0.0).projected_residual_norm
     target = 0.5 * (r0 + prob.beta1)
-    lam, _ = regparam.select_lambda_dp(prob, target)
+    lam = regparam.select_lambda_dp(prob, target)
     resid = solve.projected_tikhonov(prob, lam).projected_residual_norm
     assert abs(resid - target) <= 1e-6 * target
     grid = np.geomspace(1e-10, 1e4, 20000)
@@ -144,6 +146,36 @@ def test_dp_residual_evaluations_per_iteration(monkeypatch):
     assert len(evals) <= 6 * rec.iterations
 
 
+@pytest.mark.parametrize(
+    "reg",
+    [
+        {"rule": "none"},
+        {"rule": "fixed", "lambda_fixed": 0.3},
+        {"rule": "optimal"},
+        {"rule": "dp"},
+        {"rule": "wgcv", "omega_mode": "adaptive"},
+    ],
+)
+def test_one_projected_solve_per_iteration(monkeypatch, reg):
+    """A rule returns lambda; the driver alone makes the iteration's projected solve."""
+    cfg = config.config_from_dict(
+        {"mode": "igengk", "geometry": {"n": 16}, "reg": reg, "max_iter": 6, "seed": 5}
+    )
+    calls = []
+    projected_tikhonov = solve.projected_tikhonov
+
+    def counted(prob, lam):
+        calls.append(lam)
+        return projected_tikhonov(prob, lam)
+
+    monkeypatch.setattr(solve, "projected_tikhonov", counted)
+    monkeypatch.setattr(regparam, "projected_tikhonov", counted)
+    rec = harness.run_reconstruction(cfg, harness.build_problem(cfg))
+    assert rec.iterations == 6
+    assert len(calls) == rec.iterations
+    assert calls == rec.lambdas
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_dp_residual_monotone(seed):
@@ -159,7 +191,7 @@ def test_optimal_analytic_scalar_minimizer():
     V = np.array([[1.0]])
     pm = prior.identity_prior(1)
     s_true = np.array([0.5])  # s(lam) = 1/(1+lam^2) -> minimizer at lam = 1
-    lam, y = regparam.select_lambda_optimal(prob, V, pm, s_true)
+    lam = regparam.select_lambda_optimal(prob, V, pm, s_true)
     assert lam == pytest.approx(1.0, abs=2e-4)
     # dense grid oracle
     grid = np.geomspace(1e-6, 1e3, 20000)
@@ -174,7 +206,8 @@ def test_optimal_noiseless_prefers_floor():
     pm = prior.identity_prior(9)
     y0 = solve.projected_tikhonov(prob, 0.0).y
     s_true = solve.recover_solution(pm, V, y0)
-    lam, y = regparam.select_lambda_optimal(prob, V, pm, s_true)
+    lam = regparam.select_lambda_optimal(prob, V, pm, s_true)
+    y = solve.projected_tikhonov(prob, lam).y
     f_sel = np.linalg.norm(solve.recover_solution(pm, V, y) - s_true) ** 2
     f0 = np.linalg.norm(solve.recover_solution(pm, V, y0) - s_true) ** 2
     # f is flat at rounding level for tiny lambda; "floor" means negligible regularization
@@ -191,7 +224,7 @@ def test_optimal_floor_resolved_when_truth_in_range():
         Z = rng.standard_normal((12, k))
         pm = prior.identity_prior(12)
         s_true = solve.recover_solution(pm, Z, solve.projected_tikhonov(prob, 0.0).y)
-        lam, _ = regparam.select_lambda_optimal(prob, Z, pm, s_true)
+        lam = regparam.select_lambda_optimal(prob, Z, pm, s_true)
         assert lam <= 1e-6 * prob.sigma_max, seed
 
 
@@ -207,7 +240,7 @@ def test_optimal_beats_every_grid_point():
     V = rng.standard_normal((12, 6))
     pm = prior.identity_prior(12)
     s_true = rng.standard_normal(12)
-    lam, y = regparam.select_lambda_optimal(prob, V, pm, s_true)
+    lam = regparam.select_lambda_optimal(prob, V, pm, s_true)
 
     def f(la):
         yy = solve.projected_tikhonov(prob, la).y
@@ -269,7 +302,7 @@ def test_incremental_gram_selects_from_scratch_lambda():
         prob = solve.ProjectedProblem(M=state.M, beta1=state.beta1)
         Zk = state.Z[:, : state.k]
         lam = choose(prob, Zk)
-        scratch, _ = regparam.select_lambda_optimal(prob, Zk, problem.prior, problem.s_true)
+        scratch = regparam.select_lambda_optimal(prob, Zk, problem.prior, problem.s_true)
         assert lam == pytest.approx(scratch, rel=1e-8)
     assert state.k == iterations
 
@@ -308,7 +341,7 @@ def test_wgcv_selected_matches_brute_force():
     rng = np.random.default_rng(6)
     M = rng.standard_normal((10, 9))
     prob = make_prob(M, 1.0)
-    lam, y = regparam.select_lambda_wgcv(prob, 1.0)
+    lam = regparam.select_lambda_wgcv(prob, 1.0)
     grid = np.geomspace(regparam.GRID_FLOOR_RTOL * prob.sigma_max,
                         regparam.GRID_TOP_FACTOR * prob.sigma_max, 10**4)
     vals = [regparam.wgcv_value(prob, g, 1.0) for g in grid]
@@ -334,5 +367,5 @@ def test_suggest_omega_in_unit_interval():
 def test_rules_are_pure():
     rng = np.random.default_rng(8)
     prob = make_prob(rng.standard_normal((7, 6)), 1.1)
-    assert regparam.select_lambda_dp(prob, 0.4)[0] == regparam.select_lambda_dp(prob, 0.4)[0]
-    assert regparam.select_lambda_wgcv(prob, 1.0)[0] == regparam.select_lambda_wgcv(prob, 1.0)[0]
+    assert regparam.select_lambda_dp(prob, 0.4) == regparam.select_lambda_dp(prob, 0.4)
+    assert regparam.select_lambda_wgcv(prob, 1.0) == regparam.select_lambda_wgcv(prob, 1.0)

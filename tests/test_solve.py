@@ -58,9 +58,18 @@ def test_rejects_nonfinite_matrix():
 
 def test_svd_cache_reconstructs():
     rng = np.random.default_rng(1)
-    prob = make_prob(rng.standard_normal((6, 5)), 1.0)
-    U, s, Vt = prob.svd
-    assert np.linalg.norm(U @ np.diag(s) @ Vt - prob.M) <= 1e-12 * np.linalg.norm(prob.M)
+    prob = make_prob(rng.standard_normal((6, 5)), 1.3)
+    # M^T M = Vt^T diag(s^2) Vt, and Vt has orthonormal rows.
+    gram = prob.Vt.T @ np.diag(prob.s**2) @ prob.Vt
+    assert np.linalg.norm(gram - prob.M.T @ prob.M) <= 1e-12 * np.linalg.norm(prob.M) ** 2
+    np.testing.assert_allclose(prob.Vt @ prob.Vt.T, np.eye(5), atol=1e-12)
+    assert prob.sigma_max == prob.s[0]
+    # bhat = U^T beta1 e1 with U = M Vt^T / s; tail2 is the rest of ||beta1 e1||^2.
+    e1 = np.zeros(6)
+    e1[0] = prob.beta1
+    np.testing.assert_allclose(prob.bhat, (prob.M @ prob.Vt.T).T @ e1 / prob.s, atol=1e-12)
+    lsq = prob.M @ np.linalg.lstsq(prob.M, e1, rcond=None)[0] - e1
+    assert prob.tail2 == pytest.approx(float(lsq @ lsq), rel=1e-10)
 
 
 def test_residual_recomputable():
