@@ -4,12 +4,11 @@
     python scripts/run_experiments.py desk|paper [extra igenkrylov flags]
 
 On one core of a 2-core Xeon, the desk preset (n=64, 36 angles, 91 rays)
-takes about 4 s and the paper preset (n=128, A is 6516x16384) about 23 s;
+takes about 3 s and the paper preset (n=128, A is 6516x16384) about 13 s;
 the paper angle study runs 100 iterations, everything else 50. The two
-jittered inexact-angles runs take the largest share, about half of the desk
-time and 14 s of the paper time, because they rebuild the system matrix at
-every iteration (about 14 ms a build at n=64, 45 ms at n=128). Extra flags
-are passed to every run.
+jittered inexact-angles runs take the largest share, because they rebuild
+the system matrix at every iteration (about 10 ms a build at n=64, 33 ms at
+n=128). Extra flags are passed to every run.
 """
 
 import sys

@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from .errors import ConfigError
 from .linop import MODES as INEXACT_MODES
 from .regparam import RegConfig
+from .tomo import default_nrays
 
 SCHEMA_VERSION = 1
 
@@ -22,6 +23,12 @@ SOLVER_MODES = ("gk", "igk", "gengk", "igengk")
 # can hold all reach validation; each of them fails a comparison with this
 # bound, so every range check below includes it.
 _MAX = sys.float_info.max
+
+# The int32 range, which the system matrix's CSR arrays use to index pixels
+# (n^2) and rays (angle_count * nrays); max_iter takes the same bound. A
+# larger JSON integer or flag would otherwise fail in an allocation, after
+# the output directory exists.
+INDEX_MAX = 2**31 - 1
 
 
 @dataclass
@@ -39,6 +46,13 @@ class GeometryConfig:
             raise ConfigError("geometry.angle_count must be positive")
         if self.nrays is not None and self.nrays < 1:
             raise ConfigError("geometry.nrays must be positive")
+        if self.n * self.n > INDEX_MAX:
+            raise ConfigError(f"geometry.n squared must be at most {INDEX_MAX}")
+        nrays = default_nrays(self.n) if self.nrays is None else self.nrays
+        if self.angle_count * nrays > INDEX_MAX:
+            raise ConfigError(
+                f"geometry.angle_count times the rays per angle must be at most {INDEX_MAX}"
+            )
         if not (abs(self.angle_start) <= _MAX and abs(self.angle_step) <= _MAX):
             raise ConfigError("geometry.angle_start and geometry.angle_step must be finite")
 
@@ -98,8 +112,8 @@ class ExperimentConfig:
             raise ConfigError("noise_level must be finite and nonnegative")
         if not 0 < self.noise_sigma <= _MAX:
             raise ConfigError("noise_sigma must be finite and positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
+        if not 1 <= self.max_iter <= INDEX_MAX:
+            raise ConfigError(f"max_iter must be between 1 and {INDEX_MAX}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if not all(0 <= b <= _MAX for b in self.betas):

@@ -143,16 +143,29 @@ class CovarianceOperator:
         return False
 
     def apply(self, x):
+        """Q x by the 1-D transforms ``rfftn``/``irfftn`` make on the padded grid, pruned.
+
+        On a 2-D grid the last axis is transformed for the data rows only and,
+        on the way back, only for the rows the truncation keeps; axis 0 is
+        transformed in place at its full padded length. Each kept value comes
+        from the same sequence of 1-D transforms as on the zero-padded array,
+        so the result is bitwise the padded product.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionError(f"expected vector of length {self.n}")
-        shape = self.grid.shape
-        inner = tuple(slice(0, n) for n in shape)
-        xpad = np.zeros(self._fft_shape)
-        xpad[inner] = x.reshape(shape, order="F")
-        axes = tuple(range(len(shape)))
-        out = np.fft.irfftn(np.fft.rfftn(xpad) * self._symbol, s=self._fft_shape, axes=axes)
-        return out[inner].ravel(order="F")
+        shape, m = self.grid.shape, self._fft_shape
+        if len(shape) == 1:
+            f = np.fft.rfft(x, n=m[0])
+            f *= self._symbol
+        else:
+            f = np.zeros(self._symbol.shape, dtype=complex)
+            np.fft.rfft(x.reshape(shape, order="F"), n=m[1], axis=1, out=f[: shape[0]])
+            np.fft.fft(f, axis=0, out=f)
+            f *= self._symbol
+            np.fft.ifft(f, axis=0, out=f)
+            f = f[: shape[0]]
+        return np.fft.irfft(f, n=m[-1], axis=-1)[..., : shape[-1]].ravel(order="F")
 
 
 class IdentityCovariance:

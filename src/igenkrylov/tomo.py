@@ -6,9 +6,10 @@ the piecewise-constant image along one ray: intersection lengths times pixel
 values. The lengths come from a restricted Siddon/Jacobs traversal, which
 cuts each ray's chord only at the grid lines in a window around it
 (R. L. Siddon, Med. Phys. 12(2), 1985; F. Jacobs et al., J. Comput. Inf.
-Technol. 6(1), 1998). They go straight into a CSR matrix, once per geometry,
-bit for bit the matrix a traversal of every grid line gives. The adjoint is
-the exact transpose, and forward/adjoint products are deterministic.
+Technol. 6(1), 1998). They go straight into a CSR matrix, once per geometry:
+the same matrix a traversal of every grid line gives, stored in traversal
+order, each row's entries in order along the ray. The adjoint is the exact
+transpose, and forward/adjoint products are deterministic.
 """
 
 import functools
@@ -70,77 +71,80 @@ def default_angles(start=1.0, step=5.0, count=36):
     return tuple(start + step * i for i in range(count))
 
 
-def _edge_window(n, h, d, p, t_lo, t_hi):
-    """Each ray's crossing parameters with the grid lines of one axis that can cut its chord.
+def _clip_chords(h, d, p):
+    """Every ray's chord [t_lo, t_hi] through the image, and whether the ray hits it.
+
+    ``d`` holds the two direction components of each angle, shape (2, A, 1),
+    and ``p`` the two offset components of each ray, shape (2, A, R); the
+    image is the square [-h, h]^2. An axis a ray runs parallel to
+    (|d| <= _PARALLEL_EPS) does not bound its chord, and the ray misses if its
+    coordinate on that axis is off the grid. A ray whose chord is empty
+    misses too. Every entry takes the arithmetic of a one-ray clip.
+    """
+    parallel = np.abs(d) <= _PARALLEL_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (-h - p) / d
+        t2 = (h - p) / d
+    t_lo = np.where(parallel, -np.inf, np.minimum(t1, t2)).max(axis=0)
+    t_hi = np.where(parallel, np.inf, np.maximum(t1, t2)).min(axis=0)
+    off_grid = parallel & ((p < -h) | (p > h))
+    hit = ~(off_grid[0] | off_grid[1])
+    hit &= t_lo < t_hi
+    return t_lo, t_hi, hit
+
+
+def _edge_windows(n, h, d, p, t_lo, t_hi):
+    """Each ray's window of grid lines on both axes: start coordinate and width, (2, A, R).
 
     Along a ray the axis coordinate runs from a = t_lo d + p + h to
     b = t_hi d + p + h, so every grid line i strictly inside the chord lies in
-    [floor(min(a, b)), ceil(max(a, b))], clipped to [0, n]. Every ray takes as
-    many consecutive lines as the widest such range holds, from its own first
-    index and in order of increasing t. A line past a ray's own range or past
-    the grid crosses at or outside the chord's ends, so the caller's clip to
-    [t_lo, t_hi] turns it into a zero-length segment. Line i's parameter is
-    ((i - h) - p) / d, the arithmetic of the full-grid traversal, so each
-    crossing inside the chord is bitwise the one that traversal gives.
+    [floor(min(a, b)), ceil(max(a, b))], clipped to [0, n]. The window starts
+    at the end the ray enters from (its coordinate minus h is returned), so
+    that stepping through it meets the lines in order of increasing t. Line
+    i's crossing parameter is ((i - h) - p) / d, the arithmetic of the
+    full-grid traversal, so each crossing inside the chord is bitwise the one
+    that traversal gives. A line past a ray's own range or past the grid
+    crosses at or outside the chord's ends, and the clip to [t_lo, t_hi]
+    turns it into a zero-length segment.
     """
     a = t_lo * d + p + h
     b = t_hi * d + p + h
     first = np.maximum(np.floor(np.minimum(a, b)), 0.0)
     last = np.minimum(np.ceil(np.maximum(a, b)), n)
-    step = np.arange(int((last - first).max()) + 1, dtype=float)
-    if d > 0:
-        crossings = (first - h)[:, None] + step
-    else:
-        crossings = (last - h)[:, None] - step
-    crossings -= p[:, None]
-    crossings /= d
-    return crossings
+    start = np.where(d > 0, first, last)
+    start -= h
+    return start, last - first
 
 
-def _angle_triplets(n, theta_deg, offsets):
-    """Per-ray entry counts, then pixel indices and lengths, for one projection angle.
+def _traverse(n, h, d, p, starts, widths, t_lo, t_hi):
+    """Per-ray entry counts, then pixel indices and lengths, for the hit rays of one angle.
 
-    Rays travel along (-sin t, cos t) with perpendicular offsets along
-    (cos t, sin t). Each ray's chord [t_lo, t_hi] through the image is cut at
-    its crossings with the pixel-grid lines that can lie inside it, a
-    restricted Siddon/Jacobs traversal (see ``_edge_window``). Segment
-    midpoints identify the traversed pixel and segment lengths are the
-    weights; out-of-window crossings clip to zero-length segments, which the
-    length test drops together with any midpoint off the grid. Entries come
-    ray-major in increasing t. Vector index is iy + n*ix (column-major image
-    with x as the column coordinate).
+    ``d`` is the angle's direction (dx, dy), ``p`` the rays' offset points
+    (2, R), ``starts`` their window starts (2, R) and ``widths`` the widest
+    window on each axis. Each ray's chord is cut at its window's crossings,
+    a restricted Siddon/Jacobs traversal. Segment midpoints identify the
+    traversed pixel and segment lengths are the weights; out-of-window
+    crossings clip to zero-length segments, which the length test drops
+    together with any midpoint off the grid. Entries come ray-major in
+    increasing t. Vector index is iy + n*ix (column-major image with x as the
+    column coordinate).
     """
-    t = math.radians(theta_deg)
-    dx, dy = -math.sin(t), math.cos(t)
-    ex, ey = math.cos(t), math.sin(t)
-    h = n / 2.0
-    px = offsets * ex
-    py = offsets * ey
-    nray = offsets.size
-
-    t_lo = np.full(nray, -np.inf)
-    t_hi = np.full(nray, np.inf)
-    miss = np.zeros(nray, dtype=bool)
-    for d, p in ((dx, px), (dy, py)):
-        if abs(d) > _PARALLEL_EPS:
-            t1 = (-h - p) / d
-            t2 = (h - p) / d
-            t_lo = np.maximum(t_lo, np.minimum(t1, t2))
-            t_hi = np.minimum(t_hi, np.maximum(t1, t2))
-        else:
-            miss |= (p < -h) | (p > h)
-    miss |= t_lo >= t_hi
-    t_lo = np.where(miss, 0.0, t_lo)
-    t_hi = np.where(miss, 0.0, t_hi)
-
-    params = [t_lo[:, None]]
-    for d, p in ((dx, px), (dy, py)):
-        if abs(d) > _PARALLEL_EPS:
-            params.append(_edge_window(n, h, d, p, t_lo, t_hi))
-    params.append(t_hi[:, None])
+    lo = t_lo[:, None]
+    hi = t_hi[:, None]
+    params = [lo]
+    for axis in (0, 1):
+        if abs(d[axis]) > _PARALLEL_EPS:
+            step = np.arange(widths[axis] + 1.0)
+            if d[axis] < 0:
+                step = -step
+            crossings = starts[axis][:, None] + step
+            crossings -= p[axis][:, None]
+            crossings /= d[axis]
+            params.append(crossings)
+    params.append(hi)
     allt = np.concatenate(params, axis=1)
-    np.maximum(allt, t_lo[:, None], out=allt)
-    np.minimum(allt, t_hi[:, None], out=allt)
+    np.maximum(allt, lo, out=allt)
+    np.minimum(allt, hi, out=allt)
     allt.sort(axis=1)
 
     seg = allt[:, 1:] - allt[:, :-1]
@@ -148,13 +152,13 @@ def _angle_triplets(n, theta_deg, offsets):
     mid /= 2.0
     # In place, but in the order of floor(p + mid * d + h): the pixel of
     # every segment must stay bitwise that of the full-grid traversal.
-    ix = mid * dx
-    ix += px[:, None]
+    ix = mid * d[0]
+    ix += p[0][:, None]
     ix += h
     np.floor(ix, out=ix)
     iy = mid
-    iy *= dy
-    iy += py[:, None]
+    iy *= d[1]
+    iy += p[1][:, None]
     iy += h
     np.floor(iy, out=iy)
     valid = seg > _MIN_SEGMENT
@@ -174,27 +178,51 @@ def _angle_triplets(n, theta_deg, offsets):
 def system_matrix(geom):
     """Sparse ray-weight matrix for the geometry (rows: angle-major rays).
 
-    The CSR arrays are filled straight from the per-angle entries, with no
-    COO stage. ``sum_duplicates`` then sorts each row's columns and adds the
-    rare repeated pixel (a ray grazing a grid line can split one pixel's
-    chord in two), exactly as the COO to CSR conversion does.
+    Rays travel along (-sin t, cos t) with perpendicular offsets along
+    (cos t, sin t). The chords and crossing windows of all rays are computed
+    at once on (angles x rays) arrays; the traversal then runs angle by
+    angle over the rays that hit the image and fills the CSR arrays.
+
+    It is the same matrix the full-grid traversal gives, stored in traversal
+    order: each row keeps its entries in order of increasing t, with
+    unsorted columns, which no product needs. A ray grazing a grid line can
+    split one pixel's chord in two and keeps both entries. Its canonical
+    form (columns sorted, repeated entries summed) is bit for bit the matrix
+    of the COO assembly.
     """
-    offsets = geom.offsets()
+    n, h = geom.n, geom.n / 2.0
+    radians = [math.radians(theta) for theta in geom.angles]
+    # math's sin and cos, not numpy's vectorized ones, which may round
+    # differently in the last bit.
+    d = np.array([[-math.sin(t) for t in radians], [math.cos(t) for t in radians]])
+    e = np.array([[math.cos(t) for t in radians], [math.sin(t) for t in radians]])
+    p = e[:, :, None] * geom.offsets()
+    t_lo, t_hi, hit = _clip_chords(h, d[:, :, None], p)
+    starts, widths = _edge_windows(n, h, d[:, :, None], p, t_lo, t_hi)
+    widths = np.where(hit, widths, 0.0).max(axis=2)
+    bounds = np.zeros(len(radians) + 1, dtype=np.int64)
+    np.cumsum(hit.sum(axis=1), out=bounds[1:])
+    p, starts = p[:, hit], starts[:, hit]
+    t_lo, t_hi = t_lo[hit], t_hi[hit]
+
     counts, cols, vals = [], [], []
-    for theta in geom.angles:
-        c, j, v = _angle_triplets(geom.n, theta, offsets)
+    for a in range(len(radians)):
+        rays = slice(bounds[a], bounds[a + 1])
+        c, j, v = _traverse(
+            n, h, d[:, a], p[:, rays], starts[:, rays], widths[:, a], t_lo[rays], t_hi[rays]
+        )
         counts.append(c)
         cols.append(j)
         vals.append(v)
+    row_counts = np.zeros(geom.nrows, dtype=np.int64)
+    row_counts[hit.ravel()] = np.concatenate(counts)
     indptr = np.zeros(geom.nrows + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    np.cumsum(row_counts, out=indptr[1:])
     index_dtype = np.int32 if geom.ncols <= np.iinfo(np.int32).max else np.int64
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), np.concatenate(cols).astype(index_dtype), indptr),
+    return sp.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols, dtype=index_dtype, casting="unsafe"), indptr),
         shape=(geom.nrows, geom.ncols),
     )
-    mat.sum_duplicates()
-    return mat
 
 
 class RadonOperator(LinearOperator):
@@ -206,14 +234,16 @@ class RadonOperator(LinearOperator):
         super().__init__(geom.nrows, geom.ncols)
         self.geom = geom
         self._mat = system_matrix(geom)
+        # A CSC view of the CSR matrix, made once: it shares the arrays, and
+        # its products make the same sums in the same order as a stored CSR
+        # transpose.
+        self._matT = self._mat.T
 
     def _apply(self, x):
         return self._mat @ x
 
     def _apply_adjoint(self, y):
-        # A CSC view of the CSR matrix: no copy, and the same sums in the same
-        # order as a stored CSR transpose.
-        return self._mat.T @ y
+        return self._matT @ y
 
     def perturbed_variant(self, model, k):
         """Radon operator rebuilt with iteration-k jittered projection angles."""

@@ -40,6 +40,21 @@ def build_dense_cov(grid, kernel, dense_limit=DENSE_LIMIT):
     return kernel(r)
 
 
+def padded_covariance_apply(cov, x):
+    """Q x from ``rfftn``/``irfftn`` on the whole zero-padded grid.
+
+    The product ``prior.CovarianceOperator.apply`` once made, kept as the
+    bitwise reference for its pruned transforms.
+    """
+    shape = cov.grid.shape
+    inner = tuple(slice(0, n) for n in shape)
+    xpad = np.zeros(cov._fft_shape)
+    xpad[inner] = x.reshape(shape, order="F")
+    axes = tuple(range(len(shape)))
+    out = np.fft.irfftn(np.fft.rfftn(xpad) * cov._symbol, s=cov._fft_shape, axes=axes)
+    return out[inner].ravel(order="F")
+
+
 def config_to_json(cfg, path=None):
     """An ExperimentConfig as the JSON text ``config_from_json`` reads back."""
     text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True)

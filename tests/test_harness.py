@@ -7,6 +7,7 @@ from igenkrylov.config import (
     ExperimentConfig,
     GeometryConfig,
     InexactConfig,
+    INDEX_MAX,
     RegConfig,
     config_from_dict,
     config_from_json,
@@ -346,6 +347,52 @@ def test_cli_nonfinite_numbers_exit_code(tmp_path, capsys):
             capsys.readouterr()
             assert cli.main([command, "--config", str(path), "--out", str(out), *flag]) == 2
             assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+# Sizes past the int32 index range of the system matrix, as JSON integers.
+# The CLI runs get only the sizes a run without the check survives for
+# seconds: an allocation of 10**30 elements fails at once, and an n=16 solve
+# stops at its breakdown whatever its max_iter. The others, let through,
+# would fill the memory.
+OVERSIZE = (
+    {"geometry": {"n": 10**30}},
+    {"geometry": {"n": 16, "nrays": 10**30}},
+    {"max_iter": 10**30},
+)
+PAST_THE_INDEX_RANGE = OVERSIZE + (
+    {"geometry": {"n": 16, "angle_count": 10**30}},
+    {"geometry": {"n": 46341}},  # n^2 = 2147488281
+    {"geometry": {"n": 16, "angle_count": 2**16, "nrays": 2**15}},
+    {"max_iter": INDEX_MAX + 1},
+)
+
+
+def test_config_rejects_sizes_past_the_index_range():
+    for bad in PAST_THE_INDEX_RANGE:
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
+    config_from_dict({"geometry": {"n": 46340}, "max_iter": INDEX_MAX})
+    config_from_dict({"geometry": {"n": 16, "angle_count": 2**16, "nrays": 2**15 - 1}})
+
+
+def test_cli_oversize_sizes_exit_code(tmp_path, capsys):
+    """Oversize geometry and max_iter exit 2 before any output, from JSON or flags."""
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    base = {"geometry": {"n": 16}, "max_iter": 3}
+    for bad in OVERSIZE:
+        path.write_text(json.dumps({**base, **bad}))
+        for command in harness.COMMANDS:
+            capsys.readouterr()
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("configuration error:")
+    path.write_text(json.dumps(base))
+    for command in harness.COMMANDS:
+        capsys.readouterr()
+        argv = [command, "--config", str(path), "--out", str(out), "--max-iter", str(10**30)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from scipy.special import kv
 from igenkrylov import prior
 from igenkrylov.errors import DimensionError, InvalidParameterError, NumericalError
 
-from conftest import CapacityError, build_dense_cov, random_spd
+from conftest import CapacityError, build_dense_cov, padded_covariance_apply, random_spd
 
 
 def kv_formula(nu, alpha, r):
@@ -157,6 +157,16 @@ def test_fft_padded_embedding_matches_dense(shape):
     ref = Qd @ x
     got = prior.CovarianceOperator(g, k).apply(x)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (128, 128), (16, 16), (17, 23), (40,), (33,)])
+def test_pruned_fft_bitwise_matches_padded_transforms(shape):
+    k = prior.MaternKernel(nu=1.5, alpha=10.0)
+    op = prior.CovarianceOperator(prior.Grid(shape), k)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.standard_normal(op.n)
+        assert op.apply(x).tobytes() == padded_covariance_apply(op, x).tobytes()
 
 
 def test_covariance_dimension_check():

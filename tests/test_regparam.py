@@ -288,23 +288,44 @@ def test_grid_objectives_match_scalar_evaluations():
 
 
 def test_incremental_gram_selects_from_scratch_lambda():
-    """Across a real igengk run whose Z buffer grows past its first capacity."""
+    """Across a real igengk run whose Z buffer grows past its first capacity.
+
+    The Gram data grown one column at a time equal Z^T Z and Z^T d, and the
+    lambdas selected from them and from scratch give the same oracle error.
+    The two lambdas agree only where the error depends on lambda: far below
+    sigma_min(M) every filter factor is 1 to rounding, the error is flat, and
+    a rounding-level change in Z can move the grid's argmin anywhere there.
+    """
     cfg = config.config_from_dict(
         {"mode": "igengk", "geometry": {"n": 16}, "reg": {"rule": "optimal"}, "seed": 3}
     )
     problem = harness.build_problem(cfg)
     args = (problem.A, harness.inexactness_for(cfg), problem.prior, problem.noise)
     state = bidiag.igenGK_init(*args, problem.b)
-    choose = RegConfig(rule="optimal").chooser(problem.prior, s_true=problem.s_true)
+    gram = regparam.OracleGram(problem.prior, problem.s_true)
+    d = problem.prior.mu - problem.s_true
+
+    def error(prob, Z, lam):
+        y = solve.projected_tikhonov(prob, lam).y
+        return np.linalg.norm(solve.recover_solution(problem.prior, Z, y) - problem.s_true)
+
     iterations = 2 * bidiag.INITIAL_CAPACITY
+    lambdas_compared = 0
     for _ in range(iterations):
         bidiag.igenGK_step(state, *args)
         prob = solve.ProjectedProblem(M=state.M, beta1=state.beta1)
         Zk = state.Z[:, : state.k]
-        lam = choose(prob, Zk)
+        lam = regparam.select_lambda_optimal(prob, Zk, problem.prior, problem.s_true, gram=gram)
         scratch = regparam.select_lambda_optimal(prob, Zk, problem.prior, problem.s_true)
-        assert lam == pytest.approx(scratch, rel=1e-8)
+        G = Zk.T @ Zk
+        assert np.linalg.norm(gram.G - G) <= 1e-12 * np.linalg.norm(G)
+        assert np.linalg.norm(gram.c - Zk.T @ d) <= 1e-12 * np.linalg.norm(Zk.T @ d)
+        assert error(prob, Zk, lam) == pytest.approx(error(prob, Zk, scratch), rel=1e-12)
+        if min(lam, scratch) >= 1e-6 * prob.s[-1]:
+            assert lam == pytest.approx(scratch, rel=1e-8)
+            lambdas_compared += 1
     assert state.k == iterations
+    assert lambdas_compared > 0
 
 
 def test_wgcv_omega_one_is_gcv():

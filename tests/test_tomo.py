@@ -81,8 +81,9 @@ def oracle_angle_sets():
         "jittered": tuple(default + 0.1 * rng.standard_normal(default.size)),
         "axis-parallel": (0.0, 90.0, 180.0, 270.0, -90.0, 45.0, 135.0),
         "uniform": tuple(rng.uniform(-360.0, 360.0, 50)),
-        # Rays grazing a grid line split one pixel's chord in two: the
-        # duplicate entries must be summed as the COO conversion sums them.
+        # Rays grazing a grid line split one pixel's chord in two: the matrix
+        # keeps both entries, and its canonical form sums them as the COO
+        # conversion does.
         "grazing": (90.0000000001, 1e-9, math.degrees(2e-12), -44.9999999999),
         # With n=6 and 48 rays, the 60-degree ray at offset 1.5 enters at a
         # grid corner: its chord starts at y-coordinate exactly 3, yet its
@@ -92,20 +93,55 @@ def oracle_angle_sets():
     }
 
 
+# Entries the grazing set keeps beyond the canonical matrix's, per (n, nrays);
+# no other set repeats a pixel within a row.
+GRAZING_DUPLICATES = {(16, None): 21, (64, None): 93, (128, None): 189,
+                      (16, 7): 9, (64, 7): 9, (128, 7): 9}
+
+
 @pytest.mark.parametrize(
     "n, nrays", [(n, nrays) for n in (16, 17, 64, 128) for nrays in (None, 7)] + [(6, 48)]
 )
 def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
+    """The same matrix as the COO assembly's, stored in traversal order.
+
+    Its canonical form (a copy after ``sum_duplicates``) is bit for bit the
+    reference. Where no row repeats a pixel, every pixel of an adjoint
+    product gathers one term per row in row order, so the adjoint is bitwise
+    the reference's; forward products sum each row in traversal order and
+    agree to rounding. Products leave the arrays that ``system_matrix``
+    shares through its cache untouched.
+    """
+    rng = np.random.default_rng(n)
     for name, angles in oracle_angle_sets().items():
         geom = tomo.CTGeometry(n=n, angles=angles, nrays=nrays)
         ref = reference_system_matrix(geom)
-        mat = tomo.system_matrix(geom)
+        op = tomo.RadonOperator(geom)
+        mat = op._mat
+        assert mat is tomo.system_matrix(geom), name
         assert mat.format == "csr" and mat.shape == ref.shape, name
+        canonical = mat.copy()
+        canonical.sum_duplicates()
         for arr in ("indptr", "indices"):
-            got, want = getattr(mat, arr), getattr(ref, arr)
-            assert got.dtype == want.dtype, (name, arr)
+            got, want = getattr(canonical, arr), getattr(ref, arr)
+            assert got.dtype == want.dtype == getattr(mat, arr).dtype, (name, arr)
             np.testing.assert_array_equal(got, want, err_msg=f"{name} {arr}")
-        assert mat.data.tobytes() == ref.data.tobytes(), name
+        assert canonical.data.tobytes() == ref.data.tobytes(), name
+        duplicates = GRAZING_DUPLICATES.get((n, nrays), 0) if name == "grazing" else 0
+        assert mat.nnz - ref.nnz == duplicates, name
+
+        stored = [arr.copy() for arr in (mat.indptr, mat.indices, mat.data)]
+        x = rng.standard_normal(geom.ncols)
+        y = rng.standard_normal(geom.nrows)
+        fwd, fwd_ref = op.apply(x), ref @ x
+        assert np.max(np.abs(fwd - fwd_ref)) <= 1e-14 * np.max(np.abs(fwd_ref)), name
+        adj, adj_ref = op.apply_adjoint(y), ref.T @ y
+        if duplicates == 0:
+            assert adj.tobytes() == adj_ref.tobytes(), name
+        else:
+            assert np.max(np.abs(adj - adj_ref)) <= 1e-14 * np.max(np.abs(adj_ref)), name
+        for before, after in zip(stored, (mat.indptr, mat.indices, mat.data)):
+            assert before.tobytes() == after.tobytes(), name
 
 
 def test_adjoint_dot_test(small_ct):
