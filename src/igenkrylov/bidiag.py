@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linop
-from .errors import BreakdownSignal, DegenerateInputError, DimensionError
+from .errors import BreakdownSignal, DegenerateInputError, DimensionError, NumericalError
 from .prior import weighted_norm
 
 # Normalization coefficients below BREAKDOWN_RTOL * beta1 stop the recurrence.
@@ -93,6 +93,13 @@ class BidiagState:
         return self.M.shape[1]
 
 
+def _finite(norm, what):
+    """``norm`` if it is finite; an overflowed (inf) or NaN normalization raises NumericalError."""
+    if not math.isfinite(norm):
+        raise NumericalError(f"{what} is not finite ({norm})")
+    return norm
+
+
 def _orthogonalize(vec, basis, coefficients, passes=2):
     """Gram-Schmidt against ``basis``, given its inner-product coefficients.
 
@@ -114,19 +121,20 @@ def _orthogonalize(vec, basis, coefficients, passes=2):
 def igenGK_init(A, inexact, prior, noise, b):
     """Initial state: u1 = b / ||b||_{R^{-1}}, v1 from the iteration-1 adjoint.
 
-    Raises DegenerateInputError when b is zero or its adjoint image vanishes.
+    Raises DegenerateInputError when b is zero or its adjoint image vanishes,
+    and NumericalError when either norm is not finite.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.nrows,):
         raise DimensionError("right-hand side length does not match operator rows")
-    beta1 = weighted_norm(b, noise.apply_rinv)
+    beta1 = _finite(weighted_norm(b, noise.apply_rinv), "beta1")
     if beta1 == 0.0:
         raise DegenerateInputError("right-hand side is zero")
     u1 = b / beta1
 
     vbar = linop.perturbed_apply_adjoint(A, inexact, 1, noise.apply_rinv(u1))
     qv = prior.Q.apply(vbar)
-    c11 = math.sqrt(max(float(np.dot(vbar, qv)), 0.0))
+    c11 = _finite(math.sqrt(max(float(np.dot(vbar, qv)), 0.0)), "c11")
     if c11 <= BREAKDOWN_RTOL * beta1:
         # No column can be built, so there is nothing to solve: an input error.
         raise DegenerateInputError("adjoint of right-hand side is degenerate")
@@ -143,7 +151,8 @@ def igenGK_step(state, A, inexact, prior, noise):
     come from Z, so the step applies Q once, to the new v. On breakdown of the
     U-side normalization the projected matrix is committed in square, terminal
     form (its last subdiagonal vanished), so the projected problem built so far
-    is still solvable; a BreakdownSignal is raised either way.
+    is still solvable; a BreakdownSignal is raised either way. A normalization
+    that is not finite raises NumericalError.
     """
     if state.terminated:
         raise BreakdownSignal("state is terminal")
@@ -153,7 +162,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     ubar = linop.perturbed_apply(A, inexact, i, state.Z[:, -1])
     U = state.U
     u, mcol = _orthogonalize(ubar, U, lambda w: U.T @ noise.apply_rinv(w))
-    norm_u = weighted_norm(u, noise.apply_rinv)
+    norm_u = _finite(weighted_norm(u, noise.apply_rinv), "U-side normalization")
     if norm_u <= tol:
         # Terminal commit: M becomes i-by-i, relations hold with U_i exactly.
         state.M = np.column_stack([state.M, mcol])
@@ -169,7 +178,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     Z = state.Z
     v, lrow = _orthogonalize(vbar, state.V, lambda w: Z.T @ w)
     qv = prior.Q.apply(v)
-    norm_v = math.sqrt(max(float(np.dot(v, qv)), 0.0))
+    norm_v = _finite(math.sqrt(max(float(np.dot(v, qv)), 0.0)), "V-side normalization")
     state._U.append(unew)
     state.M = Mnew
     if norm_v <= tol:

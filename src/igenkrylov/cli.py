@@ -68,7 +68,7 @@ def assemble_config(args):
             betas=tuple(args.beta),
             inexactness=replace(cfg.inexactness, beta=args.beta[0]),
         )
-    return cfg.validate()
+    return cfg
 
 
 def main(argv=None):

@@ -1,7 +1,9 @@
 """Experiment configuration: JSON round-trip with strict validation.
 
-The document layout is versioned through ``schema_version``; every command
-validates its configuration before doing any work.
+The document layout is versioned through ``schema_version``. Every section
+is a frozen dataclass that checks its fields on construction, so a
+configuration that exists is valid, and ``dataclasses.replace`` re-checks
+the fields it overrides.
 """
 
 import json
@@ -31,7 +33,7 @@ _MAX = sys.float_info.max
 INDEX_MAX = 2**31 - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeometryConfig:
     n: int = 64
     angle_start: float = 1.0
@@ -39,7 +41,7 @@ class GeometryConfig:
     angle_count: int = 36
     nrays: int = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.n < 16:
             raise ConfigError("geometry.n must be at least 16")
         if self.angle_count < 1:
@@ -57,23 +59,23 @@ class GeometryConfig:
             raise ConfigError("geometry.angle_start and geometry.angle_step must be finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PriorConfig:
     nu: float = 1.5
     ell: float = 0.01
 
-    def validate(self):
+    def __post_init__(self):
         if not (0 < self.nu <= _MAX and 0 < self.ell <= _MAX):
             raise ConfigError("prior.nu and prior.ell must be finite and positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InexactConfig:
     mode: str = "gaussian-entry"
     beta: float = 1e-2
     seed: int = None  # defaults to the experiment seed
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in INEXACT_MODES:
             raise ConfigError(f"unknown inexactness mode {self.mode!r}")
         if not 0 <= self.beta <= _MAX:
@@ -82,7 +84,7 @@ class InexactConfig:
             raise ConfigError("inexactness.seed must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str = "reconstruct"
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
@@ -99,7 +101,7 @@ class ExperimentConfig:
     angle_schedules: tuple = ((1e-1, 1e-6), (1e0, 1e-6))
     schema_version: int = SCHEMA_VERSION
 
-    def validate(self):
+    def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version {self.schema_version} not supported (expected {SCHEMA_VERSION})"
@@ -121,10 +123,6 @@ class ExperimentConfig:
         for sched in self.angle_schedules:
             if len(sched) != 2 or not all(0 < a <= _MAX for a in sched):
                 raise ConfigError("angle_schedules entries must be finite positive (start, end)")
-        self.geometry.validate()
-        self.prior.validate()
-        self.inexactness.validate()
-        return self
 
     def to_dict(self):
         d = asdict(self)
@@ -187,7 +185,7 @@ def _to_tuples(value):
 
 
 def config_from_dict(data):
-    return _build(ExperimentConfig, data).validate()
+    return _build(ExperimentConfig, data)
 
 
 def config_from_json(path):

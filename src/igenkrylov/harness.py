@@ -3,9 +3,12 @@
 Each command is a pure function of its configuration: observations, error
 streams, and angle jitter all derive from the config seed through named
 substreams, so identical configs produce byte-identical CSV output (timing
-lives in a separate file). Independent sub-runs (beta sweeps, rule
-comparisons) may execute concurrently up to IGENKRYLOV_THREADS workers
-without changing any result.
+lives in a separate file). compare-reg and inexact-angles are sweeps of
+named reconstructions of one problem, one per rule or per angle schedule
+(the latter after the exact baseline); ``_sweep`` runs and times them and
+writes every ``history_<name>.csv``. Independent sub-runs (beta sweeps and
+the runs of a sweep) may execute concurrently up to IGENKRYLOV_THREADS
+workers without changing any result.
 """
 
 import json
@@ -149,23 +152,35 @@ def run_reconstruction(cfg, problem, inexact=None, rule=None):
 
 
 def _history_rows(record):
-    rows = []
-    for i in range(record.iterations):
-        rel = record.relerr[i] if record.relerr else float("nan")
-        rows.append((i + 1, float(rel), float(record.lambdas[i]), float(record.proj_residual[i])))
-    return rows
+    return [
+        (i + 1, float(record.relerr[i]), float(record.lambdas[i]), float(record.proj_residual[i]))
+        for i in range(record.iterations)
+    ]
 
 
-def _summary(cfg, record):
+def _run_fields(record):
+    """The summary fields of one reconstruction."""
     return {
-        "schema_version": cfg.schema_version,
-        "config": cfg.to_dict(),
         "final_relerr": record.final_relerr,
         "min_relerr": record.min_relerr,
         "argmin_iter": record.argmin_iter,
         "stop_reason": record.stop_reason,
-        "lambda_final": record.lambdas[-1] if record.lambdas else None,
+        "lambda_final": record.lambdas[-1],
     }
+
+
+def _per_run(records, keys):
+    """The summary fields ``keys`` of a sweep, each as a {run name: value} map."""
+    fields = {name: _run_fields(rec) for name, rec in records.items()}
+    return {key: {name: f[key] for name, f in fields.items()} for key in keys}
+
+
+def _write_summary(out, cfg, **fields):
+    """summary.json: the schema version, the configuration and a command's own fields."""
+    write_json(
+        out / "summary.json",
+        {"schema_version": cfg.schema_version, "config": cfg.to_dict(), **fields},
+    )
 
 
 def _outdir(cfg):
@@ -174,9 +189,44 @@ def _outdir(cfg):
     return out
 
 
+def _sweep(cfg, problem, out, runs):
+    """Named reconstructions of one problem: ``runs`` maps a name to (inexactness, rule).
+
+    Each run is timed. Its history goes to ``history_<name>.csv`` and its
+    time, as ``<name>_s``, to ``timings.json``. Returns the records by name,
+    in the order of ``runs``.
+    """
+
+    def one_run(item):
+        name, (inexact, rule) = item
+        t0 = time.perf_counter()
+        record = run_reconstruction(cfg, problem, inexact=inexact, rule=rule)
+        return name, record, time.perf_counter() - t0
+
+    records, timings = {}, {}
+    for name, record, dt in _run_all(one_run, list(runs.items())):
+        records[name] = record
+        timings[f"{name}_s"] = dt
+        write_csv(out / f"history_{name}.csv", HISTORY_HEADER, _history_rows(record))
+    write_json(out / "timings.json", timings)
+    return records
+
+
+# Column groups of the merged per-iteration CSVs: header prefix -> ReconRecord list.
+MERGED_COLUMNS = {"relerr": "relerr", "lambda": "lambdas"}
+
+
+def _write_merged(path, records, columns):
+    """One row per iteration, up to the shortest run: the ``columns`` of each run side by side."""
+    iters = min(rec.iterations for rec in records.values())
+    lists = [getattr(rec, MERGED_COLUMNS[col]) for rec in records.values() for col in columns]
+    header = "iter," + ",".join(f"{col}_{name}" for name in records for col in columns)
+    rows = [tuple([i + 1] + [float(values[i]) for values in lists]) for i in range(iters)]
+    write_csv(path, header, rows)
+
+
 def cmd_verify_relations(cfg):
     """Factorization-relation residuals per beta, with linear-scaling gates."""
-    cfg.validate()
     if not cfg.betas:
         raise ConfigError("verify-relations needs at least one betas entry")
     out = _outdir(cfg)
@@ -185,21 +235,21 @@ def cmd_verify_relations(cfg):
     def one_beta(beta):
         t0 = time.perf_counter()
         model = inexactness_for(cfg, beta=beta)
-        state, reason = bidiag.igenGK_run(
+        state, _ = bidiag.igenGK_run(
             problem.A, model, problem.prior, problem.noise, problem.b, cfg.max_iter
         )
         rep = bidiag.relation_diagnostics(state, problem.A, problem.prior, problem.noise)
-        return beta, rep, reason, time.perf_counter() - t0
+        return beta, rep, time.perf_counter() - t0
 
     results = _run_all(one_beta, list(cfg.betas))
     rows = [
         (float(beta), rep.err_adjoint, rep.err_forward, rep.err_Vorth, rep.err_Uorth)
-        for beta, rep, _, _ in results
+        for beta, rep, _ in results
     ]
     write_csv(out / "relations.csv", RELATIONS_HEADER, rows)
 
     ratios = []
-    nonzero = [(b, rep) for b, rep, _, _ in results if b > 0]
+    nonzero = [(b, rep) for b, rep, _ in results if b > 0]
     for (b1, r1), (b2, r2) in zip(nonzero, nonzero[1:]):
         expected = b1 / b2
         ratios.append(
@@ -210,131 +260,65 @@ def cmd_verify_relations(cfg):
                 "forward_ratio": r1.err_forward / r2.err_forward,
             }
         )
-    orth_ok = all(rep.err_Vorth <= ORTH_GATE and rep.err_Uorth <= ORTH_GATE for _, rep, _, _ in results)
+    orth_ok = all(rep.err_Vorth <= ORTH_GATE and rep.err_Uorth <= ORTH_GATE for _, rep, _ in results)
     ratio_ok = all(
         abs(r["adjoint_ratio"] / r["expected"] - 1) <= RATIO_GATE
         and abs(r["forward_ratio"] / r["expected"] - 1) <= RATIO_GATE
         for r in ratios
     )
-    write_json(
-        out / "summary.json",
-        {
-            "schema_version": cfg.schema_version,
-            "config": cfg.to_dict(),
-            "relations": [dict(zip(RELATIONS_HEADER.split(","), row)) for row in rows],
-            "scaling_ratios": ratios,
-            "orthogonality_ok": orth_ok,
-            "scaling_ok": ratio_ok,
-        },
+    _write_summary(
+        out,
+        cfg,
+        relations=[dict(zip(RELATIONS_HEADER.split(","), row)) for row in rows],
+        scaling_ratios=ratios,
+        orthogonality_ok=orth_ok,
+        scaling_ok=ratio_ok,
     )
-    write_json(out / "timings.json", {f"beta_{b:g}_s": t for b, _, _, t in results})
+    write_json(out / "timings.json", {f"beta_{b:g}_s": t for b, _, t in results})
     return 0 if (orth_ok and ratio_ok) else 1
 
 
 def cmd_reconstruct(cfg):
     """One reconstruction run: history.csv, final.pgm, summary.json."""
-    cfg.validate()
     inexact = inexactness_for(cfg)
     out = _outdir(cfg)
     problem = build_problem(cfg)
     record = run_reconstruction(cfg, problem, inexact=inexact)
     write_csv(out / "history.csv", HISTORY_HEADER, _history_rows(record))
     tomo.write_pgm(out / "final.pgm", record.solution, problem.geom.n)
-    write_json(out / "summary.json", _summary(cfg, record))
+    _write_summary(out, cfg, **_run_fields(record))
     write_json(out / "timings.json", record.timings)
     return 0
 
 
 def cmd_compare_reg(cfg):
     """Every lambda-selecting rule (optimal, DP, WGCV) on the identical observation."""
-    cfg.validate()
     inexact = inexactness_for(cfg)
     out = _outdir(cfg)
     problem = build_problem(cfg)
-    rules = {name: replace(cfg.reg, rule=name) for name in SELECTING_RULES}
-
-    def one_rule(item):
-        name, rule = item
-        t0 = time.perf_counter()
-        record = run_reconstruction(cfg, problem, inexact=inexact, rule=rule)
-        return name, record, time.perf_counter() - t0
-
-    results = dict()
-    timings = dict()
-    for name, record, dt in _run_all(one_rule, list(rules.items())):
-        results[name] = record
-        timings[f"{name}_s"] = dt
-        write_csv(out / f"history_{name}.csv", HISTORY_HEADER, _history_rows(record))
-
-    iters = min(rec.iterations for rec in results.values())
-    merged_header = "iter," + ",".join(
-        f"relerr_{name},lambda_{name}" for name in rules
+    runs = {name: (inexact, replace(cfg.reg, rule=name)) for name in SELECTING_RULES}
+    records = _sweep(cfg, problem, out, runs)
+    _write_merged(out / "compare.csv", records, ("relerr", "lambda"))
+    _write_summary(
+        out, cfg, **_per_run(records, ("final_relerr", "min_relerr", "argmin_iter", "lambda_final"))
     )
-    merged_rows = []
-    for i in range(iters):
-        row = [i + 1]
-        for name in rules:
-            rec = results[name]
-            row.extend([float(rec.relerr[i]), float(rec.lambdas[i])])
-        merged_rows.append(tuple(row))
-    write_csv(out / "compare.csv", merged_header, merged_rows)
-    write_json(
-        out / "summary.json",
-        {
-            "schema_version": cfg.schema_version,
-            "config": cfg.to_dict(),
-            "final_relerr": {name: rec.final_relerr for name, rec in results.items()},
-            "min_relerr": {name: rec.min_relerr for name, rec in results.items()},
-            "argmin_iter": {name: rec.argmin_iter for name, rec in results.items()},
-            "lambda_final": {name: rec.lambdas[-1] for name, rec in results.items()},
-        },
-    )
-    write_json(out / "timings.json", timings)
     return 0
 
 
 def cmd_inexact_angles(cfg):
     """Angle-jitter schedules against the exact-angle baseline."""
-    cfg.validate()
     out = _outdir(cfg)
     problem = build_problem(cfg)
-    runs = [("exact", None)] + [
-        (f"sched{idx}", pair) for idx, pair in enumerate(cfg.angle_schedules)
-    ]
-
-    def one_run(item):
-        name, angles = item
-        t0 = time.perf_counter()
-        inexact = EXACT if angles is None else inexactness_for(cfg, angles=angles)
-        record = run_reconstruction(cfg, problem, inexact=inexact)
-        return name, angles, record, time.perf_counter() - t0
-
-    results = []
-    timings = {}
-    for name, sched, record, dt in _run_all(one_run, runs):
-        results.append((name, sched, record))
-        timings[f"{name}_s"] = dt
-        write_csv(out / f"history_{name}.csv", HISTORY_HEADER, _history_rows(record))
-
-    iters = min(rec.iterations for _, _, rec in results)
-    header = "iter," + ",".join(f"relerr_{name}" for name, _, _ in results)
-    rows = [
-        tuple([i + 1] + [float(rec.relerr[i]) for _, _, rec in results]) for i in range(iters)
-    ]
-    write_csv(out / "comparison.csv", header, rows)
-    write_json(
-        out / "summary.json",
-        {
-            "schema_version": cfg.schema_version,
-            "config": cfg.to_dict(),
-            "schedules": {
-                name: (None if angles is None else list(angles)) for name, angles, _ in results
-            },
-            "final_relerr": {name: rec.final_relerr for name, _, rec in results},
-            "min_relerr": {name: rec.min_relerr for name, _, rec in results},
-        },
-    )
-    write_json(out / "timings.json", timings)
+    schedules = {"exact": None}
+    schedules.update((f"sched{idx}", pair) for idx, pair in enumerate(cfg.angle_schedules))
+    runs = {
+        name: (EXACT if angles is None else inexactness_for(cfg, angles=angles), cfg.reg)
+        for name, angles in schedules.items()
+    }
+    records = _sweep(cfg, problem, out, runs)
+    _write_merged(out / "comparison.csv", records, ("relerr",))
+    listed = {name: None if angles is None else list(angles) for name, angles in schedules.items()}
+    _write_summary(out, cfg, schedules=listed, **_per_run(records, ("final_relerr", "min_relerr")))
     return 0
 
 

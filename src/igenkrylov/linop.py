@@ -124,7 +124,7 @@ def _error_draw(model, k, direction, v, size):
 
 def perturbed_apply(op, model, k, x):
     """Forward product with iteration-k inexactness: (A + E_k) x."""
-    if model is None or not model.active:
+    if not model.active:
         return op.apply(x)
     if model.mode == "angle-perturbation":
         return op.perturbed_variant(model, k).apply(x)
@@ -134,7 +134,7 @@ def perturbed_apply(op, model, k, x):
 
 def perturbed_apply_adjoint(op, model, k, y):
     """Adjoint product with iteration-k inexactness: (A + F_k)^T y."""
-    if model is None or not model.active:
+    if not model.active:
         return op.apply_adjoint(y)
     if model.mode == "angle-perturbation":
         return op.perturbed_variant(model, k).apply_adjoint(y)

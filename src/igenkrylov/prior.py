@@ -1,7 +1,7 @@
 """Prior and noise models: Matern covariance with fast matvecs.
 
-The covariance matrix Q on a regular grid with a stationary kernel is
-(block-)Toeplitz, so Q x can be evaluated by embedding into a circulant
+The covariance matrix Q on a regular 2-d grid with a stationary kernel is
+block-Toeplitz, so Q x can be evaluated by embedding into a circulant
 matrix, diagonalizing with the FFT, and truncating. Along each axis the
 circulant has the smallest FFT-friendly size m_i >= 2*n_i - 1, and its
 entries at offsets |d| >= n_i are zero; the truncated product is exact for
@@ -34,13 +34,10 @@ class MaternKernel:
 
     nu: float
     alpha: float
-    variance: float = 1.0
 
     def __post_init__(self):
         if self.nu <= 0 or self.alpha <= 0:
             raise InvalidParameterError("nu and alpha must be positive")
-        if self.variance <= 0:
-            raise InvalidParameterError("variance must be positive")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -63,22 +60,22 @@ class MaternKernel:
                 (2.0 ** (1.0 - self.nu) / gamma_fn(self.nu)) * tv**self.nu * kv(self.nu, tv)
             )
             val[zero] = 1.0
-        return self.variance * val
+        return val
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Regular grid of cell centers on the unit interval/square.
+    """Regular 2-d grid of cell centers on the unit square.
 
-    2-d grids are vectorized column-major ("stack the columns"): vector index
-    v maps to cell (row, col) = (v % n1, v // n1).
+    Vectorized column-major ("stack the columns"): vector index v maps to
+    cell (row, col) = (v % n1, v // n1).
     """
 
     shape: tuple
 
     def __post_init__(self):
         shape = tuple(int(s) for s in self.shape)
-        if len(shape) not in (1, 2) or any(s < 1 for s in shape):
+        if len(shape) != 2 or any(s < 1 for s in shape):
             raise InvalidParameterError(f"unsupported grid shape {shape}")
         object.__setattr__(self, "shape", shape)
 
@@ -105,7 +102,7 @@ def _fast_len(target):
 
 
 def _embedding_symbol(grid, kernel, shape):
-    """FFT of the circulant embedding of the (block-)Toeplitz covariance.
+    """FFT of the circulant embedding of the block-Toeplitz covariance.
 
     Entry j of an axis of size m holds the signed offset d = j (j < n) or
     j - m; offsets with |d| >= n never meet the truncated product and are zero.
@@ -116,11 +113,8 @@ def _embedding_symbol(grid, kernel, shape):
         d = np.abs(np.where(j < n, j, j - m))
         dist.append(d * (1.0 / n))
         keep.append(d < n)
-    if len(shape) == 1:
-        r, inside = dist[0], keep[0]
-    else:
-        r = np.hypot(dist[0][:, None], dist[1][None, :])
-        inside = keep[0][:, None] & keep[1][None, :]
+    r = np.hypot(dist[0][:, None], dist[1][None, :])
+    inside = keep[0][:, None] & keep[1][None, :]
     return np.fft.rfftn(np.where(inside, kernel(r), 0.0))
 
 
@@ -132,7 +126,7 @@ class CovarianceOperator:
     """
 
     def __init__(self, grid, kernel):
-        self.grid = grid if isinstance(grid, Grid) else Grid(tuple(np.atleast_1d(grid)))
+        self.grid = grid
         self.kernel = kernel
         self.n = self.grid.npoints
         self._fft_shape = tuple(_fast_len(2 * n - 1) for n in self.grid.shape)
@@ -145,9 +139,9 @@ class CovarianceOperator:
     def apply(self, x):
         """Q x by the 1-D transforms ``rfftn``/``irfftn`` make on the padded grid, pruned.
 
-        On a 2-D grid the last axis is transformed for the data rows only and,
-        on the way back, only for the rows the truncation keeps; axis 0 is
-        transformed in place at its full padded length. Each kept value comes
+        The last axis is transformed for the data rows only and, on the way
+        back, only for the rows the truncation keeps; axis 0 is transformed in
+        place at its full padded length. Each kept value comes
         from the same sequence of 1-D transforms as on the zero-padded array,
         so the result is bitwise the padded product.
         """
@@ -155,17 +149,12 @@ class CovarianceOperator:
         if x.shape != (self.n,):
             raise DimensionError(f"expected vector of length {self.n}")
         shape, m = self.grid.shape, self._fft_shape
-        if len(shape) == 1:
-            f = np.fft.rfft(x, n=m[0])
-            f *= self._symbol
-        else:
-            f = np.zeros(self._symbol.shape, dtype=complex)
-            np.fft.rfft(x.reshape(shape, order="F"), n=m[1], axis=1, out=f[: shape[0]])
-            np.fft.fft(f, axis=0, out=f)
-            f *= self._symbol
-            np.fft.ifft(f, axis=0, out=f)
-            f = f[: shape[0]]
-        return np.fft.irfft(f, n=m[-1], axis=-1)[..., : shape[-1]].ravel(order="F")
+        f = np.zeros(self._symbol.shape, dtype=complex)
+        np.fft.rfft(x.reshape(shape, order="F"), n=m[1], axis=1, out=f[: shape[0]])
+        np.fft.fft(f, axis=0, out=f)
+        f *= self._symbol
+        np.fft.ifft(f, axis=0, out=f)
+        return np.fft.irfft(f[: shape[0]], n=m[1], axis=1)[:, : shape[1]].ravel(order="F")
 
 
 class IdentityCovariance:

@@ -42,7 +42,8 @@ class ProjectedProblem:
 
     The SVD M = U diag(s) Vt is taken on construction; the problem keeps
     ``s``, ``Vt``, ``bhat`` = U^T beta1 e1, ``tail2`` (the squared part of
-    beta1 e1 outside range(M)) and ``sigma_max``.
+    beta1 e1 outside range(M)) and ``sigma_max``. A zero M, whose lambda
+    grid would collapse to zero, raises NumericalError.
     """
 
     def __init__(self, M, beta1):
@@ -56,6 +57,8 @@ class ProjectedProblem:
         self.bhat = beta1 * U[0, :]
         self.tail2 = max(beta1**2 - float(np.dot(self.bhat, self.bhat)), 0.0)
         self.sigma_max = float(self.s[0])
+        if self.sigma_max <= 0.0:
+            raise NumericalError("projected matrix is zero")
 
     def filters(self, lam):
         """Filter factors at ``lam``, a scalar or a 1-D array of positive values.
@@ -171,17 +174,15 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=
     timings["decomposition_s"] += time.perf_counter() - t0
 
     choose = rule.chooser(prior, noise_norm, s_true)
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         t0 = time.perf_counter()
         try:
             bidiag.igenGK_step(state, A, inexact, prior, noise)
-            stepped = True
         except BreakdownSignal:
+            # Either side commits the step's column of M before raising, so
+            # the projected problem of this iteration is still solved.
             stop_reason = "breakdown"
-            stepped = state.M.shape[1] >= it  # terminal square commit still solvable
         timings["decomposition_s"] += time.perf_counter() - t0
-        if not stepped:
-            break
 
         t0 = time.perf_counter()
         prob = ProjectedProblem(M=state.M, beta1=state.beta1)

@@ -18,10 +18,7 @@ class CapacityError(IgenKrylovError):
 
 
 def grid_points(grid):
-    """Cell centers of a ``prior.Grid`` in vectorization order, shape (n, d)."""
-    if len(grid.shape) == 1:
-        (n,) = grid.shape
-        return ((np.arange(n) + 0.5) / n)[:, None]
+    """Cell centers of a ``prior.Grid`` in vectorization order, shape (n, 2)."""
     n1, n2 = grid.shape
     rows = (np.arange(n1) + 0.5) / n1
     cols = (np.arange(n2) + 0.5) / n2

@@ -215,7 +215,7 @@ def test_criterion_07_angle_inexactness_ordering(desk):
 
     finals = {}
     finals["exact"] = final(linop.EXACT)
-    run_cfg = ExperimentConfig(max_iter=DESK_ITERS, seed=DESK_SEED).validate()
+    run_cfg = ExperimentConfig(max_iter=DESK_ITERS, seed=DESK_SEED)
     for label, start in (("small", 1e-1), ("large", 1e0)):
         model = harness.inexactness_for(run_cfg, angles=(start, 1e-6))
         finals[label] = final(model)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from igenkrylov import bidiag, linop, prior, tomo
-from igenkrylov.errors import BreakdownSignal, DegenerateInputError
+from igenkrylov.errors import BreakdownSignal, DegenerateInputError, NumericalError
 
 from conftest import DenseOperator, DenseSPDCovariance, IdentityOperator, gk_decompose, random_spd
 
@@ -76,6 +76,15 @@ def test_init_rejects_zero_rhs():
     pm, nm = identity_setting(3, 3)
     with pytest.raises(DegenerateInputError):
         bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_init_rejects_overflowing_normalization():
+    # ||A^T b||^2 overflows to inf, which must not normalize v1 to zero.
+    A = DenseOperator(np.full((3, 2), 1e200))
+    pm, nm = identity_setting(3, 2)
+    with pytest.raises(NumericalError):
+        bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.ones(3))
 
 
 def test_engine_matches_two_term_oracle():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from igenkrylov.config import (
     GeometryConfig,
     InexactConfig,
     INDEX_MAX,
+    PriorConfig,
     RegConfig,
     config_from_dict,
     config_from_json,
@@ -25,9 +27,7 @@ def tiny_config(tmp_path, **overrides):
         seed=42,
         output_dir=str(tmp_path / "out"),
     )
-    for key, val in overrides.items():
-        object.__setattr__(cfg, key, val)
-    return cfg.validate()
+    return replace(cfg, **overrides)
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -48,6 +48,23 @@ def test_config_rejects_unknown_keys():
 def test_config_rejects_bad_schema_version():
     with pytest.raises(ConfigError):
         config_from_dict({"schema_version": 99})
+
+
+def test_config_sections_are_frozen_and_checked_on_construction():
+    for build in (
+        lambda: ExperimentConfig(max_iter=0),
+        lambda: GeometryConfig(n=8),
+        lambda: PriorConfig(nu=0),
+        lambda: InexactConfig(beta=-1),
+        lambda: replace(preset("desk"), seed=-1),
+    ):
+        with pytest.raises(ConfigError):
+            build()
+    cfg = preset("desk")
+    for section, name in ((cfg, "seed"), (cfg.geometry, "n"), (cfg.prior, "nu"),
+                          (cfg.inexactness, "beta"), (cfg.reg, "rule")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(section, name, getattr(section, name))
 
 
 # JSON values of the wrong type: each must be a ConfigError, not a TypeError
@@ -200,6 +217,8 @@ def test_compare_reg_shares_observation(tmp_path):
         assert (out / f"history_{rule}.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["final_relerr"]) == {"optimal", "dp", "wgcv"}
+    timings = json.loads((out / "timings.json").read_text())
+    assert set(timings) == {"optimal_s", "dp_s", "wgcv_s"}
 
 
 def test_inexact_angles_zero_jitter_bitwise(tmp_path):
@@ -218,6 +237,8 @@ def test_inexact_angles_zero_jitter_bitwise(tmp_path):
     assert exact == sched
     comparison = (out / "comparison.csv").read_text().splitlines()
     assert comparison[0] == "iter,relerr_exact,relerr_sched0"
+    timings = json.loads((out / "timings.json").read_text())
+    assert set(timings) == {"exact_s", "sched0_s"}
 
 
 def test_verify_relations_gate_failure_exit_code(tmp_path):
@@ -502,3 +523,25 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("configuration error:")
     with pytest.raises(ConfigError):
         config_from_dict({"schema_version": 1, "inexactness": {"seed": -1}})
+
+
+# Error levels at which the Q-norm of the first adjoint product (c11)
+# overflows to inf, under a rule that selects lambda and under none.
+OVERFLOW = (
+    ({"inexactness": {"beta": 1e200}, "reg": {"rule": "optimal"}}, ["--beta", "1e200", "--reg", "opt"]),
+    ({"inexactness": {"beta": 1e300}, "reg": {"rule": "none"}}, ["--beta", "1e300", "--reg", "none"]),
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflow_is_numerical_failure(tmp_path, capsys):
+    """An overflowing normalization exits 3, from JSON or flags."""
+    path = tmp_path / "cfg.json"
+    base = {"geometry": {"n": 16}, "mode": "igengk", "max_iter": 5}
+    for bad, flags in OVERFLOW:
+        for cfg, extra in (({**base, **bad}, []), (base, flags)):
+            path.write_text(json.dumps(cfg))
+            capsys.readouterr()
+            argv = ["reconstruct", "--config", str(path), "--out", str(tmp_path / "out"), *extra]
+            assert cli.main(argv) == 3
+            assert capsys.readouterr().err.startswith("numerical failure:")

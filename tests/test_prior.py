@@ -70,14 +70,14 @@ def test_kernel_parameter_validation():
 
 
 def test_dense_cov_single_point():
-    Q = build_dense_cov(prior.Grid((1,)), prior.MaternKernel(nu=1.5, alpha=1.0))
+    Q = build_dense_cov(prior.Grid((1, 1)), prior.MaternKernel(nu=1.5, alpha=1.0))
     np.testing.assert_array_equal(Q, [[1.0]])
 
 
 def test_dense_cov_two_points():
     k = prior.MaternKernel(nu=1.5, alpha=3.0)
-    Q = build_dense_cov(prior.Grid((2,)), k)
-    r = 0.5  # cell centers 0.25 and 0.75
+    Q = build_dense_cov(prior.Grid((2, 1)), k)
+    r = 0.5  # cell centers (0.25, 0.5) and (0.75, 0.5)
     assert Q[0, 1] == Q[1, 0]
     assert abs(Q[0, 1] - float(k(r))) <= 1e-15
     np.testing.assert_array_equal(np.diag(Q), [1.0, 1.0])
@@ -135,7 +135,7 @@ def test_fft_backend_symmetric_and_psd():
 
 def test_fft_backend_1d():
     k = prior.MaternKernel(nu=0.5, alpha=4.0)
-    g = prior.Grid((25,))
+    g = prior.Grid((25, 1))  # one column: the 1-d case as a 2-d grid
     Qd = build_dense_cov(g, k)
     x = np.random.default_rng(3).standard_normal(25)
     np.testing.assert_allclose(prior.CovarianceOperator(g, k).apply(x), Qd @ x, rtol=1e-12, atol=1e-13)
@@ -146,7 +146,7 @@ def test_fast_len_matches_scipy():
         assert prior._fast_len(target) == next_fast_len(target, real=True)
 
 
-@pytest.mark.parametrize("shape", [(64,), (7, 12)])
+@pytest.mark.parametrize("shape", [(7, 12)])
 def test_fft_padded_embedding_matches_dense(shape):
     # 2 n - 1 is no fast FFT length on any axis, so the circulant is padded
     assert all(next_fast_len(2 * n - 1, real=True) > 2 * n - 1 for n in shape)
@@ -159,7 +159,7 @@ def test_fft_padded_embedding_matches_dense(shape):
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("shape", [(64, 64), (128, 128), (16, 16), (17, 23), (40,), (33,)])
+@pytest.mark.parametrize("shape", [(64, 64), (128, 128), (16, 16), (17, 23), (40, 1), (1, 33)])
 def test_pruned_fft_bitwise_matches_padded_transforms(shape):
     k = prior.MaternKernel(nu=1.5, alpha=10.0)
     op = prior.CovarianceOperator(prior.Grid(shape), k)

@@ -56,6 +56,12 @@ def test_rejects_nonfinite_matrix():
         make_prob([[np.nan], [0.0]], 1.0)
 
 
+def test_rejects_zero_matrix():
+    # A zero M has sigma_max = 0, which no lambda grid can scale with.
+    with pytest.raises(NumericalError):
+        make_prob([[0.0], [0.0]], 1.0)
+
+
 def test_svd_cache_reconstructs():
     rng = np.random.default_rng(1)
     prob = make_prob(rng.standard_normal((6, 5)), 1.3)

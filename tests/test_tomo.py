@@ -221,7 +221,7 @@ def angle_model(start, end, max_iter, seed):
         max_iter=max_iter,
         seed=seed,
     )
-    return harness.inexactness_for(cfg.validate())
+    return harness.inexactness_for(cfg)
 
 
 def test_angle_schedule_endpoints_and_ratio():
