@@ -146,7 +146,7 @@ def test_fast_len_matches_scipy():
         assert prior._fast_len(target) == next_fast_len(target, real=True)
 
 
-@pytest.mark.parametrize("shape", [(7, 12)])
+@pytest.mark.parametrize("shape", [(64, 4), (7, 12)])  # (64, 4): a long thin strip
 def test_fft_padded_embedding_matches_dense(shape):
     # 2 n - 1 is no fast FFT length on any axis, so the circulant is padded
     assert all(next_fast_len(2 * n - 1, real=True) > 2 * n - 1 for n in shape)
