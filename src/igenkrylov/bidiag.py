@@ -100,6 +100,16 @@ def _finite(norm, what):
     return norm
 
 
+def overflow_checked():
+    """The floating-point state for computing normalizations that ``_finite`` checks.
+
+    NumPy's overflow and invalid-value warnings are off: a norm that
+    overflows is reported once, as a NumericalError. ``igenGK_init`` enters
+    it itself; a loop of ``igenGK_step`` calls enters it once around the loop.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _orthogonalize(vec, basis, coefficients, passes=2):
     """Gram-Schmidt against ``basis``, given its inner-product coefficients.
 
@@ -127,14 +137,14 @@ def igenGK_init(A, inexact, prior, noise, b):
     b = np.asarray(b, dtype=float)
     if b.shape != (A.nrows,):
         raise DimensionError("right-hand side length does not match operator rows")
-    beta1 = _finite(weighted_norm(b, noise.apply_rinv), "beta1")
-    if beta1 == 0.0:
-        raise DegenerateInputError("right-hand side is zero")
-    u1 = b / beta1
-
-    vbar = linop.perturbed_apply_adjoint(A, inexact, 1, noise.apply_rinv(u1))
-    qv = prior.Q.apply(vbar)
-    c11 = _finite(math.sqrt(max(float(np.dot(vbar, qv)), 0.0)), "c11")
+    with overflow_checked():
+        beta1 = _finite(weighted_norm(b, noise.apply_rinv), "beta1")
+        if beta1 == 0.0:
+            raise DegenerateInputError("right-hand side is zero")
+        u1 = b / beta1
+        vbar = linop.perturbed_apply_adjoint(A, inexact, 1, noise.apply_rinv(u1))
+        qv = prior.Q.apply(vbar)
+        c11 = _finite(math.sqrt(max(float(np.dot(vbar, qv)), 0.0)), "c11")
     if c11 <= BREAKDOWN_RTOL * beta1:
         # No column can be built, so there is nothing to solve: an input error.
         raise DegenerateInputError("adjoint of right-hand side is degenerate")
@@ -152,7 +162,8 @@ def igenGK_step(state, A, inexact, prior, noise):
     U-side normalization the projected matrix is committed in square, terminal
     form (its last subdiagonal vanished), so the projected problem built so far
     is still solvable; a BreakdownSignal is raised either way. A normalization
-    that is not finite raises NumericalError.
+    that is not finite raises NumericalError; call the step under
+    ``overflow_checked`` for that to be the only report.
     """
     if state.terminated:
         raise BreakdownSignal("state is terminal")
@@ -199,12 +210,13 @@ def igenGK_run(A, inexact, prior, noise, b, steps):
     """Run ``steps`` iterations, stopping gracefully on breakdown."""
     state = igenGK_init(A, inexact, prior, noise, b)
     reason = "max_iter"
-    for _ in range(steps):
-        try:
-            igenGK_step(state, A, inexact, prior, noise)
-        except BreakdownSignal:
-            reason = "breakdown"
-            break
+    with overflow_checked():
+        for _ in range(steps):
+            try:
+                igenGK_step(state, A, inexact, prior, noise)
+            except BreakdownSignal:
+                reason = "breakdown"
+                break
     return state, reason
 
 

@@ -184,16 +184,21 @@ def _write_summary(out, cfg, **fields):
 
 
 def _outdir(cfg):
+    """The output directory, created when a command has its results to write.
+
+    A run that fails before then (exit 2 or 3) leaves no new directory.
+    """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _sweep(cfg, problem, out, runs):
+def _sweep(cfg, problem, runs):
     """Named reconstructions of one problem: ``runs`` maps a name to (inexactness, rule).
 
-    Each run is timed. Its history goes to ``history_<name>.csv`` and its
-    time, as ``<name>_s``, to ``timings.json``. Returns the records by name,
+    Each run is timed. Once all have finished, each history goes to
+    ``history_<name>.csv`` and each time, as ``<name>_s``, to
+    ``timings.json``. Returns the output directory and the records by name,
     in the order of ``runs``.
     """
 
@@ -203,13 +208,15 @@ def _sweep(cfg, problem, out, runs):
         record = run_reconstruction(cfg, problem, inexact=inexact, rule=rule)
         return name, record, time.perf_counter() - t0
 
+    results = _run_all(one_run, list(runs.items()))
+    out = _outdir(cfg)
     records, timings = {}, {}
-    for name, record, dt in _run_all(one_run, list(runs.items())):
+    for name, record, dt in results:
         records[name] = record
         timings[f"{name}_s"] = dt
         write_csv(out / f"history_{name}.csv", HISTORY_HEADER, _history_rows(record))
     write_json(out / "timings.json", timings)
-    return records
+    return out, records
 
 
 # Column groups of the merged per-iteration CSVs: header prefix -> ReconRecord list.
@@ -229,7 +236,6 @@ def cmd_verify_relations(cfg):
     """Factorization-relation residuals per beta, with linear-scaling gates."""
     if not cfg.betas:
         raise ConfigError("verify-relations needs at least one betas entry")
-    out = _outdir(cfg)
     problem = build_problem(cfg)
 
     def one_beta(beta):
@@ -242,6 +248,7 @@ def cmd_verify_relations(cfg):
         return beta, rep, time.perf_counter() - t0
 
     results = _run_all(one_beta, list(cfg.betas))
+    out = _outdir(cfg)
     rows = [
         (float(beta), rep.err_adjoint, rep.err_forward, rep.err_Vorth, rep.err_Uorth)
         for beta, rep, _ in results
@@ -281,9 +288,9 @@ def cmd_verify_relations(cfg):
 def cmd_reconstruct(cfg):
     """One reconstruction run: history.csv, final.pgm, summary.json."""
     inexact = inexactness_for(cfg)
-    out = _outdir(cfg)
     problem = build_problem(cfg)
     record = run_reconstruction(cfg, problem, inexact=inexact)
+    out = _outdir(cfg)
     write_csv(out / "history.csv", HISTORY_HEADER, _history_rows(record))
     tomo.write_pgm(out / "final.pgm", record.solution, problem.geom.n)
     _write_summary(out, cfg, **_run_fields(record))
@@ -294,10 +301,9 @@ def cmd_reconstruct(cfg):
 def cmd_compare_reg(cfg):
     """Every lambda-selecting rule (optimal, DP, WGCV) on the identical observation."""
     inexact = inexactness_for(cfg)
-    out = _outdir(cfg)
     problem = build_problem(cfg)
     runs = {name: (inexact, replace(cfg.reg, rule=name)) for name in SELECTING_RULES}
-    records = _sweep(cfg, problem, out, runs)
+    out, records = _sweep(cfg, problem, runs)
     _write_merged(out / "compare.csv", records, ("relerr", "lambda"))
     _write_summary(
         out, cfg, **_per_run(records, ("final_relerr", "min_relerr", "argmin_iter", "lambda_final"))
@@ -307,7 +313,6 @@ def cmd_compare_reg(cfg):
 
 def cmd_inexact_angles(cfg):
     """Angle-jitter schedules against the exact-angle baseline."""
-    out = _outdir(cfg)
     problem = build_problem(cfg)
     schedules = {"exact": None}
     schedules.update((f"sched{idx}", pair) for idx, pair in enumerate(cfg.angle_schedules))
@@ -315,7 +320,7 @@ def cmd_inexact_angles(cfg):
         name: (EXACT if angles is None else inexactness_for(cfg, angles=angles), cfg.reg)
         for name, angles in schedules.items()
     }
-    records = _sweep(cfg, problem, out, runs)
+    out, records = _sweep(cfg, problem, runs)
     _write_merged(out / "comparison.csv", records, ("relerr",))
     listed = {name: None if angles is None else list(angles) for name, angles in schedules.items()}
     _write_summary(out, cfg, schedules=listed, **_per_run(records, ("final_relerr", "min_relerr")))

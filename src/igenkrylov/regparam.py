@@ -5,15 +5,19 @@ an oracle rule minimizing the true reconstruction error, the discrepancy
 principle, and weighted GCV. Each returns lambda only; the projected solve
 at that lambda is made once, by the solve driver. Each rule evaluates its
 objective in the coordinates of the SVD that ``ProjectedProblem`` takes on
-construction, through the filter factors of ``ProjectedProblem.filters``, so
-one evaluation is k-sized work and never touches an n-vector:
+construction, through the filter factors of ``ProjectedProblem.filters`` (the
+oracle rule needs only their ``gain``), so one evaluation is k-sized work and
+never touches an n-vector:
 
 - the oracle error ||mu + Z y - s_true||^2 is dd + 2 c^T y + y^T G y, with
   the k-by-k Gram matrix G = Z^T Z and c = Z^T (mu - s_true) kept by
   ``OracleGram``, which a solve grows by one row and column per iteration
   (Chung & Saibaba, SISC 39(5), 2017);
-- the grid search of the oracle and WGCV rules evaluates all grid points in
-  one call, and golden-section refinement evaluates scalars;
+- the oracle and WGCV rules evaluate all points of the lambda grid in one
+  call and refine its minimum in at most three rounds of one call each, over
+  grids precomputed for a unit sigma_max (``_grid_then_refine``); values
+  within a rounding bound of the minimum tie, and a tie goes to the largest
+  lambda, so that the choice is reproducible where the objective is flat;
 - the discrepancy principle brackets its root on the same grid and refines
   it by a safeguarded secant step in log lambda.
 
@@ -48,8 +52,33 @@ GRID_POINTS = 50
 GRID_FLOOR_RTOL = 1e-12
 GRID_TOP_FACTOR = 10.0
 REFINE_RELWIDTH = 1e-4
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+REFINE_POINTS = 65
+# A value ties with the minimum when it exceeds it by at most TIE_RTOL * k
+# times the rounding scale at the minimum (k columns of M). The first-order
+# rounding error of a length-k evaluation is a few k * eps times that scale;
+# the wide margin keeps ties from changing when Z or M change at rounding level.
+TIE_RTOL = 256.0 * np.finfo(float).eps
 _FLOAT_MAX = sys.float_info.max  # NaN, the infinities and larger integers fail <= it
+
+
+# The lambda grid is UNIT_GRID * sigma_max. A refinement round spans a
+# bracket of two steps of the grid or round before it, and its points are the
+# bracket's lower end times the round's unit array, so every bracket of a
+# round spans the same ratio. Rounds go on until a bracket is narrower than
+# REFINE_RELWIDTH relative (three rounds of REFINE_POINTS).
+UNIT_GRID = np.geomspace(GRID_FLOOR_RTOL, GRID_TOP_FACTOR, GRID_POINTS)
+
+
+def _refine_rounds():
+    rounds = []
+    ratio = (UNIT_GRID[1] / UNIT_GRID[0]) ** 2
+    while 1.0 - 1.0 / ratio > REFINE_RELWIDTH:
+        rounds.append(np.geomspace(1.0, ratio, REFINE_POINTS))
+        ratio = rounds[-1][2]
+    return tuple(rounds)
+
+
+REFINE_ROUNDS = _refine_rounds()
 
 
 def _check_omega(omega):
@@ -153,8 +182,8 @@ class OracleGram:
         else:
             self.G, self.c = Z.T @ Z, Z.T @ self.d
 
-    def objective(self, prob):
-        """The error as a function of lambda, a scalar or a 1-D grid.
+    def error_terms(self, prob):
+        """The error as ``const`` plus a function of lambda: ``(const, terms)``.
 
         With y = Vt^T z and z = gain(lambda) * bhat, the error is
         dd + 2 c^T y + y^T G y. It is evaluated in the eigenvectors P of G:
@@ -164,68 +193,87 @@ class OracleGram:
         minimizer, not with dd, so that a minimum near zero error (s_true in
         range(Z)) is still resolved. Eigenvalues at rounding level of the
         largest keep the expanded form 2 e_i u_i + w_i u_i^2. The
-        eigen-decomposition and the rotation R = Vt P are done once here;
-        each evaluation is k-sized.
+        eigen-decomposition and the rotation diag(bhat) Vt P, which takes
+        the gains to u, are done once here.
+
+        ``terms(lam)``, for a scalar or a 1-D grid, returns the sum and a
+        scale of its rounding error: the sum of the terms' magnitudes, each
+        w_i (u_i - t_i)^2 counted as w_i |u_i - t_i| (|u_i| + |t_i|), the
+        size of its error when u_i and t_i carry relative rounding error.
+        ``const`` is the same number at every lambda and is left out of both.
+        Each evaluation is k-sized and computes only the gains of
+        ``ProjectedProblem.filters``.
         """
         if self.c.size != prob.M.shape[1]:
             raise DimensionError("basis and coefficient dimensions disagree")
         w, P = np.linalg.eigh(self.G)
-        R = prob.Vt @ P
+        BR = prob.bhat[:, None] * (prob.Vt @ P)
         e = P.T @ self.c
         big = w > w.size * np.finfo(float).eps * max(w[-1], 0.0)
-        t = np.where(big, -e / np.where(big, w, 1.0), 0.0)
+        t = -e / np.where(big, w, np.inf)  # zero where the eigenvalue is not big
         lin = np.where(big, 0.0, 2.0 * e)
-        const = self.dd - float(np.sum(w[big] * t[big] ** 2))
+        const = self.dd - float(np.dot(w * t, t))
+        abs_t = np.abs(t)
 
-        def error(lam):
-            u = (prob.filters(lam).gain * prob.bhat) @ R
+        def terms(lam):
+            u = prob.gain(lam) @ BR
             du = u - t
-            return const + (w * du * du + lin * u).sum(axis=-1)
+            wdu = w * du
+            lin_u = lin * u
+            value = (wdu * du + lin_u).sum(axis=-1)
+            scale = (np.abs(wdu) * (np.abs(u) + abs_t) + np.abs(lin_u)).sum(axis=-1)
+            return value, scale
 
-        return error
+        return const, terms
 
 
 def _lambda_grid(prob):
-    s1 = prob.sigma_max
-    return np.geomspace(GRID_FLOOR_RTOL * s1, GRID_TOP_FACTOR * s1, GRID_POINTS)
+    return UNIT_GRID * prob.sigma_max
 
 
-def _golden_refine(f, lo, hi):
-    """Golden-section minimization of f on [lo, hi] to relative width 1e-4."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > REFINE_RELWIDTH * b:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
-def _grid_then_refine(prob, objective):
-    """Minimize an objective over the log-lambda grid, then refine locally.
-
-    ``objective`` takes a scalar lambda or the whole grid, for which it
-    returns one value per grid point.
-    """
-    grid = _lambda_grid(prob)
-    vals = objective(grid)
+def _largest_tie(vals, scale, k):
+    """The index of the largest lambda tied with the minimum of ``vals``, the
+    bound of that tie and the number of values within it (lambdas ascending)."""
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if hi > lo:
-        lam = _golden_refine(objective, lo, hi)
-        if objective(lam) > vals[i]:
-            lam = grid[i]
-    else:
-        lam = grid[i]
-    return float(lam)
+    tol = TIE_RTOL * k * scale[i]
+    ties = np.flatnonzero(vals <= vals[i] + tol)
+    return int(ties[-1]), tol, ties.size
+
+
+def _grid_then_refine(prob, terms):
+    """Minimize an objective over the lambda grid, then refine its minimum.
+
+    ``terms(lams)`` returns, for a 1-D array of lambdas, the objective up to
+    a constant and a scale of its rounding error, one of each per lambda.
+    Values within ``TIE_RTOL * k * scale`` of the smallest one (k the number
+    of columns of M, the scale taken at the smallest) are ties, and a tie
+    goes to the largest lambda.
+
+    The grid is evaluated in one call. If several grid points tie, the
+    objective is flat to rounding there (far below sigma_min(M) every filter
+    factor is 1), no refinement can resolve it, and the largest of them is
+    returned. Otherwise the bracket of two steps around the best point
+    (clipped at the ends of the grid or round) is refined in rounds, one call
+    each over the points of a ``REFINE_ROUNDS`` array. A round's best point
+    replaces the best so far only if it is lower by more than the tie bound,
+    so that a best point at the edge of a flat stretch stays where it is;
+    the next bracket is centred on the best so far either way.
+    """
+    k = prob.s.size
+    lams = _lambda_grid(prob)
+    vals, scale = terms(lams)
+    j, tol, tied = _largest_tie(vals, scale, k)
+    best, fbest = lams[j], vals[j]
+    if tied > 1:
+        return float(best)
+    for unit in REFINE_ROUNDS:
+        lams = lams[min(max(j - 1, 0), lams.size - 3)] * unit
+        vals, scale = terms(lams)
+        i, round_tol, _ = _largest_tie(vals, scale, k)
+        if vals[i] < fbest - tol:
+            best, fbest, tol = lams[i], vals[i], round_tol
+        j = int(np.argmin(np.abs(lams - best)))
+    return float(best)
 
 
 def select_lambda_optimal(prob, Z, prior, s_true, gram=None):
@@ -239,7 +287,7 @@ def select_lambda_optimal(prob, Z, prior, s_true, gram=None):
     if gram is None:
         gram = OracleGram(prior, s_true)
     gram.update(Z)
-    return _grid_then_refine(prob, gram.objective(prob))
+    return _grid_then_refine(prob, gram.error_terms(prob)[1])
 
 
 def select_lambda_dp(prob, target):
@@ -327,7 +375,9 @@ def select_lambda_wgcv(prob, omega):
     """The lambda minimizing the weighted GCV functional with weight ``omega``."""
     omega = float(omega)
     _check_omega(omega)
-    return _grid_then_refine(prob, _wgcv_objective(prob, omega))
+    value = _wgcv_objective(prob, omega)
+    # One rounded expression of positive parts: the value is its own scale.
+    return _grid_then_refine(prob, lambda lams: (value(lams),) * 2)
 
 
 def suggest_omega(prob):

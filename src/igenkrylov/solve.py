@@ -69,21 +69,18 @@ class ProjectedProblem:
         the minimum-norm solution of a rank-deficient M.
         """
         s = self.s
-        if np.ndim(lam) == 0:
-            if lam == 0.0:
-                keep = s > RANK_RTOL * self.sigma_max
-                phi = keep.astype(float)
-                return Filters(phi, 1.0 - phi, np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0))
-            if not lam > 0.0:
-                raise NumericalError("lambda must be nonnegative")
-            lam2 = float(lam) * float(lam)
-        else:
-            lam = np.asarray(lam, dtype=float)
-            if lam.ndim != 1 or not (lam > 0.0).all():
-                raise NumericalError("a lambda grid must be a 1-D array of positive values")
-            lam2 = (lam * lam)[:, None]
+        if np.ndim(lam) == 0 and lam == 0.0:
+            keep = s > RANK_RTOL * self.sigma_max
+            phi = keep.astype(float)
+            return Filters(phi, 1.0 - phi, np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0))
+        lam2 = _squared(lam)
         denom = s * s + lam2
         return Filters(s * s / denom, lam2 / denom, s / denom)
+
+    def gain(self, lam):
+        """``filters(lam).gain`` alone, for a positive scalar or 1-D array ``lam``."""
+        s = self.s
+        return s / (s * s + _squared(lam))
 
     def residual_norm2(self, filt):
         """Squared projected residual ||M y - beta1 e1||^2 for the given filters.
@@ -92,6 +89,18 @@ class ProjectedProblem:
         one value per row of an array of filters.
         """
         return np.sum((filt.psi * self.bhat) ** 2, axis=-1) + self.tail2
+
+
+def _squared(lam):
+    """lambda^2 of a positive scalar, or of a 1-D array as a column (one row per lambda)."""
+    if np.ndim(lam) == 0:
+        if not lam > 0.0:
+            raise NumericalError("lambda must be nonnegative")
+        return float(lam) * float(lam)
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1 or not (lam > 0.0).all():
+        raise NumericalError("a lambda grid must be a 1-D array of positive values")
+    return (lam * lam)[:, None]
 
 
 @dataclass
@@ -174,36 +183,38 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=
     timings["decomposition_s"] += time.perf_counter() - t0
 
     choose = rule.chooser(prior, noise_norm, s_true)
-    for _ in range(max_iter):
-        t0 = time.perf_counter()
-        try:
-            bidiag.igenGK_step(state, A, inexact, prior, noise)
-        except BreakdownSignal:
-            # Either side commits the step's column of M before raising, so
-            # the projected problem of this iteration is still solved.
-            stop_reason = "breakdown"
-        timings["decomposition_s"] += time.perf_counter() - t0
+    # A step that overflows raises NumericalError without a NumPy warning.
+    with bidiag.overflow_checked():
+        for _ in range(max_iter):
+            t0 = time.perf_counter()
+            try:
+                bidiag.igenGK_step(state, A, inexact, prior, noise)
+            except BreakdownSignal:
+                # Either side commits the step's column of M before raising, so
+                # the projected problem of this iteration is still solved.
+                stop_reason = "breakdown"
+            timings["decomposition_s"] += time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        prob = ProjectedProblem(M=state.M, beta1=state.beta1)
-        timings["projected_solve_s"] += time.perf_counter() - t0
-        Zk = state.Z[:, : state.M.shape[1]]
+            t0 = time.perf_counter()
+            prob = ProjectedProblem(M=state.M, beta1=state.beta1)
+            timings["projected_solve_s"] += time.perf_counter() - t0
+            Zk = state.Z[:, : state.M.shape[1]]
 
-        t0 = time.perf_counter()
-        lam = choose(prob, Zk)
-        timings["param_selection_s"] += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            lam = choose(prob, Zk)
+            timings["param_selection_s"] += time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        outcome = projected_tikhonov(prob, lam)
-        solution = recover_solution(prior, Zk, outcome.y)
-        timings["projected_solve_s"] += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            outcome = projected_tikhonov(prob, lam)
+            solution = recover_solution(prior, Zk, outcome.y)
+            timings["projected_solve_s"] += time.perf_counter() - t0
 
-        lambdas.append(float(lam))
-        residuals.append(outcome.projected_residual_norm)
-        if s_true is not None:
-            relerr.append(float(np.linalg.norm(solution - s_true) / s_true_norm))
-        if stop_reason == "breakdown":
-            break
+            lambdas.append(float(lam))
+            residuals.append(outcome.projected_residual_norm)
+            if s_true is not None:
+                relerr.append(float(np.linalg.norm(solution - s_true) / s_true_norm))
+            if stop_reason == "breakdown":
+                break
 
     return ReconRecord(
         iterations=len(lambdas),

@@ -72,3 +72,55 @@ def test_mutated_config_exits_with_documented_code(command, mutations):
         rc = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
     # verify-relations exits 1 by design when a mutated beta fails its gate.
     assert rc in ((0, 1, 2, 3) if command == "verify-relations" else (0, 2, 3))
+
+
+# Fields that take any positive magnitude, by their path in the configuration.
+MAGNITUDE_PATHS = (
+    ("inexactness", "beta"),
+    ("noise_sigma",),
+    ("noise_level",),
+    ("prior", "ell"),
+    ("prior", "nu"),
+    ("reg", "lambda_fixed"),
+    ("reg", "nu_dp"),
+)
+
+magnitude = st.integers(min_value=-300, max_value=300).map(lambda e: 10.0**e)
+
+
+def reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(COMMANDS),
+    mode=st.sampled_from(("igk", "igengk")),
+    inexactness=st.sampled_from(("gaussian-entry", "angle-perturbation")),
+    rule=st.sampled_from(("none", "fixed", "optimal", "dp", "wgcv")),
+    fields=st.lists(st.tuples(st.sampled_from(MAGNITUDE_PATHS), magnitude), max_size=3),
+    schedule=st.none() | st.tuples(magnitude, magnitude),
+)
+def test_extreme_magnitudes_exit_with_documented_code(
+    command, mode, inexactness, rule, fields, schedule
+):
+    """Valid values from 1e-300 to 1e300 exit 0, 2 or 3, and a run that
+    succeeds writes strict JSON with finite numbers only."""
+    config = copy.deepcopy(BASE)
+    config.update(mode=mode, max_iter=2)
+    config["inexactness"]["mode"] = inexactness
+    config["reg"].update(rule=rule, lambda_fixed=0.1)
+    mutations = [(path, value) for path, value in fields]
+    if schedule is not None:
+        mutations.append((("angle_schedules",), [list(schedule)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(mutate(config, mutations)))
+        out = Path(tmp) / "out"
+        rc = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert rc in ((0, 1, 2, 3) if command == "verify-relations" else (0, 2, 3))
+        if rc in (0, 1):
+            outputs = sorted(out.glob("*.json"))
+            assert outputs
+            for output in outputs:
+                json.loads(output.read_text(), parse_constant=reject_constant)

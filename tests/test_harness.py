@@ -533,15 +533,27 @@ OVERFLOW = (
 )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_is_numerical_failure(tmp_path, capsys):
-    """An overflowing normalization exits 3, from JSON or flags."""
+    """An overflowing normalization exits 3, from JSON or flags, with the
+    numerical-failure line as all of stderr. A new --out is never created,
+    and an --out that already exists is left as it was."""
     path = tmp_path / "cfg.json"
     base = {"geometry": {"n": 16}, "mode": "igengk", "max_iter": 5}
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "keep.txt").write_text("kept")
     for bad, flags in OVERFLOW:
         for cfg, extra in (({**base, **bad}, []), (base, flags)):
             path.write_text(json.dumps(cfg))
-            capsys.readouterr()
-            argv = ["reconstruct", "--config", str(path), "--out", str(tmp_path / "out"), *extra]
-            assert cli.main(argv) == 3
-            assert capsys.readouterr().err.startswith("numerical failure:")
+            for command in ("reconstruct", "compare-reg"):
+                for out in (tmp_path / "new" / "out", existing):
+                    capsys.readouterr()
+                    argv = [command, "--config", str(path), "--out", str(out), *extra]
+                    assert cli.main(argv) == 3
+                    err = capsys.readouterr().err
+                    assert err.startswith("numerical failure:")
+                    assert err.endswith("\n") and err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
+    assert [p.name for p in existing.iterdir()] == ["keep.txt"]
+    assert (existing / "keep.txt").read_text() == "kept"
