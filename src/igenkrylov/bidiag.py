@@ -207,7 +207,11 @@ def igenGK_step(state, A, inexact, prior, noise):
 
 
 def igenGK_run(A, inexact, prior, noise, b, steps):
-    """Run ``steps`` iterations, stopping gracefully on breakdown."""
+    """The one decomposition loop: ``steps`` iterations, stopping gracefully on breakdown.
+
+    Returns the state and "max_iter" or "breakdown". A step only appends to
+    M and Z, so every iteration's M and Z are leading blocks of the final ones.
+    """
     state = igenGK_init(A, inexact, prior, noise, b)
     reason = "max_iter"
     with overflow_checked():

@@ -11,13 +11,13 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
+from .harness import COMMANDS
 from .linop import MODES as INEXACT_MODES
 from .regparam import RegConfig
 from .tomo import default_nrays
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = ("verify-relations", "reconstruct", "compare-reg", "inexact-angles")
 SOLVER_MODES = ("gk", "igk", "gengk", "igengk")
 
 
@@ -106,7 +106,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"schema_version {self.schema_version} not supported (expected {SCHEMA_VERSION})"
             )
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in COMMANDS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.mode not in SOLVER_MODES:
             raise ConfigError(f"unknown solver mode {self.mode!r}")
@@ -114,6 +114,10 @@ class ExperimentConfig:
             raise ConfigError("noise_level must be finite and nonnegative")
         if not 0 < self.noise_sigma <= _MAX:
             raise ConfigError("noise_sigma must be finite and positive")
+        # R^{-1} divides by sigma^2; neither it nor 1/sigma^2 may overflow or vanish.
+        variance = float(self.noise_sigma) * float(self.noise_sigma)
+        if not (0.0 < variance <= _MAX and 1.0 / variance <= _MAX):
+            raise ConfigError("noise_sigma squared and its reciprocal must be finite and nonzero")
         if not 1 <= self.max_iter <= INDEX_MAX:
             raise ConfigError(f"max_iter must be between 1 and {INDEX_MAX}")
         if self.seed < 0:

@@ -115,14 +115,16 @@ def _embedding_symbol(grid, kernel, shape):
         keep.append(d < n)
     r = np.hypot(dist[0][:, None], dist[1][None, :])
     inside = keep[0][:, None] & keep[1][None, :]
-    return np.fft.rfftn(np.where(inside, kernel(r), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.rfftn(np.where(inside, kernel(r), 0.0))
 
 
 class CovarianceOperator:
     """Symmetric PSD covariance operator Q on a regular grid.
 
     Q is applied in O(n log n) through the circulant embedding. Instances
-    are immutable after construction and safe for concurrent matvecs.
+    are immutable after construction and safe for concurrent matvecs. A
+    kernel that is not finite on the grid raises NumericalError here.
     """
 
     def __init__(self, grid, kernel):
@@ -131,6 +133,8 @@ class CovarianceOperator:
         self.n = self.grid.npoints
         self._fft_shape = tuple(_fast_len(2 * n - 1) for n in self.grid.shape)
         self._symbol = _embedding_symbol(self.grid, kernel, self._fft_shape)
+        if not np.isfinite(self._symbol).all():
+            raise NumericalError("covariance is not finite: its kernel overflows on this grid")
 
     @property
     def is_identity(self):

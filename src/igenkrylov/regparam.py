@@ -10,9 +10,10 @@ oracle rule needs only their ``gain``), so one evaluation is k-sized work and
 never touches an n-vector:
 
 - the oracle error ||mu + Z y - s_true||^2 is dd + 2 c^T y + y^T G y, with
-  the k-by-k Gram matrix G = Z^T Z and c = Z^T (mu - s_true) kept by
-  ``OracleGram``, which a solve grows by one row and column per iteration
-  (Chung & Saibaba, SISC 39(5), 2017);
+  the Gram matrix G = Z^T Z and c = Z^T (mu - s_true) of ``OracleGram``,
+  built once from the final basis of a solve; iteration k reads their
+  leading k-by-k block and k entries, since lambda never feeds back into the
+  decomposition (Chung & Saibaba, SISC 39(5), 2017);
 - the oracle and WGCV rules evaluate all points of the lambda grid in one
   call and refine its minimum in at most three rounds of one call each, over
   grids precomputed for a unit sigma_max (``_grid_then_refine``); values
@@ -115,28 +116,28 @@ class RegConfig:
         if self.omega_mode not in OMEGA_MODES:
             raise ConfigError(f"unknown omega_mode {self.omega_mode!r}")
 
-    def chooser(self, prior, noise_norm=None, s_true=None):
-        """Per-solve selection: ``choose(prob, Z) -> lambda``, Z = Q V_k.
+    def chooser(self, prior, Z, noise_norm=None, s_true=None):
+        """Per-solve selection: ``choose(prob) -> lambda``, Z = Q V_k the final basis.
 
         ``noise_norm`` is the norm of the data noise in the residual's metric,
         required by dp; ``s_true`` is required by the oracle rule. The
         chooser carries the state of one solve: in adaptive WGCV mode the
         ``suggest_omega`` values so far (omega is their mean), under the
-        oracle rule the ``OracleGram`` of the growing Z. The selectors are
-        looked up in this module at call time.
+        oracle rule the ``OracleGram`` of Z, built here once. The selectors
+        are looked up in this module at call time.
         """
         if self.rule == "dp" and noise_norm is None:
             raise ConfigError("rule 'dp' requires noise_norm")
         suggestions = []
-        gram = OracleGram(prior, s_true) if self.rule == "optimal" else None
+        gram = OracleGram(prior, s_true, Z) if self.rule == "optimal" else None
 
-        def choose(prob, Z):
+        def choose(prob):
             if self.rule == "none":
                 return 0.0
             if self.rule == "fixed":
                 return float(self.lambda_fixed)
             if self.rule == "optimal":
-                return select_lambda_optimal(prob, Z, prior, s_true, gram=gram)
+                return select_lambda_optimal(prob, gram)
             if self.rule == "dp":
                 return select_lambda_dp(prob, self.nu_dp * noise_norm)
             omega = self.omega
@@ -151,36 +152,28 @@ class RegConfig:
 class OracleGram:
     """Gram data of the oracle error ||mu + Z y - s_true||^2 = dd + 2 c^T y + y^T G y.
 
-    G = Z^T Z, c = Z^T d and dd = ||d||^2, with d = mu - s_true. ``update``
-    brings G and c up to date with a basis Z. When Z has exactly one column
-    more than at the last update, the earlier columns are taken as unchanged
-    (a solve only appends to Z) and only the new row and column are computed,
-    O(n k); otherwise G and c are rebuilt from Z, O(n k^2).
+    G = Z^T Z, c = Z^T d and dd = ||d||^2, with d = mu - s_true, are built
+    once from a basis Z, O(n k^2). Column j of G is Z_j^T z_j and c_j is
+    z_j^T d, with Z_j the first j columns, so a leading block of G and c is
+    the same, bit for bit, however many columns follow it; ``error_terms``
+    of a projected problem with k columns reads the leading k-by-k block.
     """
 
-    def __init__(self, prior, s_true):
+    def __init__(self, prior, s_true, Z):
         if s_true is None:
             raise ConfigError("optimal rule requires the true solution")
         self.d = prior.mu - np.asarray(s_true, dtype=float)
         self.dd = float(np.dot(self.d, self.d))
-        self.G = np.zeros((0, 0))
-        self.c = np.zeros(0)
-
-    def update(self, Z):
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[0] != self.d.size:
             raise DimensionError("basis and solution dimensions disagree")
         k = Z.shape[1]
-        if k == self.c.size + 1:
-            znew = Z[:, -1]
-            g = Z.T @ znew
-            G = np.empty((k, k))
-            G[:-1, :-1] = self.G
-            G[-1, :] = g
-            G[:, -1] = g
-            self.G, self.c = G, np.append(self.c, np.dot(znew, self.d))
-        else:
-            self.G, self.c = Z.T @ Z, Z.T @ self.d
+        self.G = np.empty((k, k))
+        for j in range(k):
+            g = Z[:, : j + 1].T @ Z[:, j]
+            self.G[j, : j + 1] = g
+            self.G[: j + 1, j] = g
+        self.c = np.array([np.dot(Z[:, j], self.d) for j in range(k)])
 
     def error_terms(self, prob):
         """The error as ``const`` plus a function of lambda: ``(const, terms)``.
@@ -204,11 +197,12 @@ class OracleGram:
         Each evaluation is k-sized and computes only the gains of
         ``ProjectedProblem.filters``.
         """
-        if self.c.size != prob.M.shape[1]:
+        k = prob.M.shape[1]
+        if k > self.c.size:
             raise DimensionError("basis and coefficient dimensions disagree")
-        w, P = np.linalg.eigh(self.G)
+        w, P = np.linalg.eigh(self.G[:k, :k])
         BR = prob.bhat[:, None] * (prob.Vt @ P)
-        e = P.T @ self.c
+        e = P.T @ self.c[:k]
         big = w > w.size * np.finfo(float).eps * max(w[-1], 0.0)
         t = -e / np.where(big, w, np.inf)  # zero where the eigenvalue is not big
         lin = np.where(big, 0.0, 2.0 * e)
@@ -276,17 +270,13 @@ def _grid_then_refine(prob, terms):
     return float(best)
 
 
-def select_lambda_optimal(prob, Z, prior, s_true, gram=None):
-    """Oracle rule: the lambda minimizing the reconstruction error against ``s_true``.
+def select_lambda_optimal(prob, gram):
+    """Oracle rule: the lambda minimizing the reconstruction error against the true solution.
 
-    ``Z`` = Q V_k. The error is evaluated from the Gram data of Z
-    (``OracleGram``), k-sized work per evaluation. A solve passes the
-    ``gram`` it carries across iterations, which is updated here by the new
-    column of Z; without one, G and c are built from Z in one shot.
+    The error is evaluated from ``gram``, the ``OracleGram`` of the solve's
+    basis Z = Q V; a problem with k columns reads its leading k-by-k block,
+    and each evaluation is k-sized work.
     """
-    if gram is None:
-        gram = OracleGram(prior, s_true)
-    gram.update(Z)
     return _grid_then_refine(prob, gram.error_terms(prob)[1])
 
 

@@ -7,9 +7,11 @@ phi_i = sigma_i^2 / (sigma_i^2 + lambda^2). The solution in original
 coordinates is mu + Q (V y) = mu + Z y, with Z = Q V kept by the
 decomposition, so recovering it applies no covariance product.
 
-The outer driver ``run_iterative_solve`` takes the lambda rule as a
-``regparam.RegConfig``, asks the rule's chooser for lambda at every
-iteration and then makes that iteration's one projected solve.
+The outer driver ``run_iterative_solve`` runs the decomposition once
+(``bidiag.igenGK_run``). Lambda never feeds back into the recurrence and a
+step only appends to M and Z, so it then visits k = 1, 2, ...: the lambda
+rule picks lambda on the leading (k+1)-by-k block of M, and one projected
+solve at it is recovered with the first k columns of Z.
 """
 
 import time
@@ -19,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bidiag
-from .errors import BreakdownSignal, DimensionError, NumericalError
+from .errors import DimensionError, NumericalError
 
 RANK_RTOL = 1e-12
 
@@ -103,22 +105,17 @@ def _squared(lam):
     return (lam * lam)[:, None]
 
 
-@dataclass
-class SolveOutcome:
-    y: np.ndarray
-    projected_residual_norm: float
-
-
 def projected_tikhonov(prob, lam):
     """Minimize ||M y - beta1 e1||^2 + lambda^2 ||y||^2 via the SVD of M.
 
-    At lambda = 0 a rank-deficient M gets the minimum-norm solution through
-    truncation at a relative rank tolerance.
+    Returns ``(y, residual_norm)``, the residual ||M y - beta1 e1|| formed
+    explicitly. At lambda = 0 a rank-deficient M gets the minimum-norm
+    solution through truncation at a relative rank tolerance.
     """
     y = prob.Vt.T @ (prob.filters(lam).gain * prob.bhat)
     resid = prob.M @ y
     resid[0] -= prob.beta1
-    return SolveOutcome(y=y, projected_residual_norm=float(np.linalg.norm(resid)))
+    return y, float(np.linalg.norm(resid))
 
 
 def recover_solution(prior, Z, y):
@@ -158,15 +155,16 @@ class ReconRecord:
 
 
 def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=None, s_true=None):
-    """Run ``max_iter`` iterations of the decomposition, selecting lambda each iteration.
+    """Run up to ``max_iter`` iterations of the decomposition, then select lambda and solve at each.
 
     ``rule`` is a ``regparam.RegConfig``; ``noise_norm`` (the noise norm in
     the residual's metric) is required by its dp rule and ``s_true`` by its
-    oracle rule. Each iteration factors the projected problem once, asks the
-    rule for lambda and makes one projected solve at it. Records the relative
-    error against ``s_true`` (when given), the selected lambda, and the
-    projected residual at every iteration, and keeps the final iterate.
-    Breakdown of the recurrence is a normal early stop.
+    oracle rule. The decomposition runs once; breakdown of the recurrence is
+    a normal early stop. Then, for each iteration k, the projected problem
+    of the leading blocks of M and Z is factored once, the rule picks lambda
+    and one projected solve is made at it. Records the relative error
+    against ``s_true`` (when given), the selected lambda, and the projected
+    residual at every iteration, and keeps the final iterate.
     """
     if max_iter < 1:
         raise DimensionError("max_iter must be at least 1")
@@ -175,46 +173,35 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=
 
     timings = {"decomposition_s": 0.0, "param_selection_s": 0.0, "projected_solve_s": 0.0}
     relerr, lambdas, residuals = [], [], []
-    stop_reason = "max_iter"
-    solution = prior.mu.copy()
 
     t0 = time.perf_counter()
-    state = bidiag.igenGK_init(A, inexact, prior, noise, b)
-    timings["decomposition_s"] += time.perf_counter() - t0
+    state, stop_reason = bidiag.igenGK_run(A, inexact, prior, noise, b, max_iter)
+    timings["decomposition_s"] = time.perf_counter() - t0
 
-    choose = rule.chooser(prior, noise_norm, s_true)
-    # A step that overflows raises NumericalError without a NumPy warning.
+    Z = state.Z[:, : state.k]
+    t0 = time.perf_counter()
+    choose = rule.chooser(prior, Z, noise_norm, s_true)
+    timings["param_selection_s"] += time.perf_counter() - t0
+    # A lambda_fixed near the float limit makes filters' unused psi inf/inf, silently.
     with bidiag.overflow_checked():
-        for _ in range(max_iter):
+        for k in range(1, state.k + 1):
             t0 = time.perf_counter()
-            try:
-                bidiag.igenGK_step(state, A, inexact, prior, noise)
-            except BreakdownSignal:
-                # Either side commits the step's column of M before raising, so
-                # the projected problem of this iteration is still solved.
-                stop_reason = "breakdown"
-            timings["decomposition_s"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            prob = ProjectedProblem(M=state.M, beta1=state.beta1)
+            prob = ProjectedProblem(M=state.M[: k + 1, :k], beta1=state.beta1)
             timings["projected_solve_s"] += time.perf_counter() - t0
-            Zk = state.Z[:, : state.M.shape[1]]
 
             t0 = time.perf_counter()
-            lam = choose(prob, Zk)
+            lam = choose(prob)
             timings["param_selection_s"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            outcome = projected_tikhonov(prob, lam)
-            solution = recover_solution(prior, Zk, outcome.y)
+            y, residual = projected_tikhonov(prob, lam)
+            solution = recover_solution(prior, Z[:, :k], y)
             timings["projected_solve_s"] += time.perf_counter() - t0
 
             lambdas.append(float(lam))
-            residuals.append(outcome.projected_residual_norm)
+            residuals.append(residual)
             if s_true is not None:
                 relerr.append(float(np.linalg.norm(solution - s_true) / s_true_norm))
-            if stop_reason == "breakdown":
-                break
 
     return ReconRecord(
         iterations=len(lambdas),

@@ -117,10 +117,10 @@ def test_criterion_02_reduction_chain():
         for k in range(1, 9):
             y_eng = solve.projected_tikhonov(
                 solve.ProjectedProblem(M=eng.M[: k + 1, :k], beta1=eng.beta1), 0.0
-            ).y
+            )[0]
             y_gk = solve.projected_tikhonov(
                 solve.ProjectedProblem(M=gk.M[: k + 1, :k], beta1=gk.beta1), 0.0
-            ).y
+            )[0]
             x_eng = eng.V[:, :k] @ y_eng
             x_gk = gk.V[:, :k] @ y_gk
             worst = max(worst, float(np.linalg.norm(x_eng - x_gk)))
@@ -306,10 +306,10 @@ def test_criterion_10_regparam_unit_oracles():
     V = rng.standard_normal((9, 5))
     pm = prior.identity_prior(9)
     s_true = rng.standard_normal(9)
-    lam_opt = regparam.select_lambda_optimal(p2, V, pm, s_true)
+    lam_opt = regparam.select_lambda_optimal(p2, regparam.OracleGram(pm, s_true, V))
 
     def f(la):
-        yy = solve.projected_tikhonov(p2, la).y
+        yy, _ = solve.projected_tikhonov(p2, la)
         return float(np.linalg.norm(solve.recover_solution(pm, V, yy) - s_true) ** 2)
 
     opt_ok = all(f(lam_opt) <= f(la) * (1 + 1e-12) for la in regparam._lambda_grid(p2))

@@ -78,7 +78,7 @@ def test_init_rejects_zero_rhs():
         bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.zeros(3))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_init_rejects_overflowing_normalization():
     # ||A^T b||^2 overflows to inf, which must not normalize v1 to zero.
     A = DenseOperator(np.full((3, 2), 1e200))
@@ -98,6 +98,54 @@ def test_engine_matches_two_term_oracle():
     assert np.max(np.abs(state.M - oracle.M[:6, :5])) <= 1e-12
     assert basis_sign_distance(state.U, oracle.U) <= 1e-10
     assert basis_sign_distance(state.V, oracle.V) <= 1e-10
+
+
+# (rows, columns) of each case: a wide A fills the U side first, a tall one
+# the V side, so the recurrence breaks down on that side at step min(m, n).
+STEP_CASES = {
+    "exact": (12, 9),
+    "gaussian-entry": (12, 9),
+    "u-breakdown": (3, 5),
+    "v-breakdown": (5, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_CASES))
+def test_each_step_is_a_leading_block_of_the_run(case):
+    """A step only appends to M and Z: after every step of an init/step loop,
+    M and Z equal, bit for bit, the leading blocks of the final state of
+    ``igenGK_run``, so a solve can select lambda after the decomposition."""
+    m, n = STEP_CASES[case]
+    rng = np.random.default_rng(12)
+    A = DenseOperator(rng.standard_normal((m, n)))
+    b = rng.standard_normal(m)
+    pm, nm = generalized_setting(m, n, seed=13)
+    inexact = linop.EXACT
+    if case == "gaussian-entry":
+        inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=14)
+    steps = 6
+
+    state = bidiag.igenGK_init(A, inexact, pm, nm, b)
+    copies = []
+    for _ in range(steps):
+        try:
+            bidiag.igenGK_step(state, A, inexact, pm, nm)
+        except BreakdownSignal:
+            pass
+        copies.append((state.M.copy(), state.Z.copy()))
+        if state.terminated:
+            break
+
+    final, reason = bidiag.igenGK_run(A, inexact, pm, nm, b, steps)
+    assert reason == ("breakdown" if case.endswith("breakdown") else "max_iter")
+    assert len(copies) == final.k == min(steps, m, n)
+    # A U-side breakdown commits M square; otherwise M has a row more.
+    assert final.M.shape == (final.k + (case != "u-breakdown"), final.k)
+    assert final.Z.shape[1] == (final.k if case.endswith("breakdown") else final.k + 1)
+    for k, (M, Z) in enumerate(copies, start=1):
+        assert M.shape[1] == k
+        np.testing.assert_array_equal(M, final.M[: M.shape[0], :k])
+        np.testing.assert_array_equal(Z, final.Z[:, : Z.shape[1]])
 
 
 def test_inexact_zero_beta_reduces_bitwise():

@@ -8,7 +8,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from igenkrylov import cli
+from igenkrylov import cli, harness
 from igenkrylov.config import ExperimentConfig, GeometryConfig, InexactConfig
 
 # An n=16 run small enough that a valid mutation still finishes in milliseconds.
@@ -37,7 +37,7 @@ BAD_VALUES = (
     {"n": 16},
 )
 
-COMMANDS = ("reconstruct", "compare-reg", "inexact-angles", "verify-relations")
+COMMANDS = tuple(harness.COMMANDS)
 
 DROP = object()
 

@@ -557,3 +557,30 @@ def test_overflow_is_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
     assert [p.name for p in existing.iterdir()] == ["keep.txt"]
     assert (existing / "keep.txt").read_text() == "kept"
+
+
+# Valid but extreme values: a Matern order at which the kernel overflows, and
+# noise levels whose square or its reciprocal is not a finite nonzero float.
+EXTREME = (
+    ({"prior": {"nu": 1e300}}, 3, "numerical failure: covariance"),
+    ({"noise_sigma": 1e-300}, 2, "configuration error: noise_sigma"),
+    ({"noise_sigma": 1e-160}, 2, "configuration error: noise_sigma"),
+    ({"noise_sigma": 1e300}, 2, "configuration error: noise_sigma"),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "extreme, code, report", EXTREME, ids=("nu-1e300", "sigma-1e-300", "sigma-1e-160", "sigma-1e300")
+)
+def test_extreme_value_ends_in_one_line(tmp_path, capsys, extreme, code, report):
+    """An extreme valid value exits with its documented code, its one-line
+    report as all of stderr, no NumPy warning and no output directory."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"geometry": {"n": 16}, "mode": "igengk", "max_iter": 2, **extreme}))
+    out = tmp_path / "out"
+    assert cli.main(["reconstruct", "--config", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(report)
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert not out.exists()

@@ -12,6 +12,11 @@ def make_prob(M, beta1=1.0):
     return solve.ProjectedProblem(M=np.asarray(M, dtype=float), beta1=beta1)
 
 
+def select_optimal(prob, Z, pm, s_true):
+    """The oracle rule's lambda, from the ``OracleGram`` of Z."""
+    return regparam.select_lambda_optimal(prob, regparam.OracleGram(pm, s_true, Z))
+
+
 def scalar_toy():
     """M = [[1],[0]], beta1 = 1: y(lam) = 1/(1+lam^2), residual = lam^2/(1+lam^2)."""
     return make_prob([[1.0], [0.0]], 1.0)
@@ -31,7 +36,7 @@ def gcv_reference(M, beta1, lam, omega=1.0):
 
 def test_rule_validation():
     with pytest.raises(ConfigError):
-        RegConfig(rule="dp").chooser(prior.identity_prior(3))
+        RegConfig(rule="dp").chooser(prior.identity_prior(3), np.zeros((3, 1)))
     with pytest.raises(ConfigError):
         RegConfig(rule="fixed")
     with pytest.raises(ConfigError):
@@ -62,8 +67,8 @@ def test_every_rule_name_dispatches(kind):
     prob = make_prob(rng.standard_normal((7, 6)), 1.2)
     V = rng.standard_normal((9, 6))
     rule = RegConfig(rule=kind, lambda_fixed=0.3)
-    choose = rule.chooser(prior.identity_prior(9), 0.4, rng.standard_normal(9))
-    lam = choose(prob, V)
+    choose = rule.chooser(prior.identity_prior(9), V, 0.4, rng.standard_normal(9))
+    lam = choose(prob)
     assert np.isfinite(lam) and lam >= 0.0
 
 
@@ -71,9 +76,9 @@ def test_adaptive_wgcv_averages_suggestions():
     rng = np.random.default_rng(11)
     probs = [make_prob(rng.standard_normal((k + 1, k)), 1.0) for k in (3, 4, 5)]
     rule = RegConfig(rule="wgcv", omega_mode="adaptive")
-    choose = rule.chooser(prior.identity_prior(5))
+    choose = rule.chooser(prior.identity_prior(5), np.zeros((5, 5)))
     for i, prob in enumerate(probs):
-        lam = choose(prob, None)
+        lam = choose(prob)
         expected = float(np.mean([regparam.suggest_omega(p) for p in probs[: i + 1]]))
         assert lam == regparam.select_lambda_wgcv(prob, expected)
 
@@ -84,14 +89,14 @@ def test_dp_closed_form_residual_matches_explicit():
         prob = make_prob(rng.standard_normal((rows, cols)), 1.7)
         for lam in np.concatenate([[0.0], regparam._lambda_grid(prob)]):
             closed = np.sqrt(prob.residual_norm2(prob.filters(lam)))
-            explicit = solve.projected_tikhonov(prob, lam).projected_residual_norm
+            explicit = solve.projected_tikhonov(prob, lam)[1]
             assert abs(closed - explicit) <= 1e-10 * explicit
 
 
 def test_dp_closed_form_root():
     prob = scalar_toy()
     lam = regparam.select_lambda_dp(prob, 0.5)
-    y = solve.projected_tikhonov(prob, lam).y
+    y, _ = solve.projected_tikhonov(prob, lam)
     assert lam == pytest.approx(1.0, abs=1e-4)
     assert y[0] == pytest.approx(0.5, abs=1e-4)
 
@@ -100,12 +105,12 @@ def test_dp_zero_target_consistent_system():
     prob = scalar_toy()
     lam = regparam.select_lambda_dp(prob, 0.0)
     assert lam <= regparam.GRID_FLOOR_RTOL * prob.sigma_max
-    assert solve.projected_tikhonov(prob, lam).projected_residual_norm <= 1e-6
+    assert solve.projected_tikhonov(prob, lam)[1] <= 1e-6
 
 
 def test_dp_saturations():
     prob = make_prob([[1.0], [0.7]], 1.0)  # residual(0) = 0.7/norm... nonzero floor
-    floor = solve.projected_tikhonov(prob, 0.0).projected_residual_norm
+    floor = solve.projected_tikhonov(prob, 0.0)[1]
     lam = regparam.select_lambda_dp(prob, floor / 2.0)
     assert lam == 0.0
     lam_hi = regparam.select_lambda_dp(prob, 2.0)  # above ||beta1 e1||
@@ -115,13 +120,13 @@ def test_dp_saturations():
 def test_dp_bisection_matches_dense_oracle():
     rng = np.random.default_rng(0)
     prob = make_prob(rng.standard_normal((9, 6)), 1.4)
-    r0 = solve.projected_tikhonov(prob, 0.0).projected_residual_norm
+    r0 = solve.projected_tikhonov(prob, 0.0)[1]
     target = 0.5 * (r0 + prob.beta1)
     lam = regparam.select_lambda_dp(prob, target)
-    resid = solve.projected_tikhonov(prob, lam).projected_residual_norm
+    resid = solve.projected_tikhonov(prob, lam)[1]
     assert abs(resid - target) <= 1e-6 * target
     grid = np.geomspace(1e-10, 1e4, 20000)
-    resids = [solve.projected_tikhonov(prob, g).projected_residual_norm for g in grid]
+    resids = [solve.projected_tikhonov(prob, g)[1] for g in grid]
     lam_grid = grid[int(np.argmin(np.abs(np.array(resids) - target)))]
     assert abs(np.log10(lam) - np.log10(lam_grid)) <= 2e-3
 
@@ -182,7 +187,7 @@ def test_dp_residual_monotone(seed):
     rng = np.random.default_rng(seed)
     prob = make_prob(rng.standard_normal((7, 5)), 1.0)
     lams = np.geomspace(1e-9, 1e3, 30)
-    res = [solve.projected_tikhonov(prob, lam).projected_residual_norm for lam in lams]
+    res = [solve.projected_tikhonov(prob, lam)[1] for lam in lams]
     assert np.all(np.diff(res) >= -1e-12)
 
 
@@ -191,7 +196,7 @@ def test_optimal_analytic_scalar_minimizer():
     V = np.array([[1.0]])
     pm = prior.identity_prior(1)
     s_true = np.array([0.5])  # s(lam) = 1/(1+lam^2) -> minimizer at lam = 1
-    lam = regparam.select_lambda_optimal(prob, V, pm, s_true)
+    lam = select_optimal(prob, V, pm, s_true)
     assert lam == pytest.approx(1.0, abs=2e-4)
     # dense grid oracle
     grid = np.geomspace(1e-6, 1e3, 20000)
@@ -204,10 +209,10 @@ def test_optimal_noiseless_prefers_floor():
     prob = make_prob(rng.standard_normal((6, 5)), 1.0)
     V = rng.standard_normal((9, 5))
     pm = prior.identity_prior(9)
-    y0 = solve.projected_tikhonov(prob, 0.0).y
+    y0, _ = solve.projected_tikhonov(prob, 0.0)
     s_true = solve.recover_solution(pm, V, y0)
-    lam = regparam.select_lambda_optimal(prob, V, pm, s_true)
-    y = solve.projected_tikhonov(prob, lam).y
+    lam = select_optimal(prob, V, pm, s_true)
+    y, _ = solve.projected_tikhonov(prob, lam)
     f_sel = np.linalg.norm(solve.recover_solution(pm, V, y) - s_true) ** 2
     f0 = np.linalg.norm(solve.recover_solution(pm, V, y0) - s_true) ** 2
     # f is flat at rounding level for tiny lambda; "floor" means negligible regularization
@@ -223,15 +228,15 @@ def test_optimal_floor_resolved_when_truth_in_range():
         prob = make_prob(rng.standard_normal((k + 1, k)), 1.0)
         Z = rng.standard_normal((12, k))
         pm = prior.identity_prior(12)
-        s_true = solve.recover_solution(pm, Z, solve.projected_tikhonov(prob, 0.0).y)
-        lam = regparam.select_lambda_optimal(prob, Z, pm, s_true)
+        s_true = solve.recover_solution(pm, Z, solve.projected_tikhonov(prob, 0.0)[0])
+        lam = select_optimal(prob, Z, pm, s_true)
         assert lam <= 1e-6 * prob.sigma_max, seed
 
 
 def test_optimal_requires_truth():
     prob = scalar_toy()
     with pytest.raises(ConfigError):
-        regparam.select_lambda_optimal(prob, np.array([[1.0]]), prior.identity_prior(1), None)
+        select_optimal(prob, np.array([[1.0]]), prior.identity_prior(1), None)
 
 
 def test_optimal_beats_every_grid_point():
@@ -240,10 +245,10 @@ def test_optimal_beats_every_grid_point():
     V = rng.standard_normal((12, 6))
     pm = prior.identity_prior(12)
     s_true = rng.standard_normal(12)
-    lam = regparam.select_lambda_optimal(prob, V, pm, s_true)
+    lam = select_optimal(prob, V, pm, s_true)
 
     def f(la):
-        yy = solve.projected_tikhonov(prob, la).y
+        yy, _ = solve.projected_tikhonov(prob, la)
         return np.linalg.norm(solve.recover_solution(pm, V, yy) - s_true) ** 2
 
     fsel = f(lam)
@@ -267,11 +272,10 @@ def test_gram_oracle_error_matches_explicit_error():
     Z = rng.standard_normal((40, 8))
     pm = shifted_prior(40, rng)
     s_true = rng.standard_normal(40)
-    gram = regparam.OracleGram(pm, s_true)
-    gram.update(Z)
+    gram = regparam.OracleGram(pm, s_true, Z)
     error = oracle_error(gram, prob)
     for lam in regparam._lambda_grid(prob):
-        y = solve.projected_tikhonov(prob, lam).y
+        y, _ = solve.projected_tikhonov(prob, lam)
         explicit = np.linalg.norm(solve.recover_solution(pm, Z, y) - s_true) ** 2
         assert error(lam) == pytest.approx(explicit, rel=1e-10)
 
@@ -281,8 +285,7 @@ def test_grid_objectives_match_scalar_evaluations():
     prob = make_prob(rng.standard_normal((8, 7)), 1.2)
     grid = regparam._lambda_grid(prob)
     pm = shifted_prior(30, rng)
-    gram = regparam.OracleGram(pm, rng.standard_normal(30))
-    gram.update(rng.standard_normal((30, 7)))
+    gram = regparam.OracleGram(pm, rng.standard_normal(30), rng.standard_normal((30, 7)))
     error = oracle_error(gram, prob)
     np.testing.assert_allclose(error(grid), [error(lam) for lam in grid], rtol=1e-12)
     for omega in (1.0, 0.4):
@@ -293,40 +296,40 @@ def test_grid_objectives_match_scalar_evaluations():
         regparam.wgcv_value(prob, grid, 1.0)
 
 
-def test_incremental_gram_selects_from_scratch_lambda():
+def test_leading_gram_blocks_select_from_scratch_lambda():
     """Across a real igengk run whose Z buffer grows past its first capacity.
 
-    The Gram data grown one column at a time equal Z^T Z and Z^T d, and the
-    lambdas selected from them and from scratch agree, also where the error
-    is flat to rounding (far below sigma_min(M)): ties there go to the
-    largest lambda within the rounding bound.
+    Iteration k reads the leading block of the one Gram built from the final
+    Z. That block equals Z_k^T Z_k and Z_k^T d, and the lambdas selected from
+    it and from the Gram data of Z_k alone agree, also where the error is
+    flat to rounding (far below sigma_min(M)): ties there go to the largest
+    lambda within the rounding bound.
     """
     cfg = config.config_from_dict(
         {"mode": "igengk", "geometry": {"n": 16}, "reg": {"rule": "optimal"}, "seed": 3}
     )
     problem = harness.build_problem(cfg)
     args = (problem.A, harness.inexactness_for(cfg), problem.prior, problem.noise)
-    state = bidiag.igenGK_init(*args, problem.b)
-    gram = regparam.OracleGram(problem.prior, problem.s_true)
+    iterations = 2 * bidiag.INITIAL_CAPACITY
+    state, _ = bidiag.igenGK_run(*args, problem.b, iterations)
+    assert state.k == iterations
+    gram = regparam.OracleGram(problem.prior, problem.s_true, state.Z[:, : state.k])
     d = problem.prior.mu - problem.s_true
 
     def error(prob, Z, lam):
-        y = solve.projected_tikhonov(prob, lam).y
+        y, _ = solve.projected_tikhonov(prob, lam)
         return np.linalg.norm(solve.recover_solution(problem.prior, Z, y) - problem.s_true)
 
-    iterations = 2 * bidiag.INITIAL_CAPACITY
-    for _ in range(iterations):
-        bidiag.igenGK_step(state, *args)
-        prob = solve.ProjectedProblem(M=state.M, beta1=state.beta1)
-        Zk = state.Z[:, : state.k]
-        lam = regparam.select_lambda_optimal(prob, Zk, problem.prior, problem.s_true, gram=gram)
-        scratch = regparam.select_lambda_optimal(prob, Zk, problem.prior, problem.s_true)
+    for k in range(1, iterations + 1):
+        prob = solve.ProjectedProblem(M=state.M[: k + 1, :k], beta1=state.beta1)
+        Zk = state.Z[:, :k]
+        lam = regparam.select_lambda_optimal(prob, gram)
+        scratch = select_optimal(prob, Zk, problem.prior, problem.s_true)
         G = Zk.T @ Zk
-        assert np.linalg.norm(gram.G - G) <= 1e-12 * np.linalg.norm(G)
-        assert np.linalg.norm(gram.c - Zk.T @ d) <= 1e-12 * np.linalg.norm(Zk.T @ d)
+        assert np.linalg.norm(gram.G[:k, :k] - G) <= 1e-12 * np.linalg.norm(G)
+        assert np.linalg.norm(gram.c[:k] - Zk.T @ d) <= 1e-12 * np.linalg.norm(Zk.T @ d)
         assert error(prob, Zk, lam) == pytest.approx(error(prob, Zk, scratch), rel=1e-12)
         assert lam == pytest.approx(scratch, rel=1e-8)
-    assert state.k == iterations
 
 
 def perturbed(A, rng):
@@ -349,7 +352,7 @@ def synthetic_oracle_case(seed, truth):
     s = np.geomspace(1.0, 10.0 ** -rng.uniform(0, 4), k) * 10.0 ** rng.uniform(-3, 3)
     M = U @ np.diag(s) @ V.T
     Z = rng.standard_normal((40, k))
-    y0 = solve.projected_tikhonov(make_prob(M), 0.0).y
+    y0, _ = solve.projected_tikhonov(make_prob(M), 0.0)
     if truth == "random":
         s_true = rng.standard_normal(40) * np.linalg.norm(Z @ y0) / np.sqrt(40)
     elif truth == "near":
@@ -360,7 +363,7 @@ def synthetic_oracle_case(seed, truth):
 
 
 def oracle_error_explicit(M, Z, pm, s_true, lam):
-    y = solve.projected_tikhonov(make_prob(M), lam).y
+    y, _ = solve.projected_tikhonov(make_prob(M), lam)
     return np.linalg.norm(solve.recover_solution(pm, Z, y) - s_true) ** 2
 
 
@@ -383,7 +386,7 @@ def test_selected_lambda_survives_rounding_level_perturbations():
     ]
     flat = 0
     for M, Z, s_true in cases:
-        lam = regparam.select_lambda_optimal(make_prob(M), Z, pm, s_true)
+        lam = select_optimal(make_prob(M), Z, pm, s_true)
         lam_wgcv = regparam.select_lambda_wgcv(make_prob(M), 1.0)
         floor = regparam._lambda_grid(make_prob(M))[0]
         errors = [oracle_error_explicit(M, Z, pm, s_true, la) for la in (floor, lam)]
@@ -391,7 +394,7 @@ def test_selected_lambda_survives_rounding_level_perturbations():
         rng = np.random.default_rng(M.size)
         for _ in range(2):
             M2, Z2 = perturbed(M, rng), perturbed(Z, rng)
-            lam2 = regparam.select_lambda_optimal(make_prob(M2), Z2, pm, s_true)
+            lam2 = select_optimal(make_prob(M2), Z2, pm, s_true)
             assert lam2 == pytest.approx(lam, rel=1e-8)
             assert regparam.select_lambda_wgcv(make_prob(M2), 1.0) == pytest.approx(lam_wgcv, rel=1e-8)
     assert flat >= 6
@@ -406,9 +409,9 @@ def test_selected_lambda_survives_rounding_level_perturbations():
     for _ in range(12):
         bidiag.igenGK_step(state, *args)
         M, Z = state.M, state.Z[:, : state.k]
-        lam = regparam.select_lambda_optimal(make_prob(M), Z, problem.prior, problem.s_true)
+        lam = select_optimal(make_prob(M), Z, problem.prior, problem.s_true)
         M2, Z2 = perturbed(M, rng), perturbed(Z, rng)
-        lam2 = regparam.select_lambda_optimal(make_prob(M2), Z2, problem.prior, problem.s_true)
+        lam2 = select_optimal(make_prob(M2), Z2, problem.prior, problem.s_true)
         assert lam2 == pytest.approx(lam, rel=1e-8)
 
 
@@ -425,7 +428,7 @@ def test_one_selection_makes_at_most_six_evaluations(monkeypatch, truth):
             return original(prob, lam)
 
         monkeypatch.setattr(solve.ProjectedProblem, name, counted)
-    regparam.select_lambda_optimal(make_prob(M), Z, prior.identity_prior(40), s_true)
+    select_optimal(make_prob(M), Z, prior.identity_prior(40), s_true)
     oracle = len(calls)
     regparam.select_lambda_wgcv(make_prob(M), 1.0)
     assert oracle <= 6 and len(calls) - oracle <= 6

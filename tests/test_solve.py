@@ -18,15 +18,15 @@ def make_prob(M, beta1):
 
 
 def test_tall_column_consistent():
-    out = solve.projected_tikhonov(make_prob([[1.0], [0.0]], 2.0), 0.0)
-    np.testing.assert_allclose(out.y, [2.0], atol=1e-15)
-    assert out.projected_residual_norm <= 1e-15
+    y, residual = solve.projected_tikhonov(make_prob([[1.0], [0.0]], 2.0), 0.0)
+    np.testing.assert_allclose(y, [2.0], atol=1e-15)
+    assert residual <= 1e-15
 
 
 def test_tall_column_regularized():
-    out = solve.projected_tikhonov(make_prob([[1.0], [0.0]], 2.0), 1.0)
-    np.testing.assert_allclose(out.y, [1.0], rtol=1e-15)
-    assert out.projected_residual_norm == pytest.approx(1.0, rel=1e-14)
+    y, residual = solve.projected_tikhonov(make_prob([[1.0], [0.0]], 2.0), 1.0)
+    np.testing.assert_allclose(y, [1.0], rtol=1e-15)
+    assert residual == pytest.approx(1.0, rel=1e-14)
 
 
 def test_matches_normal_equations_oracle():
@@ -34,21 +34,21 @@ def test_matches_normal_equations_oracle():
     M = rng.standard_normal((8, 7))
     beta1 = 1.7
     lam = 0.3
-    out = solve.projected_tikhonov(make_prob(M, beta1), lam)
+    y, _ = solve.projected_tikhonov(make_prob(M, beta1), lam)
     e1 = np.zeros(8)
     e1[0] = beta1
     y_ref = np.linalg.solve(M.T @ M + lam * lam * np.eye(7), M.T @ e1)
-    assert np.linalg.norm(out.y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
+    assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
 
 
 def test_minimum_norm_at_rank_deficiency():
     col = np.array([[1.0], [2.0], [0.0]])
     M = np.hstack([col, col])  # rank one, two columns
-    out = solve.projected_tikhonov(make_prob(M, 1.0), 0.0)
+    y, _ = solve.projected_tikhonov(make_prob(M, 1.0), 0.0)
     e1 = np.zeros(3)
     e1[0] = 1.0
     y_ref = np.linalg.pinv(M) @ e1
-    np.testing.assert_allclose(out.y, y_ref, atol=1e-12)
+    np.testing.assert_allclose(y, y_ref, atol=1e-12)
 
 
 def test_rejects_nonfinite_matrix():
@@ -81,11 +81,11 @@ def test_svd_cache_reconstructs():
 def test_residual_recomputable():
     rng = np.random.default_rng(2)
     prob = make_prob(rng.standard_normal((7, 5)), 2.3)
-    out = solve.projected_tikhonov(prob, 0.5)
+    y, residual = solve.projected_tikhonov(prob, 0.5)
     e1 = np.zeros(7)
     e1[0] = prob.beta1
-    direct = np.linalg.norm(prob.M @ out.y - e1)
-    assert abs(direct - out.projected_residual_norm) <= 1e-12 * max(direct, 1.0)
+    direct = np.linalg.norm(prob.M @ y - e1)
+    assert abs(direct - residual) <= 1e-12 * max(direct, 1.0)
 
 
 def test_monotone_in_lambda():
@@ -93,8 +93,8 @@ def test_monotone_in_lambda():
     prob = make_prob(rng.standard_normal((9, 6)), 1.0)
     lams = np.geomspace(1e-8, 1e3, 40)
     outs = [solve.projected_tikhonov(prob, lam) for lam in lams]
-    residuals = [o.projected_residual_norm for o in outs]
-    ynorms = [np.linalg.norm(o.y) for o in outs]
+    residuals = [residual for _, residual in outs]
+    ynorms = [np.linalg.norm(y) for y, _ in outs]
     assert np.all(np.diff(residuals) >= -1e-12)
     assert np.all(np.diff(ynorms) <= 1e-12)
 
@@ -102,8 +102,8 @@ def test_monotone_in_lambda():
 def test_infinite_regularization_limit():
     rng = np.random.default_rng(4)
     prob = make_prob(rng.standard_normal((9, 6)), 1.0)
-    y0 = solve.projected_tikhonov(prob, 0.0).y
-    yinf = solve.projected_tikhonov(prob, 1e8 * prob.sigma_max).y
+    y0, _ = solve.projected_tikhonov(prob, 0.0)
+    yinf, _ = solve.projected_tikhonov(prob, 1e8 * prob.sigma_max)
     assert np.linalg.norm(yinf) <= 1e-6 * np.linalg.norm(y0)
 
 
