@@ -110,7 +110,7 @@ def overflow_checked():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _orthogonalize(vec, basis, coefficients, passes=2):
+def _orthogonalize(vec, basis, coefficients):
     """Gram-Schmidt against ``basis``, given its inner-product coefficients.
 
     ``coefficients(w)`` returns the inner products of w with the basis columns
@@ -121,7 +121,7 @@ def _orthogonalize(vec, basis, coefficients, passes=2):
     pass restores orthogonality to machine precision.
     """
     coeffs = np.zeros(basis.shape[1])
-    for _ in range(passes):
+    for _ in range(2):
         c = coefficients(vec)
         vec = vec - basis @ c
         coeffs += c
@@ -254,9 +254,8 @@ def relation_diagnostics(state, exact_op, prior, noise):
 
     QV = np.column_stack([prior.Q.apply(Vk[:, j]) for j in range(k)])
     lhs_fwd = np.column_stack([exact_op.apply(QV[:, j]) for j in range(k)])
-    kk = min(k, state.M.shape[1])
-    rhs_fwd = state.U[:, : state.M.shape[0]] @ state.M[:, :kk]
-    err_forward = _rel_fro(lhs_fwd[:, :kk] - rhs_fwd, lhs_fwd[:, :kk])
+    rhs_fwd = state.U[:, : state.M.shape[0]] @ state.M[:, :k]
+    err_forward = _rel_fro(lhs_fwd - rhs_fwd, lhs_fwd)
 
     gram_v = Vk.T @ QV
     err_Vorth = np.linalg.norm(gram_v - np.eye(k)) / math.sqrt(k)

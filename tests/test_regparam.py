@@ -13,8 +13,8 @@ def make_prob(M, beta1=1.0):
 
 
 def select_optimal(prob, Z, pm, s_true):
-    """The oracle rule's lambda, from the ``OracleGram`` of Z."""
-    return regparam.select_lambda_optimal(prob, regparam.OracleGram(pm, s_true, Z))
+    """The oracle rule's lambda, from the ``OracleError`` of Z."""
+    return regparam.select_lambda_optimal(prob, regparam.OracleError(pm, s_true, Z))
 
 
 def scalar_toy():
@@ -256,9 +256,9 @@ def test_optimal_beats_every_grid_point():
         assert fsel <= f(la) * (1 + 1e-12)
 
 
-def oracle_error(gram, prob):
-    """The full oracle error as a function of lambda, from ``OracleGram.error_terms``."""
-    const, terms = gram.error_terms(prob)
+def oracle_error(oracle, prob):
+    """The full oracle error as a function of lambda, from ``OracleError.error_terms``."""
+    const, terms = oracle.error_terms(prob)
     return lambda lam: const + terms(lam)[0]
 
 
@@ -272,8 +272,7 @@ def test_gram_oracle_error_matches_explicit_error():
     Z = rng.standard_normal((40, 8))
     pm = shifted_prior(40, rng)
     s_true = rng.standard_normal(40)
-    gram = regparam.OracleGram(pm, s_true, Z)
-    error = oracle_error(gram, prob)
+    error = oracle_error(regparam.OracleError(pm, s_true, Z), prob)
     for lam in regparam._lambda_grid(prob):
         y, _ = solve.projected_tikhonov(prob, lam)
         explicit = np.linalg.norm(solve.recover_solution(pm, Z, y) - s_true) ** 2
@@ -285,8 +284,8 @@ def test_grid_objectives_match_scalar_evaluations():
     prob = make_prob(rng.standard_normal((8, 7)), 1.2)
     grid = regparam._lambda_grid(prob)
     pm = shifted_prior(30, rng)
-    gram = regparam.OracleGram(pm, rng.standard_normal(30), rng.standard_normal((30, 7)))
-    error = oracle_error(gram, prob)
+    oracle = regparam.OracleError(pm, rng.standard_normal(30), rng.standard_normal((30, 7)))
+    error = oracle_error(oracle, prob)
     np.testing.assert_allclose(error(grid), [error(lam) for lam in grid], rtol=1e-12)
     for omega in (1.0, 0.4):
         wgcv = regparam._wgcv_objective(prob, omega)(grid)
@@ -299,11 +298,12 @@ def test_grid_objectives_match_scalar_evaluations():
 def test_leading_gram_blocks_select_from_scratch_lambda():
     """Across a real igengk run whose Z buffer grows past its first capacity.
 
-    Iteration k reads the leading block of the one Gram built from the final
-    Z. That block equals Z_k^T Z_k and Z_k^T d, and the lambdas selected from
-    it and from the Gram data of Z_k alone agree, also where the error is
-    flat to rounding (far below sigma_min(M)): ties there go to the largest
-    lambda within the rounding bound.
+    Iteration k reads the leading block of the one QR factor R of [Z, d]
+    taken from the final Z. Its block R_k and the k entries e_k satisfy
+    R_k^T R_k = Z_k^T Z_k and R_k^T e_k = Z_k^T d to rounding, and the lambdas
+    selected from them and from the factor of Z_k alone agree, also where the
+    error is flat to rounding (far below sigma_min(M)): ties there go to the
+    largest lambda within the rounding bound.
     """
     cfg = config.config_from_dict(
         {"mode": "igengk", "geometry": {"n": 16}, "reg": {"rule": "optimal"}, "seed": 3}
@@ -313,7 +313,7 @@ def test_leading_gram_blocks_select_from_scratch_lambda():
     iterations = 2 * bidiag.INITIAL_CAPACITY
     state, _ = bidiag.igenGK_run(*args, problem.b, iterations)
     assert state.k == iterations
-    gram = regparam.OracleGram(problem.prior, problem.s_true, state.Z[:, : state.k])
+    oracle = regparam.OracleError(problem.prior, problem.s_true, state.Z[:, : state.k])
     d = problem.prior.mu - problem.s_true
 
     def error(prob, Z, lam):
@@ -323,11 +323,12 @@ def test_leading_gram_blocks_select_from_scratch_lambda():
     for k in range(1, iterations + 1):
         prob = solve.ProjectedProblem(M=state.M[: k + 1, :k], beta1=state.beta1)
         Zk = state.Z[:, :k]
-        lam = regparam.select_lambda_optimal(prob, gram)
+        lam = regparam.select_lambda_optimal(prob, oracle)
         scratch = select_optimal(prob, Zk, problem.prior, problem.s_true)
+        Rk, ek = oracle.R[:k, :k], oracle.e[:k]
         G = Zk.T @ Zk
-        assert np.linalg.norm(gram.G[:k, :k] - G) <= 1e-12 * np.linalg.norm(G)
-        assert np.linalg.norm(gram.c[:k] - Zk.T @ d) <= 1e-12 * np.linalg.norm(Zk.T @ d)
+        assert np.linalg.norm(Rk.T @ Rk - G) <= 1e-12 * np.linalg.norm(G)
+        assert np.linalg.norm(Rk.T @ ek - Zk.T @ d) <= 1e-12 * np.linalg.norm(Zk.T @ d)
         assert error(prob, Zk, lam) == pytest.approx(error(prob, Zk, scratch), rel=1e-12)
         assert lam == pytest.approx(scratch, rel=1e-8)
 
@@ -413,6 +414,26 @@ def test_selected_lambda_survives_rounding_level_perturbations():
         M2, Z2 = perturbed(M, rng), perturbed(Z, rng)
         lam2 = select_optimal(make_prob(M2), Z2, problem.prior, problem.s_true)
         assert lam2 == pytest.approx(lam, rel=1e-8)
+
+
+def test_optimal_reaches_dense_grid_minimum_with_rank_deficient_basis():
+    """A column of Z duplicated to 1e-15 relative makes Z numerically rank
+    deficient (a diagonal entry of its R factor at rounding level); the
+    selected lambda still reaches the smallest error on a 4,000-point grid,
+    to the 1e-8 relative within which the error counts as flat in
+    test_selected_lambda_survives_rounding_level_perturbations."""
+    pm = prior.identity_prior(40)
+    for seed in range(40):
+        M, Z, s_true = synthetic_oracle_case(seed, ("random", "near", "in-range")[seed % 3])
+        rng = np.random.default_rng(seed)
+        i, j = rng.choice(Z.shape[1], 2, replace=False)
+        Z[:, j] = Z[:, i] * (1.0 + 1e-15 * rng.standard_normal(40))
+        prob = make_prob(M)
+        lam = select_optimal(prob, Z, pm, s_true)
+        grid = np.geomspace(regparam.GRID_FLOOR_RTOL, regparam.GRID_TOP_FACTOR, 4000)
+        Y = (prob.gain(grid * prob.sigma_max) * prob.bhat) @ prob.Vt
+        best = np.min(np.sum((Y @ Z.T + pm.mu - s_true) ** 2, axis=1))
+        assert oracle_error_explicit(M, Z, pm, s_true, lam) <= best * (1.0 + 1e-8), seed
 
 
 @pytest.mark.parametrize("truth", ["random", "in-range"])
