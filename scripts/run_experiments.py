@@ -52,8 +52,10 @@ SWEEP_DESK_RUNS = {
     "verify-relations": ("verify-relations", None, None),
 }
 
-# reconstruct runs of configuration files. The gk/dp run reaches the full
-# Krylov space of its 256 unknowns and stops by breakdown at k = 256.
+# reconstruct runs of configuration files. The gk/dp runs reach the full
+# Krylov space of their 256 unknowns at k = 256: the run that may go on stops
+# by breakdown, in the step that finds no v_257, and the run limited to 256
+# iterations stops at max_iter.
 N32 = {"geometry": {"n": 32}, "mode": "igengk", "max_iter": 20, "seed": 7}
 SWEEP_CONFIGS = {
     "fixed-n32": {**N32, "reg": {"rule": "fixed", "lambda_fixed": 0.5}},
@@ -62,6 +64,9 @@ SWEEP_CONFIGS = {
     "wgcv-adaptive-n32": {**N32, "reg": {"rule": "wgcv", "omega_mode": "adaptive"}},
     "breakdown-gk-dp-n16": {
         "geometry": {"n": 16}, "mode": "gk", "reg": {"rule": "dp"}, "max_iter": 400,
+    },
+    "limit-gk-dp-n16": {
+        "geometry": {"n": 16}, "mode": "gk", "reg": {"rule": "dp"}, "max_iter": 256,
     },
 }
 

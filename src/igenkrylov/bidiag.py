@@ -6,7 +6,9 @@ R^{-1} and Q inner products, and the inexact generalized process. With exact
 products the projected matrix is numerically bidiagonal; with inexact products
 it fills in to upper Hessenberg, and the adjoint-side coefficients fill a
 triangular matrix, which is what keeps the bases orthonormal at machine
-precision regardless of the error level.
+precision regardless of the error level. Iteration k makes the adjoint product
+that gives v_k, then the forward product that gives u_{k+1}, so a k-step state
+holds U_{k+1}, V_k, M_k and L_k, all that the factorization relations use.
 """
 
 import math
@@ -32,10 +34,9 @@ class _Columns:
     growth copies, so n-by-k columns cost O(n k) in total rather than per step.
     """
 
-    def __init__(self, first):
-        self._buf = np.empty((first.size, INITIAL_CAPACITY), order="F")
-        self._buf[:, 0] = first
-        self.count = 1
+    def __init__(self, rows):
+        self._buf = np.empty((rows, INITIAL_CAPACITY), order="F")
+        self.count = 0
 
     def append(self, col):
         if self.count == self._buf.shape[1]:
@@ -53,26 +54,25 @@ class _Columns:
 class BidiagState:
     """Iteration-k factorization state.
 
-    U has k+1 columns orthonormal in the R^{-1} inner product and V has k+1
-    columns orthonormal in the Q inner product (the last V column is the
-    look-ahead vector for the next step; the solve basis is V[:, :k]). Z = Q V
-    column by column: each column is the covariance product made when its V
-    column was normalized, kept so that no later use of Q V applies Q again;
-    its last column is the input of the next forward product. Under an
+    U has k+1 columns orthonormal in the R^{-1} inner product and V has k
+    columns orthonormal in the Q inner product. Z = Q V column by column:
+    each column is the covariance product made when its V column was
+    normalized, kept so that no later use of Q V applies Q again. Under an
     identity prior Z is V and shares its buffer. U, V and Z are views of the
     filled part of their buffers; a view taken before a later step does not
     see that step's column. M is the (k+1)-by-k projected matrix, C = L^T the
-    (k+1)-by-(k+1) upper triangular adjoint-side coefficient matrix. After a
-    terminal breakdown M may be square (the subdiagonal entry vanished and no
-    new U column exists).
+    k-by-k upper triangular adjoint-side coefficient matrix. After a terminal
+    U-side breakdown M is square and U has k columns (the subdiagonal entry
+    vanished and no new U column exists).
     """
 
-    def __init__(self, u1, v1, z1, c11, beta1):
-        self._U = _Columns(u1)
-        self._V = _Columns(v1)
-        self._Z = self._V if z1 is None else _Columns(z1)  # None: Q = I
+    def __init__(self, u1, ncols, identity_prior, beta1):
+        self._U = _Columns(u1.size)
+        self._U.append(u1)
+        self._V = _Columns(ncols)
+        self._Z = self._V if identity_prior else _Columns(ncols)
         self.M = np.zeros((1, 0))
-        self.C = np.array([[c11]])
+        self.C = np.zeros((0, 0))
         self.beta1 = beta1
         self.terminated = False
 
@@ -129,10 +129,10 @@ def _orthogonalize(vec, basis, coefficients):
 
 
 def igenGK_init(A, inexact, prior, noise, b):
-    """Initial state: u1 = b / ||b||_{R^{-1}}, v1 from the iteration-1 adjoint.
+    """Initial state: u1 = b / ||b||_{R^{-1}}, with no V column yet.
 
-    Raises DegenerateInputError when b is zero or its adjoint image vanishes,
-    and NumericalError when either norm is not finite.
+    Raises DegenerateInputError when b is zero and NumericalError when its
+    norm is not finite.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.nrows,):
@@ -142,33 +142,48 @@ def igenGK_init(A, inexact, prior, noise, b):
         if beta1 == 0.0:
             raise DegenerateInputError("right-hand side is zero")
         u1 = b / beta1
-        vbar = linop.perturbed_apply_adjoint(A, inexact, 1, noise.apply_rinv(u1))
-        qv = prior.Q.apply(vbar)
-        c11 = _finite(math.sqrt(max(float(np.dot(vbar, qv)), 0.0)), "c11")
-    if c11 <= BREAKDOWN_RTOL * beta1:
-        # No column can be built, so there is nothing to solve: an input error.
-        raise DegenerateInputError("adjoint of right-hand side is degenerate")
-    z1 = None if prior.Q.is_identity else qv / c11
-    return BidiagState(u1, vbar / c11, z1, c11, beta1)
+    return BidiagState(u1, A.ncols, prior.Q.is_identity, beta1)
 
 
 def igenGK_step(state, A, inexact, prior, noise):
     """Advance the decomposition by one column pair.
 
-    Iteration i = k+1 computes u_{i+1} from the forward product with Q v_i and
-    v_{i+1} from the adjoint product at iteration i+1, each fully
-    reorthogonalized in its weighted inner product. The V-side coefficients
-    come from Z, so the step applies Q once, to the new v. On breakdown of the
-    U-side normalization the projected matrix is committed in square, terminal
-    form (its last subdiagonal vanished), so the projected problem built so far
-    is still solvable; a BreakdownSignal is raised either way. A normalization
-    that is not finite raises NumericalError; call the step under
-    ``overflow_checked`` for that to be the only report.
+    Iteration i = k+1 first computes v_i from the adjoint product at
+    iteration i with R^{-1} u_i, then u_{i+1} from the forward product at
+    iteration i with z_i = Q v_i, each fully reorthogonalized in its weighted
+    inner product. The V-side coefficients come from Z, so the step applies
+    Q once, to the new v. A vanishing v at i = 1 raises DegenerateInputError;
+    later it ends the recurrence with the state of iteration k. On breakdown
+    of the U-side normalization the projected matrix is committed in square,
+    terminal form (its last subdiagonal vanished), so the projected problem
+    built so far is still solvable. Either breakdown raises a BreakdownSignal.
+    A normalization that is not finite raises NumericalError; call the step
+    under ``overflow_checked`` for that to be the only report.
     """
     if state.terminated:
         raise BreakdownSignal("state is terminal")
     i = state.k + 1
     tol = BREAKDOWN_RTOL * state.beta1
+
+    vbar = linop.perturbed_apply_adjoint(A, inexact, i, noise.apply_rinv(state.U[:, -1]))
+    Z = state.Z
+    v, lcol = _orthogonalize(vbar, state.V, lambda w: Z.T @ w)
+    qv = prior.Q.apply(v)
+    norm_v = _finite(math.sqrt(max(float(np.dot(v, qv)), 0.0)), "V-side normalization")
+    if norm_v <= tol:
+        if i == 1:
+            # No column can be built, so there is nothing to solve: an input error.
+            raise DegenerateInputError("adjoint of right-hand side is degenerate")
+        state.terminated = True
+        raise BreakdownSignal("V-side normalization vanished")
+    Cnew = np.zeros((i, i))
+    Cnew[: i - 1, : i - 1] = state.C
+    Cnew[: i - 1, i - 1] = lcol
+    Cnew[i - 1, i - 1] = norm_v
+    state.C = Cnew
+    state._V.append(v / norm_v)
+    if state._Z is not state._V:
+        state._Z.append(qv / norm_v)
 
     ubar = linop.perturbed_apply(A, inexact, i, state.Z[:, -1])
     U = state.U
@@ -183,26 +198,8 @@ def igenGK_step(state, A, inexact, prior, noise):
     Mnew[:i, : i - 1] = state.M
     Mnew[:i, i - 1] = mcol
     Mnew[i, i - 1] = norm_u
-    unew = u / norm_u
-
-    vbar = linop.perturbed_apply_adjoint(A, inexact, i + 1, noise.apply_rinv(unew))
-    Z = state.Z
-    v, lrow = _orthogonalize(vbar, state.V, lambda w: Z.T @ w)
-    qv = prior.Q.apply(v)
-    norm_v = _finite(math.sqrt(max(float(np.dot(v, qv)), 0.0)), "V-side normalization")
-    state._U.append(unew)
     state.M = Mnew
-    if norm_v <= tol:
-        state.terminated = True
-        raise BreakdownSignal("V-side normalization vanished")
-    Cnew = np.zeros((i + 1, i + 1))
-    Cnew[:i, :i] = state.C
-    Cnew[:i, i] = lrow
-    Cnew[i, i] = norm_v
-    state._V.append(v / norm_v)
-    if state._Z is not state._V:
-        state._Z.append(qv / norm_v)
-    state.C = Cnew
+    state._U.append(u / norm_u)
     return state
 
 
@@ -241,28 +238,26 @@ def relation_diagnostics(state, exact_op, prior, noise):
     inexact decompositions the residuals measure the accumulated injected
     error; with exact ones they sit at rounding level.
     """
-    k = min(state.k, state.V.shape[1], state.U.shape[1] - 1)
+    k = min(state.k, state.U.shape[1] - 1)
     if k < 1:
         raise DimensionError("need at least one completed step for diagnostics")
-    Uk = state.U[:, :k]
+    U = state.U
     Vk = state.V[:, :k]
     Lt = state.C[:k, :k]
 
-    rinv_Uk = np.column_stack([noise.apply_rinv(Uk[:, j]) for j in range(k)])
-    lhs_adj = np.column_stack([exact_op.apply_adjoint(rinv_Uk[:, j]) for j in range(k)])
+    rinv_U = np.column_stack([noise.apply_rinv(U[:, j]) for j in range(U.shape[1])])
+    lhs_adj = np.column_stack([exact_op.apply_adjoint(rinv_U[:, j]) for j in range(k)])
     err_adjoint = _rel_fro(lhs_adj - Vk @ Lt, lhs_adj)
 
     QV = np.column_stack([prior.Q.apply(Vk[:, j]) for j in range(k)])
     lhs_fwd = np.column_stack([exact_op.apply(QV[:, j]) for j in range(k)])
-    rhs_fwd = state.U[:, : state.M.shape[0]] @ state.M[:, :k]
+    rhs_fwd = U[:, : state.M.shape[0]] @ state.M[:, :k]
     err_forward = _rel_fro(lhs_fwd - rhs_fwd, lhs_fwd)
 
     gram_v = Vk.T @ QV
     err_Vorth = np.linalg.norm(gram_v - np.eye(k)) / math.sqrt(k)
-    Ukk = state.U
-    rinv_U = np.column_stack([noise.apply_rinv(Ukk[:, j]) for j in range(Ukk.shape[1])])
-    gram_u = Ukk.T @ rinv_U
-    err_Uorth = np.linalg.norm(gram_u - np.eye(Ukk.shape[1])) / math.sqrt(Ukk.shape[1])
+    gram_u = U.T @ rinv_U
+    err_Uorth = np.linalg.norm(gram_u - np.eye(U.shape[1])) / math.sqrt(U.shape[1])
     return RelationReport(err_adjoint, err_forward, err_Vorth, err_Uorth)
 
 

@@ -178,9 +178,8 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=
     state, stop_reason = bidiag.igenGK_run(A, inexact, prior, noise, b, max_iter)
     timings["decomposition_s"] = time.perf_counter() - t0
 
-    Z = state.Z[:, : state.k]
     t0 = time.perf_counter()
-    choose = rule.chooser(prior, Z, noise_norm, s_true)
+    choose = rule.chooser(prior, state.Z, noise_norm, s_true)
     timings["param_selection_s"] += time.perf_counter() - t0
     # A lambda_fixed near the float limit makes filters' unused psi inf/inf, silently.
     with bidiag.overflow_checked():
@@ -195,7 +194,7 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=
 
             t0 = time.perf_counter()
             y, residual = projected_tikhonov(prob, lam)
-            solution = recover_solution(prior, Z[:, :k], y)
+            solution = recover_solution(prior, state.Z[:, :k], y)
             timings["projected_solve_s"] += time.perf_counter() - t0
 
             lambdas.append(float(lam))

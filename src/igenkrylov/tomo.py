@@ -172,8 +172,8 @@ def _traverse(n, h, d, p, starts, widths, t_lo, t_hi):
     return valid.sum(axis=1), pix[valid], seg[valid]
 
 
-# Two entries: the geometries of the two jittered operators a solve keeps
-# (see _jittered_operator); an operator holds its own matrix beyond that.
+# Two entries, one per jittered operator that _jittered_operator keeps; an
+# operator holds its own matrix beyond that.
 @functools.lru_cache(maxsize=2)
 def system_matrix(geom):
     """Sparse ray-weight matrix for the geometry (rows: angle-major rays).
@@ -247,13 +247,13 @@ class RadonOperator(LinearOperator):
 
     def perturbed_variant(self, model, k):
         """Radon operator rebuilt with iteration-k jittered projection angles."""
-        alphas = model.schedule
-        alpha_k = alphas[min(k, len(alphas)) - 1]
+        alpha_k = model.schedule[k - 1]
         return _jittered_operator(self.geom, float(alpha_k), int(model.seed), int(k))
 
 
-# Iteration k's operator serves the forward product of step k and the adjoint
-# product of step k - 1, so a solve needs at most two alive at once.
+# Both products of iteration k come from one step, so a run needs one jittered
+# operator at a time. The second entry serves inexact-angles, which can run
+# its two jittered schedules at once under IGENKRYLOV_THREADS.
 @functools.lru_cache(maxsize=2)
 def _jittered_operator(geom, alpha_k, seed, k):
     if alpha_k == 0.0:

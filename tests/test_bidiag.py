@@ -64,6 +64,8 @@ def test_init_matches_classic_start():
     A = DenseOperator(mat)
     pm, nm = identity_setting(9, 7)
     state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
+    assert state.V.shape == (7, 0)
+    bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
     u1 = b / np.linalg.norm(b)
     v1 = mat.T @ u1
     v1 /= np.linalg.norm(v1)
@@ -83,7 +85,7 @@ def test_init_rejects_overflowing_normalization():
     A = DenseOperator(np.full((3, 2), 1e200))
     pm, nm = identity_setting(3, 2)
     with pytest.raises(NumericalError):
-        bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.ones(3))
+        bidiag.igenGK_run(A, linop.EXACT, pm, nm, np.ones(3), 1)
 
 
 def test_engine_matches_two_term_oracle():
@@ -99,13 +101,17 @@ def test_engine_matches_two_term_oracle():
     assert basis_sign_distance(state.V, oracle.V) <= 1e-10
 
 
-# (rows, columns) of each case: a wide A fills the U side first, a tall one
-# the V side, so the recurrence breaks down on that side at step min(m, n).
+# (rows, columns, steps, stop reason) of each case: a wide A fills the U side
+# first, a tall one the V side, so the recurrence breaks down on that side
+# after min(m, n) columns. A U-side breakdown comes in the step that builds
+# column min(m, n), a V-side one in the step after it, so a tall A run for
+# exactly min(m, n) steps stops at max_iter.
 STEP_CASES = {
-    "exact": (12, 9),
-    "gaussian-entry": (12, 9),
-    "u-breakdown": (3, 5),
-    "v-breakdown": (5, 3),
+    "exact": (12, 9, 6, "max_iter"),
+    "gaussian-entry": (12, 9, 6, "max_iter"),
+    "u-breakdown": (3, 5, 6, "breakdown"),
+    "v-breakdown": (5, 3, 6, "breakdown"),
+    "v-limit": (5, 3, 3, "max_iter"),
 }
 
 
@@ -114,7 +120,7 @@ def test_each_step_is_a_leading_block_of_the_run(case):
     """A step only appends to M and Z: after every step of an init/step loop,
     M and Z equal, bit for bit, the leading blocks of the final state of
     ``igenGK_run``, so a solve can select lambda after the decomposition."""
-    m, n = STEP_CASES[case]
+    m, n, steps, expected_reason = STEP_CASES[case]
     rng = np.random.default_rng(12)
     A = DenseOperator(rng.standard_normal((m, n)))
     b = rng.standard_normal(m)
@@ -122,7 +128,6 @@ def test_each_step_is_a_leading_block_of_the_run(case):
     inexact = linop.EXACT
     if case == "gaussian-entry":
         inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=14)
-    steps = 6
 
     state = bidiag.igenGK_init(A, inexact, pm, nm, b)
     copies = []
@@ -136,15 +141,70 @@ def test_each_step_is_a_leading_block_of_the_run(case):
             break
 
     final, reason = bidiag.igenGK_run(A, inexact, pm, nm, b, steps)
-    assert reason == ("breakdown" if case.endswith("breakdown") else "max_iter")
-    assert len(copies) == final.k == min(steps, m, n)
+    assert reason == expected_reason
+    assert final.k == min(steps, m, n)
+    # The step that finds the vanishing v adds nothing, but the loop records it.
+    assert len(copies) == final.k + (case == "v-breakdown")
     # A U-side breakdown commits M square; otherwise M has a row more.
     assert final.M.shape == (final.k + (case != "u-breakdown"), final.k)
-    assert final.Z.shape[1] == (final.k if case.endswith("breakdown") else final.k + 1)
-    for k, (M, Z) in enumerate(copies, start=1):
-        assert M.shape[1] == k
+    assert final.Z.shape[1] == final.k
+    for step, (M, Z) in enumerate(copies, start=1):
+        k = min(step, final.k)
+        assert M.shape[1] == Z.shape[1] == k
         np.testing.assert_array_equal(M, final.M[: M.shape[0], :k])
-        np.testing.assert_array_equal(Z, final.Z[:, : Z.shape[1]])
+        np.testing.assert_array_equal(Z, final.Z[:, :k])
+    if case == "v-limit":
+        # One step more asks for the vanishing v and changes nothing else.
+        longer, reason = bidiag.igenGK_run(A, inexact, pm, nm, b, steps + 1)
+        assert reason == "breakdown"
+        np.testing.assert_array_equal(longer.M, final.M)
+        np.testing.assert_array_equal(longer.Z, final.Z)
+
+
+PRODUCT_STEPS = 4
+PRODUCT_MODELS = {
+    "exact": linop.EXACT,
+    "gaussian-entry": linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=23),
+    "angle-perturbation": linop.InexactnessModel(
+        mode="angle-perturbation", schedule=np.geomspace(1e-1, 1e-3, PRODUCT_STEPS), seed=23
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(PRODUCT_MODELS))
+def test_k_steps_make_k_products_of_each_kind(mode, monkeypatch):
+    """Iteration k makes the adjoint product of iteration k, then the forward
+    product of iteration k; a K-step run makes nothing past iteration K and
+    applies Q once per step."""
+    geom = tomo.CTGeometry(n=16, angles=tomo.default_angles(count=8, step=22.0))
+    A = tomo.RadonOperator(geom)
+    b = A.apply(tomo.make_phantom(16))
+    pm, nm = generalized_setting(geom.nrows, geom.ncols, seed=24)
+    products, covariance = [], []
+
+    def recording(direction, product):
+        def wrapper(op, model, k, x):
+            products.append((direction, k))
+            return product(op, model, k, x)
+
+        return wrapper
+
+    def recording_q(x, apply=pm.Q.apply):
+        covariance.append(len(products))
+        return apply(x)
+
+    monkeypatch.setattr(linop, "perturbed_apply", recording("fwd", linop.perturbed_apply))
+    monkeypatch.setattr(
+        linop, "perturbed_apply_adjoint", recording("adj", linop.perturbed_apply_adjoint)
+    )
+    monkeypatch.setattr(pm.Q, "apply", recording_q)
+    state, reason = bidiag.igenGK_run(A, PRODUCT_MODELS[mode], pm, nm, b, PRODUCT_STEPS)
+    assert reason == "max_iter" and state.k == PRODUCT_STEPS
+    assert products == [
+        (direction, k) for k in range(1, PRODUCT_STEPS + 1) for direction in ("adj", "fwd")
+    ]
+    # Q is applied to each new v, between its adjoint and the forward product.
+    assert covariance == [2 * k + 1 for k in range(PRODUCT_STEPS)]
 
 
 def test_inexact_zero_beta_reduces_bitwise():
@@ -276,8 +336,8 @@ def test_z_is_q_times_v(beta):
     model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=17)
     state, reason = bidiag.igenGK_run(A, model, pm, nm, b, 6)
     assert reason == "max_iter"
-    assert state.Z.shape == state.V.shape == (12, 7)
-    for j in range(7):
+    assert state.Z.shape == state.V.shape == (12, 6)
+    for j in range(6):
         ref = pm.Q.mat @ state.V[:, j]
         assert np.linalg.norm(state.Z[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -315,13 +375,12 @@ def test_basis_buffers_grow_without_moving_columns():
     for k in range(1, steps + 1):
         bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
         assert state.k == k
-        for basis, n in ((state.U, 3 * steps), (state.V, 2 * steps), (state.Z, 2 * steps)):
-            assert basis.shape == (n, k + 1)
-        if k + 1 == bidiag.INITIAL_CAPACITY:  # buffers full: the next step grows them
+        assert state.U.shape == (3 * steps, k + 1)
+        assert state.V.shape == state.Z.shape == (2 * steps, k)
+        if k + 1 == bidiag.INITIAL_CAPACITY:  # U full: the next step grows it, and V and Z after
             first = [basis.copy() for basis in (state.U, state.V, state.Z)]
-    cols = bidiag.INITIAL_CAPACITY
     for kept, basis in zip(first, (state.U, state.V, state.Z)):
-        np.testing.assert_array_equal(basis[:, :cols], kept)
+        np.testing.assert_array_equal(basis[:, : kept.shape[1]], kept)
 
 
 @pytest.fixture(scope="module")

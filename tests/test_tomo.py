@@ -282,7 +282,7 @@ def test_caches_keep_two_jittered_matrices(small_ct, monkeypatch):
     assert rec.iterations == 20
     del rec
     gc.collect()
-    assert len(matrices) == 21  # iteration k's operator serves steps k - 1 and k
+    assert len(matrices) == 20  # one per iteration: both its products come from one step
     assert sum(ref() is not None for ref in matrices) <= 2
 
 
