@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Run a set of experiments into results/<set>/<run>/.
+"""Run a set of experiments into results/<set>/<run>/, or compare two result trees.
 
     python scripts/run_experiments.py desk|paper|sweep [extra igenkrylov flags]
+    python scripts/run_experiments.py compare OLD NEW
 
 ``desk`` and ``paper`` run all four experiments at that preset. On one core
 of a 2-core Xeon, the desk preset (n=64, 36 angles, 91 rays) takes about
@@ -21,9 +22,17 @@ byte-identical:
     diff -r -x timings.json results other/results
 
 Extra flags are passed to every run.
+
+    python scripts/run_experiments.py compare OLD NEW
+
+diffs two result trees, timings.json aside. It names every file that is in
+one tree only or differs, prints the largest relative move of each CSV
+column that changed, and exits 1 on any difference, 0 on none.
 """
 
+import csv
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -88,9 +97,77 @@ def runs(which, config_dir):
     return listed
 
 
+def _files(root):
+    return {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*")
+        if path.is_file() and path.name != "timings.json"
+    }
+
+
+def _relative_move(old, new):
+    """|new - old| / |old| of two CSV cells; inf when either is not a number or old is 0."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+
+
+def _csv_moves(old_path, new_path):
+    """{column: largest relative move} over the rows two CSV files share, or None.
+
+    None means the headers or the row counts differ, so no column lines up.
+    """
+    with open(old_path, newline="") as fa, open(new_path, newline="") as fb:
+        old, new = list(csv.reader(fa)), list(csv.reader(fb))
+    if not old or not new or old[0] != new[0] or len(old) != len(new):
+        return None
+    moves = {}
+    for row_a, row_b in zip(old[1:], new[1:]):
+        for name, a, b in zip(old[0], row_a, row_b):
+            if a != b:
+                moves[name] = max(moves.get(name, 0.0), _relative_move(a, b))
+    return moves
+
+
+def compare(old_root, new_root):
+    """Print how two result trees differ outside timings.json; 1 if they do, else 0."""
+    old_files, new_files = _files(old_root), _files(new_root)
+    differ = 0
+    for name in sorted(old_files ^ new_files):
+        print(f"only in {old_root if name in old_files else new_root}: {name}")
+        differ += 1
+    for name in sorted(old_files & new_files):
+        old_path, new_path = old_root / name, new_root / name
+        if old_path.read_bytes() == new_path.read_bytes():
+            continue
+        differ += 1
+        moves = _csv_moves(old_path, new_path) if name.endswith(".csv") else None
+        if not moves:
+            print(f"differs: {name}")
+            continue
+        for column, move in moves.items():
+            print(f"differs: {name} column {column}: largest relative move {move:.3g}")
+    total = len(old_files | new_files)
+    print(f"{differ} of {total} files differ" if differ else f"all {total} files identical")
+    return 1 if differ else 0
+
+
 def main(argv):
+    if argv and argv[0] == "compare":
+        if len(argv) != 3 or not all(Path(root).is_dir() for root in argv[1:]):
+            print("usage: run_experiments.py compare OLD NEW (two directories)", file=sys.stderr)
+            return 2
+        return compare(Path(argv[1]), Path(argv[2]))
     if not argv or argv[0] not in ("desk", "paper", "sweep"):
-        print("usage: run_experiments.py desk|paper|sweep [igenkrylov flags]", file=sys.stderr)
+        print(
+            "usage: run_experiments.py desk|paper|sweep [igenkrylov flags]\n"
+            "       run_experiments.py compare OLD NEW",
+            file=sys.stderr,
+        )
         return 2
     which, extra = argv[0], argv[1:]
     results = Path("results") / which

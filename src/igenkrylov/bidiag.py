@@ -23,74 +23,62 @@ from .prior import weighted_norm
 # Normalization coefficients below BREAKDOWN_RTOL * beta1 stop the recurrence.
 BREAKDOWN_RTOL = 1e-14
 
-# Columns a basis buffer holds before its first growth; each growth doubles it.
-INITIAL_CAPACITY = 8
-
-
-class _Columns:
-    """Columns appended to a column-major buffer that doubles when full.
-
-    ``view`` is the filled part. Appending writes one column in place; only a
-    growth copies, so n-by-k columns cost O(n k) in total rather than per step.
-    """
-
-    def __init__(self, rows):
-        self._buf = np.empty((rows, INITIAL_CAPACITY), order="F")
-        self.count = 0
-
-    def append(self, col):
-        if self.count == self._buf.shape[1]:
-            grown = np.empty((self._buf.shape[0], 2 * self.count), order="F")
-            grown[:, : self.count] = self._buf
-            self._buf = grown
-        self._buf[:, self.count] = col
-        self.count += 1
-
-    @property
-    def view(self):
-        return self._buf[:, : self.count]
-
 
 class BidiagState:
-    """Iteration-k factorization state.
+    """Iteration-k factorization state, in buffers allocated once for the run.
 
     U has k+1 columns orthonormal in the R^{-1} inner product and V has k
     columns orthonormal in the Q inner product. Z = Q V column by column:
     each column is the covariance product made when its V column was
-    normalized, kept so that no later use of Q V applies Q again. Under an
-    identity prior Z is V and shares its buffer. U, V and Z are views of the
-    filled part of their buffers; a view taken before a later step does not
-    see that step's column. M is the (k+1)-by-k projected matrix, C = L^T the
-    k-by-k upper triangular adjoint-side coefficient matrix. After a terminal
-    U-side breakdown M is square and U has k columns (the subdiagonal entry
-    vanished and no new U column exists).
+    normalized, kept so that no later use of Q V applies Q again. M is the
+    (k+1)-by-k projected matrix, C = L^T the k-by-k upper triangular
+    adjoint-side coefficient matrix. After a terminal U-side breakdown M is
+    square and U has k columns (the subdiagonal entry vanished and no new U
+    column exists).
+
+    Every array is a buffer sized for ``capacity`` steps, and U, V, Z, M and
+    C are views of its filled part, so a step writes its columns in place
+    and never moves one; a view taken before a later step does not see that
+    step's columns. The bases are column-major and uninitialized, so the
+    columns a run never reaches take no resident memory; the small M and C
+    are row-major, the layout whose BLAS calls give the projected residual
+    M y its rounding. Under an identity prior Z is V and shares its buffer.
     """
 
-    def __init__(self, u1, ncols, identity_prior, beta1):
-        self._U = _Columns(u1.size)
-        self._U.append(u1)
-        self._V = _Columns(ncols)
-        self._Z = self._V if identity_prior else _Columns(ncols)
-        self.M = np.zeros((1, 0))
-        self.C = np.zeros((0, 0))
+    def __init__(self, nrows, ncols, capacity, identity_prior, beta1):
+        self._U = np.empty((nrows, capacity + 1), order="F")
+        self._V = np.empty((ncols, capacity), order="F")
+        self._Z = self._V if identity_prior else np.empty((ncols, capacity), order="F")
+        self._M = np.zeros((capacity + 1, capacity))
+        self._C = np.zeros((capacity, capacity))
         self.beta1 = beta1
+        self.k = 0
+        self._ucols = 1
         self.terminated = False
 
     @property
+    def capacity(self):
+        return self._V.shape[1]
+
+    @property
     def U(self):
-        return self._U.view
+        return self._U[:, : self._ucols]
 
     @property
     def V(self):
-        return self._V.view
+        return self._V[:, : self.k]
 
     @property
     def Z(self):
-        return self._Z.view
+        return self._Z[:, : self.k]
 
     @property
-    def k(self):
-        return self.M.shape[1]
+    def M(self):
+        return self._M[: self._ucols, : self.k]
+
+    @property
+    def C(self):
+        return self._C[: self.k, : self.k]
 
 
 def _finite(norm, what):
@@ -128,21 +116,30 @@ def _orthogonalize(vec, basis, coefficients):
     return vec, coeffs
 
 
-def igenGK_init(A, inexact, prior, noise, b):
-    """Initial state: u1 = b / ||b||_{R^{-1}}, with no V column yet.
+def igenGK_init(A, inexact, prior, noise, b, steps):
+    """Initial state of a run of ``steps`` iterations: u1 = b / ||b||_{R^{-1}}, no V column yet.
 
-    Raises DegenerateInputError when b is zero and NumericalError when its
-    norm is not finite.
+    The state's buffers are allocated once, for min(steps, m, n) steps: past
+    min(m, n) every new v must vanish. Raises DimensionError when b does not fit
+    A or an angle-perturbation schedule has fewer than ``steps`` entries,
+    DegenerateInputError when b is zero and NumericalError when its norm is
+    not finite.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.nrows,):
         raise DimensionError("right-hand side length does not match operator rows")
+    if inexact.mode == "angle-perturbation" and len(inexact.schedule) < steps:
+        raise DimensionError(
+            f"angle schedule has {len(inexact.schedule)} entries for a {steps}-step run"
+        )
     with overflow_checked():
         beta1 = _finite(weighted_norm(b, noise.apply_rinv), "beta1")
         if beta1 == 0.0:
             raise DegenerateInputError("right-hand side is zero")
-        u1 = b / beta1
-    return BidiagState(u1, A.ncols, prior.Q.is_identity, beta1)
+        capacity = min(steps, A.nrows, A.ncols)
+        state = BidiagState(A.nrows, A.ncols, capacity, prior.Q.is_identity, beta1)
+        np.divide(b, beta1, out=state._U[:, 0])
+    return state
 
 
 def igenGK_step(state, A, inexact, prior, noise):
@@ -157,8 +154,9 @@ def igenGK_step(state, A, inexact, prior, noise):
     of the U-side normalization the projected matrix is committed in square,
     terminal form (its last subdiagonal vanished), so the projected problem
     built so far is still solvable. Either breakdown raises a BreakdownSignal.
-    A normalization that is not finite raises NumericalError; call the step
-    under ``overflow_checked`` for that to be the only report.
+    A normalization that is not finite, or a v_i that does not vanish past
+    the state's capacity (orthogonality lost), raises NumericalError; call
+    the step under ``overflow_checked`` for that to be the only report.
     """
     if state.terminated:
         raise BreakdownSignal("state is terminal")
@@ -176,40 +174,41 @@ def igenGK_step(state, A, inexact, prior, noise):
             raise DegenerateInputError("adjoint of right-hand side is degenerate")
         state.terminated = True
         raise BreakdownSignal("V-side normalization vanished")
-    Cnew = np.zeros((i, i))
-    Cnew[: i - 1, : i - 1] = state.C
-    Cnew[: i - 1, i - 1] = lcol
-    Cnew[i - 1, i - 1] = norm_v
-    state.C = Cnew
-    state._V.append(v / norm_v)
+    if i > state.capacity:
+        raise NumericalError(
+            f"v_{i} does not vanish past the {state.capacity} columns of the state: "
+            "orthogonality lost"
+        )
+    state._C[: i - 1, i - 1] = lcol
+    state._C[i - 1, i - 1] = norm_v
+    np.divide(v, norm_v, out=state._V[:, i - 1])
     if state._Z is not state._V:
-        state._Z.append(qv / norm_v)
+        np.divide(qv, norm_v, out=state._Z[:, i - 1])
+    state.k = i
 
-    ubar = linop.perturbed_apply(A, inexact, i, state.Z[:, -1])
+    ubar = linop.perturbed_apply(A, inexact, i, state._Z[:, i - 1])
     U = state.U
     u, mcol = _orthogonalize(ubar, U, lambda w: U.T @ noise.apply_rinv(w))
     norm_u = _finite(weighted_norm(u, noise.apply_rinv), "U-side normalization")
+    state._M[:i, i - 1] = mcol
     if norm_u <= tol:
-        # Terminal commit: M becomes i-by-i, relations hold with U_i exactly.
-        state.M = np.column_stack([state.M, mcol])
+        # Terminal commit: M stays i-by-i, relations hold with U_i exactly.
         state.terminated = True
         raise BreakdownSignal("U-side normalization vanished")
-    Mnew = np.zeros((i + 1, i))
-    Mnew[:i, : i - 1] = state.M
-    Mnew[:i, i - 1] = mcol
-    Mnew[i, i - 1] = norm_u
-    state.M = Mnew
-    state._U.append(u / norm_u)
+    state._M[i, i - 1] = norm_u
+    np.divide(u, norm_u, out=state._U[:, i])
+    state._ucols = i + 1
     return state
 
 
 def igenGK_run(A, inexact, prior, noise, b, steps):
     """The one decomposition loop: ``steps`` iterations, stopping gracefully on breakdown.
 
-    Returns the state and "max_iter" or "breakdown". A step only appends to
-    M and Z, so every iteration's M and Z are leading blocks of the final ones.
+    Returns the state and "max_iter" or "breakdown". A step only writes new
+    columns of M and Z, so every iteration's M and Z are leading blocks of
+    the final ones.
     """
-    state = igenGK_init(A, inexact, prior, noise, b)
+    state = igenGK_init(A, inexact, prior, noise, b, steps)
     reason = "max_iter"
     with overflow_checked():
         for _ in range(steps):

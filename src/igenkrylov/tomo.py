@@ -205,6 +205,7 @@ def system_matrix(geom):
     p, starts = p[:, hit], starts[:, hit]
     t_lo, t_hi = t_lo[hit], t_hi[hit]
 
+    index_dtype = np.int32 if geom.ncols <= np.iinfo(np.int32).max else np.int64
     counts, cols, vals = [], [], []
     for a in range(len(radians)):
         rays = slice(bounds[a], bounds[a + 1])
@@ -212,17 +213,17 @@ def system_matrix(geom):
             n, h, d[:, a], p[:, rays], starts[:, rays], widths[:, a], t_lo[rays], t_hi[rays]
         )
         counts.append(c)
-        cols.append(j)
+        cols.append(j.astype(index_dtype))
         vals.append(v)
     row_counts = np.zeros(geom.nrows, dtype=np.int64)
     row_counts[hit.ravel()] = np.concatenate(counts)
     indptr = np.zeros(geom.nrows + 1, dtype=np.int64)
     np.cumsum(row_counts, out=indptr[1:])
-    index_dtype = np.int32 if geom.ncols <= np.iinfo(np.int32).max else np.int64
-    return sp.csr_matrix(
-        (np.concatenate(vals), np.concatenate(cols, dtype=index_dtype, casting="unsafe"), indptr),
-        shape=(geom.nrows, geom.ncols),
-    )
+    # The indices are cast angle by angle, so no float copy of them is ever
+    # whole, and the per-angle values are freed before the indices are joined.
+    data = np.concatenate(vals)
+    del vals
+    return sp.csr_matrix((data, np.concatenate(cols), indptr), shape=(geom.nrows, geom.ncols))
 
 
 class RadonOperator(LinearOperator):

@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from igenkrylov import bidiag, linop, prior, tomo
-from igenkrylov.errors import BreakdownSignal, DegenerateInputError, NumericalError
+from igenkrylov.errors import BreakdownSignal, DegenerateInputError, DimensionError, NumericalError
 
 from conftest import DenseOperator, DenseSPDCovariance, IdentityOperator, gk_decompose, random_spd
 
@@ -40,7 +41,7 @@ def test_init_euclidean_norm():
     b[0], b[1] = 3.0, 4.0
     pm, nm = identity_setting(m, 4)
     A = DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
+    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 1)
     assert state.beta1 == pytest.approx(5.0, rel=1e-15)
     np.testing.assert_allclose(state.U[:, 0], b / 5.0, rtol=1e-15)
 
@@ -52,7 +53,7 @@ def test_init_weighted_norm():
     pm = prior.identity_prior(4)
     nm = prior.NoiseModel(sigma=2.0, dimension=m)
     A = DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
+    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 1)
     assert state.beta1 == pytest.approx(2.5, rel=1e-15)
     np.testing.assert_allclose(state.U[:, 0], b / 2.5, rtol=1e-15)
 
@@ -63,7 +64,7 @@ def test_init_matches_classic_start():
     b = rng.standard_normal(9)
     A = DenseOperator(mat)
     pm, nm = identity_setting(9, 7)
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
+    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 1)
     assert state.V.shape == (7, 0)
     bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
     u1 = b / np.linalg.norm(b)
@@ -77,7 +78,7 @@ def test_init_rejects_zero_rhs():
     A = DenseOperator(np.eye(3))
     pm, nm = identity_setting(3, 3)
     with pytest.raises(DegenerateInputError):
-        bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.zeros(3))
+        bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.zeros(3), 1)
 
 
 def test_init_rejects_overflowing_normalization():
@@ -129,7 +130,7 @@ def test_each_step_is_a_leading_block_of_the_run(case):
     if case == "gaussian-entry":
         inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=14)
 
-    state = bidiag.igenGK_init(A, inexact, pm, nm, b)
+    state = bidiag.igenGK_init(A, inexact, pm, nm, b, steps)
     copies = []
     for _ in range(steps):
         try:
@@ -363,24 +364,86 @@ def test_diagnostics_do_not_read_z():
     assert after == before
 
 
-def test_basis_buffers_grow_without_moving_columns():
+def test_state_is_allocated_once_at_its_run_length():
+    """Views taken after step j stay equal to the final leading blocks: every
+    array is one buffer whose columns never move. A step past the capacity
+    of a run shorter than min(m, n) finds a v that does not vanish and
+    raises NumericalError."""
     rng = np.random.default_rng(20)
-    steps = 2 * bidiag.INITIAL_CAPACITY + 3
-    mat = rng.standard_normal((3 * steps, 2 * steps))
-    b = rng.standard_normal(3 * steps)
-    A = DenseOperator(mat)
-    pm, nm = generalized_setting(3 * steps, 2 * steps, seed=21)
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
-    first = None
+    m, n, steps = 30, 20, 12
+    A = DenseOperator(rng.standard_normal((m, n)))
+    b = rng.standard_normal(m)
+    pm, nm = generalized_setting(m, n, seed=21)
+    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, steps)
+    assert state.capacity == steps
+    taken = []
     for k in range(1, steps + 1):
         bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
         assert state.k == k
-        assert state.U.shape == (3 * steps, k + 1)
-        assert state.V.shape == state.Z.shape == (2 * steps, k)
-        if k + 1 == bidiag.INITIAL_CAPACITY:  # U full: the next step grows it, and V and Z after
-            first = [basis.copy() for basis in (state.U, state.V, state.Z)]
-    for kept, basis in zip(first, (state.U, state.V, state.Z)):
-        np.testing.assert_array_equal(basis[:, : kept.shape[1]], kept)
+        assert state.U.shape == (m, k + 1)
+        assert state.V.shape == state.Z.shape == (n, k)
+        assert state.M.shape == (k + 1, k)
+        assert state.C.shape == (k, k)
+        views = (state.U, state.V, state.Z, state.M, state.C)
+        taken.append([(view, view.copy()) for view in views])
+    final = (state.U, state.V, state.Z, state.M, state.C)
+    for views in taken:
+        for (view, kept), whole in zip(views, final):
+            assert np.shares_memory(view, whole)
+            np.testing.assert_array_equal(view, kept)
+            np.testing.assert_array_equal(whole[: kept.shape[0], : kept.shape[1]], kept)
+    with pytest.raises(NumericalError, match="orthogonality lost"):
+        with bidiag.overflow_checked():
+            bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
+    assert state.k == steps
+
+
+def test_state_capacity_is_bounded_by_the_operator():
+    """A run far longer than min(m, n) allocates min(m, n) columns, not ``steps``."""
+    rng = np.random.default_rng(22)
+    A = DenseOperator(rng.standard_normal((7, 5)))
+    pm, nm = identity_setting(7, 5)
+    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, rng.standard_normal(7), 2**31 - 1)
+    assert state.capacity == 5
+    assert state._Z is state._V
+
+
+def test_run_allocates_its_bases_once():
+    """The traced peak of a generalized run stays within the bytes of U, V, Z,
+    M and C at their final size plus a few vectors: no growth copies, no
+    spare capacity."""
+    rng = np.random.default_rng(23)
+    m, n, steps = 600, 400, 20
+    A = DenseOperator(rng.standard_normal((m, n)))
+    b = rng.standard_normal(m)
+    pm, nm = generalized_setting(m, n, seed=24)
+    tracemalloc.start()
+    try:
+        state, reason = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reason == "max_iter" and state.k == steps
+    bases = 8 * (m * (steps + 1) + 2 * n * steps + (steps + 1) * steps + steps * steps)
+    assert peak <= bases + 8 * 8 * (m + n)
+
+
+def test_short_angle_schedule_is_rejected_before_any_product(monkeypatch):
+    geom = tomo.CTGeometry(n=16, angles=tomo.default_angles(count=6, step=30.0))
+    A = tomo.RadonOperator(geom)
+    b = tomo.synthesize_observation(geom, tomo.make_phantom(16), 0.0, seed=1)[0]
+    pm, nm = identity_setting(geom.nrows, geom.ncols)
+    model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2), seed=5)
+    state, reason = bidiag.igenGK_run(A, model, pm, nm, b, 2)
+    assert state.k == 2 and reason == "max_iter"
+
+    def no_product(*args):
+        raise AssertionError("a product was made")
+
+    monkeypatch.setattr(linop, "perturbed_apply_adjoint", no_product)
+    monkeypatch.setattr(linop, "perturbed_apply", no_product)
+    with pytest.raises(DimensionError, match="2 entries for a 3-step run"):
+        bidiag.igenGK_run(A, model, pm, nm, b, 3)
 
 
 @pytest.fixture(scope="module")
@@ -434,7 +497,7 @@ def test_breakdown_leaves_state_solvable():
     b = np.zeros(4)
     b[1] = 2.0
     pm, nm = identity_setting(4, 4)
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b)
+    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 4)
     with pytest.raises(BreakdownSignal):
         bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
     assert state.terminated

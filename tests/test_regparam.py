@@ -296,7 +296,7 @@ def test_grid_objectives_match_scalar_evaluations():
 
 
 def test_leading_gram_blocks_select_from_scratch_lambda():
-    """Across a real igengk run whose Z buffer grows past its first capacity.
+    """Across a real igengk run of 16 iterations.
 
     Iteration k reads the leading block of the one QR factor R of [Z, d]
     taken from the final Z. Its block R_k and the k entries e_k satisfy
@@ -310,7 +310,7 @@ def test_leading_gram_blocks_select_from_scratch_lambda():
     )
     problem = harness.build_problem(cfg)
     args = (problem.A, harness.inexactness_for(cfg), problem.prior, problem.noise)
-    iterations = 2 * bidiag.INITIAL_CAPACITY
+    iterations = 16
     state, _ = bidiag.igenGK_run(*args, problem.b, iterations)
     assert state.k == iterations
     oracle = regparam.OracleError(problem.prior, problem.s_true, state.Z[:, : state.k])
@@ -405,7 +405,7 @@ def test_selected_lambda_survives_rounding_level_perturbations():
     )
     problem = harness.build_problem(cfg)
     args = (problem.A, harness.inexactness_for(cfg), problem.prior, problem.noise)
-    state = bidiag.igenGK_init(*args, problem.b)
+    state = bidiag.igenGK_init(*args, problem.b, 12)
     rng = np.random.default_rng(4)
     for _ in range(12):
         bidiag.igenGK_step(state, *args)

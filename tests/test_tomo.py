@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -142,6 +143,20 @@ def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
             assert np.max(np.abs(adj - adj_ref)) <= 1e-14 * np.max(np.abs(adj_ref)), name
         for before, after in zip(stored, (mat.indptr, mat.indices, mat.data)):
             assert before.tobytes() == after.tobytes(), name
+
+
+def test_assembly_peak_stays_below_twice_the_matrix():
+    """Indices are cast per angle and each list of per-angle arrays is freed
+    after its join, so a build's traced peak stays below twice the bytes of
+    the CSR arrays it returns."""
+    geom = tomo.CTGeometry(n=64, angles=tomo.default_angles())
+    tracemalloc.start()
+    try:
+        mat = tomo.system_matrix.__wrapped__(geom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
 
 
 def test_adjoint_dot_test(small_ct):
