@@ -12,7 +12,7 @@ holds U_{k+1}, V_k, M_k and L_k, all that the factorization relations use.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,8 +220,7 @@ def igenGK_run(A, inexact, prior, noise, b, steps):
     return state, reason
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     """Relative Frobenius residuals of the factorization relations, exact operator."""
 
     err_adjoint: float

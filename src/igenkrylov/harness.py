@@ -151,21 +151,15 @@ def run_reconstruction(cfg, problem, inexact=None, rule=None):
     )
 
 
-def _history_rows(record):
-    return [
-        (i + 1, float(record.relerr[i]), float(record.lambdas[i]), float(record.proj_residual[i]))
-        for i in range(record.iterations)
-    ]
-
-
 def _run_fields(record):
     """The summary fields of one reconstruction."""
+    relerr = record.relerr
     return {
         "final_relerr": record.final_relerr,
-        "min_relerr": record.min_relerr,
-        "argmin_iter": record.argmin_iter,
+        "min_relerr": min(relerr),
+        "argmin_iter": int(np.argmin(relerr)) + 1,
         "stop_reason": record.stop_reason,
-        "lambda_final": record.lambdas[-1],
+        "lambda_final": record.history[-1].lam,
     }
 
 
@@ -214,21 +208,22 @@ def _sweep(cfg, problem, runs):
     for name, record, dt in results:
         records[name] = record
         timings[f"{name}_s"] = dt
-        write_csv(out / f"history_{name}.csv", HISTORY_HEADER, _history_rows(record))
+        write_csv(out / f"history_{name}.csv", HISTORY_HEADER, record.history)
     write_json(out / "timings.json", timings)
     return out, records
 
 
-# Column groups of the merged per-iteration CSVs: header prefix -> ReconRecord list.
-MERGED_COLUMNS = {"relerr": "relerr", "lambda": "lambdas"}
-
-
 def _write_merged(path, records, columns):
-    """One row per iteration, up to the shortest run: the ``columns`` of each run side by side."""
-    iters = min(rec.iterations for rec in records.values())
-    lists = [getattr(rec, MERGED_COLUMNS[col]) for rec in records.values() for col in columns]
+    """One row per iteration, up to the shortest run: the ``columns`` of each run side by side.
+
+    Each of ``columns`` names a ``history.csv`` column other than ``iter``.
+    """
+    picks = [HISTORY_HEADER.split(",").index(col) for col in columns]
     header = "iter," + ",".join(f"{col}_{name}" for name in records for col in columns)
-    rows = [tuple([i + 1] + [float(values[i]) for values in lists]) for i in range(iters)]
+    rows = [
+        (same_k[0].k, *(row[i] for row in same_k for i in picks))
+        for same_k in zip(*(rec.history for rec in records.values()))
+    ]
     write_csv(path, header, rows)
 
 
@@ -249,10 +244,7 @@ def cmd_verify_relations(cfg):
 
     results = _run_all(one_beta, list(cfg.betas))
     out = _outdir(cfg)
-    rows = [
-        (float(beta), rep.err_adjoint, rep.err_forward, rep.err_Vorth, rep.err_Uorth)
-        for beta, rep, _ in results
-    ]
+    rows = [(float(beta), *rep) for beta, rep, _ in results]
     write_csv(out / "relations.csv", RELATIONS_HEADER, rows)
 
     ratios = []
@@ -291,7 +283,7 @@ def cmd_reconstruct(cfg):
     problem = build_problem(cfg)
     record = run_reconstruction(cfg, problem, inexact=inexact)
     out = _outdir(cfg)
-    write_csv(out / "history.csv", HISTORY_HEADER, _history_rows(record))
+    write_csv(out / "history.csv", HISTORY_HEADER, record.history)
     tomo.write_pgm(out / "final.pgm", record.solution, problem.geom.n)
     _write_summary(out, cfg, **_run_fields(record))
     write_json(out / "timings.json", record.timings)

@@ -14,6 +14,7 @@ rule picks lambda on the leading (k+1)-by-k block of M, and one projected
 solve at it is recovered with the first k columns of Z.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -127,31 +128,35 @@ def recover_solution(prior, Z, y):
     return prior.mu + Z @ y
 
 
+class Iterate(NamedTuple):
+    """One iteration of a solve: a row of ``history.csv``."""
+
+    k: int
+    relerr: float
+    lam: float
+    proj_residual: float
+
+
 @dataclass
 class ReconRecord:
-    """Per-iteration history of an iterative reconstruction."""
+    """An iterative reconstruction: one ``Iterate`` per iteration and the final iterate."""
 
-    iterations: int
-    relerr: list
-    lambdas: list
-    proj_residual: list
+    history: list
     solution: np.ndarray
     stop_reason: str
     timings: dict
 
     @property
+    def iterations(self):
+        return len(self.history)
+
+    @property
+    def relerr(self):
+        return [row.relerr for row in self.history]
+
+    @property
     def final_relerr(self):
-        return self.relerr[-1] if self.relerr else None
-
-    @property
-    def min_relerr(self):
-        return min(self.relerr) if self.relerr else None
-
-    @property
-    def argmin_iter(self):
-        if not self.relerr:
-            return None
-        return int(np.argmin(self.relerr)) + 1
+        return self.history[-1].relerr
 
 
 def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=None, s_true=None):
@@ -162,17 +167,20 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=
     oracle rule. The decomposition runs once; breakdown of the recurrence is
     a normal early stop. Then, for each iteration k, the projected problem
     of the leading blocks of M and Z is factored once, the rule picks lambda
-    and one projected solve is made at it. Records the relative error
-    against ``s_true`` (when given), the selected lambda, and the projected
-    residual at every iteration, and keeps the final iterate.
+    and one projected solve is made at it. Records one ``Iterate`` per
+    iteration, k = 1, 2, ...: the relative error against ``s_true`` (NaN in
+    every row when ``s_true`` is not given, so ``final_relerr`` is NaN too),
+    the selected lambda and the projected residual, and keeps the final
+    iterate.
     """
     if max_iter < 1:
         raise DimensionError("max_iter must be at least 1")
     s_true = None if s_true is None else np.asarray(s_true, dtype=float)
     s_true_norm = float(np.linalg.norm(s_true)) if s_true is not None else 0.0
+    relerr = math.nan
 
     timings = {"decomposition_s": 0.0, "param_selection_s": 0.0, "projected_solve_s": 0.0}
-    relerr, lambdas, residuals = [], [], []
+    history = []
 
     t0 = time.perf_counter()
     state, stop_reason = bidiag.igenGK_run(A, inexact, prior, noise, b, max_iter)
@@ -197,17 +205,8 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=
             solution = recover_solution(prior, state.Z[:, :k], y)
             timings["projected_solve_s"] += time.perf_counter() - t0
 
-            lambdas.append(float(lam))
-            residuals.append(residual)
             if s_true is not None:
-                relerr.append(float(np.linalg.norm(solution - s_true) / s_true_norm))
+                relerr = float(np.linalg.norm(solution - s_true) / s_true_norm)
+            history.append(Iterate(k, relerr, float(lam), residual))
 
-    return ReconRecord(
-        iterations=len(lambdas),
-        relerr=relerr,
-        lambdas=lambdas,
-        proj_residual=residuals,
-        solution=solution,
-        stop_reason=stop_reason,
-        timings=timings,
-    )
+    return ReconRecord(history, solution, stop_reason, timings)

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -358,9 +357,9 @@ def test_diagnostics_do_not_read_z():
     A = DenseOperator(mat)
     pm, nm = generalized_setting(15, 12, seed=19)
     state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
-    before = asdict(bidiag.relation_diagnostics(state, A, pm, nm))
+    before = bidiag.relation_diagnostics(state, A, pm, nm)._asdict()
     state.Z[:] = 0.0
-    after = asdict(bidiag.relation_diagnostics(state, A, pm, nm))
+    after = bidiag.relation_diagnostics(state, A, pm, nm)._asdict()
     assert after == before
 
 

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from igenkrylov import cli, harness
+from igenkrylov import cli, harness, solve
 from igenkrylov.config import (
     ExperimentConfig,
     GeometryConfig,
@@ -219,6 +219,66 @@ def test_compare_reg_shares_observation(tmp_path):
     assert set(summary["final_relerr"]) == {"optimal", "dp", "wgcv"}
     timings = json.loads((out / "timings.json").read_text())
     assert set(timings) == {"optimal_s", "dp_s", "wgcv_s"}
+
+
+def read_csv(path):
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [[float(v) for v in row.split(",")] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "experiment, merged, columns, keys",
+    [
+        ("compare-reg", "compare.csv", ("relerr", "lambda"),
+         ("final_relerr", "min_relerr", "argmin_iter", "lambda_final")),
+        ("inexact-angles", "comparison.csv", ("relerr",), ("final_relerr", "min_relerr")),
+    ],
+)
+def test_merged_csv_and_summary_read_the_histories(tmp_path, experiment, merged, columns, keys):
+    cfg = tiny_config(
+        tmp_path, experiment=experiment, mode="igengk", reg=RegConfig(rule="optimal"),
+        angle_schedules=((1e-1, 1e-3),),
+    )
+    assert harness.COMMANDS[experiment](cfg) == 0
+    out = tmp_path / "out"
+    header, rows = read_csv(out / merged)
+    histories = {
+        path.stem.removeprefix("history_"): read_csv(path)
+        for path in sorted(out.glob("history_*.csv"))
+    }
+    assert len(rows) == min(len(hist) for _, hist in histories.values()) == cfg.max_iter
+    for name, (hist_header, hist) in histories.items():
+        for col in columns:
+            j, h = header.index(f"{col}_{name}"), hist_header.index(col)
+            assert [row[j] for row in rows] == [row[h] for row in hist[: len(rows)]]
+        assert [row[0] for row in rows] == [row[0] for row in hist[: len(rows)]]
+
+    summary = json.loads((out / "summary.json").read_text())
+    for name, (hist_header, hist) in histories.items():
+        relerr = [row[hist_header.index("relerr")] for row in hist]
+        expected = {
+            "final_relerr": relerr[-1],
+            "min_relerr": min(relerr),
+            "argmin_iter": relerr.index(min(relerr)) + 1,
+            "lambda_final": hist[-1][hist_header.index("lambda")],
+        }
+        assert {key: summary[key][name] for key in keys} == {key: expected[key] for key in keys}
+
+
+def test_merged_csv_stops_at_the_shortest_run(tmp_path):
+    def record(rows):
+        return solve.ReconRecord(
+            [solve.Iterate(k, 1.0 / k, 2.0 * k, 3.0 * k) for k in range(1, rows + 1)],
+            None, "max_iter", {},
+        )
+
+    records = {"long": record(3), "short": record(2)}
+    harness._write_merged(tmp_path / "m.csv", records, ("lambda", "proj_residual"))
+    assert (tmp_path / "m.csv").read_text().splitlines() == [
+        "iter,lambda_long,proj_residual_long,lambda_short,proj_residual_short",
+        "1,2,3,2,3",
+        "2,4,6,4,6",
+    ]
 
 
 def test_inexact_angles_zero_jitter_bitwise(tmp_path):

@@ -147,7 +147,7 @@ def test_dp_residual_evaluations_per_iteration(monkeypatch):
     monkeypatch.setattr(solve.ProjectedProblem, "residual_norm2", counted)
     rec = harness.run_reconstruction(cfg, harness.build_problem(cfg))
     assert rec.iterations == 20
-    assert sum(lam > 0.0 for lam in rec.lambdas) >= 10  # mostly interior roots
+    assert sum(row.lam > 0.0 for row in rec.history) >= 10  # mostly interior roots
     assert len(evals) <= 6 * rec.iterations
 
 
@@ -178,7 +178,7 @@ def test_one_projected_solve_per_iteration(monkeypatch, reg):
     rec = harness.run_reconstruction(cfg, harness.build_problem(cfg))
     assert rec.iterations == 6
     assert len(calls) == rec.iterations
-    assert calls == rec.lambdas
+    assert calls == [row.lam for row in rec.history]
 
 
 @settings(max_examples=15, deadline=None)

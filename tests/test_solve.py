@@ -167,8 +167,20 @@ def test_galerkin_residual_consistency():
     x = np.linalg.solve(Qm, rec.solution)  # x with s = Q x (mu = 0); oracle-side inverse
     full_res = Amat @ Qm @ x - b
     weighted = np.linalg.norm(full_res) / sigma
-    projected = rec.proj_residual[-1]
+    projected = rec.history[-1].proj_residual
     assert abs(weighted - projected) <= 1e-8 * max(weighted, 1.0)
+
+
+def test_history_without_s_true():
+    """One row per iteration, k = 1..K in order; with no s_true every relerr is NaN."""
+    _, _, _, b, A, pm, nm = full_rank_generalized_problem(9)
+    rule = regparam.RegConfig(rule="fixed", lambda_fixed=0.4)
+    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 8, rule)
+    assert [row.k for row in rec.history] == list(range(1, 9))
+    assert rec.iterations == 8
+    assert all(np.isnan(row.relerr) for row in rec.history)
+    assert np.isnan(rec.final_relerr)
+    assert [row.lam for row in rec.history] == [0.4] * 8
 
 
 def test_driver_is_deterministic():
@@ -177,8 +189,8 @@ def test_driver_is_deterministic():
     r1 = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 6, rule)
     r2 = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 6, rule)
     np.testing.assert_array_equal(r1.solution, r2.solution)
-    assert r1.lambdas == r2.lambdas
-    assert r1.proj_residual == r2.proj_residual
+    assert [row.lam for row in r1.history] == [row.lam for row in r2.history]
+    assert [row.proj_residual for row in r1.history] == [row.proj_residual for row in r2.history]
 
 
 def test_degenerate_adjoint_of_rhs_is_input_error():
