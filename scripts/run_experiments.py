@@ -17,15 +17,13 @@ both rule comparisons and angle studies, the relation check, the rule
 options that only a configuration file sets, and a run that breaks down.
 Run it at two commits (or twice, on different thread counts) from
 same-named directories; apart from timings.json every file must be
-byte-identical:
+byte-identical, which ``compare`` checks:
 
-    diff -r -x timings.json results other/results
+    python scripts/run_experiments.py compare results other/results
 
 Extra flags are passed to every run.
 
-    python scripts/run_experiments.py compare OLD NEW
-
-diffs two result trees, timings.json aside. It names every file that is in
+``compare OLD NEW`` diffs two result trees, timings.json aside. It names every file that is in
 one tree only or differs, prints the largest relative move of each CSV
 column that changed, and exits 1 on any difference, 0 on none.
 """

@@ -133,7 +133,7 @@ def igenGK_init(A, inexact, prior, noise, b, steps):
             f"angle schedule has {len(inexact.schedule)} entries for a {steps}-step run"
         )
     with overflow_checked():
-        beta1 = _finite(weighted_norm(b, noise.apply_rinv), "beta1")
+        beta1 = _finite(weighted_norm(b, noise.apply_rinv(b)), "beta1")
         if beta1 == 0.0:
             raise DegenerateInputError("right-hand side is zero")
         capacity = min(steps, A.nrows, A.ncols)
@@ -167,7 +167,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     Z = state.Z
     v, lcol = _orthogonalize(vbar, state.V, lambda w: Z.T @ w)
     qv = prior.Q.apply(v)
-    norm_v = _finite(math.sqrt(max(float(np.dot(v, qv)), 0.0)), "V-side normalization")
+    norm_v = _finite(weighted_norm(v, qv), "V-side normalization")
     if norm_v <= tol:
         if i == 1:
             # No column can be built, so there is nothing to solve: an input error.
@@ -189,7 +189,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     ubar = linop.perturbed_apply(A, inexact, i, state._Z[:, i - 1])
     U = state.U
     u, mcol = _orthogonalize(ubar, U, lambda w: U.T @ noise.apply_rinv(w))
-    norm_u = _finite(weighted_norm(u, noise.apply_rinv), "U-side normalization")
+    norm_u = _finite(weighted_norm(u, noise.apply_rinv(u)), "U-side normalization")
     state._M[:i, i - 1] = mcol
     if norm_u <= tol:
         # Terminal commit: M stays i-by-i, relations hold with U_i exactly.

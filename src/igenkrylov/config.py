@@ -7,10 +7,9 @@ the fields it overrides.
 """
 
 import json
-import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
-from .errors import ConfigError
+from .errors import FLOAT_MAX, ConfigError
 from .harness import COMMANDS
 from .linop import MODES as INEXACT_MODES
 from .regparam import RegConfig
@@ -20,11 +19,6 @@ SCHEMA_VERSION = 1
 
 SOLVER_MODES = ("gk", "igk", "gengk", "igengk")
 
-
-# JSON's NaN and Infinity, argparse's float("nan") and JSON integers no float
-# can hold all reach validation; each of them fails a comparison with this
-# bound, so every range check below includes it.
-_MAX = sys.float_info.max
 
 # The int32 range, which the system matrix's CSR arrays use to index pixels
 # (n^2) and rays (angle_count * nrays); max_iter takes the same bound. A
@@ -55,8 +49,10 @@ class GeometryConfig:
             raise ConfigError(
                 f"geometry.angle_count times the rays per angle must be at most {INDEX_MAX}"
             )
-        if not (abs(self.angle_start) <= _MAX and abs(self.angle_step) <= _MAX):
+        if not (abs(self.angle_start) <= FLOAT_MAX and abs(self.angle_step) <= FLOAT_MAX):
             raise ConfigError("geometry.angle_start and geometry.angle_step must be finite")
+        if not abs(self.angle_start + self.angle_step * float(self.angle_count - 1)) <= FLOAT_MAX:
+            raise ConfigError("geometry's last angle must be finite")
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class PriorConfig:
     ell: float = 0.01
 
     def __post_init__(self):
-        if not (0 < self.nu <= _MAX and 0 < self.ell <= _MAX):
+        if not (0 < self.nu <= FLOAT_MAX and 0 < self.ell <= FLOAT_MAX):
             raise ConfigError("prior.nu and prior.ell must be finite and positive")
 
 
@@ -78,7 +74,7 @@ class InexactConfig:
     def __post_init__(self):
         if self.mode not in INEXACT_MODES:
             raise ConfigError(f"unknown inexactness mode {self.mode!r}")
-        if not 0 <= self.beta <= _MAX:
+        if not 0 <= self.beta <= FLOAT_MAX:
             raise ConfigError("inexactness.beta must be finite and nonnegative")
         if self.seed is not None and self.seed < 0:
             raise ConfigError("inexactness.seed must be nonnegative")
@@ -110,22 +106,22 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.mode not in SOLVER_MODES:
             raise ConfigError(f"unknown solver mode {self.mode!r}")
-        if not 0 <= self.noise_level <= _MAX:
+        if not 0 <= self.noise_level <= FLOAT_MAX:
             raise ConfigError("noise_level must be finite and nonnegative")
-        if not 0 < self.noise_sigma <= _MAX:
+        if not 0 < self.noise_sigma <= FLOAT_MAX:
             raise ConfigError("noise_sigma must be finite and positive")
         # R^{-1} divides by sigma^2; neither it nor 1/sigma^2 may overflow or vanish.
         variance = float(self.noise_sigma) * float(self.noise_sigma)
-        if not (0.0 < variance <= _MAX and 1.0 / variance <= _MAX):
+        if not (0.0 < variance <= FLOAT_MAX and 1.0 / variance <= FLOAT_MAX):
             raise ConfigError("noise_sigma squared and its reciprocal must be finite and nonzero")
         if not 1 <= self.max_iter <= INDEX_MAX:
             raise ConfigError(f"max_iter must be between 1 and {INDEX_MAX}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if not all(0 <= b <= _MAX for b in self.betas):
+        if not all(0 <= b <= FLOAT_MAX for b in self.betas):
             raise ConfigError("betas must be finite and nonnegative")
         for sched in self.angle_schedules:
-            if len(sched) != 2 or not all(0 < a <= _MAX for a in sched):
+            if len(sched) != 2 or not all(0 < a <= FLOAT_MAX for a in sched):
                 raise ConfigError("angle_schedules entries must be finite positive (start, end)")
 
     def to_dict(self):

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bound of its range checks."""
+
+import sys
+
+FLOAT_MAX = sys.float_info.max  # NaN, the infinities and larger integers fail <= it
 
 
 class IgenKrylovError(Exception):

@@ -92,7 +92,7 @@ def build_problem(cfg):
     geom = tomo.CTGeometry(n=g.n, angles=angles, nrays=g.nrays)
     A = tomo.RadonOperator(geom)
     s_true = tomo.make_phantom(g.n)
-    d, noise_norm = tomo.synthesize_observation(geom, s_true, cfg.noise_level, cfg.seed)
+    d, noise_norm = tomo.synthesize_observation(A, s_true, cfg.noise_level, cfg.seed)
     if cfg.mode in ("gengk", "igengk"):
         kernel = MaternKernel(nu=cfg.prior.nu, alpha=1.0 / cfg.prior.ell)
         Q = CovarianceOperator(Grid((g.n, g.n)), kernel)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    FLOAT_MAX,
     DimensionError,
     InvalidInputError,
     InvalidParameterError,
@@ -41,10 +42,6 @@ class LinearOperator:
         self.ncols = int(ncols)
         if self.nrows <= 0 or self.ncols <= 0:
             raise InvalidParameterError("operator dimensions must be positive")
-
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
 
     def apply(self, x):
         x = self._check_vector(x, self.ncols)
@@ -85,8 +82,8 @@ class InexactnessModel:
 
     ``beta`` is the entry standard deviation of the additive error matrices;
     ``schedule`` holds per-iteration magnitudes for the angle-perturbation
-    mode. Given the same (seed, iteration, direction) the realized error is
-    identical across runs and thread schedules.
+    mode; both are finite and nonnegative. Given the same (seed, iteration,
+    direction) the realized error is identical across runs and thread schedules.
     """
 
     mode: str = "none"
@@ -97,10 +94,14 @@ class InexactnessModel:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidParameterError(f"unknown inexactness mode {self.mode!r}")
-        if self.beta < 0:
-            raise InvalidParameterError("beta must be nonnegative")
+        if not 0 <= self.beta <= FLOAT_MAX:
+            raise InvalidParameterError("beta must be finite and nonnegative")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be nonnegative")
         if self.schedule is not None:
             object.__setattr__(self, "schedule", tuple(float(a) for a in self.schedule))
+            if not all(0 <= a <= FLOAT_MAX for a in self.schedule):
+                raise InvalidParameterError("schedule entries must be finite and nonnegative")
         if self.mode == "angle-perturbation" and self.schedule is None:
             raise InvalidParameterError("angle-perturbation mode requires a schedule")
 
@@ -128,8 +129,7 @@ def perturbed_apply(op, model, k, x):
         return op.apply(x)
     if model.mode == "angle-perturbation":
         return op.perturbed_variant(model, k).apply(x)
-    x = op._check_vector(x, op.ncols)
-    return op._apply(x) + _error_draw(model, k, DIR_FORWARD, x, op.nrows)
+    return op.apply(x) + _error_draw(model, k, DIR_FORWARD, x, op.nrows)
 
 
 def perturbed_apply_adjoint(op, model, k, y):
@@ -138,5 +138,4 @@ def perturbed_apply_adjoint(op, model, k, y):
         return op.apply_adjoint(y)
     if model.mode == "angle-perturbation":
         return op.perturbed_variant(model, k).apply_adjoint(y)
-    y = op._check_vector(y, op.nrows)
-    return op._apply_adjoint(y) + _error_draw(model, k, DIR_ADJOINT, y, op.ncols)
+    return op.apply_adjoint(y) + _error_draw(model, k, DIR_ADJOINT, y, op.ncols)

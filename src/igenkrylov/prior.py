@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .errors import DimensionError, InvalidParameterError, NumericalError
+from .errors import FLOAT_MAX, DimensionError, InvalidParameterError, NumericalError
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -36,8 +36,8 @@ class MaternKernel:
     alpha: float
 
     def __post_init__(self):
-        if self.nu <= 0 or self.alpha <= 0:
-            raise InvalidParameterError("nu and alpha must be positive")
+        if not (0 < self.nu <= FLOAT_MAX and 0 < self.alpha <= FLOAT_MAX):
+            raise InvalidParameterError("nu and alpha must be finite and positive")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -186,8 +186,11 @@ class NoiseModel:
     dimension: int
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InvalidParameterError("sigma must be positive")
+        if not 0 < self.sigma <= FLOAT_MAX:
+            raise InvalidParameterError("sigma must be finite and positive")
+        variance = float(self.sigma) * float(self.sigma)
+        if not (0.0 < variance <= FLOAT_MAX and 1.0 / variance <= FLOAT_MAX):
+            raise InvalidParameterError("sigma^2 and 1/sigma^2 must be finite and nonzero")
         if self.dimension < 1:
             raise InvalidParameterError("dimension must be positive")
 
@@ -195,8 +198,6 @@ class NoiseModel:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise DimensionError(f"expected vector of length {self.dimension}")
-        if self.sigma == 1.0:
-            return x
         return x / (self.sigma * self.sigma)
 
 
@@ -212,24 +213,21 @@ class PriorModel:
         if self.mu.shape != (self.Q.n,):
             raise DimensionError("prior mean and covariance dimensions disagree")
 
-    @property
-    def n(self):
-        return self.Q.n
-
 
 def identity_prior(n):
     """Prior with zero mean and Q = I (standard, non-generalized setting)."""
     return PriorModel(mu=np.zeros(n), Q=IdentityCovariance(n))
 
 
-def weighted_norm(x, weight_apply):
-    """sqrt(x^T W x) for an SPD weight given by its action.
+def weighted_norm(x, wx):
+    """sqrt(x^T W x) for an SPD weight W, given the vectors x and W x.
 
-    A quadratic form below -1e-10 * ||x||^2 signals loss of positive
-    definiteness and raises; tiny negative values are clamped to zero.
+    The caller applies W, so a product it needs anyway is not made twice. A
+    quadratic form below -1e-10 * ||x||^2 signals loss of positive
+    definiteness and raises NumericalError; tiny negative values are clamped
+    to zero.
     """
-    x = np.asarray(x, dtype=float)
-    q = float(np.dot(x, weight_apply(x)))
+    q = float(np.dot(x, wx))
     floor = -1e-10 * float(np.dot(x, x))
     if q < floor:
         raise NumericalError(f"quadratic form {q:.3e} is negative beyond tolerance")

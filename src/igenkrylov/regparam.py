@@ -30,12 +30,11 @@ object from the configuration's ``reg`` section to the per-iteration dispatch
 
 import logging
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import FLOAT_MAX, ConfigError, DimensionError
 
 # Neither is called in this module: a rule returns lambda and the solve driver
 # makes the projected solve. Both stay bound here, where the benchmark's tracer
@@ -60,7 +59,6 @@ REFINE_POINTS = 65
 # rounding error of a length-k evaluation is a few k * eps times that scale;
 # the wide margin keeps ties from changing when Z or M change at rounding level.
 TIE_RTOL = 256.0 * np.finfo(float).eps
-_FLOAT_MAX = sys.float_info.max  # NaN, the infinities and larger integers fail <= it
 
 
 # The lambda grid is UNIT_GRID * sigma_max. A refinement round spans a
@@ -109,9 +107,9 @@ class RegConfig:
             raise ConfigError(f"unknown regularization rule {self.rule!r}")
         if self.rule == "fixed" and self.lambda_fixed is None:
             raise ConfigError("rule 'fixed' requires lambda_fixed")
-        if self.lambda_fixed is not None and not 0.0 <= self.lambda_fixed <= _FLOAT_MAX:
+        if self.lambda_fixed is not None and not 0.0 <= self.lambda_fixed <= FLOAT_MAX:
             raise ConfigError("lambda_fixed must be finite and nonnegative")
-        if not 0.0 < self.nu_dp <= _FLOAT_MAX:
+        if not 0.0 < self.nu_dp <= FLOAT_MAX:
             raise ConfigError("nu_dp must be finite and positive")
         _check_omega(self.omega)
         if self.omega_mode not in OMEGA_MODES:
@@ -182,7 +180,7 @@ class OracleError:
         r = B gain(lambda) + e_k with B = R_k Vt^T diag(bhat), formed once
         here. ``terms(lam)``, for a scalar or a 1-D grid, returns sum(r^2) and
         a scale of its rounding error, sum(|r| (|B gain| + |e_k|)). Both are
-        k-sized work and compute only the gains of ``ProjectedProblem.filters``;
+        k-sized work and read only the gains of ``ProjectedProblem.filters``;
         ``const`` = dd - e_k^T e_k is the same at every lambda and is left
         out of both.
         """
@@ -194,7 +192,7 @@ class OracleError:
         abs_e = np.abs(e)
 
         def terms(lam):
-            Bg = prob.gain(lam) @ B.T
+            Bg = prob.filters(lam).gain @ B.T
             r = Bg + e
             return (r * r).sum(axis=-1), (np.abs(r) * (np.abs(Bg) + abs_e)).sum(axis=-1)
 
@@ -320,34 +318,24 @@ def select_lambda_dp(prob, target):
     return math.exp(0.5 * (a + b))
 
 
-def _wgcv_objective(prob, omega):
-    """G_omega as a function of lambda, a scalar or a 1-D grid."""
-    rows = prob.M.shape[0]
-
-    def value(lam):
-        filt = prob.filters(lam)
-        trace = rows - omega * filt.phi.sum(axis=-1)
-        return prob.residual_norm2(filt) / (trace * trace)
-
-    return value
-
-
 def wgcv_value(prob, lam, omega):
-    """Weighted GCV functional G_omega(lambda) for the projected problem, at one lambda.
+    """Weighted GCV functional G_omega(lambda) of the projected problem, one value per lambda.
 
-    Numerator: squared projected residual. Denominator: the squared weighted
-    trace (k+1) - omega * sum_i phi_i. omega = 1 is standard GCV.
+    ``lam`` is a scalar or a 1-D grid. Numerator: squared projected residual.
+    Denominator: the squared weighted trace (k+1) - omega * sum_i phi_i.
+    omega = 1 is standard GCV.
     """
-    return float(_wgcv_objective(prob, omega)(lam))
+    filt = prob.filters(lam)
+    trace = prob.M.shape[0] - omega * filt.phi.sum(axis=-1)
+    return prob.residual_norm2(filt) / (trace * trace)
 
 
 def select_lambda_wgcv(prob, omega):
     """The lambda minimizing the weighted GCV functional with weight ``omega``."""
     omega = float(omega)
     _check_omega(omega)
-    value = _wgcv_objective(prob, omega)
     # One rounded expression of positive parts: the value is its own scale.
-    return _grid_then_refine(prob, lambda lams: (value(lams),) * 2)
+    return _grid_then_refine(prob, lambda lams: (wgcv_value(prob, lams, omega),) * 2)
 
 
 def suggest_omega(prob):

@@ -80,11 +80,6 @@ class ProjectedProblem:
         denom = s * s + lam2
         return Filters(s * s / denom, lam2 / denom, s / denom)
 
-    def gain(self, lam):
-        """``filters(lam).gain`` alone, for a positive scalar or 1-D array ``lam``."""
-        s = self.s
-        return s / (s * s + _squared(lam))
-
     def residual_norm2(self, filt):
         """Squared projected residual ||M y - beta1 e1||^2 for the given filters.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateInputError, DimensionError, InvalidParameterError
+from .errors import FLOAT_MAX, DegenerateInputError, DimensionError, InvalidParameterError
 from .linop import LinearOperator
 from .rng import TAG_ANGLE_JITTER, TAG_OBSERVATION_NOISE, substream
 
@@ -46,6 +46,8 @@ class CTGeometry:
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
         if len(self.angles) == 0:
             raise InvalidParameterError("need at least one projection angle")
+        if not all(abs(a) <= FLOAT_MAX for a in self.angles):
+            raise InvalidParameterError("projection angles must be finite")
         nrays = default_nrays(self.n) if self.nrays is None else int(self.nrays)
         if nrays < 1:
             raise InvalidParameterError("need at least one ray per angle")
@@ -257,8 +259,6 @@ class RadonOperator(LinearOperator):
 # its two jittered schedules at once under IGENKRYLOV_THREADS.
 @functools.lru_cache(maxsize=2)
 def _jittered_operator(geom, alpha_k, seed, k):
-    if alpha_k == 0.0:
-        return RadonOperator(geom)
     g = substream(seed, TAG_ANGLE_JITTER, k).standard_normal(len(geom.angles))
     jittered = tuple(theta + alpha_k * gi for theta, gi in zip(geom.angles, g))
     return RadonOperator(geom.with_angles(jittered))
@@ -305,11 +305,11 @@ def image_to_grid(vec, n):
     return vec.reshape((n, n)).T
 
 
-def synthesize_observation(geom, s_true, noise_level, seed):
-    """Noisy sinogram with the noise norm scaled exactly to the target level."""
-    if noise_level < 0:
-        raise InvalidParameterError("noise level must be nonnegative")
-    d_true = system_matrix(geom) @ LinearOperator._check_vector(s_true, geom.ncols)
+def synthesize_observation(A, s_true, noise_level, seed):
+    """Noisy sinogram A s_true + eps and its noise norm ||eps|| = noise_level ||A s_true||."""
+    if not 0 <= noise_level <= FLOAT_MAX:
+        raise InvalidParameterError("noise level must be finite and nonnegative")
+    d_true = A.apply(s_true)
     if noise_level == 0:
         return d_true, 0.0
     d_norm = float(np.linalg.norm(d_true))

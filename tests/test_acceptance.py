@@ -44,7 +44,7 @@ def build_desk_problem(seed=DESK_SEED):
     geom = tomo.CTGeometry(n=DESK_N, angles=tomo.default_angles())
     A = tomo.RadonOperator(geom)
     s_true = tomo.make_phantom(DESK_N)
-    d, noise_norm = tomo.synthesize_observation(geom, s_true, 0.04, seed=seed)
+    d, noise_norm = tomo.synthesize_observation(A, s_true, 0.04, seed=seed)
     kernel = prior.MaternKernel(nu=1.5, alpha=1.0 / 0.01)
     Q = prior.CovarianceOperator(prior.Grid((DESK_N, DESK_N)), kernel)
     pm = prior.PriorModel(mu=np.zeros(geom.ncols), Q=Q)

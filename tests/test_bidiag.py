@@ -88,6 +88,16 @@ def test_init_rejects_overflowing_normalization():
         bidiag.igenGK_run(A, linop.EXACT, pm, nm, np.ones(3), 1)
 
 
+def test_indefinite_covariance_is_a_numerical_error():
+    # v^T Q v < 0: the V side reports it, not a degenerate right-hand side.
+    rng = np.random.default_rng(3)
+    A = DenseOperator(rng.standard_normal((6, 4)))
+    pm = prior.PriorModel(mu=np.zeros(4), Q=DenseSPDCovariance(-np.eye(4)))
+    nm = prior.NoiseModel(sigma=1.0, dimension=6)
+    with pytest.raises(NumericalError, match="quadratic form .* negative beyond tolerance"):
+        bidiag.igenGK_run(A, linop.EXACT, pm, nm, rng.standard_normal(6), 3)
+
+
 def test_engine_matches_two_term_oracle():
     rng = np.random.default_rng(2)
     mat = rng.standard_normal((10, 8))
@@ -430,7 +440,7 @@ def test_run_allocates_its_bases_once():
 def test_short_angle_schedule_is_rejected_before_any_product(monkeypatch):
     geom = tomo.CTGeometry(n=16, angles=tomo.default_angles(count=6, step=30.0))
     A = tomo.RadonOperator(geom)
-    b = tomo.synthesize_observation(geom, tomo.make_phantom(16), 0.0, seed=1)[0]
+    b = tomo.synthesize_observation(A, tomo.make_phantom(16), 0.0, seed=1)[0]
     pm, nm = identity_setting(geom.nrows, geom.ncols)
     model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2), seed=5)
     state, reason = bidiag.igenGK_run(A, model, pm, nm, b, 2)
@@ -451,7 +461,7 @@ def small_ct_problem():
     geom = tomo.CTGeometry(n=n, angles=tomo.default_angles(count=12, step=15.0))
     A = tomo.RadonOperator(geom)
     s_true = tomo.make_phantom(n)
-    d, _ = tomo.synthesize_observation(geom, s_true, 0.04, seed=77)
+    d, _ = tomo.synthesize_observation(A, s_true, 0.04, seed=77)
     kern = prior.MaternKernel(nu=1.5, alpha=100.0)
     Q = prior.CovarianceOperator(prior.Grid((n, n)), kern)
     pm = prior.PriorModel(mu=np.zeros(n * n), Q=Q)

@@ -1,6 +1,7 @@
 import json
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
 from igenkrylov import cli, harness, solve
@@ -99,6 +100,7 @@ NONFINITE_OR_OUT_OF_RANGE = (
     {"prior": {"nu": INF}},
     {"geometry": {"angle_step": NAN}},
     {"geometry": {"angle_start": -INF}},
+    {"geometry": {"angle_start": 1e308, "angle_step": 1e308}},  # the last angle overflows
     {"betas": [1e-2, NAN]},
     {"betas": [INF]},
     {"angle_schedules": [[1e-1, NAN]]},
@@ -377,6 +379,29 @@ def test_inexact_angles_and_reconstruct_share_the_seed_rule(tmp_path):
     assert (tmp_path / "angles" / "history_sched0.csv").read_bytes() == (
         tmp_path / "recon" / "history.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["gk", "igengk"])
+def test_noise_sigma_only_rescales_lambda(mode):
+    """R = sigma^2 I divides beta1, M and the weighted noise norm by sigma, so
+    lambda scales by 1/sigma and the reconstruction does not change. A
+    power-of-two sigma makes every scaling exact: the relerr history and
+    lambda * sigma match sigma = 1 bit for bit, except under dp, whose secant
+    iteration stops at a tolerance."""
+    histories = {}
+    for sigma in (1.0, 2.0, 0.25):
+        cfg = ExperimentConfig(geometry=GeometryConfig(n=32), mode=mode, max_iter=12,
+                               noise_sigma=sigma)
+        problem = harness.build_problem(cfg)
+        for rule in ("none", "optimal", "dp", "wgcv"):
+            rec = harness.run_reconstruction(cfg, problem, rule=RegConfig(rule=rule))
+            histories[sigma, rule] = [(row.relerr, row.lam * sigma) for row in rec.history]
+    for (sigma, rule), history in histories.items():
+        expected = histories[1.0, rule]
+        if rule == "dp":
+            np.testing.assert_allclose(history, expected, rtol=1e-12, atol=0.0)
+        else:
+            assert history == expected, (sigma, rule)
 
 
 def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):

@@ -220,10 +220,16 @@ def test_error_scaling_exactly_linear_in_beta():
 def test_model_validation():
     with pytest.raises(InvalidParameterError):
         linop.InexactnessModel(mode="bogus")
+    for beta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError):
+            linop.InexactnessModel(mode="gaussian-entry", beta=beta)
     with pytest.raises(InvalidParameterError):
-        linop.InexactnessModel(mode="gaussian-entry", beta=-1.0)
+        linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=-1)
     with pytest.raises(InvalidParameterError):
         linop.InexactnessModel(mode="angle-perturbation")
+    for entry in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError):
+            linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, entry))
 
 
 def test_structural_perturbation_unsupported_on_dense():

@@ -67,6 +67,9 @@ def test_kernel_parameter_validation():
         prior.MaternKernel(nu=-1.0, alpha=1.0)
     with pytest.raises(InvalidParameterError):
         prior.MaternKernel(nu=1.0, alpha=0.0)
+    for nu, alpha in ((float("nan"), 1.0), (1.0, float("inf"))):
+        with pytest.raises(InvalidParameterError):
+            prior.MaternKernel(nu=nu, alpha=alpha)
 
 
 def test_dense_cov_single_point():
@@ -182,16 +185,18 @@ def test_noise_model_basic():
     np.testing.assert_allclose(nm2.apply_rinv(np.array([4.0, 8.0])), [1.0, 2.0])
     x = np.random.default_rng(4).standard_normal(2)
     assert abs(np.dot(x, nm2.apply_rinv(x)) - np.dot(x, x) / 4.0) <= 1e-14
-    with pytest.raises(InvalidParameterError):
-        prior.NoiseModel(sigma=0.0, dimension=2)
+    # 1e-200 and 1e200 are finite, but R^{-1} would overflow or vanish.
+    for sigma in (0.0, float("nan"), float("inf"), 1e-200, 1e200):
+        with pytest.raises(InvalidParameterError):
+            prior.NoiseModel(sigma=sigma, dimension=2)
 
 
 def test_weighted_norm_identity_and_noise():
     x = np.array([3.0, 4.0])
-    assert prior.weighted_norm(x, lambda v: v) == pytest.approx(5.0, rel=1e-14)
+    assert prior.weighted_norm(x, x) == pytest.approx(5.0, rel=1e-14)
     nm = prior.NoiseModel(sigma=2.0, dimension=2)
-    assert prior.weighted_norm(x, nm.apply_rinv) == pytest.approx(2.5, rel=1e-14)
-    assert prior.weighted_norm(np.zeros(2), lambda v: v) == 0.0
+    assert prior.weighted_norm(x, nm.apply_rinv(x)) == pytest.approx(2.5, rel=1e-14)
+    assert prior.weighted_norm(np.zeros(2), np.zeros(2)) == 0.0
 
 
 def test_weighted_norm_dense_oracle():
@@ -199,13 +204,14 @@ def test_weighted_norm_dense_oracle():
     W = random_spd(5, rng)
     x = rng.standard_normal(5)
     expected = math.sqrt(float(x @ W @ x))
-    assert prior.weighted_norm(x, lambda v: W @ v) == pytest.approx(expected, rel=1e-12)
+    assert prior.weighted_norm(x, W @ x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_weighted_norm_rejects_indefinite():
     W = np.diag([1.0, -1.0])
+    x = np.array([0.0, 1.0])
     with pytest.raises(NumericalError):
-        prior.weighted_norm(np.array([0.0, 1.0]), lambda v: W @ v)
+        prior.weighted_norm(x, W @ x)
 
 
 def test_prior_model_validation():
@@ -213,4 +219,4 @@ def test_prior_model_validation():
     with pytest.raises(DimensionError):
         prior.PriorModel(mu=np.zeros(4), Q=Q)
     pm = prior.identity_prior(3)
-    assert pm.Q.is_identity and pm.n == 3
+    assert pm.Q.is_identity and pm.Q.n == 3

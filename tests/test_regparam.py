@@ -288,11 +288,9 @@ def test_grid_objectives_match_scalar_evaluations():
     error = oracle_error(oracle, prob)
     np.testing.assert_allclose(error(grid), [error(lam) for lam in grid], rtol=1e-12)
     for omega in (1.0, 0.4):
-        wgcv = regparam._wgcv_objective(prob, omega)(grid)
+        wgcv = regparam.wgcv_value(prob, grid, omega)
         scalar = [regparam.wgcv_value(prob, lam, omega) for lam in grid]
         np.testing.assert_allclose(wgcv, scalar, rtol=1e-12)
-    with pytest.raises(TypeError):
-        regparam.wgcv_value(prob, grid, 1.0)
 
 
 def test_leading_gram_blocks_select_from_scratch_lambda():
@@ -431,7 +429,7 @@ def test_optimal_reaches_dense_grid_minimum_with_rank_deficient_basis():
         prob = make_prob(M)
         lam = select_optimal(prob, Z, pm, s_true)
         grid = np.geomspace(regparam.GRID_FLOOR_RTOL, regparam.GRID_TOP_FACTOR, 4000)
-        Y = (prob.gain(grid * prob.sigma_max) * prob.bhat) @ prob.Vt
+        Y = (prob.filters(grid * prob.sigma_max).gain * prob.bhat) @ prob.Vt
         best = np.min(np.sum((Y @ Z.T + pm.mu - s_true) ** 2, axis=1))
         assert oracle_error_explicit(M, Z, pm, s_true, lam) <= best * (1.0 + 1e-8), seed
 
@@ -441,14 +439,13 @@ def test_one_selection_makes_at_most_six_evaluations(monkeypatch, truth):
     """The grid, then at most one call per refinement round; a flat grid minimum stops at once."""
     M, Z, s_true = synthetic_oracle_case(5, truth)
     calls = []
-    for name in ("filters", "gain"):
-        original = getattr(solve.ProjectedProblem, name)
+    original = solve.ProjectedProblem.filters
 
-        def counted(prob, lam, original=original):
-            calls.append(np.size(lam))
-            return original(prob, lam)
+    def counted(prob, lam):
+        calls.append(np.size(lam))
+        return original(prob, lam)
 
-        monkeypatch.setattr(solve.ProjectedProblem, name, counted)
+    monkeypatch.setattr(solve.ProjectedProblem, "filters", counted)
     select_optimal(make_prob(M), Z, prior.identity_prior(40), s_true)
     oracle = len(calls)
     regparam.select_lambda_wgcv(make_prob(M), 1.0)

@@ -36,6 +36,9 @@ def test_geometry_dimension_invariants():
     assert (g128.nrows, g128.ncols, g128.nrays) == (6516, 16384, 181)
     g64 = tomo.CTGeometry(n=64, angles=tomo.default_angles())
     assert (g64.nrows, g64.ncols, g64.nrays) == (3276, 4096, 91)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError):
+            tomo.CTGeometry(n=64, angles=(1.0, bad))
 
 
 def test_zero_image_zero_sinogram():
@@ -212,19 +215,23 @@ def test_phantom_paper_scale_length():
 
 def test_synthesize_observation_exact_level():
     geom = tomo.CTGeometry(n=16, angles=tomo.default_angles(count=6, step=30.0))
+    A = tomo.RadonOperator(geom)
     s = tomo.make_phantom(16)
-    d0, nn0 = tomo.synthesize_observation(geom, s, 0.0, seed=5)
-    np.testing.assert_array_equal(d0, tomo.RadonOperator(geom).apply(s))
+    d0, nn0 = tomo.synthesize_observation(A, s, 0.0, seed=5)
+    np.testing.assert_array_equal(d0, A.apply(s))
     assert nn0 == 0.0
-    d, nn = tomo.synthesize_observation(geom, s, 0.04, seed=5)
-    d_true = tomo.RadonOperator(geom).apply(s)
+    d, nn = tomo.synthesize_observation(A, s, 0.04, seed=5)
+    d_true = A.apply(s)
     ratio = np.linalg.norm(d - d_true) / np.linalg.norm(d_true)
     assert ratio == pytest.approx(0.04, rel=1e-12)
     assert nn == pytest.approx(np.linalg.norm(d - d_true), rel=1e-12)
-    d2, _ = tomo.synthesize_observation(geom, s, 0.04, seed=5)
+    d2, _ = tomo.synthesize_observation(A, s, 0.04, seed=5)
     np.testing.assert_array_equal(d, d2)
     with pytest.raises(DegenerateInputError):
-        tomo.synthesize_observation(geom, np.zeros(256), 0.04, seed=5)
+        tomo.synthesize_observation(A, np.zeros(256), 0.04, seed=5)
+    for level in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError):
+            tomo.synthesize_observation(A, s, level, seed=5)
 
 
 def angle_model(start, end, max_iter, seed):
