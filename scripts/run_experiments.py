@@ -15,9 +15,9 @@ n=128).
 ``sweep`` is the byte-identity sweep: every solver mode under every rule,
 both rule comparisons and angle studies, the relation check, the rule
 options that only a configuration file sets, and a run that breaks down.
-Run it at two commits (or twice, on different thread counts) from
-same-named directories; apart from timings.json every file must be
-byte-identical, which ``compare`` checks:
+Run it at two commits, or twice at one, from same-named directories;
+apart from timings.json every file must be byte-identical, which
+``compare`` checks:
 
     python scripts/run_experiments.py compare results other/results
 
@@ -111,7 +111,9 @@ def _relative_move(old, new):
         return math.inf
     if a == b:
         return 0.0
-    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+    if not (math.isfinite(a) and math.isfinite(b)) or a == 0.0:
+        return math.inf
+    return abs(b - a) / abs(a)
 
 
 def _csv_moves(old_path, new_path):

@@ -1,4 +1,4 @@
-"""Experiment drivers: problem assembly, sub-run scheduling, and file output.
+"""Experiment drivers: problem assembly, sub-runs, and file output.
 
 Each command is a pure function of its configuration: observations, error
 streams, and angle jitter all derive from the config seed through named
@@ -6,15 +6,11 @@ substreams, so identical configs produce byte-identical CSV output (timing
 lives in a separate file). compare-reg and inexact-angles are sweeps of
 named reconstructions of one problem, one per rule or per angle schedule
 (the latter after the exact baseline); ``_sweep`` runs and times them and
-writes every ``history_<name>.csv``. Independent sub-runs (beta sweeps and
-the runs of a sweep) may execute concurrently up to IGENKRYLOV_THREADS
-workers without changing any result.
+writes every ``history_<name>.csv``.
 """
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,23 +27,6 @@ RATIO_GATE = 0.10
 
 RELATIONS_HEADER = "beta,err_adjoint,err_forward,err_Vorth,err_Uorth"
 HISTORY_HEADER = "iter,relerr,lambda,proj_residual"
-
-
-def max_workers(n_tasks):
-    cap = os.environ.get("IGENKRYLOV_THREADS", "1")
-    try:
-        cap = max(1, int(cap))
-    except ValueError:
-        cap = 1
-    return min(cap, n_tasks)
-
-
-def _run_all(fn, items):
-    workers = max_workers(len(items))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(v):
@@ -195,19 +174,13 @@ def _sweep(cfg, problem, runs):
     ``timings.json``. Returns the output directory and the records by name,
     in the order of ``runs``.
     """
-
-    def one_run(item):
-        name, (inexact, rule) = item
-        t0 = time.perf_counter()
-        record = run_reconstruction(cfg, problem, inexact=inexact, rule=rule)
-        return name, record, time.perf_counter() - t0
-
-    results = _run_all(one_run, list(runs.items()))
-    out = _outdir(cfg)
     records, timings = {}, {}
-    for name, record, dt in results:
-        records[name] = record
-        timings[f"{name}_s"] = dt
+    for name, (inexact, rule) in runs.items():
+        t0 = time.perf_counter()
+        records[name] = run_reconstruction(cfg, problem, inexact=inexact, rule=rule)
+        timings[f"{name}_s"] = time.perf_counter() - t0
+    out = _outdir(cfg)
+    for name, record in records.items():
         write_csv(out / f"history_{name}.csv", HISTORY_HEADER, record.history)
     write_json(out / "timings.json", timings)
     return out, records
@@ -232,23 +205,21 @@ def cmd_verify_relations(cfg):
     if not cfg.betas:
         raise ConfigError("verify-relations needs at least one betas entry")
     problem = build_problem(cfg)
-
-    def one_beta(beta):
+    reports, timings = [], {}
+    for beta in cfg.betas:
         t0 = time.perf_counter()
         model = inexactness_for(cfg, beta=beta)
         state, _ = bidiag.igenGK_run(
             problem.A, model, problem.prior, problem.noise, problem.b, cfg.max_iter
         )
-        rep = bidiag.relation_diagnostics(state, problem.A, problem.prior, problem.noise)
-        return beta, rep, time.perf_counter() - t0
-
-    results = _run_all(one_beta, list(cfg.betas))
+        reports.append(bidiag.relation_diagnostics(state, problem.A, problem.prior, problem.noise))
+        timings[f"beta_{beta!r}_s"] = time.perf_counter() - t0
     out = _outdir(cfg)
-    rows = [(float(beta), *rep) for beta, rep, _ in results]
+    rows = [(float(beta), *rep) for beta, rep in zip(cfg.betas, reports)]
     write_csv(out / "relations.csv", RELATIONS_HEADER, rows)
 
     ratios = []
-    nonzero = [(b, rep) for b, rep, _ in results if b > 0]
+    nonzero = [(b, rep) for b, rep in zip(cfg.betas, reports) if b > 0]
     for (b1, r1), (b2, r2) in zip(nonzero, nonzero[1:]):
         expected = b1 / b2
         ratios.append(
@@ -259,7 +230,7 @@ def cmd_verify_relations(cfg):
                 "forward_ratio": r1.err_forward / r2.err_forward,
             }
         )
-    orth_ok = all(rep.err_Vorth <= ORTH_GATE and rep.err_Uorth <= ORTH_GATE for _, rep, _ in results)
+    orth_ok = all(rep.err_Vorth <= ORTH_GATE and rep.err_Uorth <= ORTH_GATE for rep in reports)
     ratio_ok = all(
         abs(r["adjoint_ratio"] / r["expected"] - 1) <= RATIO_GATE
         and abs(r["forward_ratio"] / r["expected"] - 1) <= RATIO_GATE
@@ -273,7 +244,7 @@ def cmd_verify_relations(cfg):
         orthogonality_ok=orth_ok,
         scaling_ok=ratio_ok,
     )
-    write_json(out / "timings.json", {f"beta_{b:g}_s": t for b, _, t in results})
+    write_json(out / "timings.json", timings)
     return 0 if (orth_ok and ratio_ok) else 1
 
 

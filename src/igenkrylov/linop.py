@@ -14,8 +14,8 @@ one standard-normal vector of its output length from the substream keyed by
 (seed, k, direction). The price is that the error is not linear across two
 products at the same (k, direction): a caller that reused an error matrix
 would get two independent draws, not one matrix applied twice. The draws are
-bitwise reproducible, independent of the thread schedule, exactly
-proportional to beta, and independent between the two directions.
+bitwise reproducible, independent of call order, exactly proportional to
+beta, and independent between the two directions.
 """
 
 from dataclasses import dataclass
@@ -83,7 +83,7 @@ class InexactnessModel:
     ``beta`` is the entry standard deviation of the additive error matrices;
     ``schedule`` holds per-iteration magnitudes for the angle-perturbation
     mode; both are finite and nonnegative. Given the same (seed, iteration,
-    direction) the realized error is identical across runs and thread schedules.
+    direction) the realized error is identical across runs.
     """
 
     mode: str = "none"

@@ -123,8 +123,8 @@ class CovarianceOperator:
     """Symmetric PSD covariance operator Q on a regular grid.
 
     Q is applied in O(n log n) through the circulant embedding. Instances
-    are immutable after construction and safe for concurrent matvecs. A
-    kernel that is not finite on the grid raises NumericalError here.
+    are immutable after construction. A kernel that is not finite on the
+    grid raises NumericalError here.
     """
 
     def __init__(self, grid, kernel):

@@ -2,8 +2,8 @@
 
 Every random draw in the package is keyed by (seed, purpose, indices...) via
 ``numpy``'s SeedSequence/Philox machinery, so the realization is a pure
-function of the key: independent of call order, thread schedule, and of any
-other stream derived from the same seed.
+function of the key: independent of call order and of any other stream
+derived from the same seed.
 """
 
 import numpy as np

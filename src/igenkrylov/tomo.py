@@ -174,9 +174,7 @@ def _traverse(n, h, d, p, starts, widths, t_lo, t_hi):
     return valid.sum(axis=1), pix[valid], seg[valid]
 
 
-# Two entries, one per jittered operator that _jittered_operator keeps; an
-# operator holds its own matrix beyond that.
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def system_matrix(geom):
     """Sparse ray-weight matrix for the geometry (rows: angle-major rays).
 
@@ -254,10 +252,8 @@ class RadonOperator(LinearOperator):
         return _jittered_operator(self.geom, float(alpha_k), int(model.seed), int(k))
 
 
-# Both products of iteration k come from one step, so a run needs one jittered
-# operator at a time. The second entry serves inexact-angles, which can run
-# its two jittered schedules at once under IGENKRYLOV_THREADS.
-@functools.lru_cache(maxsize=2)
+# One entry here and in system_matrix: both products of iteration k come from one step.
+@functools.lru_cache(maxsize=1)
 def _jittered_operator(geom, alpha_k, seed, k):
     g = substream(seed, TAG_ANGLE_JITTER, k).standard_normal(len(geom.angles))
     jittered = tuple(theta + alpha_k * gi for theta, gi in zip(geom.angles, g))

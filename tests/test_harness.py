@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from igenkrylov import cli, harness, solve
+from igenkrylov import bidiag, cli, harness, solve
 from igenkrylov.config import (
     ExperimentConfig,
     GeometryConfig,
@@ -404,22 +404,41 @@ def test_noise_sigma_only_rescales_lambda(mode):
             assert history == expected, (sigma, rule)
 
 
-def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
-    cfg = tiny_config(
-        tmp_path, experiment="verify-relations", max_iter=5, betas=(1e-2, 1e-4)
-    )
+def test_verify_relations_times_each_beta(tmp_path):
+    """timings.json has one key per beta, also for betas that print alike under %g."""
+    cfg = tiny_config(tmp_path, experiment="verify-relations", max_iter=3)
     harness.cmd_verify_relations(cfg)
-    serial = (tmp_path / "out" / "relations.csv").read_bytes()
-    monkeypatch.setenv("IGENKRYLOV_THREADS", "3")
-    cfg2 = tiny_config(
-        tmp_path,
-        experiment="verify-relations",
-        max_iter=5,
-        betas=(1e-2, 1e-4),
-        output_dir=str(tmp_path / "out_mt"),
-    )
-    harness.cmd_verify_relations(cfg2)
-    assert (tmp_path / "out_mt" / "relations.csv").read_bytes() == serial
+    timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+    assert set(timings) == {"beta_0.01_s", "beta_0.0001_s", "beta_1e-06_s"}
+    close = replace(cfg, betas=(0.01000001, 0.01000002), output_dir=str(tmp_path / "close"))
+    harness.cmd_verify_relations(close)
+    rows = (tmp_path / "close" / "relations.csv").read_text().splitlines()
+    timings = json.loads((tmp_path / "close" / "timings.json").read_text())
+    assert len(rows) == 3
+    assert set(timings) == {"beta_0.01000001_s", "beta_0.01000002_s"}
+
+
+def test_verify_relations_failure_in_a_later_beta(tmp_path, capsys, monkeypatch):
+    """A beta that overflows after another has finished exits 3 with one
+    numerical-failure line, and creates no output directory."""
+    started = []
+    run = bidiag.igenGK_run
+
+    def recording_run(A, inexact, *args):
+        started.append(inexact.beta)
+        return run(A, inexact, *args)
+
+    monkeypatch.setattr(bidiag, "igenGK_run", recording_run)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"geometry": {"n": 16}, "mode": "igengk", "max_iter": 5}))
+    out = tmp_path / "out"
+    argv = ["verify-relations", "--config", str(path), "--out", str(out)]
+    assert cli.main([*argv, "--beta", "1e-2", "--beta", "1e200"]) == 3
+    assert started == [1e-2, 1e200]
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -42,6 +42,14 @@ def test_compare_reports_largest_move_per_changed_column(script, tmp_path, capsy
     assert not any("column iter" in line for line in out)
     assert "differs: run/summary.json" in out
     assert out[-1] == "2 of 2 files differ"
+    # A cell that changes to or from a value that is not finite moves by inf.
+    for idx, (a, b) in enumerate((("0.5", "nan"), ("nan", "0.5"), ("inf", "1e308"))):
+        old_root, new_root = tmp_path / f"old{idx}", tmp_path / f"new{idx}"
+        write_tree(old_root, f"iter,relerr\n1,{a}\n")
+        write_tree(new_root, f"iter,relerr\n1,{b}\n")
+        assert script.main(["compare", str(old_root), str(new_root)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "differs: run/history.csv column relerr: largest relative move inf" in out, (a, b)
 
 
 def test_compare_reports_a_file_in_one_tree_only(script, tmp_path, capsys):
