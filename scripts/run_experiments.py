@@ -14,7 +14,8 @@ n=128).
 
 ``sweep`` is the byte-identity sweep: every solver mode under every rule,
 both rule comparisons and angle studies, the relation check, the rule
-options that only a configuration file sets, and a run that breaks down.
+options that only a configuration file sets, a Matern prior of an order
+without a closed form, and a run that breaks down.
 Run it at two commits, or twice at one, from same-named directories;
 apart from timings.json every file must be byte-identical, which
 ``compare`` checks:
@@ -69,6 +70,8 @@ SWEEP_CONFIGS = {
     "dp-nu-n32": {**N32, "reg": {"rule": "dp", "nu_dp": 1.3}},
     "wgcv-omega-n32": {**N32, "reg": {"rule": "wgcv", "omega": 0.5}},
     "wgcv-adaptive-n32": {**N32, "reg": {"rule": "wgcv", "omega_mode": "adaptive"}},
+    # The one run of a Matern order without a closed form (the Bessel branch).
+    "matern-nu-n32": {**N32, "prior": {"nu": 1.1}, "reg": {"rule": "optimal"}},
     "breakdown-gk-dp-n16": {
         "geometry": {"n": 16}, "mode": "gk", "reg": {"rule": "dp"}, "max_iter": 400,
     },

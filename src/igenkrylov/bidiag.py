@@ -119,24 +119,27 @@ def _orthogonalize(vec, basis, coefficients):
 def igenGK_init(A, inexact, prior, noise, b, steps):
     """Initial state of a run of ``steps`` iterations: u1 = b / ||b||_{R^{-1}}, no V column yet.
 
-    The state's buffers are allocated once, for min(steps, m, n) steps: past
-    min(m, n) every new v must vanish. Raises DimensionError when b does not fit
-    A or an angle-perturbation schedule has fewer than ``steps`` entries,
+    The state's buffers are allocated once, for capacity = min(steps, m, n)
+    steps: past min(m, n) every new v must vanish, so a longer run makes the
+    adjoint product of one more step and stops there. Raises DimensionError
+    when b does not fit A or an angle-perturbation schedule has fewer entries
+    than the min(steps, capacity + 1) steps that can make a product,
     DegenerateInputError when b is zero and NumericalError when its norm is
     not finite.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.nrows,):
         raise DimensionError("right-hand side length does not match operator rows")
-    if inexact.mode == "angle-perturbation" and len(inexact.schedule) < steps:
+    capacity = min(steps, A.nrows, A.ncols)
+    reached = min(steps, capacity + 1)
+    if inexact.mode == "angle-perturbation" and len(inexact.schedule) < reached:
         raise DimensionError(
-            f"angle schedule has {len(inexact.schedule)} entries for a {steps}-step run"
+            f"angle schedule has {len(inexact.schedule)} entries for a {reached}-step run"
         )
     with overflow_checked():
         beta1 = _finite(weighted_norm(b, noise.apply_rinv(b)), "beta1")
         if beta1 == 0.0:
             raise DegenerateInputError("right-hand side is zero")
-        capacity = min(steps, A.nrows, A.ncols)
         state = BidiagState(A.nrows, A.ncols, capacity, prior.Q.is_identity, beta1)
         np.divide(b, beta1, out=state._U[:, 0])
     return state

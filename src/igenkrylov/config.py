@@ -44,8 +44,7 @@ class GeometryConfig:
             raise ConfigError("geometry.nrays must be positive")
         if self.n * self.n > INDEX_MAX:
             raise ConfigError(f"geometry.n squared must be at most {INDEX_MAX}")
-        nrays = default_nrays(self.n) if self.nrays is None else self.nrays
-        if self.angle_count * nrays > INDEX_MAX:
+        if self.nrows > INDEX_MAX:
             raise ConfigError(
                 f"geometry.angle_count times the rays per angle must be at most {INDEX_MAX}"
             )
@@ -53,6 +52,11 @@ class GeometryConfig:
             raise ConfigError("geometry.angle_start and geometry.angle_step must be finite")
         if not abs(self.angle_start + self.angle_step * float(self.angle_count - 1)) <= FLOAT_MAX:
             raise ConfigError("geometry's last angle must be finite")
+
+    @property
+    def nrows(self):
+        """Rays in all, the system matrix's rows: angle_count times the rays per angle."""
+        return self.angle_count * (default_nrays(self.n) if self.nrays is None else self.nrays)
 
 
 @dataclass(frozen=True)

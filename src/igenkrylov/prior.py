@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from .errors import FLOAT_MAX, DimensionError, InvalidParameterError, NumericalError
 
@@ -53,6 +51,11 @@ class MaternKernel:
             s = _SQRT5 * self.alpha * r
             val = (1.0 + s + s * s / 3.0) * np.exp(-s)
         else:
+            # Imported here, its only use: scipy.special adds about 6 MB to the
+            # resident size of a process, and the orders above never need it.
+            from scipy.special import gamma as gamma_fn
+            from scipy.special import kv
+
             val = np.empty_like(t)
             zero = t == 0
             tv = t[~zero]

@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -363,6 +365,54 @@ def test_angle_perturbation_runs_with_one_iteration(tmp_path):
     assert harness.cmd_reconstruct(cfg) == 0
     assert harness.cmd_inexact_angles(cfg) == 0
     assert len((tmp_path / "out" / "history_sched1.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "start,end", [(1e-1, 1e-6), (1e0, 1e-6), (2e-3, 2e-3), (0.5, 7.0), (1e-300, 1e300)]
+)
+def test_angle_schedule_head_equals_the_full_geomspace(start, end):
+    for num in (1, 2, 3, 7, 20, 257, 1000, 12345):
+        full = np.geomspace(start, end, num)
+        for count in {1, max(num // 3, 1), max(num // 2, 1), max(num - 1, 1), num}:
+            head = harness._geomspace_head(start, end, num, count)
+            assert np.array_equal(head, full[:count]), (num, count)
+
+
+def pixel_bound_angle_config(max_iter):
+    # 256 pixels and 18 x 23 rays: a run makes at most 256 steps, then the
+    # adjoint product of step 257, which finds no new v.
+    return ExperimentConfig(
+        geometry=GeometryConfig(n=16, angle_count=18, angle_step=10.0),
+        mode="igk",
+        max_iter=max_iter,
+        inexactness=InexactConfig(mode="angle-perturbation"),
+    )
+
+
+def test_long_angle_run_builds_only_the_reachable_schedule():
+    cfg = pixel_bound_angle_config(10**6)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    model = harness.inexactness_for(cfg)
+    seconds = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert seconds < 0.1 and peak < 100_000, (seconds, peak)
+    full = np.geomspace(*cfg.angle_schedules[0], cfg.max_iter)
+    assert model.schedule == tuple(full[:257])
+
+
+def test_angle_schedule_covers_the_step_past_capacity():
+    # The run fills all 256 columns and breaks down in step 257, whose
+    # adjoint product needs that step's magnitude.
+    cfg = pixel_bound_angle_config(300)
+    problem = harness.build_problem(cfg)
+    model = harness.inexactness_for(cfg)
+    assert len(model.schedule) == 257
+    state, reason = bidiag.igenGK_run(
+        problem.A, model, problem.prior, problem.noise, problem.b, cfg.max_iter
+    )
+    assert (state.k, reason) == (256, "breakdown")
 
 
 def test_inexact_angles_and_reconstruct_share_the_seed_rule(tmp_path):

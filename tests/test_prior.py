@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +45,42 @@ def test_three_halves_closed_form_vs_bessel():
     expected = (1 + math.sqrt(3) * r) * math.exp(-math.sqrt(3) * r)
     assert abs(float(k(r)) - expected) <= 1e-12
     assert abs(float(k(r)) - kv_formula(1.5, 1.0, r)) <= 1e-12
+
+
+# Runs in a fresh interpreter: an n=16 gengk reconstruction at nu = 1.5, then
+# a Matern kernel of an order without a closed form. Prints what was loaded
+# before and after the kernel, and the kernel's values.
+IMPORT_PROBE = """
+import json, sys
+import igenkrylov, igenkrylov.cli
+rc = igenkrylov.cli.main(["reconstruct", "--config", sys.argv[1]])
+before = "scipy.special" in sys.modules
+from igenkrylov.prior import MaternKernel
+values = MaternKernel(nu=1.1, alpha=3.0)(json.loads(sys.argv[2])).tolist()
+print(json.dumps({"rc": rc, "before": before, "after": "scipy.special" in sys.modules,
+                  "values": values}))
+"""
+
+
+def test_scipy_special_loads_only_for_orders_without_a_closed_form(tmp_path):
+    cfg = {
+        "schema_version": 1, "geometry": {"n": 16}, "mode": "gengk", "max_iter": 2,
+        "prior": {"nu": 1.5}, "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    r = [0.0, 0.01, 0.2, 1.0, 3.0]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(path), json.dumps(r)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["rc"] == 0 and (tmp_path / "out" / "history.csv").exists()
+    assert not probe["before"] and probe["after"]
+    for ri, value in zip(r, probe["values"]):
+        assert math.isclose(value, kv_formula(1.1, 3.0, ri), rel_tol=1e-13), ri
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 0.8, 3.7])
