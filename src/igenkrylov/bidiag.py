@@ -130,7 +130,7 @@ def igenGK_init(A, inexact, prior, noise, b, steps):
     b = np.asarray(b, dtype=float)
     if b.shape != (A.nrows,):
         raise DimensionError("right-hand side length does not match operator rows")
-    capacity = min(steps, A.nrows, A.ncols)
+    capacity = max(min(steps, A.nrows, A.ncols), 0)
     reached = min(steps, capacity + 1)
     if inexact.mode == "angle-perturbation" and len(inexact.schedule) < reached:
         raise DimensionError(

@@ -132,7 +132,6 @@ class CovarianceOperator:
 
     def __init__(self, grid, kernel):
         self.grid = grid
-        self.kernel = kernel
         self.n = self.grid.npoints
         self._fft_shape = tuple(_fast_len(2 * n - 1) for n in self.grid.shape)
         self._symbol = _embedding_symbol(self.grid, kernel, self._fft_shape)

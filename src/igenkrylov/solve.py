@@ -7,11 +7,11 @@ phi_i = sigma_i^2 / (sigma_i^2 + lambda^2). The solution in original
 coordinates is mu + Q (V y) = mu + Z y, with Z = Q V kept by the
 decomposition, so recovering it applies no covariance product.
 
-The outer driver ``run_iterative_solve`` runs the decomposition once
-(``bidiag.igenGK_run``). Lambda never feeds back into the recurrence and a
-step only appends to M and Z, so it then visits k = 1, 2, ...: the lambda
-rule picks lambda on the leading (k+1)-by-k block of M, and one projected
-solve at it is recovered with the first k columns of Z.
+The outer driver ``run_iterative_solve`` is ``bidiag.igenGK_run`` followed
+by ``project``. Lambda never feeds back into the recurrence and a step only
+appends to M and Z, so ``project`` reads one finished state at k = 1, 2,
+...: the lambda rule picks lambda on the leading (k+1)-by-k block of M, and
+one projected solve at it is recovered with the first k columns of Z.
 """
 
 import math
@@ -155,31 +155,36 @@ class ReconRecord:
 
 
 def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=None, s_true=None):
-    """Run up to ``max_iter`` iterations of the decomposition, then select lambda and solve at each.
+    """``project`` of ``bidiag.igenGK_run`` for ``max_iter`` steps, timed as ``decomposition_s``."""
+    t0 = time.perf_counter()
+    state, stop_reason = bidiag.igenGK_run(A, inexact, prior, noise, b, max_iter)
+    decomposition_s = time.perf_counter() - t0
+    record = project(state, stop_reason, prior, rule, noise_norm, s_true)
+    record.timings["decomposition_s"] = decomposition_s
+    return record
+
+
+def project(state, stop_reason, prior, rule, noise_norm=None, s_true=None):
+    """Select lambda and solve at each iteration of a decomposition ``state`` of k >= 1 steps.
 
     ``rule`` is a ``regparam.RegConfig``; ``noise_norm`` (the noise norm in
     the residual's metric) is required by its dp rule and ``s_true`` by its
-    oracle rule. The decomposition runs once; breakdown of the recurrence is
-    a normal early stop. Then, for each iteration k, the projected problem
-    of the leading blocks of M and Z is factored once, the rule picks lambda
-    and one projected solve is made at it. Records one ``Iterate`` per
+    oracle rule. The state is only read. For each iteration k, the projected
+    problem of the leading blocks of M and Z is factored once, the rule picks
+    lambda and one projected solve is made at it. Records one ``Iterate`` per
     iteration, k = 1, 2, ...: the relative error against ``s_true`` (NaN in
     every row when ``s_true`` is not given, so ``final_relerr`` is NaN too),
     the selected lambda and the projected residual, and keeps the final
-    iterate.
+    iterate and ``stop_reason``, the way the decomposition ended.
     """
-    if max_iter < 1:
-        raise DimensionError("max_iter must be at least 1")
+    if state.k < 1:
+        raise DimensionError("the decomposition has no step to project")
     s_true = None if s_true is None else np.asarray(s_true, dtype=float)
     s_true_norm = float(np.linalg.norm(s_true)) if s_true is not None else 0.0
     relerr = math.nan
 
-    timings = {"decomposition_s": 0.0, "param_selection_s": 0.0, "projected_solve_s": 0.0}
+    timings = {"param_selection_s": 0.0, "projected_solve_s": 0.0}
     history = []
-
-    t0 = time.perf_counter()
-    state, stop_reason = bidiag.igenGK_run(A, inexact, prior, noise, b, max_iter)
-    timings["decomposition_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     choose = rule.chooser(prior, state.Z, noise_norm, s_true)

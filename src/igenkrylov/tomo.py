@@ -14,7 +14,7 @@ transpose, and forward/adjoint products are deterministic.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,9 +63,6 @@ class CTGeometry:
 
     def offsets(self):
         return np.arange(self.nrays) - (self.nrays - 1) / 2.0
-
-    def with_angles(self, angles):
-        return CTGeometry(n=self.n, angles=tuple(angles), nrays=self.nrays)
 
 
 def default_angles(start=1.0, step=5.0, count=36):
@@ -257,7 +254,7 @@ class RadonOperator(LinearOperator):
 def _jittered_operator(geom, alpha_k, seed, k):
     g = substream(seed, TAG_ANGLE_JITTER, k).standard_normal(len(geom.angles))
     jittered = tuple(theta + alpha_k * gi for theta, gi in zip(geom.angles, g))
-    return RadonOperator(geom.with_angles(jittered))
+    return RadonOperator(replace(geom, angles=jittered))
 
 
 # Shepp-Logan-style ellipses: (value, semi-axis a, semi-axis b, x0, y0, angle deg)

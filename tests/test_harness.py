@@ -269,6 +269,27 @@ def test_merged_csv_and_summary_read_the_histories(tmp_path, experiment, merged,
         assert {key: summary[key][name] for key in keys} == {key: expected[key] for key in keys}
 
 
+@pytest.mark.parametrize("experiment", ["compare-reg", "inexact-angles", "reconstruct"])
+def test_each_inexactness_model_is_decomposed_once(tmp_path, monkeypatch, experiment):
+    """compare-reg projects one decomposition under its three rules; inexact-angles
+    decomposes its exact baseline and each schedule."""
+    calls = []
+    run = bidiag.igenGK_run
+
+    def counting(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(bidiag, "igenGK_run", counting)
+    cfg = tiny_config(
+        tmp_path, experiment=experiment, mode="igengk", reg=RegConfig(rule="optimal"),
+        angle_schedules=((1e-1, 1e-3), (1e-2, 1e-4)),
+    )
+    assert harness.COMMANDS[experiment](cfg) == 0
+    expected = 1 + len(cfg.angle_schedules) if experiment == "inexact-angles" else 1
+    assert len(calls) == expected
+
+
 def test_merged_csv_stops_at_the_shortest_run(tmp_path):
     def record(rows):
         return solve.ReconRecord(
@@ -444,7 +465,7 @@ def test_noise_sigma_only_rescales_lambda(mode):
                                noise_sigma=sigma)
         problem = harness.build_problem(cfg)
         for rule in ("none", "optimal", "dp", "wgcv"):
-            rec = harness.run_reconstruction(cfg, problem, rule=RegConfig(rule=rule))
+            rec = harness.run_reconstruction(replace(cfg, reg=RegConfig(rule=rule)), problem)
             histories[sigma, rule] = [(row.relerr, row.lam * sigma) for row in rec.history]
     for (sigma, rule), history in histories.items():
         expected = histories[1.0, rule]

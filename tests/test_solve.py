@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from igenkrylov import linop, prior, regparam, solve
+from igenkrylov import bidiag, linop, prior, regparam, solve, tomo
 from igenkrylov.errors import DegenerateInputError, DimensionError, NumericalError
 
 from conftest import (
@@ -207,3 +207,43 @@ def test_driver_rejects_zero_iterations():
     _, _, _, b, A, pm, nm = full_rank_generalized_problem(11)
     with pytest.raises(DimensionError):
         solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 0, regparam.RegConfig(rule="none"))
+
+
+def test_project_rejects_a_state_without_steps():
+    _, _, _, b, A, pm, nm = full_rank_generalized_problem(11)
+    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 1)
+    with pytest.raises(DimensionError):
+        solve.project(state, "max_iter", pm, regparam.RegConfig(rule="none"))
+
+
+def test_one_decomposition_projects_as_each_rule_solves(small_ct):
+    """project only reads the state: under every rule, projecting one igenGK_run
+    state gives that rule's run_iterative_solve history and solution bit for bit."""
+    geom, A = small_ct
+    s_true = tomo.make_phantom(geom.n)
+    b, noise_norm = tomo.synthesize_observation(A, s_true, 0.04, seed=3)
+    kernel = prior.MaternKernel(nu=1.5, alpha=10.0)
+    Q = prior.CovarianceOperator(prior.Grid((geom.n, geom.n)), kernel)
+    pm = prior.PriorModel(mu=np.zeros(geom.ncols), Q=Q)
+    nm = prior.NoiseModel(sigma=1.0, dimension=geom.nrows)
+    inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=5)
+    args = (A, inexact, pm, nm, b, 10)
+    state, stop_reason = bidiag.igenGK_run(*args)
+    before = [arr.copy() for arr in (state.U, state.M, state.Z, state.C)]
+    rules = [
+        regparam.RegConfig(rule="none"),
+        regparam.RegConfig(rule="fixed", lambda_fixed=0.3),
+        regparam.RegConfig(rule="optimal"),
+        regparam.RegConfig(rule="dp"),
+        regparam.RegConfig(rule="wgcv"),
+        regparam.RegConfig(rule="wgcv", omega_mode="adaptive"),
+    ]
+    for rule in rules:
+        projected = solve.project(state, stop_reason, pm, rule, noise_norm, s_true)
+        solved = solve.run_iterative_solve(*args, rule, noise_norm, s_true)
+        assert projected.iterations == 10
+        assert projected.history == solved.history, rule
+        assert projected.solution.tobytes() == solved.solution.tobytes(), rule
+        assert projected.stop_reason == solved.stop_reason
+    after = (state.U, state.M, state.Z, state.C)
+    assert [arr.tobytes() for arr in after] == [arr.tobytes() for arr in before]
