@@ -20,7 +20,6 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     NumericalError,
-    UnsupportedError,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linop
 from .errors import BreakdownSignal, DegenerateInputError, DimensionError, NumericalError
-from .prior import weighted_norm
+from .prior import IdentityCovariance, weighted_norm
 
 # Normalization coefficients below BREAKDOWN_RTOL * beta1 stop the recurrence.
 BREAKDOWN_RTOL = 1e-14
@@ -42,7 +42,8 @@ class BidiagState:
     step's columns. The bases are column-major and uninitialized, so the
     columns a run never reaches take no resident memory; the small M and C
     are row-major, the layout whose BLAS calls give the projected residual
-    M y its rounding. Under an identity prior Z is V and shares its buffer.
+    M y its rounding. When Q is an ``IdentityCovariance``, Z is V and shares
+    its buffer. ``terminated`` is set when a breakdown ends the recurrence.
     """
 
     def __init__(self, nrows, ncols, capacity, identity_prior, beta1):
@@ -140,7 +141,8 @@ def igenGK_init(A, inexact, prior, noise, b, steps):
         beta1 = _finite(weighted_norm(b, noise.apply_rinv(b)), "beta1")
         if beta1 == 0.0:
             raise DegenerateInputError("right-hand side is zero")
-        state = BidiagState(A.nrows, A.ncols, capacity, prior.Q.is_identity, beta1)
+        identity = isinstance(prior.Q, IdentityCovariance)
+        state = BidiagState(A.nrows, A.ncols, capacity, identity, beta1)
         np.divide(b, beta1, out=state._U[:, 0])
     return state
 
@@ -156,10 +158,11 @@ def igenGK_step(state, A, inexact, prior, noise):
     later it ends the recurrence with the state of iteration k. On breakdown
     of the U-side normalization the projected matrix is committed in square,
     terminal form (its last subdiagonal vanished), so the projected problem
-    built so far is still solvable. Either breakdown raises a BreakdownSignal.
-    A normalization that is not finite, or a v_i that does not vanish past
-    the state's capacity (orthogonality lost), raises NumericalError; call
-    the step under ``overflow_checked`` for that to be the only report.
+    built so far is still solvable. Either breakdown sets ``terminated`` and
+    raises a BreakdownSignal. A normalization that is not finite, or a v_i
+    that does not vanish past the state's capacity (orthogonality lost),
+    raises NumericalError; call the step under ``overflow_checked`` for that
+    to be the only report.
     """
     if state.terminated:
         raise BreakdownSignal("state is terminal")
@@ -207,20 +210,18 @@ def igenGK_step(state, A, inexact, prior, noise):
 def igenGK_run(A, inexact, prior, noise, b, steps):
     """The one decomposition loop: ``steps`` iterations, stopping gracefully on breakdown.
 
-    Returns the state and "max_iter" or "breakdown". A step only writes new
-    columns of M and Z, so every iteration's M and Z are leading blocks of
-    the final ones.
+    Returns the state; its ``terminated`` says whether a breakdown ended the
+    run before ``steps`` iterations. A step only writes new columns of M and
+    Z, so every iteration's M and Z are leading blocks of the final ones.
     """
     state = igenGK_init(A, inexact, prior, noise, b, steps)
-    reason = "max_iter"
     with overflow_checked():
         for _ in range(steps):
             try:
                 igenGK_step(state, A, inexact, prior, noise)
             except BreakdownSignal:
-                reason = "breakdown"
                 break
-    return state, reason
+    return state
 
 
 class RelationReport(NamedTuple):

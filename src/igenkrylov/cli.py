@@ -4,7 +4,7 @@
 
 Exit codes: 0 success, 1 an acceptance threshold failed, 2 usage,
 configuration or output error (the output directory cannot be created or
-written), 3 numerical failure.
+written), 3 numerical failure or out of memory.
 """
 
 import argparse
@@ -91,6 +91,9 @@ def main(argv=None):
         return 3
     except IgenKrylovError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -196,7 +196,7 @@ def config_from_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise ConfigError(f"cannot parse configuration {path}: {exc}") from exc
     return config_from_dict(data)
 

@@ -21,10 +21,6 @@ class InvalidParameterError(IgenKrylovError):
     """A scalar parameter is outside its admissible range."""
 
 
-class UnsupportedError(IgenKrylovError):
-    """Requested operation is not supported by this operator kind."""
-
-
 class NumericalError(IgenKrylovError):
     """A numerical invariant was violated (loss of positive-definiteness, NaNs)."""
 

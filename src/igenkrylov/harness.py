@@ -50,7 +50,6 @@ def write_json(path, payload):
 class CTProblem:
     """Everything needed to run one reconstruction experiment."""
 
-    geom: tomo.CTGeometry
     A: tomo.RadonOperator
     prior: PriorModel
     noise: NoiseModel
@@ -75,7 +74,7 @@ def build_problem(cfg):
         prior_model = identity_prior(geom.ncols)
     noise = NoiseModel(sigma=cfg.noise_sigma, dimension=geom.nrows)
     # Both priors have mean zero, so the right-hand side d - A mu is d.
-    return CTProblem(geom, A, prior_model, noise, s_true, d, noise_norm / noise.sigma)
+    return CTProblem(A, prior_model, noise, s_true, d, noise_norm / noise.sigma)
 
 
 def _geomspace_head(start, end, num, count):
@@ -196,7 +195,7 @@ def _sweep(cfg, problem, runs):
                 problem.A, inexact, problem.prior, problem.noise, problem.b, cfg.max_iter
             )
         records[name] = solve.project(
-            *decomposition[inexact], problem.prior, rule, problem.noise_norm, problem.s_true
+            decomposition[inexact], problem.prior, rule, problem.noise_norm, problem.s_true
         )
         timings[f"{name}_s"] = time.perf_counter() - t0
     out = _outdir(cfg)
@@ -229,7 +228,7 @@ def cmd_verify_relations(cfg):
     for beta in cfg.betas:
         t0 = time.perf_counter()
         model = inexactness_for(cfg, beta=beta)
-        state, _ = bidiag.igenGK_run(
+        state = bidiag.igenGK_run(
             problem.A, model, problem.prior, problem.noise, problem.b, cfg.max_iter
         )
         reports.append(bidiag.relation_diagnostics(state, problem.A, problem.prior, problem.noise))
@@ -274,7 +273,7 @@ def cmd_reconstruct(cfg):
     record = run_reconstruction(cfg, problem)
     out = _outdir(cfg)
     write_csv(out / "history.csv", HISTORY_HEADER, record.history)
-    tomo.write_pgm(out / "final.pgm", record.solution, problem.geom.n)
+    tomo.write_pgm(out / "final.pgm", record.solution, problem.A.geom.n)
     _write_summary(out, cfg, **_run_fields(record))
     write_json(out / "timings.json", record.timings)
     return 0
@@ -304,8 +303,9 @@ def cmd_inexact_angles(cfg):
     }
     out, records = _sweep(cfg, problem, runs)
     _write_merged(out / "comparison.csv", records, ("relerr",))
-    listed = {name: None if angles is None else list(angles) for name, angles in schedules.items()}
-    _write_summary(out, cfg, schedules=listed, **_per_run(records, ("final_relerr", "min_relerr")))
+    _write_summary(
+        out, cfg, schedules=schedules, **_per_run(records, ("final_relerr", "min_relerr"))
+    )
     return 0
 
 

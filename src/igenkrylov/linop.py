@@ -22,20 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FLOAT_MAX,
-    DimensionError,
-    InvalidInputError,
-    InvalidParameterError,
-    UnsupportedError,
-)
+from .errors import FLOAT_MAX, DimensionError, InvalidInputError, InvalidParameterError
 from .rng import DIR_ADJOINT, DIR_FORWARD, TAG_MATVEC_ERROR, substream
 
 
 class LinearOperator:
     """Abstract m-by-n map with forward and adjoint application."""
-
-    kind = "abstract"
 
     def __init__(self, nrows, ncols):
         self.nrows = int(nrows)
@@ -56,12 +48,6 @@ class LinearOperator:
 
     def _apply_adjoint(self, y):
         raise NotImplementedError
-
-    def perturbed_variant(self, model, k):
-        """Operator realizing structural (non-additive) inexactness at iteration k."""
-        raise UnsupportedError(
-            f"operator kind {self.kind!r} has no structural perturbation variant"
-        )
 
     @staticmethod
     def _check_vector(v, expected):

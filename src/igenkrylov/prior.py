@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import FLOAT_MAX, DimensionError, InvalidParameterError, NumericalError
 
-_SQRT3 = math.sqrt(3.0)
-_SQRT5 = math.sqrt(5.0)
-
 
 @dataclass(frozen=True)
 class MaternKernel:
@@ -45,11 +42,9 @@ class MaternKernel:
         if self.nu == 0.5:
             val = np.exp(-t)
         elif self.nu == 1.5:
-            s = _SQRT3 * self.alpha * r
-            val = (1.0 + s) * np.exp(-s)
+            val = (1.0 + t) * np.exp(-t)
         elif self.nu == 2.5:
-            s = _SQRT5 * self.alpha * r
-            val = (1.0 + s + s * s / 3.0) * np.exp(-s)
+            val = (1.0 + t + t * t / 3.0) * np.exp(-t)
         else:
             # Imported here, its only use: scipy.special adds about 6 MB to the
             # resident size of a process, and the orders above never need it.
@@ -138,10 +133,6 @@ class CovarianceOperator:
         if not np.isfinite(self._symbol).all():
             raise NumericalError("covariance is not finite: its kernel overflows on this grid")
 
-    @property
-    def is_identity(self):
-        return False
-
     def apply(self, x):
         """Q x by the 1-D transforms ``rfftn``/``irfftn`` make on the padded grid, pruned.
 
@@ -168,10 +159,6 @@ class IdentityCovariance:
 
     def __init__(self, n):
         self.n = int(n)
-
-    @property
-    def is_identity(self):
-        return True
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)

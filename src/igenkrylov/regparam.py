@@ -153,18 +153,17 @@ class OracleError:
 
     With d = mu - s_true and the thin QR [Z, d] = Q R of a basis Z with K
     columns, taken once, O(n K^2), the error for y on the first k columns of
-    Z is ||R_k y + e_k||^2 + dd - e_k^T e_k, with R_k = R[:k, :k],
-    e_k = R[:k, K] and dd = ||d||^2. R_k is the triangular factor of the first
-    k columns alone, up to rounding, so ``error_terms`` of a projected problem
-    with k columns reads the leading block; no matrix of squared condition
-    (the Gram matrix Z^T Z) is formed.
+    Z is ||R_k y + e_k||^2 + ||d||^2 - e_k^T e_k, with R_k = R[:k, :k] and
+    e_k = R[:k, K]. R_k is the triangular factor of the first k columns
+    alone, up to rounding, so ``error_terms`` of a projected problem with k
+    columns reads the leading block; no matrix of squared condition (the Gram
+    matrix Z^T Z) is formed.
     """
 
     def __init__(self, prior, s_true, Z):
         if s_true is None:
             raise ConfigError("optimal rule requires the true solution")
         d = prior.mu - np.asarray(s_true, dtype=float)
-        self.dd = float(np.dot(d, d))
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[0] != d.size:
             raise DimensionError("basis and solution dimensions disagree")
@@ -174,15 +173,15 @@ class OracleError:
         self.e = R[:K, K]
 
     def error_terms(self, prob):
-        """The error as ``const`` plus a function of lambda: ``(const, terms)``.
+        """``terms``, the error as a function of lambda up to a constant.
 
         With y = Vt^T z and z = gain(lambda) * bhat, the residual is
         r = B gain(lambda) + e_k with B = R_k Vt^T diag(bhat), formed once
         here. ``terms(lam)``, for a scalar or a 1-D grid, returns sum(r^2) and
         a scale of its rounding error, sum(|r| (|B gain| + |e_k|)). Both are
         k-sized work and read only the gains of ``ProjectedProblem.filters``;
-        ``const`` = dd - e_k^T e_k is the same at every lambda and is left
-        out of both.
+        ||d||^2 - e_k^T e_k is the same at every lambda and is left out of
+        both.
         """
         k = prob.M.shape[1]
         if k > self.R.shape[1]:
@@ -196,7 +195,7 @@ class OracleError:
             r = Bg + e
             return (r * r).sum(axis=-1), (np.abs(r) * (np.abs(Bg) + abs_e)).sum(axis=-1)
 
-        return self.dd - float(np.dot(e, e)), terms
+        return terms
 
 
 def _lambda_grid(prob):
@@ -255,7 +254,7 @@ def select_lambda_optimal(prob, oracle):
     solve's basis Z = Q V; a problem with k columns reads its leading k-by-k
     block, and each evaluation is k-sized work.
     """
-    return _grid_then_refine(prob, oracle.error_terms(prob)[1])
+    return _grid_then_refine(prob, oracle.error_terms(prob))
 
 
 def select_lambda_dp(prob, target):

@@ -138,7 +138,7 @@ class ReconRecord:
 
     history: list
     solution: np.ndarray
-    stop_reason: str
+    stop_reason: str  # "breakdown" if a breakdown ended the decomposition, else "max_iter"
     timings: dict
 
     @property
@@ -157,14 +157,14 @@ class ReconRecord:
 def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=None, s_true=None):
     """``project`` of ``bidiag.igenGK_run`` for ``max_iter`` steps, timed as ``decomposition_s``."""
     t0 = time.perf_counter()
-    state, stop_reason = bidiag.igenGK_run(A, inexact, prior, noise, b, max_iter)
+    state = bidiag.igenGK_run(A, inexact, prior, noise, b, max_iter)
     decomposition_s = time.perf_counter() - t0
-    record = project(state, stop_reason, prior, rule, noise_norm, s_true)
+    record = project(state, prior, rule, noise_norm, s_true)
     record.timings["decomposition_s"] = decomposition_s
     return record
 
 
-def project(state, stop_reason, prior, rule, noise_norm=None, s_true=None):
+def project(state, prior, rule, noise_norm=None, s_true=None):
     """Select lambda and solve at each iteration of a decomposition ``state`` of k >= 1 steps.
 
     ``rule`` is a ``regparam.RegConfig``; ``noise_norm`` (the noise norm in
@@ -175,7 +175,7 @@ def project(state, stop_reason, prior, rule, noise_norm=None, s_true=None):
     iteration, k = 1, 2, ...: the relative error against ``s_true`` (NaN in
     every row when ``s_true`` is not given, so ``final_relerr`` is NaN too),
     the selected lambda and the projected residual, and keeps the final
-    iterate and ``stop_reason``, the way the decomposition ended.
+    iterate and the stop reason, read from ``state.terminated``.
     """
     if state.k < 1:
         raise DimensionError("the decomposition has no step to project")
@@ -209,4 +209,4 @@ def project(state, stop_reason, prior, rule, noise_norm=None, s_true=None):
                 relerr = float(np.linalg.norm(solution - s_true) / s_true_norm)
             history.append(Iterate(k, relerr, float(lam), residual))
 
-    return ReconRecord(history, solution, stop_reason, timings)
+    return ReconRecord(history, solution, "breakdown" if state.terminated else "max_iter", timings)

@@ -226,8 +226,6 @@ def system_matrix(geom):
 class RadonOperator(LinearOperator):
     """The CT forward model as its CSR system matrix; the adjoint is the exact transpose."""
 
-    kind = "radon"
-
     def __init__(self, geom):
         super().__init__(geom.nrows, geom.ncols)
         self.geom = geom

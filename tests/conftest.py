@@ -64,8 +64,6 @@ def config_to_json(cfg, path=None):
 class DenseOperator(linop.LinearOperator):
     """Operator backed by an explicit dense matrix."""
 
-    kind = "dense"
-
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2:
@@ -81,8 +79,6 @@ class DenseOperator(linop.LinearOperator):
 
 
 class IdentityOperator(linop.LinearOperator):
-    kind = "identity"
-
     def __init__(self, n):
         super().__init__(n, n)
 
@@ -188,18 +184,12 @@ class DenseSPDCovariance:
         self.mat = np.asarray(mat, dtype=float)
         self.n = self.mat.shape[0]
 
-    @property
-    def is_identity(self):
-        return False
-
     def apply(self, x):
         return self.mat @ x
 
 
 class ComposedOperator(linop.LinearOperator):
     """Composition outer @ inner, applied matrix-free."""
-
-    kind = "composed"
 
     def __init__(self, outer, inner):
         if outer.ncols != inner.nrows:

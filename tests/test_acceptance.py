@@ -74,7 +74,7 @@ def test_criterion_01_relation_table(desk):
     reports = {}
     for beta in (1e-2, 1e-4, 1e-6):
         model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=DESK_SEED)
-        state, _ = bidiag.igenGK_run(A, model, pm, nm, d, DESK_ITERS)
+        state = bidiag.igenGK_run(A, model, pm, nm, d, DESK_ITERS)
         reports[beta] = bidiag.relation_diagnostics(state, A, pm, nm)
     elapsed = time.perf_counter() - t0
 
@@ -105,14 +105,14 @@ def test_criterion_02_reduction_chain():
         pm_gen = prior.PriorModel(mu=np.zeros(15), Q=DenseSPDCovariance(Qm))
         nm_gen = prior.NoiseModel(sigma=1.5, dimension=20)
         zero = linop.InexactnessModel(mode="gaussian-entry", beta=0.0, seed=seed)
-        s_inexact, _ = bidiag.igenGK_run(A, zero, pm_gen, nm_gen, b, 8)
-        s_exact, _ = bidiag.igenGK_run(A, linop.EXACT, pm_gen, nm_gen, b, 8)
+        s_inexact = bidiag.igenGK_run(A, zero, pm_gen, nm_gen, b, 8)
+        s_exact = bidiag.igenGK_run(A, linop.EXACT, pm_gen, nm_gen, b, 8)
         worst = max(worst, float(np.max(np.abs(s_inexact.M - s_exact.M))))
         worst = max(worst, float(np.max(np.abs(s_inexact.V - s_exact.V))))
 
         pm_id = prior.identity_prior(15)
         nm_id = prior.NoiseModel(sigma=1.0, dimension=20)
-        eng, _ = bidiag.igenGK_run(A, zero, pm_id, nm_id, b, 8)
+        eng = bidiag.igenGK_run(A, zero, pm_id, nm_id, b, 8)
         gk = gk_decompose(A, b, 8, reorthogonalize=True)
         for k in range(1, 9):
             y_eng = solve.projected_tikhonov(

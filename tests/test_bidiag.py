@@ -80,6 +80,16 @@ def test_init_rejects_zero_rhs():
         bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.zeros(3), 1)
 
 
+def test_degenerate_first_step_does_not_terminate_the_state():
+    """A^T b = 0 at i = 1 is an input error, not a breakdown: ``terminated`` stays unset."""
+    A = DenseOperator(np.diag([1.0, 0.0]))
+    pm, nm = identity_setting(2, 2)
+    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.array([0.0, 1.0]), 3)
+    with pytest.raises(DegenerateInputError):
+        bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
+    assert not state.terminated and state.k == 0
+
+
 def test_init_rejects_overflowing_normalization():
     # ||A^T b||^2 overflows to inf, which must not normalize v1 to zero.
     A = DenseOperator(np.full((3, 2), 1e200))
@@ -104,24 +114,24 @@ def test_engine_matches_two_term_oracle():
     b = rng.standard_normal(10)
     A = DenseOperator(mat)
     pm, nm = identity_setting(10, 8)
-    state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 5)
+    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 5)
     oracle = gk_decompose(A, b, 5)
     assert np.max(np.abs(state.M - oracle.M[:6, :5])) <= 1e-12
     assert basis_sign_distance(state.U, oracle.U) <= 1e-10
     assert basis_sign_distance(state.V, oracle.V) <= 1e-10
 
 
-# (rows, columns, steps, stop reason) of each case: a wide A fills the U side
-# first, a tall one the V side, so the recurrence breaks down on that side
-# after min(m, n) columns. A U-side breakdown comes in the step that builds
-# column min(m, n), a V-side one in the step after it, so a tall A run for
-# exactly min(m, n) steps stops at max_iter.
+# (rows, columns, steps, whether it breaks down) of each case: a wide A fills
+# the U side first, a tall one the V side, so the recurrence breaks down on
+# that side after min(m, n) columns. A U-side breakdown comes in the step that
+# builds column min(m, n), a V-side one in the step after it, so a tall A run
+# for exactly min(m, n) steps does not break down.
 STEP_CASES = {
-    "exact": (12, 9, 6, "max_iter"),
-    "gaussian-entry": (12, 9, 6, "max_iter"),
-    "u-breakdown": (3, 5, 6, "breakdown"),
-    "v-breakdown": (5, 3, 6, "breakdown"),
-    "v-limit": (5, 3, 3, "max_iter"),
+    "exact": (12, 9, 6, False),
+    "gaussian-entry": (12, 9, 6, False),
+    "u-breakdown": (3, 5, 6, True),
+    "v-breakdown": (5, 3, 6, True),
+    "v-limit": (5, 3, 3, False),
 }
 
 
@@ -130,7 +140,7 @@ def test_each_step_is_a_leading_block_of_the_run(case):
     """A step only appends to M and Z: after every step of an init/step loop,
     M and Z equal, bit for bit, the leading blocks of the final state of
     ``igenGK_run``, so a solve can select lambda after the decomposition."""
-    m, n, steps, expected_reason = STEP_CASES[case]
+    m, n, steps, breaks_down = STEP_CASES[case]
     rng = np.random.default_rng(12)
     A = DenseOperator(rng.standard_normal((m, n)))
     b = rng.standard_normal(m)
@@ -150,8 +160,8 @@ def test_each_step_is_a_leading_block_of_the_run(case):
         if state.terminated:
             break
 
-    final, reason = bidiag.igenGK_run(A, inexact, pm, nm, b, steps)
-    assert reason == expected_reason
+    final = bidiag.igenGK_run(A, inexact, pm, nm, b, steps)
+    assert final.terminated == state.terminated == breaks_down
     assert final.k == min(steps, m, n)
     # The step that finds the vanishing v adds nothing, but the loop records it.
     assert len(copies) == final.k + (case == "v-breakdown")
@@ -165,8 +175,8 @@ def test_each_step_is_a_leading_block_of_the_run(case):
         np.testing.assert_array_equal(Z, final.Z[:, :k])
     if case == "v-limit":
         # One step more asks for the vanishing v and changes nothing else.
-        longer, reason = bidiag.igenGK_run(A, inexact, pm, nm, b, steps + 1)
-        assert reason == "breakdown"
+        longer = bidiag.igenGK_run(A, inexact, pm, nm, b, steps + 1)
+        assert longer.terminated
         np.testing.assert_array_equal(longer.M, final.M)
         np.testing.assert_array_equal(longer.Z, final.Z)
 
@@ -208,8 +218,8 @@ def test_k_steps_make_k_products_of_each_kind(mode, monkeypatch):
         linop, "perturbed_apply_adjoint", recording("adj", linop.perturbed_apply_adjoint)
     )
     monkeypatch.setattr(pm.Q, "apply", recording_q)
-    state, reason = bidiag.igenGK_run(A, PRODUCT_MODELS[mode], pm, nm, b, PRODUCT_STEPS)
-    assert reason == "max_iter" and state.k == PRODUCT_STEPS
+    state = bidiag.igenGK_run(A, PRODUCT_MODELS[mode], pm, nm, b, PRODUCT_STEPS)
+    assert not state.terminated and state.k == PRODUCT_STEPS
     assert products == [
         (direction, k) for k in range(1, PRODUCT_STEPS + 1) for direction in ("adj", "fwd")
     ]
@@ -224,8 +234,8 @@ def test_inexact_zero_beta_reduces_bitwise():
     A = DenseOperator(mat)
     pm, nm = generalized_setting(12, 9, seed=4)
     zero_err = linop.InexactnessModel(mode="gaussian-entry", beta=0.0, seed=5)
-    s1, _ = bidiag.igenGK_run(A, zero_err, pm, nm, b, 6)
-    s2, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
+    s1 = bidiag.igenGK_run(A, zero_err, pm, nm, b, 6)
+    s2 = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
     np.testing.assert_array_equal(s1.U, s2.U)
     np.testing.assert_array_equal(s1.V, s2.V)
     np.testing.assert_array_equal(s1.M, s2.M)
@@ -239,7 +249,7 @@ def test_reduction_chain_to_classic_gk():
         b = rng.standard_normal(20)
         A = DenseOperator(mat)
         pm, nm = identity_setting(20, 15)
-        eng, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 8)
+        eng = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 8)
         gk = gk_decompose(A, b, 8, reorthogonalize=True)
         assert basis_sign_distance(eng.U, gk.U) <= 1e-10
         assert basis_sign_distance(eng.V, gk.V) <= 1e-10
@@ -295,7 +305,7 @@ def test_weighted_orthogonality_invariants():
     b = rng.standard_normal(25)
     A = DenseOperator(mat)
     pm, nm = generalized_setting(25, 18, seed=9)
-    state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 10)
+    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 10)
     rep = bidiag.relation_diagnostics(state, A, pm, nm)
     assert rep.err_Vorth <= 1e-10
     assert rep.err_Uorth <= 1e-10
@@ -310,7 +320,7 @@ def test_hessenberg_and_triangular_structure_exact():
     A = DenseOperator(mat)
     pm, nm = generalized_setting(15, 12, seed=11)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=12)
-    state, _ = bidiag.igenGK_run(A, model, pm, nm, b, 7)
+    state = bidiag.igenGK_run(A, model, pm, nm, b, 7)
     M, C = state.M, state.C
     for j in range(M.shape[0]):
         for i in range(M.shape[1]):
@@ -328,7 +338,7 @@ def test_exact_modes_numerically_bidiagonal():
     b = rng.standard_normal(15)
     A = DenseOperator(mat)
     pm, nm = generalized_setting(15, 12, seed=14)
-    state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 7)
+    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 7)
     scale = np.linalg.norm(state.M)
     for i in range(state.M.shape[1]):
         for j in range(i):
@@ -344,8 +354,8 @@ def test_z_is_q_times_v(beta):
     A = DenseOperator(mat)
     pm, nm = generalized_setting(15, 12, seed=16)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=17)
-    state, reason = bidiag.igenGK_run(A, model, pm, nm, b, 6)
-    assert reason == "max_iter"
+    state = bidiag.igenGK_run(A, model, pm, nm, b, 6)
+    assert not state.terminated
     assert state.Z.shape == state.V.shape == (12, 6)
     for j in range(6):
         ref = pm.Q.mat @ state.V[:, j]
@@ -356,7 +366,7 @@ def test_z_is_v_under_identity_prior():
     rng = np.random.default_rng(22)
     A = DenseOperator(rng.standard_normal((15, 12)))
     pm, nm = identity_setting(15, 12)
-    state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, rng.standard_normal(15), 6)
+    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, rng.standard_normal(15), 6)
     np.testing.assert_array_equal(state.Z, state.V)
 
 
@@ -366,7 +376,7 @@ def test_diagnostics_do_not_read_z():
     b = rng.standard_normal(15)
     A = DenseOperator(mat)
     pm, nm = generalized_setting(15, 12, seed=19)
-    state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
+    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
     before = bidiag.relation_diagnostics(state, A, pm, nm)._asdict()
     state.Z[:] = 0.0
     after = bidiag.relation_diagnostics(state, A, pm, nm)._asdict()
@@ -385,6 +395,7 @@ def test_state_is_allocated_once_at_its_run_length():
     pm, nm = generalized_setting(m, n, seed=21)
     state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, steps)
     assert state.capacity == steps
+    assert state._Z is not state._V
     taken = []
     for k in range(1, steps + 1):
         bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
@@ -417,6 +428,34 @@ def test_state_capacity_is_bounded_by_the_operator():
     assert state._Z is state._V
 
 
+class ClaimsIdentity:
+    """Q = 2 I behind a claim to be the identity."""
+
+    is_identity = True
+
+    def __init__(self, n):
+        self.n = n
+
+    def apply(self, x):
+        return 2.0 * np.asarray(x, dtype=float)
+
+
+def test_z_aliases_v_only_for_the_identity_covariance_type():
+    """Z shares V's buffer only when Q is an ``IdentityCovariance``: a Q that
+    only claims to be the identity gets its own Z, and Z = Q V."""
+    rng = np.random.default_rng(25)
+    m, n = 12, 8
+    A = DenseOperator(rng.standard_normal((m, n)))
+    b = rng.standard_normal(m)
+    nm = prior.NoiseModel(sigma=1.0, dimension=m)
+    pm = prior.PriorModel(mu=np.zeros(n), Q=ClaimsIdentity(n))
+    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 5)
+    assert state.k == 5
+    assert state._Z is not state._V
+    QV = 2.0 * state.V
+    assert np.linalg.norm(state.Z - QV) <= 1e-12 * np.linalg.norm(QV)
+
+
 def test_run_allocates_its_bases_once():
     """The traced peak of a generalized run stays within the bytes of U, V, Z,
     M and C at their final size plus a few vectors: no growth copies, no
@@ -428,11 +467,11 @@ def test_run_allocates_its_bases_once():
     pm, nm = generalized_setting(m, n, seed=24)
     tracemalloc.start()
     try:
-        state, reason = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, steps)
+        state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert reason == "max_iter" and state.k == steps
+    assert not state.terminated and state.k == steps
     bases = 8 * (m * (steps + 1) + 2 * n * steps + (steps + 1) * steps + steps * steps)
     assert peak <= bases + 8 * 8 * (m + n)
 
@@ -443,8 +482,8 @@ def test_short_angle_schedule_is_rejected_before_any_product(monkeypatch):
     b = tomo.synthesize_observation(A, tomo.make_phantom(16), 0.0, seed=1)[0]
     pm, nm = identity_setting(geom.nrows, geom.ncols)
     model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2), seed=5)
-    state, reason = bidiag.igenGK_run(A, model, pm, nm, b, 2)
-    assert state.k == 2 and reason == "max_iter"
+    state = bidiag.igenGK_run(A, model, pm, nm, b, 2)
+    assert state.k == 2 and not state.terminated
 
     def no_product(*args):
         raise AssertionError("a product was made")
@@ -472,7 +511,7 @@ def small_ct_problem():
 def test_ct_orthogonality_with_inexact_products(small_ct_problem):
     A, pm, nm, d = small_ct_problem
     model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=77)
-    state, _ = bidiag.igenGK_run(A, model, pm, nm, d, 25)
+    state = bidiag.igenGK_run(A, model, pm, nm, d, 25)
     rep = bidiag.relation_diagnostics(state, A, pm, nm)
     assert rep.err_Vorth <= 1e-12
     assert rep.err_Uorth <= 1e-12
@@ -483,7 +522,7 @@ def test_ct_relation_errors_scale_linearly(small_ct_problem):
     errs = {}
     for beta in (1e-2, 1e-4):
         model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=78)
-        state, _ = bidiag.igenGK_run(A, model, pm, nm, d, 20)
+        state = bidiag.igenGK_run(A, model, pm, nm, d, 20)
         errs[beta] = bidiag.relation_diagnostics(state, A, pm, nm)
     ratio_adj = errs[1e-2].err_adjoint / errs[1e-4].err_adjoint
     ratio_fwd = errs[1e-2].err_forward / errs[1e-4].err_forward
@@ -494,7 +533,7 @@ def test_ct_relation_errors_scale_linearly(small_ct_problem):
 
 def test_exact_relations_at_rounding_level(small_ct_problem):
     A, pm, nm, d = small_ct_problem
-    state, _ = bidiag.igenGK_run(A, linop.EXACT, pm, nm, d, 15)
+    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, d, 15)
     rep = bidiag.relation_diagnostics(state, A, pm, nm)
     assert rep.err_adjoint <= 1e-10
     assert rep.err_forward <= 1e-10

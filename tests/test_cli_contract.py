@@ -5,6 +5,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -124,3 +125,30 @@ def test_extreme_magnitudes_exit_with_documented_code(
             assert outputs
             for output in outputs:
                 json.loads(output.read_text(), parse_constant=reject_constant)
+
+
+# A UTF-16 byte-order mark, and nesting deeper than the JSON parser recurses.
+UNREADABLE_CONFIGS = {"not-utf8": b"\xff\xfe{\x00}\x00", "too-deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("name", list(UNREADABLE_CONFIGS))
+def test_unreadable_config_file_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(UNREADABLE_CONFIGS[name])
+    out = tmp_path / "out"
+    assert cli.main(["reconstruct", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 12.1 GiB for an array")
+
+    monkeypatch.setitem(harness.COMMANDS, "reconstruct", out_of_memory)
+    out = tmp_path / "out"
+    assert cli.main(["reconstruct", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 12.1 GiB for an array\n"
+    assert not out.exists()

@@ -6,12 +6,7 @@ from scipy import stats
 
 from igenkrylov import linop
 from igenkrylov.rng import DIR_ADJOINT, DIR_FORWARD, TAG_MATVEC_ERROR, substream
-from igenkrylov.errors import (
-    DimensionError,
-    InvalidInputError,
-    InvalidParameterError,
-    UnsupportedError,
-)
+from igenkrylov.errors import DimensionError, InvalidInputError, InvalidParameterError
 
 from conftest import ComposedOperator, DenseOperator, IdentityOperator, dot_test, naive_matvec
 
@@ -230,10 +225,3 @@ def test_model_validation():
     for entry in (-0.1, float("nan"), float("inf")):
         with pytest.raises(InvalidParameterError):
             linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, entry))
-
-
-def test_structural_perturbation_unsupported_on_dense():
-    op = DenseOperator(np.eye(4))
-    model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1,), seed=0)
-    with pytest.raises(UnsupportedError):
-        linop.perturbed_apply(op, model, 1, np.ones(4))

@@ -260,4 +260,4 @@ def test_prior_model_validation():
     with pytest.raises(DimensionError):
         prior.PriorModel(mu=np.zeros(4), Q=Q)
     pm = prior.identity_prior(3)
-    assert pm.Q.is_identity and pm.Q.n == 3
+    assert isinstance(pm.Q, prior.IdentityCovariance) and pm.Q.n == 3

@@ -256,9 +256,14 @@ def test_optimal_beats_every_grid_point():
         assert fsel <= f(la) * (1 + 1e-12)
 
 
-def oracle_error(oracle, prob):
-    """The full oracle error as a function of lambda, from ``OracleError.error_terms``."""
-    const, terms = oracle.error_terms(prob)
+def oracle_error(pm, s_true, Z, prob):
+    """The full oracle error as a function of lambda: ``OracleError.error_terms``
+    plus the constant ||mu - s_true||^2 - e_k^T e_k that it leaves out."""
+    oracle = regparam.OracleError(pm, s_true, Z)
+    d = pm.mu - s_true
+    e = oracle.e[: prob.M.shape[1]]
+    const = float(np.dot(d, d)) - float(np.dot(e, e))
+    terms = oracle.error_terms(prob)
     return lambda lam: const + terms(lam)[0]
 
 
@@ -272,7 +277,7 @@ def test_gram_oracle_error_matches_explicit_error():
     Z = rng.standard_normal((40, 8))
     pm = shifted_prior(40, rng)
     s_true = rng.standard_normal(40)
-    error = oracle_error(regparam.OracleError(pm, s_true, Z), prob)
+    error = oracle_error(pm, s_true, Z, prob)
     for lam in regparam._lambda_grid(prob):
         y, _ = solve.projected_tikhonov(prob, lam)
         explicit = np.linalg.norm(solve.recover_solution(pm, Z, y) - s_true) ** 2
@@ -284,8 +289,7 @@ def test_grid_objectives_match_scalar_evaluations():
     prob = make_prob(rng.standard_normal((8, 7)), 1.2)
     grid = regparam._lambda_grid(prob)
     pm = shifted_prior(30, rng)
-    oracle = regparam.OracleError(pm, rng.standard_normal(30), rng.standard_normal((30, 7)))
-    error = oracle_error(oracle, prob)
+    error = oracle_error(pm, rng.standard_normal(30), rng.standard_normal((30, 7)), prob)
     np.testing.assert_allclose(error(grid), [error(lam) for lam in grid], rtol=1e-12)
     for omega in (1.0, 0.4):
         wgcv = regparam.wgcv_value(prob, grid, omega)
@@ -309,7 +313,7 @@ def test_leading_gram_blocks_select_from_scratch_lambda():
     problem = harness.build_problem(cfg)
     args = (problem.A, harness.inexactness_for(cfg), problem.prior, problem.noise)
     iterations = 16
-    state, _ = bidiag.igenGK_run(*args, problem.b, iterations)
+    state = bidiag.igenGK_run(*args, problem.b, iterations)
     assert state.k == iterations
     oracle = regparam.OracleError(problem.prior, problem.s_true, state.Z[:, : state.k])
     d = problem.prior.mu - problem.s_true

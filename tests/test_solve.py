@@ -213,7 +213,7 @@ def test_project_rejects_a_state_without_steps():
     _, _, _, b, A, pm, nm = full_rank_generalized_problem(11)
     state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 1)
     with pytest.raises(DimensionError):
-        solve.project(state, "max_iter", pm, regparam.RegConfig(rule="none"))
+        solve.project(state, pm, regparam.RegConfig(rule="none"))
 
 
 def test_one_decomposition_projects_as_each_rule_solves(small_ct):
@@ -228,7 +228,7 @@ def test_one_decomposition_projects_as_each_rule_solves(small_ct):
     nm = prior.NoiseModel(sigma=1.0, dimension=geom.nrows)
     inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=5)
     args = (A, inexact, pm, nm, b, 10)
-    state, stop_reason = bidiag.igenGK_run(*args)
+    state = bidiag.igenGK_run(*args)
     before = [arr.copy() for arr in (state.U, state.M, state.Z, state.C)]
     rules = [
         regparam.RegConfig(rule="none"),
@@ -239,7 +239,7 @@ def test_one_decomposition_projects_as_each_rule_solves(small_ct):
         regparam.RegConfig(rule="wgcv", omega_mode="adaptive"),
     ]
     for rule in rules:
-        projected = solve.project(state, stop_reason, pm, rule, noise_norm, s_true)
+        projected = solve.project(state, pm, rule, noise_norm, s_true)
         solved = solve.run_iterative_solve(*args, rule, noise_norm, s_true)
         assert projected.iterations == 10
         assert projected.history == solved.history, rule
