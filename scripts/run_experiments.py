@@ -15,7 +15,8 @@ n=128).
 ``sweep`` is the byte-identity sweep: every solver mode under every rule,
 both rule comparisons and angle studies, the relation check, the rule
 options that only a configuration file sets, a Matern prior of an order
-without a closed form, and a run that breaks down.
+without a closed form, and runs that break down, one of them with angle
+jitter.
 Run it at two commits, or twice at one, from same-named directories;
 apart from timings.json every file must be byte-identical, which
 ``compare`` checks:
@@ -77,6 +78,13 @@ SWEEP_CONFIGS = {
     },
     "limit-gk-dp-n16": {
         "geometry": {"n": 16}, "mode": "gk", "reg": {"rule": "dp"}, "max_iter": 256,
+    },
+    # The one angle-jitter run that stops (by breakdown, at k = 38) long
+    # before the last magnitude of its schedule.
+    "angles-breakdown-igk-n16": {
+        "geometry": {"n": 16, "angle_count": 2, "angle_step": 90.0}, "mode": "igk",
+        "inexactness": {"mode": "angle-perturbation"}, "reg": {"rule": "optimal"},
+        "max_iter": 100, "seed": 7,
     },
 }
 

@@ -123,8 +123,8 @@ def igenGK_init(A, inexact, prior, noise, b, steps):
     The state's buffers are allocated once, for capacity = min(steps, m, n)
     steps: past min(m, n) every new v must vanish, so a longer run makes the
     adjoint product of one more step and stops there. Raises DimensionError
-    when b does not fit A or an angle-perturbation schedule has fewer entries
-    than the min(steps, capacity + 1) steps that can make a product,
+    when b does not fit A or an angle-perturbation schedule is shorter than
+    the min(steps, capacity + 1) steps that can make a product,
     DegenerateInputError when b is zero and NumericalError when its norm is
     not finite.
     """
@@ -133,9 +133,9 @@ def igenGK_init(A, inexact, prior, noise, b, steps):
         raise DimensionError("right-hand side length does not match operator rows")
     capacity = max(min(steps, A.nrows, A.ncols), 0)
     reached = min(steps, capacity + 1)
-    if inexact.mode == "angle-perturbation" and len(inexact.schedule) < reached:
+    if inexact.mode == "angle-perturbation" and inexact.schedule[2] < reached:
         raise DimensionError(
-            f"angle schedule has {len(inexact.schedule)} entries for a {reached}-step run"
+            f"angle schedule has {inexact.schedule[2]} entries for a {reached}-step run"
         )
     with overflow_checked():
         beta1 = _finite(weighted_norm(b, noise.apply_rinv(b)), "beta1")

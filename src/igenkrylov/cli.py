@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import SOLVER_MODES, config_from_json, preset
+from .config import PRESETS, SOLVER_MODES, config_from_json, preset
 from .errors import ConfigError, IgenKrylovError, NumericalError
 from .harness import COMMANDS
 from .regparam import RULES
@@ -30,7 +30,7 @@ def build_parser():
         p = sub.add_parser(name)
         source = p.add_mutually_exclusive_group()
         source.add_argument("--config", help="JSON configuration file")
-        source.add_argument("--preset", choices=("desk", "paper"), default=None)
+        source.add_argument("--preset", choices=PRESETS, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--max-iter", type=int, default=None)
@@ -44,12 +44,9 @@ def build_parser():
 
 def assemble_config(args):
     if args.config:
-        cfg = config_from_json(args.config)
+        cfg = replace(config_from_json(args.config), experiment=args.command)
     else:
-        cfg = preset(args.preset or "desk")
-    cfg = replace(cfg, experiment=args.command)
-    if args.command == "inexact-angles" and args.preset == "paper" and args.max_iter is None:
-        cfg = replace(cfg, max_iter=100)
+        cfg = preset(args.preset or "desk", args.command)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:

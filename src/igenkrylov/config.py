@@ -7,7 +7,7 @@ the fields it overrides.
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import FLOAT_MAX, ConfigError
 from .harness import COMMANDS
@@ -201,10 +201,15 @@ def config_from_json(path):
     return config_from_dict(data)
 
 
-def preset(name):
-    """Built-in configurations: 'desk' runs in minutes, 'paper' at full scale."""
+PRESETS = ("desk", "paper")
+
+
+def preset(name, experiment="reconstruct"):
+    """Built-in configuration of ``experiment``: 'desk' at n=64 (the four experiments take about
+    3 s on one core), 'paper' at n=128 (about 12 s), whose angle study makes 100 iterations."""
     if name == "desk":
-        return ExperimentConfig()
+        return ExperimentConfig(experiment=experiment)
     if name == "paper":
-        return ExperimentConfig(geometry=GeometryConfig(n=128), max_iter=50)
+        cfg = ExperimentConfig(experiment=experiment, geometry=GeometryConfig(n=128))
+        return replace(cfg, max_iter=100) if experiment == "inexact-angles" else cfg
     raise ConfigError(f"unknown preset {name!r}")

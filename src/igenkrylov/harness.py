@@ -77,23 +77,6 @@ def build_problem(cfg):
     return CTProblem(A, prior_model, noise, s_true, d, noise_norm / noise.sigma)
 
 
-def _geomspace_head(start, end, num, count):
-    """``np.geomspace(start, end, num)[:count]`` bit for bit, for positive ``start`` and ``end``.
-
-    The same NumPy operations as ``geomspace``, on the ``count`` leading
-    exponents only.
-    """
-    log_start, log_end = np.log10(start), np.log10(end)
-    exponent = np.arange(count, dtype=float)
-    exponent *= (log_end - log_start) / (num - 1) if num > 1 else 0.0
-    exponent += log_start
-    head = np.power(10.0, exponent)
-    head[0] = start
-    if num > 1 and count == num:
-        head[-1] = end
-    return head
-
-
 def inexactness_for(cfg, beta=None, angles=None):
     """The InexactnessModel of a run; no other code turns a config into one.
 
@@ -104,10 +87,10 @@ def inexactness_for(cfg, beta=None, angles=None):
     ``angle_schedules``. The two sweep commands bring their own inexactness
     whatever the mode: ``verify-relations`` passes each of ``betas`` as
     ``beta`` and ``inexact-angles`` each of ``angle_schedules`` as ``angles``
-    (its exact baseline is ``EXACT``). A schedule ``(start, end)`` jitters
-    iteration k by ``np.geomspace(start, end, max_iter)[k - 1]``; only the
-    magnitudes of the iterations that can make a product are built. The seed
-    is ``inexactness.seed``, else the experiment ``seed``. An empty
+    (its exact baseline is ``EXACT``). A schedule ``(start, end)`` becomes
+    the model's ``(start, end, max_iter)``, which jitters iteration k by
+    ``np.geomspace(start, end, max_iter)[k - 1]``. The seed is
+    ``inexactness.seed``, else the experiment ``seed``. An empty
     ``angle_schedules`` is a ``ConfigError`` only where the first schedule
     is needed.
     """
@@ -124,11 +107,7 @@ def inexactness_for(cfg, beta=None, angles=None):
             angles = cfg.angle_schedules[0]
     seed = cfg.inexactness.seed if cfg.inexactness.seed is not None else cfg.seed
     if angles is not None:
-        g = cfg.geometry
-        # A run makes at most min(rows, pixels) steps, and then the adjoint
-        # product of one more, which finds no new v (bidiag.igenGK_init).
-        count = min(cfg.max_iter, min(g.nrows, g.n * g.n) + 1)
-        schedule = _geomspace_head(*angles, cfg.max_iter, count)
+        schedule = (*angles, cfg.max_iter)
         return InexactnessModel(mode="angle-perturbation", schedule=schedule, seed=seed)
     return InexactnessModel(mode="gaussian-entry", beta=float(beta), seed=seed)
 

@@ -66,10 +66,11 @@ MODES = ("none", "gaussian-entry", "angle-perturbation")
 class InexactnessModel:
     """How matrix-vector products are corrupted, and from which random stream.
 
-    ``beta`` is the entry standard deviation of the additive error matrices;
-    ``schedule`` holds per-iteration magnitudes for the angle-perturbation
-    mode; both are finite and nonnegative. Given the same (seed, iteration,
-    direction) the realized error is identical across runs.
+    ``beta`` is the entry standard deviation of the additive error matrices,
+    finite and nonnegative. The angle-perturbation mode jitters iteration k by
+    ``magnitude(k)`` of its ``schedule`` ``(start, end, steps)``, start and end
+    finite and positive. Given the same (seed, iteration, direction) the
+    realized error is identical across runs.
     """
 
     mode: str = "none"
@@ -85,11 +86,27 @@ class InexactnessModel:
         if self.seed < 0:
             raise InvalidParameterError("seed must be nonnegative")
         if self.schedule is not None:
-            object.__setattr__(self, "schedule", tuple(float(a) for a in self.schedule))
-            if not all(0 <= a <= FLOAT_MAX for a in self.schedule):
-                raise InvalidParameterError("schedule entries must be finite and nonnegative")
+            start, end, steps = self.schedule
+            if not (0 < start <= FLOAT_MAX and 0 < end <= FLOAT_MAX):
+                raise InvalidParameterError("schedule start and end must be finite and positive")
+            if not (isinstance(steps, int) and steps >= 1):
+                raise InvalidParameterError("schedule steps must be a positive integer")
+            object.__setattr__(self, "schedule", (float(start), float(end), steps))
         if self.mode == "angle-perturbation" and self.schedule is None:
             raise InvalidParameterError("angle-perturbation mode requires a schedule")
+
+    def magnitude(self, k):
+        """``np.geomspace(start, end, steps)[k - 1]`` bit for bit: its operations on one exponent."""
+        start, end, steps = self.schedule
+        if not 1 <= k <= steps:
+            raise InvalidParameterError(f"iteration {k} is outside the {steps}-step schedule")
+        if k == 1:
+            return start
+        if k == steps:
+            return end
+        log_start = np.log10(start)
+        step = (np.log10(end) - log_start) / (steps - 1)
+        return float(np.power(10.0, (k - 1) * step + log_start))
 
     @property
     def active(self):

@@ -242,9 +242,8 @@ class RadonOperator(LinearOperator):
         return self._matT @ y
 
     def perturbed_variant(self, model, k):
-        """Radon operator rebuilt with iteration-k jittered projection angles."""
-        alpha_k = model.schedule[k - 1]
-        return _jittered_operator(self.geom, float(alpha_k), int(model.seed), int(k))
+        """Radon operator rebuilt with the angles jittered by ``model.magnitude(k)``."""
+        return _jittered_operator(self.geom, model.magnitude(k), int(model.seed), int(k))
 
 
 # One entry here and in system_matrix: both products of iteration k come from one step.

@@ -186,7 +186,7 @@ PRODUCT_MODELS = {
     "exact": linop.EXACT,
     "gaussian-entry": linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=23),
     "angle-perturbation": linop.InexactnessModel(
-        mode="angle-perturbation", schedule=np.geomspace(1e-1, 1e-3, PRODUCT_STEPS), seed=23
+        mode="angle-perturbation", schedule=(1e-1, 1e-3, PRODUCT_STEPS), seed=23
     ),
 }
 
@@ -481,7 +481,7 @@ def test_short_angle_schedule_is_rejected_before_any_product(monkeypatch):
     A = tomo.RadonOperator(geom)
     b = tomo.synthesize_observation(A, tomo.make_phantom(16), 0.0, seed=1)[0]
     pm, nm = identity_setting(geom.nrows, geom.ncols)
-    model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2), seed=5)
+    model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2, 2), seed=5)
     state = bidiag.igenGK_run(A, model, pm, nm, b, 2)
     assert state.k == 2 and not state.terminated
 

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from igenkrylov import bidiag, cli, harness, solve
+from igenkrylov import bidiag, cli, harness, linop, solve
 from igenkrylov.config import (
     ExperimentConfig,
     GeometryConfig,
@@ -394,9 +394,9 @@ def test_angle_perturbation_runs_with_one_iteration(tmp_path):
 def test_angle_schedule_head_equals_the_full_geomspace(start, end):
     for num in (1, 2, 3, 7, 20, 257, 1000, 12345):
         full = np.geomspace(start, end, num)
-        for count in {1, max(num // 3, 1), max(num // 2, 1), max(num - 1, 1), num}:
-            head = harness._geomspace_head(start, end, num, count)
-            assert np.array_equal(head, full[:count]), (num, count)
+        model = linop.InexactnessModel(mode="angle-perturbation", schedule=(start, end, num))
+        magnitudes = [model.magnitude(k) for k in range(1, num + 1)]
+        assert np.array_equal(magnitudes, full), num
 
 
 def pixel_bound_angle_config(max_iter):
@@ -415,12 +415,13 @@ def test_long_angle_run_builds_only_the_reachable_schedule():
     tracemalloc.start()
     t0 = time.perf_counter()
     model = harness.inexactness_for(cfg)
+    magnitudes = [model.magnitude(k) for k in range(1, 258)]
     seconds = time.perf_counter() - t0
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert seconds < 0.1 and peak < 100_000, (seconds, peak)
     full = np.geomspace(*cfg.angle_schedules[0], cfg.max_iter)
-    assert model.schedule == tuple(full[:257])
+    assert magnitudes == list(full[:257])
 
 
 def test_angle_schedule_covers_the_step_past_capacity():
@@ -429,7 +430,7 @@ def test_angle_schedule_covers_the_step_past_capacity():
     cfg = pixel_bound_angle_config(300)
     problem = harness.build_problem(cfg)
     model = harness.inexactness_for(cfg)
-    assert len(model.schedule) == 257
+    assert model.schedule == (*cfg.angle_schedules[0], 300)
     state = bidiag.igenGK_run(
         problem.A, model, problem.prior, problem.noise, problem.b, cfg.max_iter
     )
@@ -602,10 +603,13 @@ def test_cli_config_and_preset_exclude_each_other(tmp_path, capsys):
             assert cli.main(argv) == 2
             assert "not allowed with argument" in capsys.readouterr().err
     assert not out.exists()
-    # Alone, each keeps its meaning: the file's max_iter, the paper angle study's 100.
+    # Alone, each keeps its meaning: the file's max_iter, the paper angle study's 100,
+    # which --max-iter overrides.
     parse = cli.build_parser().parse_args
     assert cli.assemble_config(parse(["inexact-angles", "--config", str(path)])).max_iter == 7
     assert cli.assemble_config(parse(["inexact-angles", "--preset", "paper"])).max_iter == 100
+    argv = ["inexact-angles", "--preset", "paper", "--max-iter", "7"]
+    assert cli.assemble_config(parse(argv)).max_iter == 7
 
 
 def test_cli_output_error_exit_code(tmp_path, capsys):

@@ -222,6 +222,14 @@ def test_model_validation():
         linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=-1)
     with pytest.raises(InvalidParameterError):
         linop.InexactnessModel(mode="angle-perturbation")
-    for entry in (-0.1, float("nan"), float("inf")):
+    for entry in (-0.1, 0.0, float("nan"), float("inf")):
+        for schedule in ((0.1, entry, 5), (entry, 0.1, 5)):
+            with pytest.raises(InvalidParameterError):
+                linop.InexactnessModel(mode="angle-perturbation", schedule=schedule)
+    for steps in (0, -1, 2.0):
         with pytest.raises(InvalidParameterError):
-            linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, entry))
+            linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2, steps))
+    model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2, 5))
+    for k in (0, 6):
+        with pytest.raises(InvalidParameterError):
+            model.magnitude(k)
