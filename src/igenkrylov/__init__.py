@@ -11,15 +11,5 @@ Subpackages:
 """
 
 from . import bidiag, config, harness, linop, prior, regparam, solve, tomo
-from .errors import (
-    BreakdownSignal,
-    ConfigError,
-    DegenerateInputError,
-    DimensionError,
-    IgenKrylovError,
-    InvalidInputError,
-    InvalidParameterError,
-    NumericalError,
-)
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ triangular matrix, which is what keeps the bases orthonormal at machine
 precision regardless of the error level. Iteration k makes the adjoint product
 that gives v_k, then the forward product that gives u_{k+1}, so a k-step state
 holds U_{k+1}, V_k, M_k and L_k, all that the factorization relations use.
+A breakdown is not an error: the step sets the state's ``terminated`` flag.
 """
 
 import math
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linop
-from .errors import BreakdownSignal, DegenerateInputError, DimensionError, NumericalError
+from .errors import DegenerateInputError, DimensionError, NumericalError
 from .prior import IdentityCovariance, weighted_norm
 
 # Normalization coefficients below BREAKDOWN_RTOL * beta1 stop the recurrence.
@@ -92,9 +93,9 @@ def _finite(norm, what):
 def overflow_checked():
     """The floating-point state for computing normalizations that ``_finite`` checks.
 
-    NumPy's overflow and invalid-value warnings are off: a norm that
-    overflows is reported once, as a NumericalError. ``igenGK_init`` enters
-    it itself; a loop of ``igenGK_step`` calls enters it once around the loop.
+    NumPy's overflow and invalid-value warnings are off: an overflowing norm is
+    reported once, as a NumericalError. ``igenGK_init`` and ``igenGK_run`` enter
+    it; any other loop of ``igenGK_step`` calls enters it once around the loop.
     """
     return np.errstate(over="ignore", invalid="ignore")
 
@@ -159,13 +160,13 @@ def igenGK_step(state, A, inexact, prior, noise):
     of the U-side normalization the projected matrix is committed in square,
     terminal form (its last subdiagonal vanished), so the projected problem
     built so far is still solvable. Either breakdown sets ``terminated`` and
-    raises a BreakdownSignal. A normalization that is not finite, or a v_i
-    that does not vanish past the state's capacity (orthogonality lost),
-    raises NumericalError; call the step under ``overflow_checked`` for that
-    to be the only report.
+    returns the state; stepping a terminated state returns it unchanged. A
+    normalization that is not finite, or a v_i that does not vanish past the
+    state's capacity (orthogonality lost), raises NumericalError; call the
+    step under ``overflow_checked`` for that to be the only report.
     """
     if state.terminated:
-        raise BreakdownSignal("state is terminal")
+        return state
     i = state.k + 1
     tol = BREAKDOWN_RTOL * state.beta1
 
@@ -179,7 +180,7 @@ def igenGK_step(state, A, inexact, prior, noise):
             # No column can be built, so there is nothing to solve: an input error.
             raise DegenerateInputError("adjoint of right-hand side is degenerate")
         state.terminated = True
-        raise BreakdownSignal("V-side normalization vanished")
+        return state
     if i > state.capacity:
         raise NumericalError(
             f"v_{i} does not vanish past the {state.capacity} columns of the state: "
@@ -200,7 +201,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     if norm_u <= tol:
         # Terminal commit: M stays i-by-i, relations hold with U_i exactly.
         state.terminated = True
-        raise BreakdownSignal("U-side normalization vanished")
+        return state
     state._M[i, i - 1] = norm_u
     np.divide(u, norm_u, out=state._U[:, i])
     state._ucols = i + 1
@@ -211,16 +212,14 @@ def igenGK_run(A, inexact, prior, noise, b, steps):
     """The one decomposition loop: ``steps`` iterations, stopping gracefully on breakdown.
 
     Returns the state; its ``terminated`` says whether a breakdown ended the
-    run before ``steps`` iterations. A step only writes new columns of M and
-    Z, so every iteration's M and Z are leading blocks of the final ones.
+    run before ``steps`` iterations. A k-step run makes k step calls, one more
+    when a breakdown on the V side ends it. A step only writes new columns of
+    M and Z, so every iteration's M and Z are leading blocks of the final ones.
     """
     state = igenGK_init(A, inexact, prior, noise, b, steps)
     with overflow_checked():
-        for _ in range(steps):
-            try:
-                igenGK_step(state, A, inexact, prior, noise)
-            except BreakdownSignal:
-                break
+        while state.k < steps and not state.terminated:
+            igenGK_step(state, A, inexact, prior, noise)
     return state
 
 

@@ -7,7 +7,7 @@ the fields it overrides.
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import FLOAT_MAX, ConfigError
 from .harness import COMMANDS
@@ -67,6 +67,8 @@ class PriorConfig:
     def __post_init__(self):
         if not (0 < self.nu <= FLOAT_MAX and 0 < self.ell <= FLOAT_MAX):
             raise ConfigError("prior.nu and prior.ell must be finite and positive")
+        if not 1.0 / self.ell <= FLOAT_MAX:  # the kernel's scale is alpha = 1/ell
+            raise ConfigError("prior.ell must have a finite reciprocal (at least about 5.6e-309)")
 
 
 @dataclass(frozen=True)
@@ -127,12 +129,6 @@ class ExperimentConfig:
         for sched in self.angle_schedules:
             if len(sched) != 2 or not all(0 < a <= FLOAT_MAX for a in sched):
                 raise ConfigError("angle_schedules entries must be finite positive (start, end)")
-
-    def to_dict(self):
-        d = asdict(self)
-        d["betas"] = list(self.betas)
-        d["angle_schedules"] = [list(s) for s in self.angle_schedules]
-        return d
 
 
 def _is_number(v):

@@ -32,10 +32,3 @@ class DegenerateInputError(IgenKrylovError):
 class ConfigError(IgenKrylovError):
     """Configuration is missing required fields or fails validation."""
 
-
-class BreakdownSignal(Exception):
-    """Krylov recurrence hit a (near-)zero normalization coefficient.
-
-    This is a control-flow signal, not an error: the decomposition state is
-    still consistent and the driver may solve with the columns built so far.
-    """

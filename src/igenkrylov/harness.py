@@ -11,7 +11,7 @@ decomposition per inexactness model and writes every ``history_<name>.csv``.
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +19,13 @@ import numpy as np
 from . import bidiag, solve, tomo
 from .errors import ConfigError
 from .linop import EXACT, InexactnessModel
-from .prior import CovarianceOperator, Grid, MaternKernel, NoiseModel, PriorModel, identity_prior
+from .prior import CovarianceOperator, MaternKernel, NoiseModel, PriorModel, identity_prior
 from .regparam import SELECTING_RULES
 
 ORTH_GATE = 1e-10
 RATIO_GATE = 0.10
 
-RELATIONS_HEADER = "beta,err_adjoint,err_forward,err_Vorth,err_Uorth"
+RELATIONS_HEADER = ",".join(("beta", *bidiag.RelationReport._fields))
 HISTORY_HEADER = "iter,relerr,lambda,proj_residual"
 
 
@@ -68,7 +68,7 @@ def build_problem(cfg):
     d, noise_norm = tomo.synthesize_observation(A, s_true, cfg.noise_level, cfg.seed)
     if cfg.mode in ("gengk", "igengk"):
         kernel = MaternKernel(nu=cfg.prior.nu, alpha=1.0 / cfg.prior.ell)
-        Q = CovarianceOperator(Grid((g.n, g.n)), kernel)
+        Q = CovarianceOperator((g.n, g.n), kernel)
         prior_model = PriorModel(mu=np.zeros(geom.ncols), Q=Q)
     else:
         prior_model = identity_prior(geom.ncols)
@@ -142,7 +142,7 @@ def _write_summary(out, cfg, **fields):
     """summary.json: the schema version, the configuration and a command's own fields."""
     write_json(
         out / "summary.json",
-        {"schema_version": cfg.schema_version, "config": cfg.to_dict(), **fields},
+        {"schema_version": cfg.schema_version, "config": asdict(cfg), **fields},
     )
 
 

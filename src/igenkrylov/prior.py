@@ -1,11 +1,11 @@
 """Prior and noise models: Matern covariance with fast matvecs.
 
-The covariance matrix Q on a regular 2-d grid with a stationary kernel is
-block-Toeplitz, so Q x can be evaluated by embedding into a circulant
-matrix, diagonalizing with the FFT, and truncating. Along each axis the
-circulant has the smallest FFT-friendly size m_i >= 2*n_i - 1, and its
-entries at offsets |d| >= n_i are zero; the truncated product is exact for
-any such m_i.
+The covariance matrix Q on a regular 2-d grid, given by its (rows, columns)
+shape, with a stationary kernel is block-Toeplitz, so Q x can be evaluated
+by embedding into a circulant matrix, diagonalizing with the FFT, and
+truncating. Along each axis the circulant has the smallest FFT-friendly size
+m_i >= 2*n_i - 1, and its entries at offsets |d| >= n_i are zero; the
+truncated product is exact for any such m_i.
 Q is never factorized or inverted anywhere in the package; all solvers only
 need its action.
 """
@@ -61,32 +61,11 @@ class MaternKernel:
         return val
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Regular 2-d grid of cell centers on the unit square.
-
-    Vectorized column-major ("stack the columns"): vector index v maps to
-    cell (row, col) = (v % n1, v // n1).
-    """
-
-    shape: tuple
-
-    def __post_init__(self):
-        shape = tuple(int(s) for s in self.shape)
-        if len(shape) != 2 or any(s < 1 for s in shape):
-            raise InvalidParameterError(f"unsupported grid shape {shape}")
-        object.__setattr__(self, "shape", shape)
-
-    @property
-    def npoints(self):
-        return int(np.prod(self.shape))
-
-
 def _fast_len(target):
     """Smallest 2^a 3^b 5^c >= target, a length the FFT transforms fast.
 
     Equal to scipy.fft.next_fast_len(target, real=True); computed here because
-    importing scipy.fft adds about 1 MB to the resident size of a process.
+    importing scipy.fft adds about 6 MB to the peak resident size of a process.
     """
     n = target
     while True:
@@ -99,14 +78,14 @@ def _fast_len(target):
         n += 1
 
 
-def _embedding_symbol(grid, kernel, shape):
+def _embedding_symbol(grid_shape, kernel, fft_shape):
     """FFT of the circulant embedding of the block-Toeplitz covariance.
 
     Entry j of an axis of size m holds the signed offset d = j (j < n) or
     j - m; offsets with |d| >= n never meet the truncated product and are zero.
     """
     dist, keep = [], []
-    for n, m in zip(grid.shape, shape):
+    for n, m in zip(grid_shape, fft_shape):
         j = np.arange(m)
         d = np.abs(np.where(j < n, j, j - m))
         dist.append(d * (1.0 / n))
@@ -118,18 +97,23 @@ def _embedding_symbol(grid, kernel, shape):
 
 
 class CovarianceOperator:
-    """Symmetric PSD covariance operator Q on a regular grid.
+    """Symmetric PSD covariance operator Q on a regular 2-d grid of cell centers.
 
-    Q is applied in O(n log n) through the circulant embedding. Instances
-    are immutable after construction. A kernel that is not finite on the
-    grid raises NumericalError here.
+    ``grid_shape`` is its (rows, columns) on the unit square, both positive
+    (else InvalidParameterError); vectors stack its columns, so index v is
+    cell (row, col) = (v % rows, v // rows). Q is applied in O(n log n) through
+    the circulant embedding. Instances are immutable after construction. A
+    kernel that is not finite on the grid raises NumericalError here.
     """
 
-    def __init__(self, grid, kernel):
-        self.grid = grid
-        self.n = self.grid.npoints
-        self._fft_shape = tuple(_fast_len(2 * n - 1) for n in self.grid.shape)
-        self._symbol = _embedding_symbol(self.grid, kernel, self._fft_shape)
+    def __init__(self, grid_shape, kernel):
+        grid_shape = tuple(int(s) for s in grid_shape)
+        if len(grid_shape) != 2 or any(s < 1 for s in grid_shape):
+            raise InvalidParameterError(f"unsupported grid shape {grid_shape}")
+        self.grid_shape = grid_shape
+        self.n = grid_shape[0] * grid_shape[1]
+        self._fft_shape = tuple(_fast_len(2 * n - 1) for n in grid_shape)
+        self._symbol = _embedding_symbol(grid_shape, kernel, self._fft_shape)
         if not np.isfinite(self._symbol).all():
             raise NumericalError("covariance is not finite: its kernel overflows on this grid")
 
@@ -145,7 +129,7 @@ class CovarianceOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionError(f"expected vector of length {self.n}")
-        shape, m = self.grid.shape, self._fft_shape
+        shape, m = self.grid_shape, self._fft_shape
         f = np.zeros(self._symbol.shape, dtype=complex)
         np.fft.rfft(x.reshape(shape, order="F"), n=m[1], axis=1, out=f[: shape[0]])
         np.fft.fft(f, axis=0, out=f)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,21 +18,27 @@ class CapacityError(IgenKrylovError):
     """Requested dense computation exceeds the configured size limit."""
 
 
-def grid_points(grid):
-    """Cell centers of a ``prior.Grid`` in vectorization order, shape (n, 2)."""
-    n1, n2 = grid.shape
+def grid_points(grid_shape):
+    """Cell centers of a (rows, columns) grid on the unit square, shape (n, 2).
+
+    In the vectorization order of ``prior.CovarianceOperator``: column-major.
+    """
+    n1, n2 = grid_shape
     rows = (np.arange(n1) + 0.5) / n1
     cols = (np.arange(n2) + 0.5) / n2
     cc, rr = np.meshgrid(cols, rows)  # rr varies fastest down columns
     return np.column_stack([rr.ravel(order="F"), cc.ravel(order="F")])
 
 
-def build_dense_cov(grid, kernel, dense_limit=DENSE_LIMIT):
-    """Dense covariance matrix Q_ij = kernel(|x_i - x_j|), the reference for the FFT backend."""
-    n = grid.npoints
+def build_dense_cov(grid_shape, kernel, dense_limit=DENSE_LIMIT):
+    """Dense covariance matrix Q_ij = kernel(|x_i - x_j|) on a (rows, columns) grid.
+
+    The reference for the FFT backend of ``prior.CovarianceOperator``.
+    """
+    n = grid_shape[0] * grid_shape[1]
     if n > dense_limit:
         raise CapacityError(f"{n} grid points exceed dense limit {dense_limit}")
-    pts = grid_points(grid)
+    pts = grid_points(grid_shape)
     diff = pts[:, None, :] - pts[None, :, :]
     r = np.sqrt(np.sum(diff * diff, axis=-1))
     return kernel(r)
@@ -41,9 +48,10 @@ def padded_covariance_apply(cov, x):
     """Q x from ``rfftn``/``irfftn`` on the whole zero-padded grid.
 
     The product ``prior.CovarianceOperator.apply`` once made, kept as the
-    bitwise reference for its pruned transforms.
+    bitwise reference for its pruned transforms; ``cov.grid_shape`` gives the
+    data block of the padded grid.
     """
-    shape = cov.grid.shape
+    shape = cov.grid_shape
     inner = tuple(slice(0, n) for n in shape)
     xpad = np.zeros(cov._fft_shape)
     xpad[inner] = x.reshape(shape, order="F")
@@ -54,7 +62,7 @@ def padded_covariance_apply(cov, x):
 
 def config_to_json(cfg, path=None):
     """An ExperimentConfig as the JSON text ``config_from_json`` reads back."""
-    text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
+    text = json.dumps(asdict(cfg), indent=2, sort_keys=True)
     if path is not None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text + "\n")

@@ -46,7 +46,7 @@ def build_desk_problem(seed=DESK_SEED):
     s_true = tomo.make_phantom(DESK_N)
     d, noise_norm = tomo.synthesize_observation(A, s_true, 0.04, seed=seed)
     kernel = prior.MaternKernel(nu=1.5, alpha=1.0 / 0.01)
-    Q = prior.CovarianceOperator(prior.Grid((DESK_N, DESK_N)), kernel)
+    Q = prior.CovarianceOperator((DESK_N, DESK_N), kernel)
     pm = prior.PriorModel(mu=np.zeros(geom.ncols), Q=Q)
     nm = prior.NoiseModel(sigma=1.0, dimension=geom.nrows)
     return geom, A, pm, nm, s_true, d, noise_norm
@@ -239,14 +239,13 @@ def test_criterion_08_covariance_backends():
     worst = 0.0
     rng = np.random.default_rng(11)
     for shape in ((8, 8), (16, 16), (32, 32)):
-        g = prior.Grid(shape)
-        dense = build_dense_cov(g, kernel)
-        fft_op = prior.CovarianceOperator(g, kernel)
+        dense = build_dense_cov(shape, kernel)
+        fft_op = prior.CovarianceOperator(shape, kernel)
         for _ in range(50):
-            x = rng.standard_normal(g.npoints)
+            x = rng.standard_normal(fft_op.n)
             ref = dense @ x
             worst = max(worst, np.linalg.norm(fft_op.apply(x) - ref) / np.linalg.norm(ref))
-    big = prior.CovarianceOperator(prior.Grid((128, 128)), kernel)
+    big = prior.CovarianceOperator((128, 128), kernel)
     xb = rng.standard_normal(128 * 128)
     big.apply(xb)  # warm
     times = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from igenkrylov import bidiag, linop, prior, tomo
-from igenkrylov.errors import BreakdownSignal, DegenerateInputError, DimensionError, NumericalError
+from igenkrylov.errors import DegenerateInputError, DimensionError, NumericalError
 
 from conftest import DenseOperator, DenseSPDCovariance, IdentityOperator, gk_decompose, random_spd
 
@@ -135,16 +135,22 @@ STEP_CASES = {
 }
 
 
+def _step_case(case):
+    """The operator, right-hand side, prior and noise of a ``STEP_CASES`` case."""
+    m, n, _, _ = STEP_CASES[case]
+    rng = np.random.default_rng(12)
+    A = DenseOperator(rng.standard_normal((m, n)))
+    b = rng.standard_normal(m)
+    return (A, b, *generalized_setting(m, n, seed=13))
+
+
 @pytest.mark.parametrize("case", list(STEP_CASES))
 def test_each_step_is_a_leading_block_of_the_run(case):
     """A step only appends to M and Z: after every step of an init/step loop,
     M and Z equal, bit for bit, the leading blocks of the final state of
     ``igenGK_run``, so a solve can select lambda after the decomposition."""
     m, n, steps, breaks_down = STEP_CASES[case]
-    rng = np.random.default_rng(12)
-    A = DenseOperator(rng.standard_normal((m, n)))
-    b = rng.standard_normal(m)
-    pm, nm = generalized_setting(m, n, seed=13)
+    A, b, pm, nm = _step_case(case)
     inexact = linop.EXACT
     if case == "gaussian-entry":
         inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=14)
@@ -152,10 +158,7 @@ def test_each_step_is_a_leading_block_of_the_run(case):
     state = bidiag.igenGK_init(A, inexact, pm, nm, b, steps)
     copies = []
     for _ in range(steps):
-        try:
-            bidiag.igenGK_step(state, A, inexact, pm, nm)
-        except BreakdownSignal:
-            pass
+        bidiag.igenGK_step(state, A, inexact, pm, nm)
         copies.append((state.M.copy(), state.Z.copy()))
         if state.terminated:
             break
@@ -179,6 +182,45 @@ def test_each_step_is_a_leading_block_of_the_run(case):
         assert longer.terminated
         np.testing.assert_array_equal(longer.M, final.M)
         np.testing.assert_array_equal(longer.Z, final.Z)
+
+
+@pytest.mark.parametrize("case", ["u-breakdown", "v-breakdown"])
+def test_stepping_a_terminated_state_changes_nothing(case, monkeypatch):
+    """A breakdown is the state's terminal flag: a further step returns the
+    state as it was, with no product made and not a byte of it changed."""
+    A, b, pm, nm = _step_case(case)
+    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, STEP_CASES[case][2])
+    assert state.terminated
+    before = [a.tobytes() for a in (state.U, state.V, state.Z, state.M, state.C)]
+    k = state.k
+
+    def no_product(*args):
+        raise AssertionError("a product was made")
+
+    monkeypatch.setattr(linop, "perturbed_apply_adjoint", no_product)
+    monkeypatch.setattr(linop, "perturbed_apply", no_product)
+    assert bidiag.igenGK_step(state, A, linop.EXACT, pm, nm) is state
+    assert state.k == k and state.terminated
+    assert [a.tobytes() for a in (state.U, state.V, state.Z, state.M, state.C)] == before
+
+
+@pytest.mark.parametrize("case", list(STEP_CASES))
+def test_run_makes_one_step_call_more_only_for_a_v_side_breakdown(case, monkeypatch):
+    """``igenGK_run`` steps until k reaches ``steps`` or the state terminates:
+    k calls, and k + 1 when the last call finds a vanishing v."""
+    A, b, pm, nm = _step_case(case)
+    _, _, steps, breaks_down = STEP_CASES[case]
+    calls = []
+    step = bidiag.igenGK_step
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(bidiag, "igenGK_step", counted)
+    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, steps)
+    assert state.terminated == breaks_down
+    assert len(calls) == state.k + (case == "v-breakdown")
 
 
 PRODUCT_STEPS = 4
@@ -502,7 +544,7 @@ def small_ct_problem():
     s_true = tomo.make_phantom(n)
     d, _ = tomo.synthesize_observation(A, s_true, 0.04, seed=77)
     kern = prior.MaternKernel(nu=1.5, alpha=100.0)
-    Q = prior.CovarianceOperator(prior.Grid((n, n)), kern)
+    Q = prior.CovarianceOperator((n, n), kern)
     pm = prior.PriorModel(mu=np.zeros(n * n), Q=Q)
     nm = prior.NoiseModel(sigma=1.0, dimension=geom.nrows)
     return A, pm, nm, d
@@ -546,8 +588,7 @@ def test_breakdown_leaves_state_solvable():
     b[1] = 2.0
     pm, nm = identity_setting(4, 4)
     state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 4)
-    with pytest.raises(BreakdownSignal):
-        bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
+    assert bidiag.igenGK_step(state, A, linop.EXACT, pm, nm) is state
     assert state.terminated
     assert state.M.shape == (1, 1)
     assert state.M[0, 0] == pytest.approx(1.0, rel=1e-14)

@@ -3,6 +3,7 @@
 import copy
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -14,15 +15,17 @@ from igenkrylov.config import ExperimentConfig, GeometryConfig, InexactConfig
 
 # An n=16 run small enough that a valid mutation still finishes in milliseconds.
 # Angle perturbation under igk: one mutation reaches either kind of inexactness.
-BASE = ExperimentConfig(
-    geometry=GeometryConfig(n=16, angle_count=6, angle_step=30.0),
-    inexactness=InexactConfig(mode="angle-perturbation"),
-    mode="igk",
-    max_iter=3,
-    seed=3,
-    betas=(1e-2,),
-    angle_schedules=((1e-1, 1e-3),),
-).to_dict()
+BASE = asdict(
+    ExperimentConfig(
+        geometry=GeometryConfig(n=16, angle_count=6, angle_step=30.0),
+        inexactness=InexactConfig(mode="angle-perturbation"),
+        mode="igk",
+        max_iter=3,
+        seed=3,
+        betas=(1e-2,),
+        angle_schedules=((1e-1, 1e-3),),
+    )
+)
 
 # Every key, with the path of sections above it.
 PATHS = [(key,) for key in BASE] + [

@@ -100,6 +100,8 @@ NONFINITE_OR_OUT_OF_RANGE = (
     {"noise_sigma": INF},
     {"prior": {"ell": NAN}},
     {"prior": {"nu": INF}},
+    {"prior": {"ell": 1e-310}},  # alpha = 1/ell overflows
+    {"prior": {"ell": 5e-324}},
     {"geometry": {"angle_step": NAN}},
     {"geometry": {"angle_start": -INF}},
     {"geometry": {"angle_start": 1e308, "angle_step": 1e308}},  # the last angle overflows
@@ -744,11 +746,14 @@ EXTREME = (
     ({"noise_sigma": 1e-300}, 2, "configuration error: noise_sigma"),
     ({"noise_sigma": 1e-160}, 2, "configuration error: noise_sigma"),
     ({"noise_sigma": 1e300}, 2, "configuration error: noise_sigma"),
+    ({"prior": {"ell": 1e-310}}, 2, "configuration error: prior.ell"),
 )
 
 
 @pytest.mark.parametrize(
-    "extreme, code, report", EXTREME, ids=("nu-1e300", "sigma-1e-300", "sigma-1e-160", "sigma-1e300")
+    "extreme, code, report",
+    EXTREME,
+    ids=("nu-1e300", "sigma-1e-300", "sigma-1e-160", "sigma-1e300", "ell-1e-310"),
 )
 def test_extreme_value_ends_in_one_line(tmp_path, capsys, extreme, code, report):
     """An extreme valid value exits with its documented code, its one-line

@@ -48,17 +48,19 @@ def test_three_halves_closed_form_vs_bessel():
 
 
 # Runs in a fresh interpreter: an n=16 gengk reconstruction at nu = 1.5, then
-# a Matern kernel of an order without a closed form. Prints what was loaded
-# before and after the kernel, and the kernel's values.
+# a Matern kernel of an order without a closed form. Prints whether
+# scipy.special was loaded before and after the kernel, whether the
+# reconstruction loaded scipy.fft, and the kernel's values.
 IMPORT_PROBE = """
 import json, sys
 import igenkrylov, igenkrylov.cli
 rc = igenkrylov.cli.main(["reconstruct", "--config", sys.argv[1]])
 before = "scipy.special" in sys.modules
+fft = "scipy.fft" in sys.modules
 from igenkrylov.prior import MaternKernel
 values = MaternKernel(nu=1.1, alpha=3.0)(json.loads(sys.argv[2])).tolist()
 print(json.dumps({"rc": rc, "before": before, "after": "scipy.special" in sys.modules,
-                  "values": values}))
+                  "fft": fft, "values": values}))
 """
 
 
@@ -79,6 +81,7 @@ def test_scipy_special_loads_only_for_orders_without_a_closed_form(tmp_path):
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["rc"] == 0 and (tmp_path / "out" / "history.csv").exists()
     assert not probe["before"] and probe["after"]
+    assert not probe["fft"]  # the FFT lengths come from prior._fast_len
     for ri, value in zip(r, probe["values"]):
         assert math.isclose(value, kv_formula(1.1, 3.0, ri), rel_tol=1e-13), ri
 
@@ -114,13 +117,13 @@ def test_kernel_parameter_validation():
 
 
 def test_dense_cov_single_point():
-    Q = build_dense_cov(prior.Grid((1, 1)), prior.MaternKernel(nu=1.5, alpha=1.0))
+    Q = build_dense_cov((1, 1), prior.MaternKernel(nu=1.5, alpha=1.0))
     np.testing.assert_array_equal(Q, [[1.0]])
 
 
 def test_dense_cov_two_points():
     k = prior.MaternKernel(nu=1.5, alpha=3.0)
-    Q = build_dense_cov(prior.Grid((2, 1)), k)
+    Q = build_dense_cov((2, 1), k)
     r = 0.5  # cell centers (0.25, 0.5) and (0.75, 0.5)
     assert Q[0, 1] == Q[1, 0]
     assert abs(Q[0, 1] - float(k(r))) <= 1e-15
@@ -129,19 +132,19 @@ def test_dense_cov_two_points():
 
 def test_dense_cov_positive_semidefinite():
     k = prior.MaternKernel(nu=1.5, alpha=100.0)  # ell = 0.01
-    Q = build_dense_cov(prior.Grid((8, 8)), k)
+    Q = build_dense_cov((8, 8), k)
     eig = np.linalg.eigvalsh(Q)
     assert eig.min() >= -1e-10
 
 
 def test_dense_limit_guard():
     with pytest.raises(CapacityError):
-        build_dense_cov(prior.Grid((80, 80)), prior.MaternKernel(nu=1.5, alpha=1.0))
+        build_dense_cov((80, 80), prior.MaternKernel(nu=1.5, alpha=1.0))
 
 
 def test_fft_matches_dense_column():
     k = prior.MaternKernel(nu=1.5, alpha=5.0)
-    g = prior.Grid((4, 4))
+    g = (4, 4)
     Qd = build_dense_cov(g, k)
     e1 = np.zeros(16)
     e1[0] = 1.0
@@ -150,7 +153,7 @@ def test_fft_matches_dense_column():
 
 def test_fft_matches_dense_random():
     k = prior.MaternKernel(nu=1.5, alpha=10.0)
-    g = prior.Grid((16, 16))
+    g = (16, 16)
     Qd = build_dense_cov(g, k)
     x = np.random.default_rng(0).standard_normal(256)
     ref = Qd @ x
@@ -160,14 +163,14 @@ def test_fft_matches_dense_random():
 
 def test_fft_short_correlation_limit_is_identity():
     k = prior.MaternKernel(nu=1.5, alpha=1e6)
-    g = prior.Grid((8, 8))
+    g = (8, 8)
     x = np.random.default_rng(1).standard_normal(64)
     assert np.linalg.norm(prior.CovarianceOperator(g, k).apply(x) - x) <= 1e-6 * np.linalg.norm(x)
 
 
 def test_fft_backend_symmetric_and_psd():
     k = prior.MaternKernel(nu=1.5, alpha=20.0)
-    op = prior.CovarianceOperator(prior.Grid((12, 12)), k)
+    op = prior.CovarianceOperator((12, 12), k)
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.standard_normal(144)
@@ -179,7 +182,7 @@ def test_fft_backend_symmetric_and_psd():
 
 def test_fft_backend_1d():
     k = prior.MaternKernel(nu=0.5, alpha=4.0)
-    g = prior.Grid((25, 1))  # one column: the 1-d case as a 2-d grid
+    g = (25, 1)  # one column: the 1-d case as a 2-d grid
     Qd = build_dense_cov(g, k)
     x = np.random.default_rng(3).standard_normal(25)
     np.testing.assert_allclose(prior.CovarianceOperator(g, k).apply(x), Qd @ x, rtol=1e-12, atol=1e-13)
@@ -195,18 +198,17 @@ def test_fft_padded_embedding_matches_dense(shape):
     # 2 n - 1 is no fast FFT length on any axis, so the circulant is padded
     assert all(next_fast_len(2 * n - 1, real=True) > 2 * n - 1 for n in shape)
     k = prior.MaternKernel(nu=1.5, alpha=2.0)  # long correlation: every offset counts
-    g = prior.Grid(shape)
-    Qd = build_dense_cov(g, k)
-    x = np.random.default_rng(4).standard_normal(g.npoints)
+    Qd = build_dense_cov(shape, k)
+    x = np.random.default_rng(4).standard_normal(shape[0] * shape[1])
     ref = Qd @ x
-    got = prior.CovarianceOperator(g, k).apply(x)
+    got = prior.CovarianceOperator(shape, k).apply(x)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (16, 16), (17, 23), (40, 1), (1, 33)])
 def test_pruned_fft_bitwise_matches_padded_transforms(shape):
     k = prior.MaternKernel(nu=1.5, alpha=10.0)
-    op = prior.CovarianceOperator(prior.Grid(shape), k)
+    op = prior.CovarianceOperator(shape, k)
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = rng.standard_normal(op.n)
@@ -214,9 +216,15 @@ def test_pruned_fft_bitwise_matches_padded_transforms(shape):
 
 
 def test_covariance_dimension_check():
-    op = prior.CovarianceOperator(prior.Grid((4, 4)), prior.MaternKernel(nu=1.5, alpha=1.0))
+    op = prior.CovarianceOperator((4, 4), prior.MaternKernel(nu=1.5, alpha=1.0))
     with pytest.raises(DimensionError):
         op.apply(np.ones(7))
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4,), (2, 2, 2)])
+def test_covariance_rejects_a_grid_shape_that_is_not_2d_positive(shape):
+    with pytest.raises(InvalidParameterError, match="unsupported grid shape"):
+        prior.CovarianceOperator(shape, prior.MaternKernel(nu=1.5, alpha=1.0))
 
 
 def test_noise_model_basic():

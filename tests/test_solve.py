@@ -223,7 +223,7 @@ def test_one_decomposition_projects_as_each_rule_solves(small_ct):
     s_true = tomo.make_phantom(geom.n)
     b, noise_norm = tomo.synthesize_observation(A, s_true, 0.04, seed=3)
     kernel = prior.MaternKernel(nu=1.5, alpha=10.0)
-    Q = prior.CovarianceOperator(prior.Grid((geom.n, geom.n)), kernel)
+    Q = prior.CovarianceOperator((geom.n, geom.n), kernel)
     pm = prior.PriorModel(mu=np.zeros(geom.ncols), Q=Q)
     nm = prior.NoiseModel(sigma=1.0, dimension=geom.nrows)
     inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=5)
