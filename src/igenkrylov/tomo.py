@@ -6,18 +6,21 @@ the piecewise-constant image along one ray: intersection lengths times pixel
 values. The lengths come from a restricted Siddon/Jacobs traversal, which
 cuts each ray's chord only at the grid lines in a window around it
 (R. L. Siddon, Med. Phys. 12(2), 1985; F. Jacobs et al., J. Comput. Inf.
-Technol. 6(1), 1998). They go straight into a CSR matrix, once per geometry:
+Technol. 6(1), 1998). They go straight into CSR arrays, once per geometry:
 the same matrix a traversal of every grid line gives, stored in traversal
-order, each row's entries in order along the ray. The adjoint is the exact
-transpose, and forward/adjoint products are deterministic.
+order, each row's entries in order along the ray. SciPy's compiled kernels
+apply it and its exact transpose, deterministically.
 """
 
 import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import FLOAT_MAX, DegenerateInputError, DimensionError, InvalidParameterError
 from .linop import LinearOperator
@@ -25,6 +28,16 @@ from .rng import TAG_ANGLE_JITTER, TAG_OBSERVATION_NOISE, substream
 
 _PARALLEL_EPS = 1e-12
 _MIN_SEGMENT = 1e-12
+
+# SciPy's compiled sparse kernels, loaded without running scipy/sparse/__init__.py:
+# importing scipy.sparse adds about 20 MB to the resident size of a process.
+_sparsetools = sys.modules.get("scipy.sparse._sparsetools")
+if _sparsetools is None:
+    _root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    _finder = FileFinder(os.path.join(_root, "sparse"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    _spec = _finder.find_spec("scipy.sparse._sparsetools")
+    _sparsetools = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(_sparsetools)
 
 
 def default_nrays(n):
@@ -171,6 +184,17 @@ def _traverse(n, h, d, p, starts, widths, t_lo, t_hi):
     return valid.sum(axis=1), pix[valid], seg[valid]
 
 
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """A sparse matrix as its CSR arrays; ``indices`` and ``indptr`` share one dtype."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+    nnz: int
+
+
 @functools.lru_cache(maxsize=1)
 def system_matrix(geom):
     """Sparse ray-weight matrix for the geometry (rows: angle-major rays).
@@ -202,7 +226,7 @@ def system_matrix(geom):
     p, starts = p[:, hit], starts[:, hit]
     t_lo, t_hi = t_lo[hit], t_hi[hit]
 
-    index_dtype = np.int32 if geom.ncols <= np.iinfo(np.int32).max else np.int64
+    index_dtype = np.int32 if max(geom.nrows, geom.ncols) <= np.iinfo(np.int32).max else np.int64
     counts, cols, vals = [], [], []
     for a in range(len(radians)):
         rays = slice(bounds[a], bounds[a + 1])
@@ -216,30 +240,32 @@ def system_matrix(geom):
     row_counts[hit.ravel()] = np.concatenate(counts)
     indptr = np.zeros(geom.nrows + 1, dtype=np.int64)
     np.cumsum(row_counts, out=indptr[1:])
+    index_dtype = np.int64 if indptr[-1] > np.iinfo(np.int32).max else index_dtype
     # The indices are cast angle by angle, so no float copy of them is ever
     # whole, and the per-angle values are freed before the indices are joined.
     data = np.concatenate(vals)
     del vals
-    return sp.csr_matrix((data, np.concatenate(cols), indptr), shape=(geom.nrows, geom.ncols))
+    indices = np.concatenate(cols, dtype=index_dtype)
+    return CSRMatrix(data, indices, indptr.astype(index_dtype), (geom.nrows, geom.ncols), len(data))
 
 
 class RadonOperator(LinearOperator):
-    """The CT forward model as its CSR system matrix; the adjoint is the exact transpose."""
+    """The CT forward model as its CSR system matrix; the adjoint reads it as the CSC transpose."""
 
     def __init__(self, geom):
         super().__init__(geom.nrows, geom.ncols)
         self.geom = geom
         self._mat = system_matrix(geom)
-        # A CSC view of the CSR matrix, made once: it shares the arrays, and
-        # its products make the same sums in the same order as a stored CSR
-        # transpose.
-        self._matT = self._mat.T
 
     def _apply(self, x):
-        return self._mat @ x
+        m, out = self._mat, np.zeros(self.nrows)
+        _sparsetools.csr_matvec(self.nrows, self.ncols, m.indptr, m.indices, m.data, x, out)
+        return out
 
     def _apply_adjoint(self, y):
-        return self._matT @ y
+        m, out = self._mat, np.zeros(self.ncols)
+        _sparsetools.csc_matvec(self.ncols, self.nrows, m.indptr, m.indices, m.data, y, out)
+        return out
 
     def perturbed_variant(self, model, k):
         """Radon operator rebuilt with the angles jittered by ``model.magnitude(k)``."""
@@ -307,8 +333,7 @@ def synthesize_observation(A, s_true, noise_level, seed):
         raise DegenerateInputError("cannot add relative noise to a zero sinogram")
     g = substream(seed, TAG_OBSERVATION_NOISE).standard_normal(d_true.size)
     eps = g * (noise_level * d_norm / float(np.linalg.norm(g)))
-    noise_norm = noise_level * d_norm
-    return d_true + eps, noise_norm
+    return d_true + eps, noise_level * d_norm
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 import gc
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from igenkrylov import harness, prior, regparam, solve, tomo
 from igenkrylov.config import ExperimentConfig, InexactConfig
@@ -110,12 +116,14 @@ GRAZING_DUPLICATES = {(16, None): 21, (64, None): 93, (128, None): 189,
 def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
     """The same matrix as the COO assembly's, stored in traversal order.
 
-    Its canonical form (a copy after ``sum_duplicates``) is bit for bit the
-    reference. Where no row repeats a pixel, every pixel of an adjoint
-    product gathers one term per row in row order, so the adjoint is bitwise
-    the reference's; forward products sum each row in traversal order and
-    agree to rounding. Products leave the arrays that ``system_matrix``
-    shares through its cache untouched.
+    Its canonical form (a SciPy copy of its arrays after ``sum_duplicates``)
+    is bit for bit the reference. Where no row repeats a pixel, every pixel
+    of an adjoint product gathers one term per row in row order, so the
+    adjoint is bitwise the reference's; forward products sum each row in
+    traversal order and agree to rounding. Both products are bitwise SciPy's
+    ``A @ x`` and ``A.T @ y`` on the same arrays, strided inputs included.
+    Products leave the arrays that ``system_matrix`` shares through its cache
+    untouched.
     """
     rng = np.random.default_rng(n)
     for name, angles in oracle_angle_sets().items():
@@ -124,8 +132,11 @@ def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
         op = tomo.RadonOperator(geom)
         mat = op._mat
         assert mat is tomo.system_matrix(geom), name
-        assert mat.format == "csr" and mat.shape == ref.shape, name
-        canonical = mat.copy()
+        assert mat.indptr.dtype == mat.indices.dtype, name
+        assert isinstance(mat.nnz, int) and mat.nnz == mat.data.size, name
+        csr = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+        assert csr.format == "csr" and csr.shape == ref.shape, name
+        canonical = csr.copy()
         canonical.sum_duplicates()
         for arr in ("indptr", "indices"):
             got, want = getattr(canonical, arr), getattr(ref, arr)
@@ -145,6 +156,13 @@ def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
             assert adj.tobytes() == adj_ref.tobytes(), name
         else:
             assert np.max(np.abs(adj - adj_ref)) <= 1e-14 * np.max(np.abs(adj_ref)), name
+        assert fwd.tobytes() == (csr @ x).tobytes(), name
+        assert adj.tobytes() == (csr.T @ y).tobytes(), name
+        xs = rng.standard_normal((geom.ncols, 3))[:, 1]
+        ys = rng.standard_normal((geom.nrows, 3))[:, 1]
+        assert not xs.flags.contiguous and not ys.flags.contiguous
+        assert op.apply(xs).tobytes() == (csr @ xs).tobytes(), name
+        assert op.apply_adjoint(ys).tobytes() == (csr.T @ ys).tobytes(), name
         for before, after in zip(stored, (mat.indptr, mat.indices, mat.data)):
             assert before.tobytes() == after.tobytes(), name
 
@@ -305,6 +323,37 @@ def test_caches_keep_one_jittered_matrix(small_ct, monkeypatch):
     gc.collect()
     assert len(matrices) == 20  # one per iteration: both its products come from one step
     assert sum(ref() is not None for ref in matrices) <= 1
+
+
+# Runs in a fresh interpreter: an n=16 gengk reconstruction, then an n=16
+# angle-inexactness study in igk mode. Prints each command's exit code and
+# the scipy packages loaded by then.
+IMPORT_PROBE = """
+import json, sys
+import igenkrylov.cli
+rcs = [igenkrylov.cli.main(["reconstruct", "--config", sys.argv[1]]),
+       igenkrylov.cli.main(["inexact-angles", "--config", sys.argv[2],
+                            "--mode", "igk", "--max-iter", "2"])]
+print(json.dumps({"rcs": rcs, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_cli_runs_load_the_kernels_without_scipy_sparse(tmp_path):
+    paths = []
+    for name, mode in (("reconstruct", "gengk"), ("angles", "igk")):
+        cfg = {"schema_version": 1, "geometry": {"n": 16}, "mode": mode, "max_iter": 2,
+               "output_dir": str(tmp_path / name)}
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *map(str, paths)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["rcs"] == [0, 0]
+    assert (tmp_path / "reconstruct" / "history.csv").exists()
+    assert "scipy.sparse" not in probe["scipy"] and "scipy.special" not in probe["scipy"]
 
 
 def power_iteration_norm(apply_fn, apply_t_fn, n, iters=10, seed=0):
