@@ -15,13 +15,13 @@ never touches an n-vector:
   solve; iteration k reads its leading k-by-k block and k entries, since
   lambda never feeds back into the decomposition (Chung & Saibaba, SISC
   39(5), 2017);
-- the oracle and WGCV rules evaluate all points of the lambda grid in one
-  call and refine its minimum in at most three rounds of one call each, over
-  grids precomputed for a unit sigma_max (``_grid_then_refine``); values
-  within a rounding bound of the minimum tie, and a tie goes to the largest
-  lambda, so that the choice is reproducible where the objective is flat;
-- the discrepancy principle brackets its root on the same grid and refines
-  it by a safeguarded secant step in log lambda.
+- every rule evaluates all points of the lambda grid in one call and refines
+  its minimum in at most four rounds of one call each, over grids
+  precomputed for a unit sigma_max (``_grid_then_refine``); values within a
+  rounding bound of the minimum tie, and a tie goes to the largest lambda, so
+  that the choice is reproducible where the objective is flat. The
+  discrepancy principle minimizes the distance of the squared residual from
+  the squared target, whose one minimum is the root.
 
 This module is the one home of the rule names and of ``RegConfig``, the rule
 object from the configuration's ``reg`` section to the per-iteration dispatch
@@ -52,7 +52,7 @@ OMEGA_MODES = ("fixed", "adaptive")
 GRID_POINTS = 50
 GRID_FLOOR_RTOL = 1e-12
 GRID_TOP_FACTOR = 10.0
-REFINE_RELWIDTH = 1e-4
+REFINE_RELWIDTH = 1e-5
 REFINE_POINTS = 65
 # A value ties with the minimum when it exceeds it by at most TIE_RTOL * k
 # times the rounding scale at the minimum (k columns of M). The first-order
@@ -65,7 +65,8 @@ TIE_RTOL = 256.0 * np.finfo(float).eps
 # bracket of two steps of the grid or round before it, and its points are the
 # bracket's lower end times the round's unit array, so every bracket of a
 # round spans the same ratio. Rounds go on until a bracket is narrower than
-# REFINE_RELWIDTH relative (three rounds of REFINE_POINTS).
+# REFINE_RELWIDTH relative (four rounds of REFINE_POINTS; the last spacing
+# is about 5.9e-7 relative).
 UNIT_GRID = np.geomspace(GRID_FLOOR_RTOL, GRID_TOP_FACTOR, GRID_POINTS)
 
 
@@ -262,59 +263,36 @@ def select_lambda_dp(prob, target):
 
     ``target`` is nu_dp times the noise norm in the residual's metric.
 
-    The projected residual is nondecreasing in lambda and is evaluated in
-    closed form from the filter factors. The root is bracketed between two
-    neighbouring points of the lambda grid, all evaluated in one call, and
-    refined by safeguarded secant steps in log-lambda until the residual is
-    within 1e-6 relative of the target. If the lambda=0 residual already
-    exceeds the target, lambda=0 is returned; if even the top of the grid
-    cannot reach the target, the top is returned. Both saturations are
-    logged.
+    The squared projected residual r^2 is nondecreasing in lambda and is
+    evaluated in closed form from the filter factors, so |r^2 - target^2| has
+    one minimum, at the root, and ``_grid_then_refine`` finds it: the residual
+    there is within 1e-6 relative of the target. If the lambda=0 residual
+    already exceeds the target, lambda=0 is returned; if even the top of the
+    grid cannot reach the target, the top is returned. Both saturations are
+    logged. A root below the grid floor returns the floor.
     """
 
-    def residual(lam):
-        return np.sqrt(prob.residual_norm2(prob.filters(lam)))
+    def residual2(lam):
+        return prob.residual_norm2(prob.filters(lam))
 
-    tol = 1e-6 * max(target, prob.beta1 * 1e-300)
-    r0 = residual(0.0)
+    r0 = math.sqrt(residual2(0.0))
     if r0 >= target:
-        if r0 > target + tol:
+        if r0 > target + 1e-6 * max(target, prob.beta1 * 1e-300):
             log.warning("dp: residual at lambda=0 (%.6e) already exceeds target %.6e", r0, target)
         return 0.0
 
-    grid = _lambda_grid(prob)
-    r = residual(grid)
-    if r[-1] < target:
-        log.warning(
-            "dp: target %.6e unreachable, residual at lambda=%.3e is %.6e", target, grid[-1], r[-1]
-        )
-        return float(grid[-1])
-    if r[0] >= target:
-        return float(grid[0])
+    t2 = target * target
 
-    # r[j - 1] < target <= r[j]. Secant steps on log(r / target) against
-    # log(lambda) through the two latest points; the root stays bracketed in
-    # [a, b], and a step that would leave the bracket bisects it instead.
-    j = int(np.argmax(r >= target))
-    a, b = math.log(grid[j - 1]), math.log(grid[j])
-    t0, f0 = a, math.log(r[j - 1] / target)
-    t1, f1 = b, math.log(r[j] / target)
-    for _ in range(100):
-        t = t1 - f1 * (t1 - t0) / (f1 - f0) if f1 != f0 else 0.5 * (a + b)
-        if not a < t < b:
-            t = 0.5 * (a + b)
-        rt = float(residual(math.exp(t)))
-        if abs(rt - target) <= tol:
-            return math.exp(t)
-        ft = math.log(rt / target)
-        if ft < 0.0:
-            a = t
-        else:
-            b = t
-        t0, f0, t1, f1 = t1, f1, t, ft
-        if b - a <= 1e-14 * max(abs(a), abs(b), 1.0):
-            break
-    return math.exp(0.5 * (a + b))
+    def terms(lams):
+        r2 = residual2(lams)
+        return np.abs(r2 - t2), r2 + t2
+
+    lam = _grid_then_refine(prob, terms)
+    if lam == _lambda_grid(prob)[-1] and (r_top := math.sqrt(residual2(lam))) < target:
+        log.warning(
+            "dp: target %.6e unreachable, residual at lambda=%.3e is %.6e", target, lam, r_top
+        )
+    return lam
 
 
 def wgcv_value(prob, lam, omega):

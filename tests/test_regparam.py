@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,31 +110,59 @@ def test_dp_zero_target_consistent_system():
     assert solve.projected_tikhonov(prob, lam)[1] <= 1e-6
 
 
-def test_dp_saturations():
+def dp_warnings(caplog, prob, target):
+    """``select_lambda_dp(prob, target)`` and the number of warnings it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="igenkrylov.regparam"):
+        lam = regparam.select_lambda_dp(prob, target)
+    return lam, len(caplog.records)
+
+
+def test_dp_saturations(caplog):
+    """Each saturation logs one warning; an interior root logs none. A
+    singular value 1e-11 sigma_max moves the residual between lambda = 0 and
+    the grid floor, and a target inside that move returns the floor, unlogged."""
     prob = make_prob([[1.0], [0.7]], 1.0)  # residual(0) = 0.7/norm... nonzero floor
     floor = solve.projected_tikhonov(prob, 0.0)[1]
-    lam = regparam.select_lambda_dp(prob, floor / 2.0)
-    assert lam == 0.0
-    lam_hi = regparam.select_lambda_dp(prob, 2.0)  # above ||beta1 e1||
-    assert lam_hi == pytest.approx(regparam.GRID_TOP_FACTOR * prob.sigma_max)
+    assert dp_warnings(caplog, prob, floor / 2.0) == (0.0, 1)
+    top = regparam._lambda_grid(prob)[-1]
+    assert dp_warnings(caplog, prob, 2.0) == (top, 1)  # above ||beta1 e1||
+    lam, warnings = dp_warnings(caplog, prob, 0.5 * (floor + prob.beta1))
+    assert 0.0 < lam < top and warnings == 0
+
+    rng = np.random.default_rng(13)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    V, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    prob = make_prob(U @ np.diag([1.0, 1e-11]) @ V.T)
+    lam_floor = regparam._lambda_grid(prob)[0]
+    r0, r_floor = (np.sqrt(prob.residual_norm2(prob.filters(lam))) for lam in (0.0, lam_floor))
+    assert r_floor > r0 * (1.0 + 1e-6)
+    assert dp_warnings(caplog, prob, 0.5 * (r0 + r_floor)) == (lam_floor, 0)
 
 
-def test_dp_bisection_matches_dense_oracle():
-    rng = np.random.default_rng(0)
-    prob = make_prob(rng.standard_normal((9, 6)), 1.4)
-    r0 = solve.projected_tikhonov(prob, 0.0)[1]
-    target = 0.5 * (r0 + prob.beta1)
-    lam = regparam.select_lambda_dp(prob, target)
-    resid = solve.projected_tikhonov(prob, lam)[1]
-    assert abs(resid - target) <= 1e-6 * target
-    grid = np.geomspace(1e-10, 1e4, 20000)
-    resids = [solve.projected_tikhonov(prob, g)[1] for g in grid]
-    lam_grid = grid[int(np.argmin(np.abs(np.array(resids) - target)))]
-    assert abs(np.log10(lam) - np.log10(lam_grid)) <= 2e-3
+def test_dp_root_matches_dense_oracle():
+    """Every interior root of a graded M meets its target to 1e-6 relative, at
+    the point of a dense grid whose explicitly formed residual is nearest it."""
+    dense = np.geomspace(regparam.GRID_FLOOR_RTOL, regparam.GRID_TOP_FACTOR, 20000)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        prob = make_prob(synthetic_oracle_case(seed, "random")[0], 10.0 ** rng.uniform(-1, 1))
+        r0 = solve.projected_tikhonov(prob, 0.0)[1]
+        target = r0 + rng.uniform(0.05, 0.95) * (prob.beta1 - r0)
+        lam = regparam.select_lambda_dp(prob, target)
+        assert 0.0 < lam < regparam._lambda_grid(prob)[-1], seed
+        assert abs(solve.projected_tikhonov(prob, lam)[1] / target - 1.0) <= 1e-6, seed
+        grid = dense * prob.sigma_max
+        R = ((prob.filters(grid).gain * prob.bhat) @ prob.Vt) @ prob.M.T
+        R[:, 0] -= prob.beta1
+        lam_grid = grid[int(np.argmin(np.abs(np.linalg.norm(R, axis=1) - target)))]
+        assert abs(np.log10(lam) - np.log10(lam_grid)) <= 2e-3, seed
 
 
 def test_dp_residual_evaluations_per_iteration(monkeypatch):
-    """The secant root finder needs at most six closed-form residuals per iteration."""
+    """An interior root takes six closed-form residuals (lambda = 0, the grid
+    and four refinement rounds), so a run of mostly interior roots makes at
+    most six per iteration."""
     cfg = config.config_from_dict(
         {"mode": "gengk", "geometry": {"n": 16}, "inexactness": {"mode": "none"},
          "reg": {"rule": "dp"}, "max_iter": 20, "seed": 1234}
@@ -378,8 +408,9 @@ def test_selected_lambda_survives_rounding_level_perturbations():
     the error is smallest at the grid floor but lambda is far above it, with
     an error larger by a rounding-level amount (many of the "near" and
     "in-range" ones, and the early iterations of a real run), are covered as
-    well as minima at the top of the grid and inside it; WGCV is checked on
-    the same matrices.
+    well as minima at the top of the grid and inside it; WGCV and the
+    discrepancy principle, at three targets between the residuals at lambda = 0
+    and at infinity, are checked on the same matrices.
     """
     pm = prior.identity_prior(40)
     cases = [
@@ -391,7 +422,11 @@ def test_selected_lambda_survives_rounding_level_perturbations():
     for M, Z, s_true in cases:
         lam = select_optimal(make_prob(M), Z, pm, s_true)
         lam_wgcv = regparam.select_lambda_wgcv(make_prob(M), 1.0)
-        floor = regparam._lambda_grid(make_prob(M))[0]
+        prob = make_prob(M)
+        r0 = np.sqrt(prob.residual_norm2(prob.filters(0.0)))
+        targets = [r0 + f * (prob.beta1 - r0) for f in (0.1, 0.5, 0.9)]
+        lams_dp = [regparam.select_lambda_dp(prob, t) for t in targets]
+        floor = regparam._lambda_grid(prob)[0]
         errors = [oracle_error_explicit(M, Z, pm, s_true, la) for la in (floor, lam)]
         flat += lam > 1e3 * floor and 0.0 <= errors[1] - errors[0] <= 1e-8 * errors[0]
         rng = np.random.default_rng(M.size)
@@ -400,6 +435,9 @@ def test_selected_lambda_survives_rounding_level_perturbations():
             lam2 = select_optimal(make_prob(M2), Z2, pm, s_true)
             assert lam2 == pytest.approx(lam, rel=1e-8)
             assert regparam.select_lambda_wgcv(make_prob(M2), 1.0) == pytest.approx(lam_wgcv, rel=1e-8)
+            for target, lam_dp in zip(targets, lams_dp):
+                lam2 = regparam.select_lambda_dp(make_prob(M2), target)
+                assert lam2 == pytest.approx(lam_dp, rel=1e-8)
     assert flat >= 6
 
     cfg = config.config_from_dict(
@@ -440,7 +478,8 @@ def test_optimal_reaches_dense_grid_minimum_with_rank_deficient_basis():
 
 @pytest.mark.parametrize("truth", ["random", "in-range"])
 def test_one_selection_makes_at_most_six_evaluations(monkeypatch, truth):
-    """The grid, then at most one call per refinement round; a flat grid minimum stops at once."""
+    """The grid, then at most one call per refinement round; a flat grid
+    minimum stops at once. An interior dp root also evaluates lambda = 0."""
     M, Z, s_true = synthetic_oracle_case(5, truth)
     calls = []
     original = solve.ProjectedProblem.filters
@@ -449,13 +488,19 @@ def test_one_selection_makes_at_most_six_evaluations(monkeypatch, truth):
         calls.append(np.size(lam))
         return original(prob, lam)
 
+    def count(select):
+        calls.clear()
+        select(make_prob(M))
+        return len(calls)
+
+    prob = make_prob(M)
+    r0 = np.sqrt(prob.residual_norm2(prob.filters(0.0)))
     monkeypatch.setattr(solve.ProjectedProblem, "filters", counted)
-    select_optimal(make_prob(M), Z, prior.identity_prior(40), s_true)
-    oracle = len(calls)
-    regparam.select_lambda_wgcv(make_prob(M), 1.0)
-    assert oracle <= 6 and len(calls) - oracle <= 6
+    assert count(lambda p: select_optimal(p, Z, prior.identity_prior(40), s_true)) <= 6
     assert calls[0] == regparam.GRID_POINTS
-    assert len(calls) <= 2 * (1 + len(regparam.REFINE_ROUNDS))
+    assert count(lambda p: regparam.select_lambda_wgcv(p, 1.0)) <= 6
+    assert count(lambda p: regparam.select_lambda_dp(p, 0.5 * (r0 + p.beta1))) == 6
+    assert calls[:2] == [1, regparam.GRID_POINTS]
 
 
 def test_wgcv_omega_one_is_gcv():

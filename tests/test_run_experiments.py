@@ -61,6 +61,18 @@ def test_compare_reports_a_file_in_one_tree_only(script, tmp_path, capsys):
     assert f"only in {tmp_path / 'new'}: run/final.pgm" in out
 
 
+def test_compare_counts_the_pixels_of_an_image_that_differs(script, tmp_path, capsys):
+    header = b"P5\n2 2\n65535\n"
+    for root, levels in (("old", (0, 7, 65535, 300)), ("new", (0, 8, 65000, 300))):
+        write_tree(tmp_path / root, HISTORY)
+        pixels = b"".join(level.to_bytes(2, "big") for level in levels)
+        (tmp_path / root / "run" / "final.pgm").write_bytes(header + pixels)
+    assert script.main(["compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "differs: run/final.pgm: 2 pixels, largest by 535/65535" in out
+    assert out[-1] == "1 of 3 files differ"
+
+
 def test_compare_needs_two_directories(script, tmp_path):
     write_tree(tmp_path / "old", HISTORY)
     assert script.main(["compare", str(tmp_path / "old")]) == 2
