@@ -4,7 +4,8 @@
 
 Exit codes: 0 success, 1 an acceptance threshold failed, 2 usage,
 configuration or output error (the output directory cannot be created or
-written), 3 numerical failure or out of memory.
+written), 3 numerical failure (a NaN or infinite number bound for a JSON
+output included) or out of memory.
 """
 
 import argparse

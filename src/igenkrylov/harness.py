@@ -1,4 +1,4 @@
-"""Experiment drivers: problem assembly, sub-runs, and file output.
+"""Experiment drivers: problem assembly, sub-runs, and the files they make.
 
 Each command is a pure function of its configuration: observations, error
 streams, and angle jitter all derive from the config seed through named
@@ -6,7 +6,10 @@ substreams, so identical configs produce byte-identical CSV output (timing
 lives in a separate file). compare-reg and inexact-angles are sweeps of
 named reconstructions of one problem, one per rule or per angle schedule
 (the latter after the exact baseline); ``_sweep`` runs them on one
-decomposition per inexactness model and writes every ``history_<name>.csv``.
+decomposition per inexactness model and makes every ``history_<name>.csv``.
+A command makes the contents of all of its files first (``csv_text``,
+``json_text``, ``pgm_bytes``), then hands them to ``_publish``, the only
+code that creates the output directory or writes a file.
 """
 
 import json
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bidiag, solve, tomo
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .linop import EXACT, InexactnessModel
 from .prior import CovarianceOperator, MaternKernel, NoiseModel, PriorModel, identity_prior
 from .regparam import SELECTING_RULES
@@ -29,21 +32,25 @@ RELATIONS_HEADER = ",".join(("beta", *bidiag.RelationReport._fields))
 HISTORY_HEADER = "iter,relerr,lambda,proj_residual"
 
 
-def _fmt(v):
-    return f"{v:.17g}"
+def csv_text(header, rows):
+    """A CSV file: ``header``, then one line per row, each float to 17 significant digits."""
+    lines = (",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in r) for r in rows)
+    return "".join(line + "\n" for line in (header, *lines))
 
 
-def write_csv(path, header, rows):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+def json_text(payload):
+    """A JSON file; a NaN or infinite number in ``payload`` is a ``NumericalError``."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"an output holds a non-finite number: {exc}") from None
 
 
-def write_json(path, payload):
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def pgm_bytes(vec, n):
+    """A 16-bit binary PGM (P5) of an image vector, row-major as ``tomo.image_to_grid``."""
+    arr = np.clip(tomo.image_to_grid(np.asarray(vec, dtype=float), n), 0.0, 1.0)
+    data = np.round(arr * 65535.0).astype(">u2")
+    return f"P5\n{n} {n}\n65535\n".encode("ascii") + data.tobytes()
 
 
 @dataclass
@@ -138,22 +145,23 @@ def _per_run(records, keys):
     return {key: {name: f[key] for name, f in fields.items()} for key in keys}
 
 
-def _write_summary(out, cfg, **fields):
+def _summary_json(cfg, **fields):
     """summary.json: the schema version, the configuration and a command's own fields."""
-    write_json(
-        out / "summary.json",
-        {"schema_version": cfg.schema_version, "config": asdict(cfg), **fields},
-    )
+    return json_text({"schema_version": cfg.schema_version, "config": asdict(cfg), **fields})
 
 
-def _outdir(cfg):
-    """The output directory, created when a command has its results to write.
+def _publish(cfg, files):
+    """Create the output directory and write ``files``, a {file name: contents} map, into it.
 
-    A run that fails before then (exit 2 or 3) leaves no new directory.
+    Text is written as ASCII bytes, so lines end in "\n" on every platform.
+    Every command makes all of its files before it calls this, so a run that
+    fails first (exit 2 or 3) leaves no new directory; an ``OSError`` while
+    writing can still leave some of the files.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, data in files.items():
+        (out / name).write_bytes(data if isinstance(data, bytes) else data.encode("ascii"))
 
 
 def _sweep(cfg, problem, runs):
@@ -161,9 +169,9 @@ def _sweep(cfg, problem, runs):
 
     A run decomposes only if its inexactness differs from the previous run's,
     else it projects that state again. Each run is timed, as ``<name>_s``,
-    with its decomposition only if it made one. Once all have finished, each
-    history goes to ``history_<name>.csv`` and each time to ``timings.json``.
-    Returns the output directory and the records by name, in order of ``runs``.
+    with its decomposition only if it made one. Returns the records by name,
+    in order of ``runs``, and the files: each history as ``history_<name>.csv``
+    and the times as ``timings.json``.
     """
     records, timings, decomposition = {}, {}, {}
     for name, (inexact, rule) in runs.items():
@@ -177,14 +185,15 @@ def _sweep(cfg, problem, runs):
             decomposition[inexact], problem.prior, rule, problem.noise_norm, problem.s_true
         )
         timings[f"{name}_s"] = time.perf_counter() - t0
-    out = _outdir(cfg)
-    for name, record in records.items():
-        write_csv(out / f"history_{name}.csv", HISTORY_HEADER, record.history)
-    write_json(out / "timings.json", timings)
-    return out, records
+    files = {
+        f"history_{name}.csv": csv_text(HISTORY_HEADER, rec.history)
+        for name, rec in records.items()
+    }
+    files["timings.json"] = json_text(timings)
+    return records, files
 
 
-def _write_merged(path, records, columns):
+def _merged_csv(records, columns):
     """One row per iteration, up to the shortest run: the ``columns`` of each run side by side.
 
     Each of ``columns`` names a ``history.csv`` column other than ``iter``.
@@ -195,13 +204,15 @@ def _write_merged(path, records, columns):
         (same_k[0].k, *(row[i] for row in same_k for i in picks))
         for same_k in zip(*(rec.history for rec in records.values()))
     ]
-    write_csv(path, header, rows)
+    return csv_text(header, rows)
 
 
 def cmd_verify_relations(cfg):
     """Factorization-relation residuals per beta, with linear-scaling gates."""
     if not cfg.betas:
         raise ConfigError("verify-relations needs at least one betas entry")
+    if len(set(cfg.betas)) < len(cfg.betas):
+        raise ConfigError("verify-relations betas must not repeat a value")
     problem = build_problem(cfg)
     reports, timings = [], {}
     for beta in cfg.betas:
@@ -212,9 +223,7 @@ def cmd_verify_relations(cfg):
         )
         reports.append(bidiag.relation_diagnostics(state, problem.A, problem.prior, problem.noise))
         timings[f"beta_{beta!r}_s"] = time.perf_counter() - t0
-    out = _outdir(cfg)
     rows = [(float(beta), *rep) for beta, rep in zip(cfg.betas, reports)]
-    write_csv(out / "relations.csv", RELATIONS_HEADER, rows)
 
     ratios = []
     nonzero = [(b, rep) for b, rep in zip(cfg.betas, reports) if b > 0]
@@ -234,15 +243,14 @@ def cmd_verify_relations(cfg):
         and abs(r["forward_ratio"] / r["expected"] - 1) <= RATIO_GATE
         for r in ratios
     )
-    _write_summary(
-        out,
-        cfg,
-        relations=[dict(zip(RELATIONS_HEADER.split(","), row)) for row in rows],
-        scaling_ratios=ratios,
-        orthogonality_ok=orth_ok,
-        scaling_ok=ratio_ok,
-    )
-    write_json(out / "timings.json", timings)
+    _publish(cfg, {
+        "relations.csv": csv_text(RELATIONS_HEADER, rows),
+        "summary.json": _summary_json(
+            cfg, relations=[dict(zip(RELATIONS_HEADER.split(","), row)) for row in rows],
+            scaling_ratios=ratios, orthogonality_ok=orth_ok, scaling_ok=ratio_ok,
+        ),
+        "timings.json": json_text(timings),
+    })
     return 0 if (orth_ok and ratio_ok) else 1
 
 
@@ -250,11 +258,12 @@ def cmd_reconstruct(cfg):
     """One reconstruction run: history.csv, final.pgm, summary.json."""
     problem = build_problem(cfg)
     record = run_reconstruction(cfg, problem)
-    out = _outdir(cfg)
-    write_csv(out / "history.csv", HISTORY_HEADER, record.history)
-    tomo.write_pgm(out / "final.pgm", record.solution, problem.A.geom.n)
-    _write_summary(out, cfg, **_run_fields(record))
-    write_json(out / "timings.json", record.timings)
+    _publish(cfg, {
+        "history.csv": csv_text(HISTORY_HEADER, record.history),
+        "final.pgm": pgm_bytes(record.solution, problem.A.geom.n),
+        "summary.json": _summary_json(cfg, **_run_fields(record)),
+        "timings.json": json_text(record.timings),
+    })
     return 0
 
 
@@ -263,11 +272,12 @@ def cmd_compare_reg(cfg):
     inexact = inexactness_for(cfg)
     problem = build_problem(cfg)
     runs = {name: (inexact, replace(cfg.reg, rule=name)) for name in SELECTING_RULES}
-    out, records = _sweep(cfg, problem, runs)
-    _write_merged(out / "compare.csv", records, ("relerr", "lambda"))
-    _write_summary(
-        out, cfg, **_per_run(records, ("final_relerr", "min_relerr", "argmin_iter", "lambda_final"))
+    records, files = _sweep(cfg, problem, runs)
+    files["compare.csv"] = _merged_csv(records, ("relerr", "lambda"))
+    files["summary.json"] = _summary_json(
+        cfg, **_per_run(records, ("final_relerr", "min_relerr", "argmin_iter", "lambda_final"))
     )
+    _publish(cfg, files)
     return 0
 
 
@@ -280,11 +290,12 @@ def cmd_inexact_angles(cfg):
         name: (EXACT if angles is None else inexactness_for(cfg, angles=angles), cfg.reg)
         for name, angles in schedules.items()
     }
-    out, records = _sweep(cfg, problem, runs)
-    _write_merged(out / "comparison.csv", records, ("relerr",))
-    _write_summary(
-        out, cfg, schedules=schedules, **_per_run(records, ("final_relerr", "min_relerr"))
+    records, files = _sweep(cfg, problem, runs)
+    files["comparison.csv"] = _merged_csv(records, ("relerr",))
+    files["summary.json"] = _summary_json(
+        cfg, schedules=schedules, **_per_run(records, ("final_relerr", "min_relerr"))
     )
+    _publish(cfg, files)
     return 0
 
 

@@ -334,17 +334,3 @@ def synthesize_observation(A, s_true, noise_level, seed):
     g = substream(seed, TAG_OBSERVATION_NOISE).standard_normal(d_true.size)
     eps = g * (noise_level * d_norm / float(np.linalg.norm(g)))
     return d_true + eps, noise_level * d_norm
-
-
-# ---------------------------------------------------------------------------
-# Images are stored as 16-bit binary PGM, row-major as (row=iy, col=ix); the
-# package's vectors are the column-major flattening of the transpose (see
-# image_to_grid).
-
-
-def write_pgm(path, vec, n):
-    arr = np.clip(image_to_grid(np.asarray(vec, dtype=float), n), 0.0, 1.0)
-    data = np.round(arr * 65535.0).astype(">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{n} {n}\n65535\n".encode("ascii"))
-        fh.write(data.tobytes())

@@ -145,6 +145,18 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, name):
     assert not out.exists()
 
 
+def test_non_finite_summary_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    run_fields = harness._run_fields
+    monkeypatch.setattr(
+        harness, "_run_fields", lambda record: {**run_fields(record), "final_relerr": float("nan")}
+    )
+    out = tmp_path / "out"
+    assert cli.main(["reconstruct", "--max-iter", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     def out_of_memory(cfg):
         raise MemoryError("Unable to allocate 12.1 GiB for an array")

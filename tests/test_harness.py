@@ -300,8 +300,7 @@ def test_merged_csv_stops_at_the_shortest_run(tmp_path):
         )
 
     records = {"long": record(3), "short": record(2)}
-    harness._write_merged(tmp_path / "m.csv", records, ("lambda", "proj_residual"))
-    assert (tmp_path / "m.csv").read_text().splitlines() == [
+    assert harness._merged_csv(records, ("lambda", "proj_residual")).splitlines() == [
         "iter,lambda_long,proj_residual_long,lambda_short,proj_residual_short",
         "1,2,3,2,3",
         "2,4,6,4,6",
@@ -663,6 +662,22 @@ def test_empty_angle_schedules_exit_code(tmp_path, capsys):
     assert sorted(p.name for p in out.glob("history_*.csv")) == ["history_exact.csv"]
     gk = ["reconstruct", "--config", str(path), "--mode", "gk", "--out", str(tmp_path / "gk")]
     assert cli.main(gk) == 0
+
+
+def test_history_header_names_each_iterate_field_in_order():
+    renamed = {"k": "iter", "lam": "lambda"}
+    columns = [renamed.get(field, field) for field in solve.Iterate._fields]
+    assert harness.HISTORY_HEADER.split(",") == columns
+
+
+def test_repeated_betas_exit_code(tmp_path, capsys):
+    """A repeated beta would write two relations.csv rows under one timings.json key."""
+    out = tmp_path / "relations"
+    argv = ["verify-relations", "--beta", "0.01", "--beta", "1e-2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_empty_betas_exit_code(tmp_path, capsys):
