@@ -20,6 +20,10 @@ from .regparam import RULES
 # --reg takes the rule names, with "opt" standing for "optimal".
 REG_ALIASES = {("opt" if rule == "optimal" else rule): rule for rule in RULES}
 
+# The flags that each set one ExperimentConfig field, flag -> field.
+FLAG_FIELDS = {"seed": "seed", "out": "output_dir", "max_iter": "max_iter",
+               "noise_level": "noise_level", "mode": "mode"}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -44,29 +48,17 @@ def build_parser():
 
 
 def assemble_config(args):
-    if args.config:
-        cfg = replace(config_from_json(args.config), experiment=args.command)
-    else:
-        cfg = preset(args.preset or "desk", args.command)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    if args.max_iter is not None:
-        cfg = replace(cfg, max_iter=args.max_iter)
-    if args.noise_level is not None:
-        cfg = replace(cfg, noise_level=args.noise_level)
-    if args.mode is not None:
-        cfg = replace(cfg, mode=args.mode)
+    """The file's or preset's configuration with every flag given, checked once."""
+    cfg = (config_from_json(args.config) if args.config
+           else preset(args.preset or "desk", args.command))
+    given = vars(args)
+    fields = {name: given[flag] for flag, name in FLAG_FIELDS.items() if given[flag] is not None}
     if args.reg is not None:
-        cfg = replace(cfg, reg=replace(cfg.reg, rule=REG_ALIASES[args.reg]))
+        fields["reg"] = replace(cfg.reg, rule=REG_ALIASES[args.reg])
     if args.beta:
-        cfg = replace(
-            cfg,
-            betas=tuple(args.beta),
-            inexactness=replace(cfg.inexactness, beta=args.beta[0]),
-        )
-    return cfg
+        fields["betas"] = tuple(args.beta)
+        fields["inexactness"] = replace(cfg.inexactness, beta=args.beta[0])
+    return replace(cfg, experiment=args.command, **fields)
 
 
 def main(argv=None):

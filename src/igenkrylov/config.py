@@ -124,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError(f"max_iter must be between 1 and {INDEX_MAX}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        if not self.output_dir:  # Path("") is the current directory
+            raise ConfigError("output_dir must not be empty")
         if not all(0 <= b <= FLOAT_MAX for b in self.betas):
             raise ConfigError("betas must be finite and nonnegative")
         for sched in self.angle_schedules:

@@ -66,17 +66,20 @@ class ProjectedProblem:
     def filters(self, lam):
         """Filter factors at ``lam``, a scalar or a 1-D array of positive values.
 
-        An array gives one row of factors per lambda, so a rule can evaluate a
-        whole grid in one call. At lambda = 0 (a scalar) the SVD is truncated:
-        it keeps the singular values above RANK_RTOL * sigma_max, which gives
-        the minimum-norm solution of a rank-deficient M.
+        An array gives one row of factors per lambda, so a rule evaluates a whole
+        grid in one call; a scalar is a one-point grid and gives its one row. At
+        lambda = 0 (a scalar) the SVD is truncated: it keeps the singular values
+        above RANK_RTOL * sigma_max, the minimum-norm solution of a rank-deficient M.
         """
         s = self.s
-        if np.ndim(lam) == 0 and lam == 0.0:
+        lam = np.asarray(lam, dtype=float)
+        if lam.ndim == 0 and lam == 0.0:
             keep = s > RANK_RTOL * self.sigma_max
             phi = keep.astype(float)
             return Filters(phi, 1.0 - phi, np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0))
-        lam2 = _squared(lam)
+        if lam.ndim > 1 or not (lam > 0.0).all():
+            raise NumericalError("lambda must be positive: a scalar or a 1-D array")
+        lam2 = (lam * lam)[..., None]
         denom = s * s + lam2
         return Filters(s * s / denom, lam2 / denom, s / denom)
 
@@ -87,18 +90,6 @@ class ProjectedProblem:
         one value per row of an array of filters.
         """
         return np.sum((filt.psi * self.bhat) ** 2, axis=-1) + self.tail2
-
-
-def _squared(lam):
-    """lambda^2 of a positive scalar, or of a 1-D array as a column (one row per lambda)."""
-    if np.ndim(lam) == 0:
-        if not lam > 0.0:
-            raise NumericalError("lambda must be nonnegative")
-        return float(lam) * float(lam)
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or not (lam > 0.0).all():
-        raise NumericalError("a lambda grid must be a 1-D array of positive values")
-    return (lam * lam)[:, None]
 
 
 def projected_tikhonov(prob, lam):

@@ -629,17 +629,33 @@ def test_cli_runs_tiny_reconstruction(tmp_path):
     assert len(history) == 4
 
 
-def test_cli_flag_overrides(tmp_path):
-    cfg = tiny_config(tmp_path)
+def test_cli_flag_overrides(tmp_path, monkeypatch):
+    """One assemble_config call puts every flag into its field, over a file or a preset,
+    and checks the ExperimentConfig once: cli.replace builds exactly one of them."""
     path = tmp_path / "cfg.json"
-    config_to_json(cfg, path)
-    args = cli.build_parser().parse_args(
-        ["reconstruct", "--config", str(path), "--reg", "opt", "--mode", "gengk", "--seed", "7"]
-    )
-    assembled = cli.assemble_config(args)
-    assert assembled.reg.rule == "optimal"
-    assert assembled.mode == "gengk"
-    assert assembled.seed == 7
+    config_to_json(tiny_config(tmp_path), path)
+    flags = ["--seed", "7", "--out", "elsewhere", "--max-iter", "9", "--noise-level", "0.5",
+             "--mode", "gengk", "--reg", "opt", "--beta", "1e-3", "--beta", "1e-5"]
+    built = []
+
+    def counted_replace(obj, **changes):
+        built.append(type(obj))
+        return replace(obj, **changes)
+
+    monkeypatch.setattr(cli, "replace", counted_replace)
+    parse = cli.build_parser().parse_args
+    for source, base in (
+        (["--config", str(path)], tiny_config(tmp_path)),
+        (["--preset", "paper"], preset("paper", "compare-reg")),
+    ):
+        built.clear()
+        assembled = cli.assemble_config(parse(["compare-reg", *source, *flags]))
+        assert built.count(ExperimentConfig) == 1
+        assert assembled == replace(
+            base, experiment="compare-reg", seed=7, output_dir="elsewhere", max_iter=9,
+            noise_level=0.5, mode="gengk", reg=replace(base.reg, rule="optimal"),
+            betas=(1e-3, 1e-5), inexactness=replace(base.inexactness, beta=1e-3),
+        )
 
 
 def test_empty_angle_schedules_exit_code(tmp_path, capsys):
@@ -714,6 +730,30 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("configuration error:")
     with pytest.raises(ConfigError):
         config_from_dict({"schema_version": 1, "inexactness": {"seed": -1}})
+
+
+def test_several_bad_flags_exit_2_naming_the_first_failing_check(tmp_path, capsys, monkeypatch):
+    """Flags are checked together: the message names max_iter, the first check that fails."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["reconstruct", "--seed", "-1", "--max-iter", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: max_iter") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_output_dir_is_config_error(tmp_path, capsys, monkeypatch):
+    """Path("") is the current directory; an empty --out or output_dir writes nothing there."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"geometry": {"n": 16}, "output_dir": ""}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for argv in (["--out", ""], ["--config", str(path)]):
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--max-iter", "1", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: output_dir must not be empty\n"
+        assert list(work.iterdir()) == []
 
 
 # Error levels at which the Q-norm of the first adjoint product (c11)

@@ -456,24 +456,53 @@ def test_selected_lambda_survives_rounding_level_perturbations():
         assert lam2 == pytest.approx(lam, rel=1e-8)
 
 
-def test_optimal_reaches_dense_grid_minimum_with_rank_deficient_basis():
-    """A column of Z duplicated to 1e-15 relative makes Z numerically rank
-    deficient (a diagonal entry of its R factor at rounding level); the
-    selected lambda still reaches the smallest error on a 4,000-point grid,
-    to the 1e-8 relative within which the error counts as flat in
-    test_selected_lambda_survives_rounding_level_perturbations."""
+def rank_deficient_basis_errors(seed, truth):
+    """The oracle error at the selected lambda and the smallest on a 4,000-point grid,
+    for ``synthetic_oracle_case(seed, truth)`` with one column of Z duplicated to
+    1e-15 relative, which makes Z numerically rank deficient (a diagonal entry of
+    its R factor at rounding level)."""
     pm = prior.identity_prior(40)
+    M, Z, s_true = synthetic_oracle_case(seed, truth)
+    rng = np.random.default_rng(seed)
+    i, j = rng.choice(Z.shape[1], 2, replace=False)
+    Z[:, j] = Z[:, i] * (1.0 + 1e-15 * rng.standard_normal(40))
+    prob = make_prob(M)
+    lam = select_optimal(prob, Z, pm, s_true)
+    grid = np.geomspace(regparam.GRID_FLOOR_RTOL, regparam.GRID_TOP_FACTOR, 4000)
+    Y = (prob.filters(grid * prob.sigma_max).gain * prob.bhat) @ prob.Vt
+    best = np.min(np.sum((Y @ Z.T + pm.mu - s_true) ** 2, axis=1))
+    return oracle_error_explicit(M, Z, pm, s_true, lam), best
+
+
+def test_optimal_reaches_dense_grid_minimum_with_rank_deficient_basis():
+    """With a rank-deficient Z the selected lambda still reaches the smallest
+    error on a 4,000-point grid, to the 1e-8 relative within which the error
+    counts as flat in test_selected_lambda_survives_rounding_level_perturbations."""
     for seed in range(40):
-        M, Z, s_true = synthetic_oracle_case(seed, ("random", "near", "in-range")[seed % 3])
-        rng = np.random.default_rng(seed)
-        i, j = rng.choice(Z.shape[1], 2, replace=False)
-        Z[:, j] = Z[:, i] * (1.0 + 1e-15 * rng.standard_normal(40))
-        prob = make_prob(M)
-        lam = select_optimal(prob, Z, pm, s_true)
-        grid = np.geomspace(regparam.GRID_FLOOR_RTOL, regparam.GRID_TOP_FACTOR, 4000)
-        Y = (prob.filters(grid * prob.sigma_max).gain * prob.bhat) @ prob.Vt
-        best = np.min(np.sum((Y @ Z.T + pm.mu - s_true) ** 2, axis=1))
-        assert oracle_error_explicit(M, Z, pm, s_true, lam) <= best * (1.0 + 1e-8), seed
+        error, best = rank_deficient_basis_errors(seed, ("random", "near", "in-range")[seed % 3])
+        assert error <= best * (1.0 + 1e-8), seed
+
+
+# Two minima, and grid-then-refine settles in the wrong one (ROADMAP item 3): the
+# rule returns the grid top, 10 sigma_max, while the 4,000-point grid has a lower
+# error at 1.24 sigma_max (seed 91, by 6.7e-5 relative) and 0.102 sigma_max (seed
+# 120, by 1.04e-3).
+WRONG_BASIN = {91, 120}
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(seed, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 3: the oracle rule settles in the wrong basin"))
+        if seed in WRONG_BASIN else seed
+        for seed in range(200)
+    ],
+)
+def test_optimal_reaches_dense_grid_minimum_on_200_random_truths(seed):
+    """The rank-deficient-basis check above, on 200 seeds of the "random" truth."""
+    error, best = rank_deficient_basis_errors(seed, "random")
+    assert error <= best * (1.0 + 1e-8)
 
 
 @pytest.mark.parametrize("truth", ["random", "in-range"])

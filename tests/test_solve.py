@@ -107,6 +107,36 @@ def test_infinite_regularization_limit():
     assert np.linalg.norm(yinf) <= 1e-6 * np.linalg.norm(y0)
 
 
+def test_scalar_lambda_is_a_one_point_grid():
+    """filters(lam) is the row of filters(grid) at lam, bit for bit, in phi, psi and gain."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 10))
+        prob = make_prob(rng.standard_normal((k + 1, k)) * 10.0 ** rng.uniform(-3, 3), 1.0)
+        grid = np.geomspace(1e-12, 10.0, 65) * prob.sigma_max
+        rows = prob.filters(grid)
+        for i, lam in enumerate(grid):
+            for one, row in zip(prob.filters(float(lam)), rows):
+                assert np.array_equal(one, row[i]), seed
+
+
+def test_filters_reject_a_lambda_that_is_not_positive():
+    prob = make_prob(np.random.default_rng(5).standard_normal((5, 4)), 1.0)
+    for bad in (-1.0, np.nan, -np.inf, np.ones((2, 2)), np.array([1.0, -1.0]), [1.0, np.nan]):
+        with pytest.raises(NumericalError):
+            prob.filters(bad)
+
+
+def test_zero_lambda_truncates_at_the_rank_tolerance():
+    """At lambda = 0 only the singular values above RANK_RTOL * sigma_max are kept."""
+    s = np.array([1.0, 2.0 * solve.RANK_RTOL, 0.5 * solve.RANK_RTOL])
+    prob = make_prob(np.vstack([np.diag(s), np.zeros((1, 3))]), 1.0)
+    for zero in (0.0, 0, np.float64(0.0)):
+        phi, psi, gain = prob.filters(zero)
+        assert phi.tolist() == [1.0, 1.0, 0.0] and psi.tolist() == [0.0, 0.0, 1.0]
+        assert gain.tolist() == [1.0 / s[0], 1.0 / s[1], 0.0]
+
+
 def test_recover_trivial_cases():
     pm = prior.identity_prior(4)
     V = np.random.default_rng(5).standard_normal((4, 2))
