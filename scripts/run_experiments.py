@@ -16,7 +16,7 @@ n=128).
 both rule comparisons and angle studies, the relation check, the rule
 options that only a configuration file sets, a Matern prior of an order
 without a closed form, and runs that break down, one of them with angle
-jitter.
+jitter and one, under WGCV, on the U side.
 Run it at two commits, or twice at one, from same-named directories;
 apart from timings.json every file must be byte-identical, which
 ``compare`` checks:
@@ -89,6 +89,12 @@ SWEEP_CONFIGS = {
         "geometry": {"n": 16, "angle_count": 2, "angle_step": 90.0}, "mode": "igk",
         "inexactness": {"mode": "angle-perturbation"}, "reg": {"rule": "optimal"},
         "max_iter": 100, "seed": 7,
+    },
+    # A U-side breakdown at k = 4 leaves M square, where the WGCV weighted
+    # trace vanishes at the grid floor.
+    "wgcv-ubreakdown-n16": {
+        "geometry": {"n": 16, "angle_count": 2, "nrays": 2}, "mode": "gk",
+        "reg": {"rule": "wgcv"}, "max_iter": 8,
     },
 }
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linop
-from .errors import DegenerateInputError, DimensionError, NumericalError
+from .errors import InputError, NumericalError
 from .prior import IdentityCovariance, weighted_norm
 
 # Normalization coefficients below BREAKDOWN_RTOL * beta1 stop the recurrence.
@@ -123,25 +123,24 @@ def igenGK_init(A, inexact, prior, noise, b, steps):
 
     The state's buffers are allocated once, for capacity = min(steps, m, n)
     steps: past min(m, n) every new v must vanish, so a longer run makes the
-    adjoint product of one more step and stops there. Raises DimensionError
-    when b does not fit A or an angle-perturbation schedule is shorter than
-    the min(steps, capacity + 1) steps that can make a product,
-    DegenerateInputError when b is zero and NumericalError when its norm is
-    not finite.
+    adjoint product of one more step and stops there. Raises InputError
+    when b is zero or does not fit A, or an angle-perturbation schedule is
+    shorter than the min(steps, capacity + 1) steps that can make a product,
+    and NumericalError when the norm of b is not finite.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.nrows,):
-        raise DimensionError("right-hand side length does not match operator rows")
+        raise InputError("right-hand side length does not match operator rows")
     capacity = max(min(steps, A.nrows, A.ncols), 0)
     reached = min(steps, capacity + 1)
     if inexact.mode == "angle-perturbation" and inexact.schedule[2] < reached:
-        raise DimensionError(
+        raise InputError(
             f"angle schedule has {inexact.schedule[2]} entries for a {reached}-step run"
         )
     with overflow_checked():
         beta1 = _finite(weighted_norm(b, noise.apply_rinv(b)), "beta1")
         if beta1 == 0.0:
-            raise DegenerateInputError("right-hand side is zero")
+            raise InputError("right-hand side is zero")
         identity = isinstance(prior.Q, IdentityCovariance)
         state = BidiagState(A.nrows, A.ncols, capacity, identity, beta1)
         np.divide(b, beta1, out=state._U[:, 0])
@@ -155,7 +154,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     iteration i with R^{-1} u_i, then u_{i+1} from the forward product at
     iteration i with z_i = Q v_i, each fully reorthogonalized in its weighted
     inner product. The V-side coefficients come from Z, so the step applies
-    Q once, to the new v. A vanishing v at i = 1 raises DegenerateInputError;
+    Q once, to the new v. A vanishing v at i = 1 raises InputError;
     later it ends the recurrence with the state of iteration k. On breakdown
     of the U-side normalization the projected matrix is committed in square,
     terminal form (its last subdiagonal vanished), so the projected problem
@@ -178,7 +177,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     if norm_v <= tol:
         if i == 1:
             # No column can be built, so there is nothing to solve: an input error.
-            raise DegenerateInputError("adjoint of right-hand side is degenerate")
+            raise InputError("adjoint of right-hand side is degenerate")
         state.terminated = True
         return state
     if i > state.capacity:
@@ -237,23 +236,21 @@ def relation_diagnostics(state, exact_op, prior, noise):
 
     The left-hand sides are evaluated with the exact operator, so with
     inexact decompositions the residuals measure the accumulated injected
-    error; with exact ones they sit at rounding level.
+    error; with exact ones they sit at rounding level. All k columns are
+    checked, also after a U-side breakdown, where M is square.
     """
-    k = min(state.k, state.U.shape[1] - 1)
+    k = state.k
     if k < 1:
-        raise DimensionError("need at least one completed step for diagnostics")
-    U = state.U
-    Vk = state.V[:, :k]
-    Lt = state.C[:k, :k]
+        raise InputError("need at least one completed step for diagnostics")
+    U, Vk = state.U, state.V
 
     rinv_U = np.column_stack([noise.apply_rinv(U[:, j]) for j in range(U.shape[1])])
     lhs_adj = np.column_stack([exact_op.apply_adjoint(rinv_U[:, j]) for j in range(k)])
-    err_adjoint = _rel_fro(lhs_adj - Vk @ Lt, lhs_adj)
+    err_adjoint = _rel_fro(lhs_adj - Vk @ state.C, lhs_adj)
 
     QV = np.column_stack([prior.Q.apply(Vk[:, j]) for j in range(k)])
     lhs_fwd = np.column_stack([exact_op.apply(QV[:, j]) for j in range(k)])
-    rhs_fwd = U[:, : state.M.shape[0]] @ state.M[:, :k]
-    err_forward = _rel_fro(lhs_fwd - rhs_fwd, lhs_fwd)
+    err_forward = _rel_fro(lhs_fwd - U @ state.M, lhs_fwd)
 
     gram_v = Vk.T @ QV
     err_Vorth = np.linalg.norm(gram_v - np.eye(k)) / math.sqrt(k)

@@ -20,10 +20,10 @@ SCHEMA_VERSION = 1
 SOLVER_MODES = ("gk", "igk", "gengk", "igengk")
 
 
-# The int32 range, which the system matrix's CSR arrays use to index pixels
-# (n^2) and rays (angle_count * nrays); max_iter takes the same bound. A
-# larger JSON integer or flag would otherwise fail in an allocation, after
-# the output directory exists.
+# The bound of the pixel count (n^2) and the ray count (angle_count * nrays):
+# the arrays of a larger problem cannot be allocated, and the check makes such
+# a size a ConfigError (exit 2) that names its field, before build_problem
+# runs. max_iter takes the same bound.
 INDEX_MAX = 2**31 - 1
 
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package, and the bound of its range checks."""
+"""Exception types shared across the package, and the bound of its range checks.
+
+The classes match the CLI's three outcomes: ``ConfigError`` exits 2, a
+``NumericalError`` exits 3 as a numerical failure, and an ``InputError`` exits
+3 as an error.
+"""
 
 import sys
 
@@ -9,26 +14,13 @@ class IgenKrylovError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(IgenKrylovError):
-    """Operand shapes are incompatible with the operator or grid."""
-
-
-class InvalidInputError(IgenKrylovError):
-    """Input vector contains non-finite entries or is otherwise unusable."""
-
-
-class InvalidParameterError(IgenKrylovError):
-    """A scalar parameter is outside its admissible range."""
+class InputError(IgenKrylovError):
+    """An argument is unusable: a wrong shape, a parameter out of range, or degenerate data."""
 
 
 class NumericalError(IgenKrylovError):
     """A numerical invariant was violated (loss of positive-definiteness, NaNs)."""
 
 
-class DegenerateInputError(IgenKrylovError):
-    """Input is degenerate for the requested operation (e.g. zero right-hand side)."""
-
-
 class ConfigError(IgenKrylovError):
     """Configuration is missing required fields or fails validation."""
-

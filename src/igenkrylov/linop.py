@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FLOAT_MAX, DimensionError, InvalidInputError, InvalidParameterError
+from .errors import FLOAT_MAX, InputError
 from .rng import DIR_ADJOINT, DIR_FORWARD, TAG_MATVEC_ERROR, substream
 
 
@@ -33,7 +33,7 @@ class LinearOperator:
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         if self.nrows <= 0 or self.ncols <= 0:
-            raise InvalidParameterError("operator dimensions must be positive")
+            raise InputError("operator dimensions must be positive")
 
     def apply(self, x):
         x = self._check_vector(x, self.ncols)
@@ -53,9 +53,9 @@ class LinearOperator:
     def _check_vector(v, expected):
         v = np.asarray(v, dtype=float)
         if v.ndim != 1 or v.size != expected:
-            raise DimensionError(f"expected vector of length {expected}, got shape {v.shape}")
+            raise InputError(f"expected vector of length {expected}, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise InvalidInputError("input vector contains non-finite entries")
+            raise InputError("input vector contains non-finite entries")
         return v
 
 
@@ -80,26 +80,26 @@ class InexactnessModel:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise InvalidParameterError(f"unknown inexactness mode {self.mode!r}")
+            raise InputError(f"unknown inexactness mode {self.mode!r}")
         if not 0 <= self.beta <= FLOAT_MAX:
-            raise InvalidParameterError("beta must be finite and nonnegative")
+            raise InputError("beta must be finite and nonnegative")
         if self.seed < 0:
-            raise InvalidParameterError("seed must be nonnegative")
+            raise InputError("seed must be nonnegative")
         if self.schedule is not None:
             start, end, steps = self.schedule
             if not (0 < start <= FLOAT_MAX and 0 < end <= FLOAT_MAX):
-                raise InvalidParameterError("schedule start and end must be finite and positive")
+                raise InputError("schedule start and end must be finite and positive")
             if not (isinstance(steps, int) and steps >= 1):
-                raise InvalidParameterError("schedule steps must be a positive integer")
+                raise InputError("schedule steps must be a positive integer")
             object.__setattr__(self, "schedule", (float(start), float(end), steps))
         if self.mode == "angle-perturbation" and self.schedule is None:
-            raise InvalidParameterError("angle-perturbation mode requires a schedule")
+            raise InputError("angle-perturbation mode requires a schedule")
 
     def magnitude(self, k):
         """``np.geomspace(start, end, steps)[k - 1]`` bit for bit: its operations on one exponent."""
         start, end, steps = self.schedule
         if not 1 <= k <= steps:
-            raise InvalidParameterError(f"iteration {k} is outside the {steps}-step schedule")
+            raise InputError(f"iteration {k} is outside the {steps}-step schedule")
         if k == 1:
             return start
         if k == steps:

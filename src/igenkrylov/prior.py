@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FLOAT_MAX, DimensionError, InvalidParameterError, NumericalError
+from .errors import FLOAT_MAX, InputError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,12 @@ class MaternKernel:
 
     def __post_init__(self):
         if not (0 < self.nu <= FLOAT_MAX and 0 < self.alpha <= FLOAT_MAX):
-            raise InvalidParameterError("nu and alpha must be finite and positive")
+            raise InputError("nu and alpha must be finite and positive")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
-            raise InvalidParameterError("distances must be nonnegative")
+            raise InputError("distances must be nonnegative")
         t = math.sqrt(2.0 * self.nu) * self.alpha * r
         if self.nu == 0.5:
             val = np.exp(-t)
@@ -100,7 +100,7 @@ class CovarianceOperator:
     """Symmetric PSD covariance operator Q on a regular 2-d grid of cell centers.
 
     ``grid_shape`` is its (rows, columns) on the unit square, both positive
-    (else InvalidParameterError); vectors stack its columns, so index v is
+    (else InputError); vectors stack its columns, so index v is
     cell (row, col) = (v % rows, v // rows). Q is applied in O(n log n) through
     the circulant embedding. Instances are immutable after construction. A
     kernel that is not finite on the grid raises NumericalError here.
@@ -109,7 +109,7 @@ class CovarianceOperator:
     def __init__(self, grid_shape, kernel):
         grid_shape = tuple(int(s) for s in grid_shape)
         if len(grid_shape) != 2 or any(s < 1 for s in grid_shape):
-            raise InvalidParameterError(f"unsupported grid shape {grid_shape}")
+            raise InputError(f"unsupported grid shape {grid_shape}")
         self.grid_shape = grid_shape
         self.n = grid_shape[0] * grid_shape[1]
         self._fft_shape = tuple(_fast_len(2 * n - 1) for n in grid_shape)
@@ -128,7 +128,7 @@ class CovarianceOperator:
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
-            raise DimensionError(f"expected vector of length {self.n}")
+            raise InputError(f"expected vector of length {self.n}")
         shape, m = self.grid_shape, self._fft_shape
         f = np.zeros(self._symbol.shape, dtype=complex)
         np.fft.rfft(x.reshape(shape, order="F"), n=m[1], axis=1, out=f[: shape[0]])
@@ -147,7 +147,7 @@ class IdentityCovariance:
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
-            raise DimensionError(f"expected vector of length {self.n}")
+            raise InputError(f"expected vector of length {self.n}")
         return x
 
 
@@ -160,17 +160,17 @@ class NoiseModel:
 
     def __post_init__(self):
         if not 0 < self.sigma <= FLOAT_MAX:
-            raise InvalidParameterError("sigma must be finite and positive")
+            raise InputError("sigma must be finite and positive")
         variance = float(self.sigma) * float(self.sigma)
         if not (0.0 < variance <= FLOAT_MAX and 1.0 / variance <= FLOAT_MAX):
-            raise InvalidParameterError("sigma^2 and 1/sigma^2 must be finite and nonzero")
+            raise InputError("sigma^2 and 1/sigma^2 must be finite and nonzero")
         if self.dimension < 1:
-            raise InvalidParameterError("dimension must be positive")
+            raise InputError("dimension must be positive")
 
     def apply_rinv(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
-            raise DimensionError(f"expected vector of length {self.dimension}")
+            raise InputError(f"expected vector of length {self.dimension}")
         return x / (self.sigma * self.sigma)
 
 
@@ -184,7 +184,7 @@ class PriorModel:
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
         if self.mu.shape != (self.Q.n,):
-            raise DimensionError("prior mean and covariance dimensions disagree")
+            raise InputError("prior mean and covariance dimensions disagree")
 
 
 def identity_prior(n):

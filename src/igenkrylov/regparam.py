@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FLOAT_MAX, ConfigError, DimensionError
+from .errors import FLOAT_MAX, ConfigError, InputError
 
 # Neither is called in this module: a rule returns lambda and the solve driver
 # makes the projected solve. Both stay bound here, where the benchmark's tracer
@@ -167,7 +167,7 @@ class OracleError:
         d = prior.mu - np.asarray(s_true, dtype=float)
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[0] != d.size:
-            raise DimensionError("basis and solution dimensions disagree")
+            raise InputError("basis and solution dimensions disagree")
         K = Z.shape[1]
         R = np.linalg.qr(np.column_stack([Z, d]), mode="r")
         self.R = R[:K, :K]
@@ -186,7 +186,7 @@ class OracleError:
         """
         k = prob.M.shape[1]
         if k > self.R.shape[1]:
-            raise DimensionError("basis and coefficient dimensions disagree")
+            raise InputError("basis and coefficient dimensions disagree")
         B = self.R[:k, :k] @ (prob.Vt.T * prob.bhat)
         e = self.e[:k]
         abs_e = np.abs(e)
@@ -300,11 +300,13 @@ def wgcv_value(prob, lam, omega):
 
     ``lam`` is a scalar or a 1-D grid. Numerator: squared projected residual.
     Denominator: the squared weighted trace (k+1) - omega * sum_i phi_i.
-    omega = 1 is standard GCV.
+    omega = 1 is standard GCV. On a square M that trace is 0 where every
+    phi_i rounds to 1, and G is +inf there.
     """
     filt = prob.filters(lam)
     trace = prob.M.shape[0] - omega * filt.phi.sum(axis=-1)
-    return prob.residual_norm2(filt) / (trace * trace)
+    with np.errstate(divide="ignore"):
+        return prob.residual_norm2(filt) / (trace * trace)
 
 
 def select_lambda_wgcv(prob, omega):

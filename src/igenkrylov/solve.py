@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bidiag
-from .errors import DimensionError, NumericalError
+from .errors import InputError, NumericalError
 
 RANK_RTOL = 1e-12
 
@@ -53,7 +53,7 @@ class ProjectedProblem:
         self.M = np.asarray(M, dtype=float)
         self.beta1 = beta1
         if self.M.ndim != 2 or self.M.shape[1] < 1:
-            raise DimensionError("projected matrix must have at least one column")
+            raise InputError("projected matrix must have at least one column")
         if not np.all(np.isfinite(self.M)):
             raise NumericalError("projected matrix contains non-finite entries")
         U, self.s, self.Vt = np.linalg.svd(self.M, full_matrices=False)
@@ -110,7 +110,7 @@ def recover_solution(prior, Z, y):
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != y.size:
-        raise DimensionError("basis and coefficient dimensions disagree")
+        raise InputError("basis and coefficient dimensions disagree")
     return prior.mu + Z @ y
 
 
@@ -169,7 +169,7 @@ def project(state, prior, rule, noise_norm=None, s_true=None):
     iterate and the stop reason, read from ``state.terminated``.
     """
     if state.k < 1:
-        raise DimensionError("the decomposition has no step to project")
+        raise InputError("the decomposition has no step to project")
     s_true = None if s_true is None else np.asarray(s_true, dtype=float)
     s_true_norm = float(np.linalg.norm(s_true)) if s_true is not None else 0.0
     relerr = math.nan

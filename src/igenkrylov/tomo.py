@@ -22,7 +22,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 
-from .errors import FLOAT_MAX, DegenerateInputError, DimensionError, InvalidParameterError
+from .errors import FLOAT_MAX, InputError
 from .linop import LinearOperator
 from .rng import TAG_ANGLE_JITTER, TAG_OBSERVATION_NOISE, substream
 
@@ -55,15 +55,15 @@ class CTGeometry:
 
     def __post_init__(self):
         if self.n < 2:
-            raise InvalidParameterError("image side must be at least 2")
+            raise InputError("image side must be at least 2")
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
         if len(self.angles) == 0:
-            raise InvalidParameterError("need at least one projection angle")
+            raise InputError("need at least one projection angle")
         if not all(abs(a) <= FLOAT_MAX for a in self.angles):
-            raise InvalidParameterError("projection angles must be finite")
+            raise InputError("projection angles must be finite")
         nrays = default_nrays(self.n) if self.nrays is None else int(self.nrays)
         if nrays < 1:
-            raise InvalidParameterError("need at least one ray per angle")
+            raise InputError("need at least one ray per angle")
         object.__setattr__(self, "nrays", nrays)
 
     @property
@@ -298,7 +298,7 @@ _ELLIPSES = (
 def make_phantom(n):
     """Deterministic head phantom, values clipped to [0, 1], column-major vector."""
     if n < 16:
-        raise InvalidParameterError("phantom needs n >= 16")
+        raise InputError("phantom needs n >= 16")
     coords = (np.arange(n) + 0.5) * (2.0 / n) - 1.0
     x = coords[:, None]  # x varies along image columns
     y = coords[None, :]
@@ -317,20 +317,20 @@ def make_phantom(n):
 def image_to_grid(vec, n):
     """Column-major image vector to a (row=iy, col=ix) array for display/IO."""
     if vec.size != n * n:
-        raise DimensionError("vector length does not match n*n")
+        raise InputError("vector length does not match n*n")
     return vec.reshape((n, n)).T
 
 
 def synthesize_observation(A, s_true, noise_level, seed):
     """Noisy sinogram A s_true + eps and its noise norm ||eps|| = noise_level ||A s_true||."""
     if not 0 <= noise_level <= FLOAT_MAX:
-        raise InvalidParameterError("noise level must be finite and nonnegative")
+        raise InputError("noise level must be finite and nonnegative")
     d_true = A.apply(s_true)
     if noise_level == 0:
         return d_true, 0.0
     d_norm = float(np.linalg.norm(d_true))
     if d_norm == 0.0:
-        raise DegenerateInputError("cannot add relative noise to a zero sinogram")
+        raise InputError("cannot add relative noise to a zero sinogram")
     g = substream(seed, TAG_OBSERVATION_NOISE).standard_normal(d_true.size)
     eps = g * (noise_level * d_norm / float(np.linalg.norm(g)))
     return d_true + eps, noise_level * d_norm

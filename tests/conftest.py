@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from igenkrylov import linop, tomo
 from igenkrylov.bidiag import BREAKDOWN_RTOL
-from igenkrylov.errors import DegenerateInputError, DimensionError, IgenKrylovError
+from igenkrylov.errors import IgenKrylovError, InputError
 
 DENSE_LIMIT = 4096
 
@@ -75,7 +75,7 @@ class DenseOperator(linop.LinearOperator):
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2:
-            raise DimensionError("dense operator needs a 2-d array")
+            raise InputError("dense operator needs a 2-d array")
         super().__init__(mat.shape[0], mat.shape[1])
         self.mat = mat
 
@@ -106,7 +106,7 @@ def read_pgm(path):
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
-            raise DimensionError("not a binary PGM file")
+            raise InputError("not a binary PGM file")
         dims = fh.readline().split()
         width, height = int(dims[0]), int(dims[1])
         maxval = int(fh.readline())
@@ -201,7 +201,7 @@ class ComposedOperator(linop.LinearOperator):
 
     def __init__(self, outer, inner):
         if outer.ncols != inner.nrows:
-            raise DimensionError("composition dimension mismatch")
+            raise InputError("composition dimension mismatch")
         super().__init__(outer.nrows, inner.ncols)
         self.outer = outer
         self.inner = inner
@@ -223,10 +223,10 @@ def gk_decompose(A, b, steps, reorthogonalize=True):
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.nrows,):
-        raise DimensionError("right-hand side length does not match operator rows")
+        raise InputError("right-hand side length does not match operator rows")
     beta1 = float(np.linalg.norm(b))
     if beta1 == 0.0:
-        raise DegenerateInputError("right-hand side is zero")
+        raise InputError("right-hand side is zero")
     tol = BREAKDOWN_RTOL * beta1
 
     us = [b / beta1]
@@ -235,7 +235,7 @@ def gk_decompose(A, b, steps, reorthogonalize=True):
     w = A.apply_adjoint(us[0])
     alpha = float(np.linalg.norm(w))
     if alpha <= tol:
-        raise DegenerateInputError("adjoint of right-hand side is degenerate")
+        raise InputError("adjoint of right-hand side is degenerate")
     vs = [w / alpha]
     alphas.append(alpha)
 

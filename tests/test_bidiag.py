@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from igenkrylov import bidiag, linop, prior, tomo
-from igenkrylov.errors import DegenerateInputError, DimensionError, NumericalError
+from igenkrylov.errors import InputError, NumericalError
 
 from conftest import DenseOperator, DenseSPDCovariance, IdentityOperator, gk_decompose, random_spd
 
@@ -76,7 +76,7 @@ def test_init_matches_classic_start():
 def test_init_rejects_zero_rhs():
     A = DenseOperator(np.eye(3))
     pm, nm = identity_setting(3, 3)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InputError, match="right-hand side is zero"):
         bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.zeros(3), 1)
 
 
@@ -85,7 +85,7 @@ def test_degenerate_first_step_does_not_terminate_the_state():
     A = DenseOperator(np.diag([1.0, 0.0]))
     pm, nm = identity_setting(2, 2)
     state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.array([0.0, 1.0]), 3)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InputError, match="adjoint of right-hand side is degenerate"):
         bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
     assert not state.terminated and state.k == 0
 
@@ -532,7 +532,7 @@ def test_short_angle_schedule_is_rejected_before_any_product(monkeypatch):
 
     monkeypatch.setattr(linop, "perturbed_apply_adjoint", no_product)
     monkeypatch.setattr(linop, "perturbed_apply", no_product)
-    with pytest.raises(DimensionError, match="2 entries for a 3-step run"):
+    with pytest.raises(InputError, match="2 entries for a 3-step run"):
         bidiag.igenGK_run(A, model, pm, nm, b, 3)
 
 
@@ -592,3 +592,20 @@ def test_breakdown_leaves_state_solvable():
     assert state.terminated
     assert state.M.shape == (1, 1)
     assert state.M[0, 0] == pytest.approx(1.0, rel=1e-14)
+    # The relations hold over the one column of the square terminal state.
+    assert max(bidiag.relation_diagnostics(state, A, pm, nm)) <= 1e-12
+
+
+def test_relations_check_every_column_after_a_u_side_breakdown():
+    """An exact multi-step run that ends in a U-side breakdown is checked over
+    all k columns: k products of each kind, every residual at rounding level."""
+    A, b, pm, nm = _step_case("u-breakdown")
+    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, STEP_CASES["u-breakdown"][2])
+    assert state.terminated and state.k > 1 and state.M.shape == (state.k, state.k)
+    products = []
+    apply, apply_adjoint = A.apply, A.apply_adjoint
+    A.apply = lambda x: products.append("forward") or apply(x)
+    A.apply_adjoint = lambda x: products.append("adjoint") or apply_adjoint(x)
+    rep = bidiag.relation_diagnostics(state, A, pm, nm)
+    assert sorted(products) == ["adjoint"] * state.k + ["forward"] * state.k
+    assert max(rep) <= 1e-10

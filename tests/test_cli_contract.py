@@ -167,3 +167,23 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 12.1 GiB for an array\n"
     assert not out.exists()
+
+
+# Runs that end in a U-side breakdown, which leaves the projected matrix square:
+# at k = 4 under WGCV, and at k = 1.
+U_BREAKDOWN_CONFIGS = {
+    "wgcv-k4": {"geometry": {"n": 16, "angle_count": 2, "nrays": 2}, "mode": "gk",
+                "reg": {"rule": "wgcv"}, "max_iter": 8},
+    "k1": {"geometry": {"n": 16, "angle_count": 1, "nrays": 1}, "max_iter": 5},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", list(U_BREAKDOWN_CONFIGS))
+def test_a_run_that_ends_in_a_u_side_breakdown_exits_0(tmp_path, capsys, name, command):
+    """WGCV is +inf, not a divide-by-zero warning, where the weighted trace
+    of the square matrix vanishes, and the relation check covers every column."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(U_BREAKDOWN_CONFIGS[name]))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""

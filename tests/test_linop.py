@@ -6,7 +6,7 @@ from scipy import stats
 
 from igenkrylov import linop
 from igenkrylov.rng import DIR_ADJOINT, DIR_FORWARD, TAG_MATVEC_ERROR, substream
-from igenkrylov.errors import DimensionError, InvalidInputError, InvalidParameterError
+from igenkrylov.errors import InputError
 
 from conftest import ComposedOperator, DenseOperator, IdentityOperator, dot_test, naive_matvec
 
@@ -46,19 +46,19 @@ def test_adjoint_pairing_vs_naive_oracle():
 
 def test_dimension_and_finiteness_errors():
     op = DenseOperator(np.eye(3))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match=r"expected vector of length 3, got shape \(4,\)"):
         op.apply(np.ones(4))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match=r"expected vector of length 3, got shape \(2,\)"):
         op.apply_adjoint(np.ones(2))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="input vector contains non-finite entries"):
         op.apply(np.array([1.0, np.nan, 0.0]))
     # the perturbed products check their input the same way
     model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match=r"expected vector of length 3, got shape \(4,\)"):
         linop.perturbed_apply(op, model, 1, np.ones(4))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match=r"expected vector of length 3, got shape \(2,\)"):
         linop.perturbed_apply_adjoint(op, model, 1, np.ones(2))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InputError, match="input vector contains non-finite entries"):
         linop.perturbed_apply(op, model, 1, np.array([1.0, np.inf, 0.0]))
 
 
@@ -70,7 +70,7 @@ def test_composed_operator():
     x = rng.standard_normal(5)
     np.testing.assert_allclose(op.apply(x), a @ b @ x, rtol=1e-12)
     assert dot_test(op, rng) <= 1e-10
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="composition dimension mismatch"):
         ComposedOperator(DenseOperator(b), DenseOperator(a @ b))
 
 
@@ -213,23 +213,23 @@ def test_error_scaling_exactly_linear_in_beta():
 
 
 def test_model_validation():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InputError, match="unknown inexactness mode 'bogus'"):
         linop.InexactnessModel(mode="bogus")
     for beta in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InputError, match="beta must be finite and nonnegative"):
             linop.InexactnessModel(mode="gaussian-entry", beta=beta)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InputError, match="seed must be nonnegative"):
         linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=-1)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InputError, match="angle-perturbation mode requires a schedule"):
         linop.InexactnessModel(mode="angle-perturbation")
     for entry in (-0.1, 0.0, float("nan"), float("inf")):
         for schedule in ((0.1, entry, 5), (entry, 0.1, 5)):
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(InputError, match="schedule start and end must be finite"):
                 linop.InexactnessModel(mode="angle-perturbation", schedule=schedule)
     for steps in (0, -1, 2.0):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InputError, match="schedule steps must be a positive integer"):
             linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2, steps))
     model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2, 5))
     for k in (0, 6):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InputError, match="is outside the 5-step schedule"):
             model.magnitude(k)

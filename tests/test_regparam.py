@@ -562,6 +562,14 @@ def test_wgcv_large_lambda_limit():
     assert val == pytest.approx(limit, rel=1e-6)
 
 
+def test_wgcv_is_inf_where_the_weighted_trace_of_a_square_problem_vanishes():
+    """A U-side breakdown leaves M square: at the grid floor every phi rounds
+    to 1, so with omega = 1 the trace is exactly 0 and G is +inf, with no
+    divide-by-zero warning."""
+    prob = make_prob([[2.0]])
+    assert regparam.wgcv_value(prob, regparam._lambda_grid(prob)[0], 1.0) == np.inf
+
+
 def test_wgcv_selected_matches_brute_force():
     rng = np.random.default_rng(6)
     M = rng.standard_normal((10, 9))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from igenkrylov import bidiag, linop, prior, regparam, solve, tomo
-from igenkrylov.errors import DegenerateInputError, DimensionError, NumericalError
+from igenkrylov.errors import InputError, NumericalError
 
 from conftest import (
     DenseOperator,
@@ -154,7 +154,7 @@ def test_recover_dense_covariance_oracle():
     y = rng.standard_normal(3)
     expected = mu + Z @ y
     np.testing.assert_allclose(solve.recover_solution(pm, Z, y), expected, atol=1e-12)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="basis and coefficient dimensions disagree"):
         solve.recover_solution(pm, Z, np.ones(4))
 
 
@@ -227,7 +227,7 @@ def test_degenerate_adjoint_of_rhs_is_input_error():
     # A^T b = 0 with b != 0: no Krylov column exists, so the driver reports bad input
     A = DenseOperator(np.diag([1.0, 0.0]))
     b = np.array([0.0, 1.0])
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InputError, match="adjoint of right-hand side is degenerate"):
         solve.run_iterative_solve(A, linop.EXACT, prior.identity_prior(2),
                                   prior.NoiseModel(sigma=1.0, dimension=2), b, 3,
                                   regparam.RegConfig(rule="none"))
@@ -235,14 +235,14 @@ def test_degenerate_adjoint_of_rhs_is_input_error():
 
 def test_driver_rejects_zero_iterations():
     _, _, _, b, A, pm, nm = full_rank_generalized_problem(11)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="the decomposition has no step to project"):
         solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 0, regparam.RegConfig(rule="none"))
 
 
 def test_project_rejects_a_state_without_steps():
     _, _, _, b, A, pm, nm = full_rank_generalized_problem(11)
     state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 1)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="the decomposition has no step to project"):
         solve.project(state, pm, regparam.RegConfig(rule="none"))
 
 

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from igenkrylov import harness, prior, regparam, solve, tomo
 from igenkrylov.config import ExperimentConfig, InexactConfig
-from igenkrylov.errors import ConfigError, DegenerateInputError, InvalidParameterError
+from igenkrylov.errors import ConfigError, InputError
 
 from conftest import dot_test, grid_to_image, read_pgm, reference_system_matrix
 
@@ -44,7 +44,7 @@ def test_geometry_dimension_invariants():
     g64 = tomo.CTGeometry(n=64, angles=tomo.default_angles())
     assert (g64.nrows, g64.ncols, g64.nrays) == (3276, 4096, 91)
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InputError, match="projection angles must be finite"):
             tomo.CTGeometry(n=64, angles=(1.0, bad))
 
 
@@ -224,7 +224,7 @@ def test_phantom_range_and_determinism():
     assert p1.size == 64 * 64
     support = np.count_nonzero(p1 > 0) / p1.size
     assert 0.3 <= support <= 0.9
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InputError, match="phantom needs n >= 16"):
         tomo.make_phantom(8)
 
 
@@ -246,10 +246,10 @@ def test_synthesize_observation_exact_level():
     assert nn == pytest.approx(np.linalg.norm(d - d_true), rel=1e-12)
     d2, _ = tomo.synthesize_observation(A, s, 0.04, seed=5)
     np.testing.assert_array_equal(d, d2)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InputError, match="cannot add relative noise to a zero sinogram"):
         tomo.synthesize_observation(A, np.zeros(256), 0.04, seed=5)
     for level in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InputError, match="noise level must be finite and nonnegative"):
             tomo.synthesize_observation(A, s, level, seed=5)
 
 
