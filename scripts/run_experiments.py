@@ -12,11 +12,11 @@ inexact-angles runs take the largest share, because they rebuild the
 system matrix at every iteration (about 10 ms a build at n=64, 33 ms at
 n=128).
 
-``sweep`` is the byte-identity sweep: every solver mode under every rule,
-both rule comparisons and angle studies, the relation check, the rule
+``sweep`` is the byte-identity sweep, 31 runs: every solver mode under every
+rule, both rule comparisons and angle studies, the relation check, the rule
 options that only a configuration file sets, a Matern prior of an order
 without a closed form, and runs that break down, one of them with angle
-jitter and one, under WGCV, on the U side.
+jitter and two on the U side, one under WGCV and one in the relation check.
 Run it at two commits, or twice at one, from same-named directories;
 apart from timings.json every file must be byte-identical, which
 ``compare`` checks:
@@ -65,7 +65,8 @@ SWEEP_DESK_RUNS = {
     "verify-relations": ("verify-relations", None, None),
 }
 
-# reconstruct runs of configuration files. The gk/dp runs reach the full
+# Runs of configuration files, each of the command its "experiment" key names
+# (reconstruct when it has none). The gk/dp runs reach the full
 # Krylov space of their 256 unknowns at k = 256: the run that may go on stops
 # by breakdown, in the step that finds no v_257, and the run limited to 256
 # iterations stops at max_iter.
@@ -96,6 +97,11 @@ SWEEP_CONFIGS = {
         "geometry": {"n": 16, "angle_count": 2, "nrays": 2}, "mode": "gk",
         "reg": {"rule": "wgcv"}, "max_iter": 8,
     },
+    # A U-side breakdown at k = 1, checked over its one column.
+    "relations-ubreakdown-n16": {
+        "experiment": "verify-relations", "geometry": {"n": 16, "angle_count": 1, "nrays": 1},
+        "max_iter": 5,
+    },
 }
 
 
@@ -112,7 +118,7 @@ def runs(which, config_dir):
     for name, cfg in SWEEP_CONFIGS.items():
         path = config_dir / f"{name}.json"
         path.write_text(json.dumps(cfg))
-        listed.append((name, ["reconstruct", "--config", str(path)]))
+        listed.append((name, [cfg.get("experiment", "reconstruct"), "--config", str(path)]))
     return listed
 
 

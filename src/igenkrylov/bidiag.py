@@ -21,7 +21,7 @@ from . import linop
 from .errors import InputError, NumericalError
 from .prior import IdentityCovariance, weighted_norm
 
-# Normalization coefficients below BREAKDOWN_RTOL * beta1 stop the recurrence.
+# A normalization at most BREAKDOWN_RTOL times its column's norm stops the recurrence.
 BREAKDOWN_RTOL = 1e-14
 
 
@@ -154,27 +154,29 @@ def igenGK_step(state, A, inexact, prior, noise):
     iteration i with R^{-1} u_i, then u_{i+1} from the forward product at
     iteration i with z_i = Q v_i, each fully reorthogonalized in its weighted
     inner product. The V-side coefficients come from Z, so the step applies
-    Q once, to the new v. A vanishing v at i = 1 raises InputError;
-    later it ends the recurrence with the state of iteration k. On breakdown
-    of the U-side normalization the projected matrix is committed in square,
-    terminal form (its last subdiagonal vanished), so the projected problem
-    built so far is still solvable. Either breakdown sets ``terminated`` and
-    returns the state; stepping a terminated state returns it unchanged. A
-    normalization that is not finite, or a v_i that does not vanish past the
-    state's capacity (orthogonality lost), raises NumericalError; call the
-    step under ``overflow_checked`` for that to be the only report.
+    Q once, to the new v. A normalization at most ``BREAKDOWN_RTOL`` times the
+    norm of its column of C or M (the weighted norm of its vector before
+    orthogonalization) vanishes, whatever the scale of b. A vanishing v at
+    i = 1 (an exactly zero A^T R^{-1} b) raises InputError; later it ends the
+    recurrence with the state of iteration k. On breakdown of the U-side
+    normalization the projected matrix is committed in square, terminal form
+    (its last subdiagonal vanished), so the projected problem built so far is
+    still solvable. Either breakdown sets ``terminated`` and returns the
+    state; stepping a terminated state returns it unchanged. A normalization
+    that is not finite, or a v_i that does not vanish past the state's
+    capacity (orthogonality lost), raises NumericalError; call the step under
+    ``overflow_checked`` for that to be the only report.
     """
     if state.terminated:
         return state
     i = state.k + 1
-    tol = BREAKDOWN_RTOL * state.beta1
 
     vbar = linop.perturbed_apply_adjoint(A, inexact, i, noise.apply_rinv(state.U[:, -1]))
     Z = state.Z
     v, lcol = _orthogonalize(vbar, state.V, lambda w: Z.T @ w)
     qv = prior.Q.apply(v)
     norm_v = _finite(weighted_norm(v, qv), "V-side normalization")
-    if norm_v <= tol:
+    if norm_v <= BREAKDOWN_RTOL * math.hypot(norm_v, np.linalg.norm(lcol)):
         if i == 1:
             # No column can be built, so there is nothing to solve: an input error.
             raise InputError("adjoint of right-hand side is degenerate")
@@ -197,7 +199,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     u, mcol = _orthogonalize(ubar, U, lambda w: U.T @ noise.apply_rinv(w))
     norm_u = _finite(weighted_norm(u, noise.apply_rinv(u)), "U-side normalization")
     state._M[:i, i - 1] = mcol
-    if norm_u <= tol:
+    if norm_u <= BREAKDOWN_RTOL * math.hypot(norm_u, np.linalg.norm(mcol)):
         # Terminal commit: M stays i-by-i, relations hold with U_i exactly.
         state.terminated = True
         return state

@@ -2,10 +2,9 @@
 
     igenkrylov <command> [--config FILE | --preset desk|paper] [options]
 
-Exit codes: 0 success, 1 an acceptance threshold failed, 2 usage,
-configuration or output error (the output directory cannot be created or
-written), 3 numerical failure (a NaN or infinite number bound for a JSON
-output included) or out of memory.
+Exit codes: 0 success, 1 an acceptance threshold failed, 2 usage or output
+error (the output directory cannot be created or written), 3 out of memory;
+a package error exits with its class's ``exit_code`` (see ``errors``).
 """
 
 import argparse
@@ -13,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .config import PRESETS, SOLVER_MODES, config_from_json, preset
-from .errors import ConfigError, IgenKrylovError, NumericalError
+from .errors import IgenKrylovError
 from .harness import COMMANDS
 from .regparam import RULES
 
@@ -70,18 +69,12 @@ def main(argv=None):
     try:
         cfg = assemble_config(args)
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    except IgenKrylovError as exc:
+        print(f"{exc.report}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except IgenKrylovError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3

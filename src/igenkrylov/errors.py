@@ -1,8 +1,6 @@
 """Exception types shared across the package, and the bound of its range checks.
 
-The classes match the CLI's three outcomes: ``ConfigError`` exits 2, a
-``NumericalError`` exits 3 as a numerical failure, and an ``InputError`` exits
-3 as an error.
+A class's ``exit_code`` and ``report`` (its stderr line's prefix) are its CLI outcome.
 """
 
 import sys
@@ -13,6 +11,9 @@ FLOAT_MAX = sys.float_info.max  # NaN, the infinities and larger integers fail <
 class IgenKrylovError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
+    report = "error"
+
 
 class InputError(IgenKrylovError):
     """An argument is unusable: a wrong shape, a parameter out of range, or degenerate data."""
@@ -21,6 +22,11 @@ class InputError(IgenKrylovError):
 class NumericalError(IgenKrylovError):
     """A numerical invariant was violated (loss of positive-definiteness, NaNs)."""
 
+    report = "numerical failure"
+
 
 class ConfigError(IgenKrylovError):
     """Configuration is missing required fields or fails validation."""
+
+    exit_code = 2
+    report = "configuration error"

@@ -581,6 +581,27 @@ def test_exact_relations_at_rounding_level(small_ct_problem):
     assert rep.err_forward <= 1e-10
 
 
+@pytest.mark.parametrize("matern", [False, True], ids=["identity", "matern"])
+def test_breakdown_does_not_depend_on_the_scale_of_b(matern):
+    """Each normalization is compared with the norm of its own column, so a
+    scaled b stops at the same k with the same M."""
+    n = 16
+    geom = tomo.CTGeometry(n=n, angles=tomo.default_angles(count=8, step=22.0))
+    A = tomo.RadonOperator(geom)
+    b, _ = tomo.synthesize_observation(A, tomo.make_phantom(n), 0.04, seed=77)
+    pm = prior.identity_prior(n * n)
+    if matern:
+        Q = prior.CovarianceOperator((n, n), prior.MaternKernel(nu=1.5, alpha=100.0))
+        pm = prior.PriorModel(mu=np.zeros(n * n), Q=Q)
+    nm = prior.NoiseModel(sigma=1.0, dimension=geom.nrows)
+    ref = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 300)
+    assert ref.terminated and ref.k < 300
+    for scale in (1e-20, 1e13, 1e16):
+        state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, scale * b, 300)
+        assert (state.k, state.terminated) == (ref.k, ref.terminated), scale
+        np.testing.assert_allclose(state.M, ref.M, rtol=0, atol=1e-11 * np.abs(ref.M).max())
+
+
 def test_breakdown_leaves_state_solvable():
     # engine on the identity problem: terminal square commit at step 1
     A = IdentityOperator(4)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from igenkrylov import cli, harness
 from igenkrylov.config import ExperimentConfig, GeometryConfig, InexactConfig
+from igenkrylov.errors import ConfigError, InputError, NumericalError
 
 # An n=16 run small enough that a valid mutation still finishes in milliseconds.
 # Angle perturbation under igk: one mutation reaches either kind of inexactness.
@@ -169,6 +170,20 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error, code, line", [
+    (ConfigError, 2, "configuration error: boom\n"),
+    (NumericalError, 3, "numerical failure: boom\n"),
+    (InputError, 3, "error: boom\n"),
+])
+def test_each_package_error_exits_with_its_code_and_line(capsys, monkeypatch, error, code, line):
+    def fail(cfg):
+        raise error("boom")
+
+    monkeypatch.setitem(harness.COMMANDS, "reconstruct", fail)
+    assert cli.main(["reconstruct"]) == code
+    assert capsys.readouterr().err == line
+
+
 # Runs that end in a U-side breakdown, which leaves the projected matrix square:
 # at k = 4 under WGCV, and at k = 1.
 U_BREAKDOWN_CONFIGS = {
@@ -187,3 +202,17 @@ def test_a_run_that_ends_in_a_u_side_breakdown_exits_0(tmp_path, capsys, name, c
     path.write_text(json.dumps(U_BREAKDOWN_CONFIGS[name]))
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_zero_relation_residual_fails_the_scaling_gate_in_strict_json(tmp_path, capsys):
+    """At beta 1e-300 the k = 1 run's relation residuals are exactly zero: the
+    ratios to them are JSON null, and the pair fails the scaling gate."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**U_BREAKDOWN_CONFIGS["k1"], "betas": [1e-2, 1e-300]}))
+    out = tmp_path / "out"
+    assert cli.main(["verify-relations", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    ratio = summary["scaling_ratios"][0]
+    assert ratio["adjoint_ratio"] is None and ratio["forward_ratio"] is None
+    assert summary["scaling_ok"] is False
