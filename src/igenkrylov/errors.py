@@ -16,7 +16,7 @@ class IgenKrylovError(Exception):
 
 
 class InputError(IgenKrylovError):
-    """An argument is unusable: a wrong shape, a parameter out of range, or degenerate data."""
+    """An argument is unusable: degenerate data, such as a zero right-hand side."""
 
 
 class NumericalError(IgenKrylovError):

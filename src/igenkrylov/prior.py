@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FLOAT_MAX, InputError, NumericalError
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,8 @@ class MaternKernel:
     nu: float
     alpha: float
 
-    def __post_init__(self):
-        if not (0 < self.nu <= FLOAT_MAX and 0 < self.alpha <= FLOAT_MAX):
-            raise InputError("nu and alpha must be finite and positive")
-
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
-            raise InputError("distances must be nonnegative")
         t = math.sqrt(2.0 * self.nu) * self.alpha * r
         if self.nu == 0.5:
             val = np.exp(-t)
@@ -99,17 +93,15 @@ def _embedding_symbol(grid_shape, kernel, fft_shape):
 class CovarianceOperator:
     """Symmetric PSD covariance operator Q on a regular 2-d grid of cell centers.
 
-    ``grid_shape`` is its (rows, columns) on the unit square, both positive
-    (else InputError); vectors stack its columns, so index v is
-    cell (row, col) = (v % rows, v // rows). Q is applied in O(n log n) through
-    the circulant embedding. Instances are immutable after construction. A
-    kernel that is not finite on the grid raises NumericalError here.
+    ``grid_shape`` is its (rows, columns) on the unit square; vectors stack
+    its columns, so index v is cell (row, col) = (v % rows, v // rows). Q is
+    applied in O(n log n) through the circulant embedding. Instances are
+    immutable after construction. A kernel that is not finite on the grid
+    raises NumericalError here.
     """
 
     def __init__(self, grid_shape, kernel):
         grid_shape = tuple(int(s) for s in grid_shape)
-        if len(grid_shape) != 2 or any(s < 1 for s in grid_shape):
-            raise InputError(f"unsupported grid shape {grid_shape}")
         self.grid_shape = grid_shape
         self.n = grid_shape[0] * grid_shape[1]
         self._fft_shape = tuple(_fast_len(2 * n - 1) for n in grid_shape)
@@ -127,8 +119,6 @@ class CovarianceOperator:
         so the result is bitwise the padded product.
         """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InputError(f"expected vector of length {self.n}")
         shape, m = self.grid_shape, self._fft_shape
         f = np.zeros(self._symbol.shape, dtype=complex)
         np.fft.rfft(x.reshape(shape, order="F"), n=m[1], axis=1, out=f[: shape[0]])
@@ -145,10 +135,7 @@ class IdentityCovariance:
         self.n = int(n)
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InputError(f"expected vector of length {self.n}")
-        return x
+        return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -158,20 +145,8 @@ class NoiseModel:
     sigma: float
     dimension: int
 
-    def __post_init__(self):
-        if not 0 < self.sigma <= FLOAT_MAX:
-            raise InputError("sigma must be finite and positive")
-        variance = float(self.sigma) * float(self.sigma)
-        if not (0.0 < variance <= FLOAT_MAX and 1.0 / variance <= FLOAT_MAX):
-            raise InputError("sigma^2 and 1/sigma^2 must be finite and nonzero")
-        if self.dimension < 1:
-            raise InputError("dimension must be positive")
-
     def apply_rinv(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise InputError(f"expected vector of length {self.dimension}")
-        return x / (self.sigma * self.sigma)
+        return np.asarray(x, dtype=float) / (self.sigma * self.sigma)
 
 
 @dataclass
@@ -183,8 +158,6 @@ class PriorModel:
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
-        if self.mu.shape != (self.Q.n,):
-            raise InputError("prior mean and covariance dimensions disagree")
 
 
 def identity_prior(n):

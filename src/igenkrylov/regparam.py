@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FLOAT_MAX, ConfigError, InputError
+from .errors import FLOAT_MAX, ConfigError
 
 # Neither is called in this module: a rule returns lambda and the solve driver
 # makes the projected solve. Both stay bound here, where the benchmark's tracer
@@ -82,11 +82,6 @@ def _refine_rounds():
 REFINE_ROUNDS = _refine_rounds()
 
 
-def _check_omega(omega):
-    if not 0.0 < omega <= 1.0:
-        raise ConfigError("omega must lie in (0, 1]")
-
-
 @dataclass(frozen=True)
 class RegConfig:
     """The lambda rule of a run: the ``reg`` section of the configuration.
@@ -112,7 +107,8 @@ class RegConfig:
             raise ConfigError("lambda_fixed must be finite and nonnegative")
         if not 0.0 < self.nu_dp <= FLOAT_MAX:
             raise ConfigError("nu_dp must be finite and positive")
-        _check_omega(self.omega)
+        if not 0.0 < self.omega <= 1.0:
+            raise ConfigError("omega must lie in (0, 1]")
         if self.omega_mode not in OMEGA_MODES:
             raise ConfigError(f"unknown omega_mode {self.omega_mode!r}")
 
@@ -166,8 +162,6 @@ class OracleError:
             raise ConfigError("optimal rule requires the true solution")
         d = prior.mu - np.asarray(s_true, dtype=float)
         Z = np.asarray(Z, dtype=float)
-        if Z.ndim != 2 or Z.shape[0] != d.size:
-            raise InputError("basis and solution dimensions disagree")
         K = Z.shape[1]
         R = np.linalg.qr(np.column_stack([Z, d]), mode="r")
         self.R = R[:K, :K]
@@ -185,8 +179,6 @@ class OracleError:
         both.
         """
         k = prob.M.shape[1]
-        if k > self.R.shape[1]:
-            raise InputError("basis and coefficient dimensions disagree")
         B = self.R[:k, :k] @ (prob.Vt.T * prob.bhat)
         e = self.e[:k]
         abs_e = np.abs(e)
@@ -312,7 +304,6 @@ def wgcv_value(prob, lam, omega):
 def select_lambda_wgcv(prob, omega):
     """The lambda minimizing the weighted GCV functional with weight ``omega``."""
     omega = float(omega)
-    _check_omega(omega)
     # One rounded expression of positive parts: the value is its own scale.
     return _grid_then_refine(prob, lambda lams: (wgcv_value(prob, lams, omega),) * 2)
 

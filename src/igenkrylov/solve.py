@@ -52,8 +52,6 @@ class ProjectedProblem:
     def __init__(self, M, beta1):
         self.M = np.asarray(M, dtype=float)
         self.beta1 = beta1
-        if self.M.ndim != 2 or self.M.shape[1] < 1:
-            raise InputError("projected matrix must have at least one column")
         if not np.all(np.isfinite(self.M)):
             raise NumericalError("projected matrix contains non-finite entries")
         U, self.s, self.Vt = np.linalg.svd(self.M, full_matrices=False)
@@ -109,8 +107,6 @@ def recover_solution(prior, Z, y):
     """Solution in original coordinates: mu + Z y, where Z = Q V (no covariance product)."""
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
-    if Z.ndim != 2 or Z.shape[1] != y.size:
-        raise InputError("basis and coefficient dimensions disagree")
     return prior.mu + Z @ y
 
 

@@ -54,16 +54,11 @@ class CTGeometry:
     nrays: int = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InputError("image side must be at least 2")
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        if len(self.angles) == 0:
-            raise InputError("need at least one projection angle")
+        # Jitter can carry a finite configured angle past the float range.
         if not all(abs(a) <= FLOAT_MAX for a in self.angles):
             raise InputError("projection angles must be finite")
         nrays = default_nrays(self.n) if self.nrays is None else int(self.nrays)
-        if nrays < 1:
-            raise InputError("need at least one ray per angle")
         object.__setattr__(self, "nrays", nrays)
 
     @property
@@ -297,8 +292,6 @@ _ELLIPSES = (
 
 def make_phantom(n):
     """Deterministic head phantom, values clipped to [0, 1], column-major vector."""
-    if n < 16:
-        raise InputError("phantom needs n >= 16")
     coords = (np.arange(n) + 0.5) * (2.0 / n) - 1.0
     x = coords[:, None]  # x varies along image columns
     y = coords[None, :]
@@ -316,15 +309,11 @@ def make_phantom(n):
 
 def image_to_grid(vec, n):
     """Column-major image vector to a (row=iy, col=ix) array for display/IO."""
-    if vec.size != n * n:
-        raise InputError("vector length does not match n*n")
     return vec.reshape((n, n)).T
 
 
 def synthesize_observation(A, s_true, noise_level, seed):
     """Noisy sinogram A s_true + eps and its noise norm ||eps|| = noise_level ||A s_true||."""
-    if not 0 <= noise_level <= FLOAT_MAX:
-        raise InputError("noise level must be finite and nonnegative")
     d_true = A.apply(s_true)
     if noise_level == 0:
         return d_true, 0.0

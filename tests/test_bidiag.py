@@ -518,24 +518,6 @@ def test_run_allocates_its_bases_once():
     assert peak <= bases + 8 * 8 * (m + n)
 
 
-def test_short_angle_schedule_is_rejected_before_any_product(monkeypatch):
-    geom = tomo.CTGeometry(n=16, angles=tomo.default_angles(count=6, step=30.0))
-    A = tomo.RadonOperator(geom)
-    b = tomo.synthesize_observation(A, tomo.make_phantom(16), 0.0, seed=1)[0]
-    pm, nm = identity_setting(geom.nrows, geom.ncols)
-    model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2, 2), seed=5)
-    state = bidiag.igenGK_run(A, model, pm, nm, b, 2)
-    assert state.k == 2 and not state.terminated
-
-    def no_product(*args):
-        raise AssertionError("a product was made")
-
-    monkeypatch.setattr(linop, "perturbed_apply_adjoint", no_product)
-    monkeypatch.setattr(linop, "perturbed_apply", no_product)
-    with pytest.raises(InputError, match="2 entries for a 3-step run"):
-        bidiag.igenGK_run(A, model, pm, nm, b, 3)
-
-
 @pytest.fixture(scope="module")
 def small_ct_problem():
     n = 32

@@ -216,3 +216,14 @@ def test_a_zero_relation_residual_fails_the_scaling_gate_in_strict_json(tmp_path
     ratio = summary["scaling_ratios"][0]
     assert ratio["adjoint_ratio"] is None and ratio["forward_ratio"] is None
     assert summary["scaling_ok"] is False
+
+
+def test_an_angle_jittered_past_the_float_range_exits_3(tmp_path, capsys):
+    """A finite schedule of 1.7e308 degrees jitters an angle to infinity: the
+    geometry's own check reports it, not a math domain error."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE, "angle_schedules": [[1.7e308, 1.7e308]]}))
+    out = tmp_path / "out"
+    assert cli.main(["reconstruct", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: projection angles must be finite\n"
+    assert not out.exists()

@@ -70,60 +70,88 @@ def test_config_sections_are_frozen_and_checked_on_construction():
             setattr(section, name, getattr(section, name))
 
 
+# Each row is a configuration fragment and the message of the check that rejects it.
+
 # JSON values of the wrong type: each must be a ConfigError, not a TypeError
 # from validation or a silently accepted value.
 TYPE_MISMATCHES = (
-    {"reg": {"nu_dp": "x"}},
-    {"geometry": {"n": "64"}},
-    {"betas": 5},
-    {"max_iter": 2.5},
-    {"seed": True},
-    {"angle_schedules": [[1, "a"]]},
+    ({"reg": {"nu_dp": "x"}}, "reg.nu_dp must be a number, got 'x'"),
+    ({"geometry": {"n": "64"}}, "geometry.n must be an integer, got '64'"),
+    ({"betas": 5}, "betas must be a list of numbers, got 5"),
+    ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"angle_schedules": [[1, "a"]]}, "angle_schedules must be a list of lists of numbers"),
 )
 
 NAN, INF = float("nan"), float("inf")
+BETA = "inexactness.beta must be finite and nonnegative"
+NU_DP = "nu_dp must be finite and positive"
+LAMBDA_FIXED = "lambda_fixed must be finite and nonnegative"
+NOISE_LEVEL = "noise_level must be finite and nonnegative"
+NOISE_SIGMA = "noise_sigma must be finite and positive"
+NOISE_VARIANCE = "noise_sigma squared and its reciprocal must be finite and nonzero"
+PRIOR = "prior.nu and prior.ell must be finite and positive"
+ELL_RECIPROCAL = "prior.ell must have a finite reciprocal"
+ANGLES = "geometry.angle_start and geometry.angle_step must be finite"
+BETAS = "betas must be finite and nonnegative"
+SCHEDULES = "angle_schedules entries must be finite positive"
+OMEGA = r"omega must lie in \(0, 1\]"
 
 # Numbers of the right type that no check may let through: JSON's NaN and
 # Infinity, integers no float can hold, and a negative fixed lambda.
 NONFINITE_OR_OUT_OF_RANGE = (
-    {"inexactness": {"beta": NAN}},
-    {"inexactness": {"beta": INF}},
-    {"reg": {"rule": "dp", "nu_dp": NAN}},
-    {"reg": {"rule": "dp", "nu_dp": INF}},
-    {"reg": {"rule": "wgcv", "omega": NAN}},
-    {"reg": {"rule": "fixed", "lambda_fixed": -1}},
-    {"reg": {"rule": "fixed", "lambda_fixed": NAN}},
-    {"reg": {"rule": "fixed", "lambda_fixed": INF}},
-    {"noise_level": NAN},
-    {"noise_level": INF},
-    {"noise_sigma": NAN},
-    {"noise_sigma": INF},
-    {"prior": {"ell": NAN}},
-    {"prior": {"nu": INF}},
-    {"prior": {"ell": 1e-310}},  # alpha = 1/ell overflows
-    {"prior": {"ell": 5e-324}},
-    {"geometry": {"angle_step": NAN}},
-    {"geometry": {"angle_start": -INF}},
-    {"geometry": {"angle_start": 1e308, "angle_step": 1e308}},  # the last angle overflows
-    {"betas": [1e-2, NAN]},
-    {"betas": [INF]},
-    {"angle_schedules": [[1e-1, NAN]]},
-    {"angle_schedules": [[INF, 1e-6]]},
-    {"noise_level": 10**400},  # a JSON integer beyond the float range
-    {"inexactness": {"beta": 10**400}},
-    {"reg": {"rule": "fixed", "lambda_fixed": 10**400}},
+    ({"inexactness": {"beta": NAN}}, BETA),
+    ({"inexactness": {"beta": INF}}, BETA),
+    ({"reg": {"rule": "dp", "nu_dp": NAN}}, NU_DP),
+    ({"reg": {"rule": "dp", "nu_dp": INF}}, NU_DP),
+    ({"reg": {"rule": "wgcv", "omega": NAN}}, OMEGA),
+    ({"reg": {"rule": "fixed", "lambda_fixed": -1}}, LAMBDA_FIXED),
+    ({"reg": {"rule": "fixed", "lambda_fixed": NAN}}, LAMBDA_FIXED),
+    ({"reg": {"rule": "fixed", "lambda_fixed": INF}}, LAMBDA_FIXED),
+    ({"noise_level": NAN}, NOISE_LEVEL),
+    ({"noise_level": INF}, NOISE_LEVEL),
+    ({"noise_sigma": NAN}, NOISE_SIGMA),
+    ({"noise_sigma": INF}, NOISE_SIGMA),
+    ({"prior": {"ell": NAN}}, PRIOR),
+    ({"prior": {"nu": INF}}, PRIOR),
+    ({"prior": {"ell": 1e-310}}, ELL_RECIPROCAL),  # alpha = 1/ell overflows
+    ({"prior": {"ell": 5e-324}}, ELL_RECIPROCAL),
+    ({"geometry": {"angle_step": NAN}}, ANGLES),
+    ({"geometry": {"angle_start": -INF}}, ANGLES),
+    # the last angle overflows
+    ({"geometry": {"angle_start": 1e308, "angle_step": 1e308}}, "geometry's last angle"),
+    ({"betas": [1e-2, NAN]}, BETAS),
+    ({"betas": [INF]}, BETAS),
+    ({"angle_schedules": [[1e-1, NAN]]}, SCHEDULES),
+    ({"angle_schedules": [[INF, 1e-6]]}, SCHEDULES),
+    ({"noise_level": 10**400}, NOISE_LEVEL),  # a JSON integer beyond the float range
+    ({"inexactness": {"beta": 10**400}}, BETA),
+    ({"reg": {"rule": "fixed", "lambda_fixed": 10**400}}, LAMBDA_FIXED),
+)
+
+# Finite values out of their field's range. The library classes that take
+# these values do not check them again, so these checks are their only guard.
+OUT_OF_RANGE = (
+    ({"mode": "quantum"}, "unknown solver mode 'quantum'"),
+    ({"noise_level": -0.1}, NOISE_LEVEL),
+    ({"reg": {"rule": "fixed"}}, "rule 'fixed' requires lambda_fixed"),
+    ({"inexactness": {"mode": "bogus"}}, "unknown inexactness mode 'bogus'"),
+    ({"geometry": {"angle_count": 0}}, "geometry.angle_count must be positive"),
+    ({"geometry": {"nrays": 0}}, "geometry.nrays must be positive"),
+    ({"geometry": {"n": 15}}, "geometry.n must be at least 16"),
+    ({"inexactness": {"seed": -1}}, "inexactness.seed must be nonnegative"),
+    ({"noise_sigma": 0}, NOISE_SIGMA),
+    ({"noise_sigma": 1e-200}, NOISE_VARIANCE),  # R^{-1} would overflow
+    ({"prior": {"nu": -1}}, PRIOR),
+    ({"angle_schedules": [[0.1, 0.0]]}, SCHEDULES),
+    ({"betas": [-1e-2]}, BETAS),
+    ({"reg": {"omega": 1.5}}, OMEGA),
 )
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        config_from_dict({"schema_version": 1, "mode": "quantum"})
-    with pytest.raises(ConfigError):
-        config_from_dict({"schema_version": 1, "noise_level": -0.1})
-    with pytest.raises(ConfigError):
-        config_from_dict({"schema_version": 1, "reg": {"rule": "fixed"}})
-    for bad in TYPE_MISMATCHES + NONFINITE_OR_OUT_OF_RANGE:
-        with pytest.raises(ConfigError):
+    for bad, message in TYPE_MISMATCHES + NONFINITE_OR_OUT_OF_RANGE + OUT_OF_RANGE:
+        with pytest.raises(ConfigError, match=message):
             config_from_dict({"schema_version": 1, **bad})
 
 
@@ -516,7 +544,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     good_but_wrong = tmp_path / "wrong.json"
     good_but_wrong.write_text(json.dumps({"schema_version": 1, "mode": "martian"}))
     assert cli.main(["reconstruct", "--config", str(good_but_wrong)]) == 2
-    for mismatch in TYPE_MISMATCHES:
+    for mismatch, _ in TYPE_MISMATCHES:
         good_but_wrong.write_text(json.dumps(mismatch))
         capsys.readouterr()
         assert cli.main(["reconstruct", "--config", str(good_but_wrong)]) == 2
@@ -528,7 +556,7 @@ def test_cli_nonfinite_numbers_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     path = tmp_path / "cfg.json"
     base = {"geometry": {"n": 16}, "max_iter": 3}
-    for bad in NONFINITE_OR_OUT_OF_RANGE:
+    for bad, _ in NONFINITE_OR_OUT_OF_RANGE:
         path.write_text(json.dumps({**base, **bad}))  # json writes NaN and Infinity tokens
         capsys.readouterr()
         assert cli.main(["reconstruct", "--config", str(path), "--out", str(out)]) == 2

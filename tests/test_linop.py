@@ -44,24 +44,6 @@ def test_adjoint_pairing_vs_naive_oracle():
     assert abs(float(np.dot(op.apply_adjoint(u), v)) - rhs) <= 1e-12 * abs(lhs)
 
 
-def test_dimension_and_finiteness_errors():
-    op = DenseOperator(np.eye(3))
-    with pytest.raises(InputError, match=r"expected vector of length 3, got shape \(4,\)"):
-        op.apply(np.ones(4))
-    with pytest.raises(InputError, match=r"expected vector of length 3, got shape \(2,\)"):
-        op.apply_adjoint(np.ones(2))
-    with pytest.raises(InputError, match="input vector contains non-finite entries"):
-        op.apply(np.array([1.0, np.nan, 0.0]))
-    # the perturbed products check their input the same way
-    model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=0)
-    with pytest.raises(InputError, match=r"expected vector of length 3, got shape \(4,\)"):
-        linop.perturbed_apply(op, model, 1, np.ones(4))
-    with pytest.raises(InputError, match=r"expected vector of length 3, got shape \(2,\)"):
-        linop.perturbed_apply_adjoint(op, model, 1, np.ones(2))
-    with pytest.raises(InputError, match="input vector contains non-finite entries"):
-        linop.perturbed_apply(op, model, 1, np.array([1.0, np.inf, 0.0]))
-
-
 def test_composed_operator():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 4))
@@ -213,22 +195,6 @@ def test_error_scaling_exactly_linear_in_beta():
 
 
 def test_model_validation():
-    with pytest.raises(InputError, match="unknown inexactness mode 'bogus'"):
-        linop.InexactnessModel(mode="bogus")
-    for beta in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(InputError, match="beta must be finite and nonnegative"):
-            linop.InexactnessModel(mode="gaussian-entry", beta=beta)
-    with pytest.raises(InputError, match="seed must be nonnegative"):
-        linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=-1)
-    with pytest.raises(InputError, match="angle-perturbation mode requires a schedule"):
-        linop.InexactnessModel(mode="angle-perturbation")
-    for entry in (-0.1, 0.0, float("nan"), float("inf")):
-        for schedule in ((0.1, entry, 5), (entry, 0.1, 5)):
-            with pytest.raises(InputError, match="schedule start and end must be finite"):
-                linop.InexactnessModel(mode="angle-perturbation", schedule=schedule)
-    for steps in (0, -1, 2.0):
-        with pytest.raises(InputError, match="schedule steps must be a positive integer"):
-            linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2, steps))
     model = linop.InexactnessModel(mode="angle-perturbation", schedule=(0.1, 0.2, 5))
     for k in (0, 6):
         with pytest.raises(InputError, match="is outside the 5-step schedule"):

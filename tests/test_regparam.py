@@ -603,12 +603,6 @@ def test_refinement_reaches_the_refinement_width(point, offset):
     assert abs(lam / expected - 1.0) <= regparam.REFINE_RELWIDTH
 
 
-def test_wgcv_rejects_bad_omega():
-    prob = scalar_toy()
-    with pytest.raises(ConfigError):
-        regparam.select_lambda_wgcv(prob, 1.5)
-
-
 def test_suggest_omega_in_unit_interval():
     rng = np.random.default_rng(7)
     for _ in range(10):

@@ -224,8 +224,6 @@ def test_phantom_range_and_determinism():
     assert p1.size == 64 * 64
     support = np.count_nonzero(p1 > 0) / p1.size
     assert 0.3 <= support <= 0.9
-    with pytest.raises(InputError, match="phantom needs n >= 16"):
-        tomo.make_phantom(8)
 
 
 def test_phantom_paper_scale_length():
@@ -248,9 +246,6 @@ def test_synthesize_observation_exact_level():
     np.testing.assert_array_equal(d, d2)
     with pytest.raises(InputError, match="cannot add relative noise to a zero sinogram"):
         tomo.synthesize_observation(A, np.zeros(256), 0.04, seed=5)
-    for level in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(InputError, match="noise level must be finite and nonnegative"):
-            tomo.synthesize_observation(A, s, level, seed=5)
 
 
 def angle_model(start, end, max_iter, seed):
