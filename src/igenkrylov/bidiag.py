@@ -118,7 +118,7 @@ def _orthogonalize(vec, basis, coefficients):
     return vec, coeffs
 
 
-def igenGK_init(A, inexact, prior, noise, b, steps):
+def igenGK_init(A, prior, noise, b, steps):
     """Initial state of a run of ``steps`` iterations: u1 = b / ||b||_{R^{-1}}, no V column yet.
 
     The state's buffers are allocated once, for capacity = min(steps, m, n)
@@ -208,7 +208,7 @@ def igenGK_run(A, inexact, prior, noise, b, steps):
     when a breakdown on the V side ends it. A step only writes new columns of
     M and Z, so every iteration's M and Z are leading blocks of the final ones.
     """
-    state = igenGK_init(A, inexact, prior, noise, b, steps)
+    state = igenGK_init(A, prior, noise, b, steps)
     with overflow_checked():
         while state.k < steps and not state.terminated:
             igenGK_step(state, A, inexact, prior, noise)

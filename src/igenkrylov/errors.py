@@ -16,7 +16,8 @@ class IgenKrylovError(Exception):
 
 
 class InputError(IgenKrylovError):
-    """An argument is unusable: degenerate data, such as a zero right-hand side."""
+    """An argument is unusable: degenerate data, such as a zero right-hand side, or a
+    vector of the wrong length for a compiled product."""
 
 
 class NumericalError(IgenKrylovError):

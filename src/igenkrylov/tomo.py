@@ -252,12 +252,18 @@ class RadonOperator(LinearOperator):
         self.geom = geom
         self._mat = system_matrix(geom)
 
+    # The compiled kernels read as many entries as the matrix has columns or
+    # rows, whatever the vector's length, so these checks guard the memory.
     def _apply(self, x):
+        if x.shape != (self.ncols,):
+            raise InputError(f"expected vector of length {self.ncols}, got shape {x.shape}")
         m, out = self._mat, np.zeros(self.nrows)
         _sparsetools.csr_matvec(self.nrows, self.ncols, m.indptr, m.indices, m.data, x, out)
         return out
 
     def _apply_adjoint(self, y):
+        if y.shape != (self.nrows,):
+            raise InputError(f"expected vector of length {self.nrows}, got shape {y.shape}")
         m, out = self._mat, np.zeros(self.ncols)
         _sparsetools.csc_matvec(self.ncols, self.nrows, m.indptr, m.indices, m.data, y, out)
         return out

@@ -40,7 +40,7 @@ def test_init_euclidean_norm():
     b[0], b[1] = 3.0, 4.0
     pm, nm = identity_setting(m, 4)
     A = DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 1)
+    state = bidiag.igenGK_init(A, pm, nm, b, 1)
     assert state.beta1 == pytest.approx(5.0, rel=1e-15)
     np.testing.assert_allclose(state.U[:, 0], b / 5.0, rtol=1e-15)
 
@@ -52,7 +52,7 @@ def test_init_weighted_norm():
     pm = prior.identity_prior(4)
     nm = prior.NoiseModel(sigma=2.0, dimension=m)
     A = DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 1)
+    state = bidiag.igenGK_init(A, pm, nm, b, 1)
     assert state.beta1 == pytest.approx(2.5, rel=1e-15)
     np.testing.assert_allclose(state.U[:, 0], b / 2.5, rtol=1e-15)
 
@@ -63,7 +63,7 @@ def test_init_matches_classic_start():
     b = rng.standard_normal(9)
     A = DenseOperator(mat)
     pm, nm = identity_setting(9, 7)
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 1)
+    state = bidiag.igenGK_init(A, pm, nm, b, 1)
     assert state.V.shape == (7, 0)
     bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
     u1 = b / np.linalg.norm(b)
@@ -77,14 +77,14 @@ def test_init_rejects_zero_rhs():
     A = DenseOperator(np.eye(3))
     pm, nm = identity_setting(3, 3)
     with pytest.raises(InputError, match="right-hand side is zero"):
-        bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.zeros(3), 1)
+        bidiag.igenGK_init(A, pm, nm, np.zeros(3), 1)
 
 
 def test_degenerate_first_step_does_not_terminate_the_state():
     """A^T b = 0 at i = 1 is an input error, not a breakdown: ``terminated`` stays unset."""
     A = DenseOperator(np.diag([1.0, 0.0]))
     pm, nm = identity_setting(2, 2)
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, np.array([0.0, 1.0]), 3)
+    state = bidiag.igenGK_init(A, pm, nm, np.array([0.0, 1.0]), 3)
     with pytest.raises(InputError, match="adjoint of right-hand side is degenerate"):
         bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
     assert not state.terminated and state.k == 0
@@ -155,7 +155,7 @@ def test_each_step_is_a_leading_block_of_the_run(case):
     if case == "gaussian-entry":
         inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=14)
 
-    state = bidiag.igenGK_init(A, inexact, pm, nm, b, steps)
+    state = bidiag.igenGK_init(A, pm, nm, b, steps)
     copies = []
     for _ in range(steps):
         bidiag.igenGK_step(state, A, inexact, pm, nm)
@@ -435,7 +435,7 @@ def test_state_is_allocated_once_at_its_run_length():
     A = DenseOperator(rng.standard_normal((m, n)))
     b = rng.standard_normal(m)
     pm, nm = generalized_setting(m, n, seed=21)
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, steps)
+    state = bidiag.igenGK_init(A, pm, nm, b, steps)
     assert state.capacity == steps
     assert state._Z is not state._V
     taken = []
@@ -465,7 +465,7 @@ def test_state_capacity_is_bounded_by_the_operator():
     rng = np.random.default_rng(22)
     A = DenseOperator(rng.standard_normal((7, 5)))
     pm, nm = identity_setting(7, 5)
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, rng.standard_normal(7), 2**31 - 1)
+    state = bidiag.igenGK_init(A, pm, nm, rng.standard_normal(7), 2**31 - 1)
     assert state.capacity == 5
     assert state._Z is state._V
 
@@ -590,7 +590,7 @@ def test_breakdown_leaves_state_solvable():
     b = np.zeros(4)
     b[1] = 2.0
     pm, nm = identity_setting(4, 4)
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 4)
+    state = bidiag.igenGK_init(A, pm, nm, b, 4)
     assert bidiag.igenGK_step(state, A, linop.EXACT, pm, nm) is state
     assert state.terminated
     assert state.M.shape == (1, 1)

@@ -445,7 +445,7 @@ def test_selected_lambda_survives_rounding_level_perturbations():
     )
     problem = harness.build_problem(cfg)
     args = (problem.A, harness.inexactness_for(cfg), problem.prior, problem.noise)
-    state = bidiag.igenGK_init(*args, problem.b, 12)
+    state = bidiag.igenGK_init(problem.A, problem.prior, problem.noise, problem.b, 12)
     rng = np.random.default_rng(4)
     for _ in range(12):
         bidiag.igenGK_step(state, *args)

@@ -239,7 +239,7 @@ def test_driver_rejects_zero_iterations():
 
 def test_project_rejects_a_state_without_steps():
     _, _, _, b, A, pm, nm = full_rank_generalized_problem(11)
-    state = bidiag.igenGK_init(A, linop.EXACT, pm, nm, b, 1)
+    state = bidiag.igenGK_init(A, pm, nm, b, 1)
     with pytest.raises(InputError, match="the decomposition has no step to project"):
         solve.project(state, pm, regparam.RegConfig(rule="none"))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from igenkrylov import harness, prior, regparam, solve, tomo
+from igenkrylov import harness, linop, prior, regparam, solve, tomo
 from igenkrylov.config import ExperimentConfig, InexactConfig
 from igenkrylov.errors import ConfigError, InputError
 
@@ -205,6 +205,22 @@ def test_single_ray_backprojection_weights():
 def test_adjoint_of_zero():
     geom = tomo.CTGeometry(n=16, angles=(5.0, 50.0))
     np.testing.assert_array_equal(tomo.RadonOperator(geom).apply_adjoint(np.zeros(geom.nrows)), 0.0)
+
+
+def test_products_reject_a_vector_of_the_wrong_length():
+    """The compiled products would read past the end of a short vector."""
+    geom = tomo.CTGeometry(n=16, angles=(10.0, 77.0))
+    A = tomo.RadonOperator(geom)
+    assert (A.nrows, A.ncols) == (46, 256)
+    with pytest.raises(InputError, match=r"expected vector of length 256, got shape \(255,\)"):
+        A.apply(np.ones(255))
+    with pytest.raises(InputError, match=r"expected vector of length 46, got shape \(3,\)"):
+        A.apply_adjoint(np.ones(3))
+    with pytest.raises(InputError, match=r"got shape \(256, 1\)"):
+        A.apply(np.ones((256, 1)))
+    model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=0)
+    with pytest.raises(InputError, match=r"expected vector of length 46, got shape \(47,\)"):
+        linop.perturbed_apply_adjoint(A, model, 1, np.ones(47))
 
 
 def test_mass_conservation_axis_aligned():
