@@ -5,8 +5,9 @@ streams, and angle jitter all derive from the config seed through named
 substreams, so identical configs produce byte-identical CSV output (timing
 lives in a separate file). compare-reg and inexact-angles are sweeps of
 named reconstructions of one problem, one per rule or per angle schedule
-(the latter after the exact baseline); ``_sweep`` runs them on one
-decomposition per inexactness model and makes every ``history_<name>.csv``.
+(the latter after the exact baseline). Every reconstruction is a
+``solve.run_iterative_solve``: compare-reg makes one for its three rules,
+inexact-angles one per run; ``_sweep_files`` makes their files.
 A command makes the contents of all of its files first (``csv_text``,
 ``json_text``, ``pgm_bytes``), then hands them to ``_publish``, the only
 code that creates the output directory or writes a file.
@@ -79,7 +80,7 @@ def build_problem(cfg):
         prior_model = PriorModel(mu=np.zeros(geom.ncols), Q=Q)
     else:
         prior_model = identity_prior(geom.ncols)
-    noise = NoiseModel(sigma=cfg.noise_sigma, dimension=geom.nrows)
+    noise = NoiseModel(sigma=cfg.noise_sigma)
     # Both priors have mean zero, so the right-hand side d - A mu is d.
     return CTProblem(A, prior_model, noise, s_true, d, noise_norm / noise.sigma)
 
@@ -119,12 +120,17 @@ def inexactness_for(cfg, beta=None, angles=None):
     return InexactnessModel(mode="gaussian-entry", beta=float(beta), seed=seed)
 
 
+def _solve(cfg, problem, inexact, rules):
+    """``solve.run_iterative_solve`` of ``problem`` under ``inexact``: one record per rule."""
+    return solve.run_iterative_solve(
+        problem.A, inexact, problem.prior, problem.noise, problem.b, cfg.max_iter,
+        rules, problem.noise_norm, problem.s_true,
+    )
+
+
 def run_reconstruction(cfg, problem):
     """One solve of ``problem`` under ``cfg``."""
-    return solve.run_iterative_solve(
-        problem.A, inexactness_for(cfg), problem.prior, problem.noise, problem.b, cfg.max_iter,
-        cfg.reg, noise_norm=problem.noise_norm, s_true=problem.s_true,
-    )
+    return _solve(cfg, problem, inexactness_for(cfg), {"run": cfg.reg})["run"]
 
 
 def _run_fields(record):
@@ -164,33 +170,16 @@ def _publish(cfg, files):
         (out / name).write_bytes(data if isinstance(data, bytes) else data.encode("ascii"))
 
 
-def _sweep(cfg, problem, runs):
-    """Named reconstructions of one problem: ``runs`` maps a name to (inexactness, rule).
-
-    A run decomposes only if its inexactness differs from the previous run's,
-    else it projects that state again. Each run is timed, as ``<name>_s``,
-    with its decomposition only if it made one. Returns the records by name,
-    in order of ``runs``, and the files: each history as ``history_<name>.csv``
-    and the times as ``timings.json``.
-    """
-    records, timings, decomposition = {}, {}, {}
-    for name, (inexact, rule) in runs.items():
-        t0 = time.perf_counter()
-        if inexact not in decomposition:
-            decomposition.clear()  # frees the previous state before the next is allocated
-            decomposition[inexact] = bidiag.igenGK_run(
-                problem.A, inexact, problem.prior, problem.noise, problem.b, cfg.max_iter
-            )
-        records[name] = solve.project(
-            decomposition[inexact], problem.prior, rule, problem.noise_norm, problem.s_true
-        )
-        timings[f"{name}_s"] = time.perf_counter() - t0
+def _sweep_files(records):
+    """Each history as ``history_<name>.csv``, and ``timings.json``, whose ``<name>_s`` sums
+    that record's timings: a decomposition counts only in the run that made it."""
     files = {
         f"history_{name}.csv": csv_text(HISTORY_HEADER, rec.history)
         for name, rec in records.items()
     }
+    timings = {f"{name}_s": sum(rec.timings.values()) for name, rec in records.items()}
     files["timings.json"] = json_text(timings)
-    return records, files
+    return files
 
 
 def _merged_csv(records, columns):
@@ -270,8 +259,9 @@ def cmd_compare_reg(cfg):
     """Every lambda-selecting rule (optimal, DP, WGCV) on the identical observation."""
     inexact = inexactness_for(cfg)
     problem = build_problem(cfg)
-    runs = {name: (inexact, replace(cfg.reg, rule=name)) for name in SELECTING_RULES}
-    records, files = _sweep(cfg, problem, runs)
+    rules = {name: replace(cfg.reg, rule=name) for name in SELECTING_RULES}
+    records = _solve(cfg, problem, inexact, rules)
+    files = _sweep_files(records)
     files["compare.csv"] = _merged_csv(records, ("relerr", "lambda"))
     files["summary.json"] = _summary_json(
         cfg, **_per_run(records, ("final_relerr", "min_relerr", "argmin_iter", "lambda_final"))
@@ -285,11 +275,11 @@ def cmd_inexact_angles(cfg):
     problem = build_problem(cfg)
     schedules = {"exact": None}
     schedules.update((f"sched{idx}", pair) for idx, pair in enumerate(cfg.angle_schedules))
-    runs = {
-        name: (EXACT if angles is None else inexactness_for(cfg, angles=angles), cfg.reg)
-        for name, angles in schedules.items()
-    }
-    records, files = _sweep(cfg, problem, runs)
+    records = {}
+    for name, angles in schedules.items():
+        inexact = EXACT if angles is None else inexactness_for(cfg, angles=angles)
+        records |= _solve(cfg, problem, inexact, {name: cfg.reg})
+    files = _sweep_files(records)
     files["comparison.csv"] = _merged_csv(records, ("relerr",))
     files["summary.json"] = _summary_json(
         cfg, schedules=schedules, **_per_run(records, ("final_relerr", "min_relerr"))

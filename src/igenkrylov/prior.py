@@ -131,9 +131,6 @@ class CovarianceOperator:
 class IdentityCovariance:
     """Q = I; used to reduce the generalized methods to their standard forms."""
 
-    def __init__(self, n):
-        self.n = int(n)
-
     def apply(self, x):
         return np.asarray(x, dtype=float)
 
@@ -143,7 +140,6 @@ class NoiseModel:
     """Observation noise covariance R = sigma^2 I with cheap inverse."""
 
     sigma: float
-    dimension: int
 
     def apply_rinv(self, x):
         return np.asarray(x, dtype=float) / (self.sigma * self.sigma)
@@ -162,7 +158,7 @@ class PriorModel:
 
 def identity_prior(n):
     """Prior with zero mean and Q = I (standard, non-generalized setting)."""
-    return PriorModel(mu=np.zeros(n), Q=IdentityCovariance(n))
+    return PriorModel(mu=np.zeros(n), Q=IdentityCovariance())
 
 
 def weighted_norm(x, wx):

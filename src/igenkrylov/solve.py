@@ -7,11 +7,12 @@ phi_i = sigma_i^2 / (sigma_i^2 + lambda^2). The solution in original
 coordinates is mu + Q (V y) = mu + Z y, with Z = Q V kept by the
 decomposition, so recovering it applies no covariance product.
 
-The outer driver ``run_iterative_solve`` is ``bidiag.igenGK_run`` followed
-by ``project``. Lambda never feeds back into the recurrence and a step only
-appends to M and Z, so ``project`` reads one finished state at k = 1, 2,
-...: the lambda rule picks lambda on the leading (k+1)-by-k block of M, and
-one projected solve at it is recovered with the first k columns of Z.
+The outer driver ``run_iterative_solve`` is the only code that projects a
+decomposition: one ``bidiag.igenGK_run``, then ``project`` under each of its
+rules. Lambda never feeds back into the recurrence and a step only appends
+to M and Z, so ``project`` reads one finished state at k = 1, 2, ...: the
+rule picks lambda on the leading (k+1)-by-k block of M, and one projected
+solve at it is recovered with the first k columns of Z.
 """
 
 import math
@@ -141,14 +142,19 @@ class ReconRecord:
         return self.history[-1].relerr
 
 
-def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rule, noise_norm=None, s_true=None):
-    """``project`` of ``bidiag.igenGK_run`` for ``max_iter`` steps, timed as ``decomposition_s``."""
+def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rules, noise_norm, s_true):
+    """``project`` of one ``bidiag.igenGK_run`` of ``max_iter`` steps under each of ``rules``.
+
+    ``rules`` maps names to ``regparam.RegConfig``s; ``noise_norm`` and ``s_true``
+    are as in ``project``. Returns the records by name, in order; the first
+    one's timings also hold ``decomposition_s``. The state is freed on return.
+    """
     t0 = time.perf_counter()
     state = bidiag.igenGK_run(A, inexact, prior, noise, b, max_iter)
     decomposition_s = time.perf_counter() - t0
-    record = project(state, prior, rule, noise_norm, s_true)
-    record.timings["decomposition_s"] = decomposition_s
-    return record
+    records = {name: project(state, prior, r, noise_norm, s_true) for name, r in rules.items()}
+    next(iter(records.values())).timings["decomposition_s"] = decomposition_s
+    return records
 
 
 def project(state, prior, rule, noise_norm=None, s_true=None):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from igenkrylov import linop, tomo
+from igenkrylov import linop, solve, tomo
 from igenkrylov.bidiag import BREAKDOWN_RTOL
 from igenkrylov.errors import IgenKrylovError, InputError
 
@@ -190,7 +190,6 @@ class DenseSPDCovariance:
 
     def __init__(self, mat):
         self.mat = np.asarray(mat, dtype=float)
-        self.n = self.mat.shape[0]
 
     def apply(self, x):
         return self.mat @ x
@@ -283,6 +282,14 @@ def gk_decompose(A, b, steps, reorthogonalize=True):
         beta1=beta1,
         terminated=terminated,
     )
+
+
+def solve_one(A, inexact, prior, noise, b, max_iter, rule, noise_norm=None, s_true=None):
+    """The record of a ``solve.run_iterative_solve`` under the one ``rule``."""
+    records = solve.run_iterative_solve(
+        A, inexact, prior, noise, b, max_iter, {"run": rule}, noise_norm, s_true
+    )
+    return records["run"]
 
 
 def random_spd(n, rng, cond=10.0):

@@ -25,6 +25,7 @@ from conftest import (
     dot_test,
     gk_decompose,
     random_spd,
+    solve_one,
 )
 
 DESK_N = 64
@@ -48,7 +49,7 @@ def build_desk_problem(seed=DESK_SEED):
     kernel = prior.MaternKernel(nu=1.5, alpha=1.0 / 0.01)
     Q = prior.CovarianceOperator((DESK_N, DESK_N), kernel)
     pm = prior.PriorModel(mu=np.zeros(geom.ncols), Q=Q)
-    nm = prior.NoiseModel(sigma=1.0, dimension=geom.nrows)
+    nm = prior.NoiseModel(sigma=1.0)
     return geom, A, pm, nm, s_true, d, noise_norm
 
 
@@ -62,9 +63,7 @@ def desk_unregularized(desk):
     geom, A, pm, nm, s_true, d, _ = desk
     model = linop.InexactnessModel(mode="gaussian-entry", beta=DESK_BETA, seed=DESK_SEED)
     t0 = time.perf_counter()
-    record = solve.run_iterative_solve(
-        A, model, pm, nm, d, DESK_ITERS, RegConfig(rule="none"), s_true=s_true
-    )
+    record = solve_one(A, model, pm, nm, d, DESK_ITERS, RegConfig(rule="none"), s_true=s_true)
     return record, time.perf_counter() - t0
 
 
@@ -103,7 +102,7 @@ def test_criterion_02_reduction_chain():
 
         Qm = random_spd(15, rng, cond=6.0)
         pm_gen = prior.PriorModel(mu=np.zeros(15), Q=DenseSPDCovariance(Qm))
-        nm_gen = prior.NoiseModel(sigma=1.5, dimension=20)
+        nm_gen = prior.NoiseModel(sigma=1.5)
         zero = linop.InexactnessModel(mode="gaussian-entry", beta=0.0, seed=seed)
         s_inexact = bidiag.igenGK_run(A, zero, pm_gen, nm_gen, b, 8)
         s_exact = bidiag.igenGK_run(A, linop.EXACT, pm_gen, nm_gen, b, 8)
@@ -111,7 +110,7 @@ def test_criterion_02_reduction_chain():
         worst = max(worst, float(np.max(np.abs(s_inexact.V - s_exact.V))))
 
         pm_id = prior.identity_prior(15)
-        nm_id = prior.NoiseModel(sigma=1.0, dimension=20)
+        nm_id = prior.NoiseModel(sigma=1.0)
         eng = bidiag.igenGK_run(A, zero, pm_id, nm_id, b, 8)
         gk = gk_decompose(A, b, 8, reorthogonalize=True)
         for k in range(1, 9):
@@ -143,11 +142,11 @@ def test_criterion_03_dense_oracle_equivalence():
     b = rng.standard_normal(20)
     A = DenseOperator(Amat)
     pm = prior.PriorModel(mu=np.zeros(15), Q=DenseSPDCovariance(Qm))
-    nm = prior.NoiseModel(sigma=sigma, dimension=20)
+    nm = prior.NoiseModel(sigma=sigma)
     worst = 0.0
     for lam in (0.0, 0.1, 1.0):
         rule = RegConfig(rule="none") if lam == 0.0 else RegConfig(rule="fixed", lambda_fixed=lam)
-        rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 15, rule)
+        rec = solve_one(A, linop.EXACT, pm, nm, b, 15, rule)
         s_ref = dense_generalized_tikhonov(Amat, Qm, sigma, b, lam)
         worst = max(worst, np.linalg.norm(rec.solution - s_ref) / np.linalg.norm(s_ref))
     elapsed = time.perf_counter() - t0
@@ -169,9 +168,7 @@ def test_criterion_05_hybrid_stabilization(desk, desk_unregularized):
     unreg, _ = desk_unregularized
     model = linop.InexactnessModel(mode="gaussian-entry", beta=DESK_BETA, seed=DESK_SEED)
     t0 = time.perf_counter()
-    rec = solve.run_iterative_solve(
-        A, model, pm, nm, d, DESK_ITERS, RegConfig(rule="optimal"), s_true=s_true
-    )
+    rec = solve_one(A, model, pm, nm, d, DESK_ITERS, RegConfig(rule="optimal"), s_true=s_true)
     elapsed = time.perf_counter() - t0
     e = np.array(rec.relerr)
     kstar = int(np.argmin(e))
@@ -194,8 +191,8 @@ def test_criterion_06_dp_near_optimal():
         geom, A, pm, nm, s_true, d, noise_norm = build_desk_problem(seed=seed)
         model = linop.InexactnessModel(mode="gaussian-entry", beta=DESK_BETA, seed=seed)
         args = (A, model, pm, nm, d, DESK_ITERS)
-        rec_opt = solve.run_iterative_solve(*args, RegConfig(rule="optimal"), s_true=s_true)
-        rec_dp = solve.run_iterative_solve(
+        rec_opt = solve_one(*args, RegConfig(rule="optimal"), s_true=s_true)
+        rec_dp = solve_one(
             *args, RegConfig(rule="dp", nu_dp=1.0), noise_norm=noise_norm, s_true=s_true
         )
         gaps.append(abs(rec_dp.final_relerr - rec_opt.final_relerr))
@@ -209,9 +206,7 @@ def test_criterion_07_angle_inexactness_ordering(desk):
     rule = RegConfig(rule="optimal")
 
     def final(model):
-        return solve.run_iterative_solve(
-            A, model, pm, nm, d, DESK_ITERS, rule, s_true=s_true
-        ).final_relerr
+        return solve_one(A, model, pm, nm, d, DESK_ITERS, rule, s_true=s_true).final_relerr
 
     finals = {}
     finals["exact"] = final(linop.EXACT)

@@ -9,15 +9,15 @@ from igenkrylov.errors import InputError, NumericalError
 from conftest import DenseOperator, DenseSPDCovariance, IdentityOperator, gk_decompose, random_spd
 
 
-def identity_setting(m, n):
-    return prior.identity_prior(n), prior.NoiseModel(sigma=1.0, dimension=m)
+def identity_setting(n):
+    return prior.identity_prior(n), prior.NoiseModel(sigma=1.0)
 
 
-def generalized_setting(m, n, seed, cond=8.0):
+def generalized_setting(n, seed, cond=8.0):
     rng = np.random.default_rng(seed)
     Q = DenseSPDCovariance(random_spd(n, rng, cond=cond))
     pm = prior.PriorModel(mu=np.zeros(n), Q=Q)
-    nm = prior.NoiseModel(sigma=1.0 + rng.random(), dimension=m)
+    nm = prior.NoiseModel(sigma=1.0 + rng.random())
     return pm, nm
 
 
@@ -38,7 +38,7 @@ def test_init_euclidean_norm():
     m = 6
     b = np.zeros(m)
     b[0], b[1] = 3.0, 4.0
-    pm, nm = identity_setting(m, 4)
+    pm, nm = identity_setting(4)
     A = DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
     state = bidiag.igenGK_init(A, pm, nm, b, 1)
     assert state.beta1 == pytest.approx(5.0, rel=1e-15)
@@ -50,7 +50,7 @@ def test_init_weighted_norm():
     b = np.zeros(m)
     b[0], b[1] = 3.0, 4.0
     pm = prior.identity_prior(4)
-    nm = prior.NoiseModel(sigma=2.0, dimension=m)
+    nm = prior.NoiseModel(sigma=2.0)
     A = DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
     state = bidiag.igenGK_init(A, pm, nm, b, 1)
     assert state.beta1 == pytest.approx(2.5, rel=1e-15)
@@ -62,7 +62,7 @@ def test_init_matches_classic_start():
     mat = rng.standard_normal((9, 7))
     b = rng.standard_normal(9)
     A = DenseOperator(mat)
-    pm, nm = identity_setting(9, 7)
+    pm, nm = identity_setting(7)
     state = bidiag.igenGK_init(A, pm, nm, b, 1)
     assert state.V.shape == (7, 0)
     bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
@@ -75,7 +75,7 @@ def test_init_matches_classic_start():
 
 def test_init_rejects_zero_rhs():
     A = DenseOperator(np.eye(3))
-    pm, nm = identity_setting(3, 3)
+    pm, nm = identity_setting(3)
     with pytest.raises(InputError, match="right-hand side is zero"):
         bidiag.igenGK_init(A, pm, nm, np.zeros(3), 1)
 
@@ -83,7 +83,7 @@ def test_init_rejects_zero_rhs():
 def test_degenerate_first_step_does_not_terminate_the_state():
     """A^T b = 0 at i = 1 is an input error, not a breakdown: ``terminated`` stays unset."""
     A = DenseOperator(np.diag([1.0, 0.0]))
-    pm, nm = identity_setting(2, 2)
+    pm, nm = identity_setting(2)
     state = bidiag.igenGK_init(A, pm, nm, np.array([0.0, 1.0]), 3)
     with pytest.raises(InputError, match="adjoint of right-hand side is degenerate"):
         bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
@@ -93,7 +93,7 @@ def test_degenerate_first_step_does_not_terminate_the_state():
 def test_init_rejects_overflowing_normalization():
     # ||A^T b||^2 overflows to inf, which must not normalize v1 to zero.
     A = DenseOperator(np.full((3, 2), 1e200))
-    pm, nm = identity_setting(3, 2)
+    pm, nm = identity_setting(2)
     with pytest.raises(NumericalError):
         bidiag.igenGK_run(A, linop.EXACT, pm, nm, np.ones(3), 1)
 
@@ -103,7 +103,7 @@ def test_indefinite_covariance_is_a_numerical_error():
     rng = np.random.default_rng(3)
     A = DenseOperator(rng.standard_normal((6, 4)))
     pm = prior.PriorModel(mu=np.zeros(4), Q=DenseSPDCovariance(-np.eye(4)))
-    nm = prior.NoiseModel(sigma=1.0, dimension=6)
+    nm = prior.NoiseModel(sigma=1.0)
     with pytest.raises(NumericalError, match="quadratic form .* negative beyond tolerance"):
         bidiag.igenGK_run(A, linop.EXACT, pm, nm, rng.standard_normal(6), 3)
 
@@ -113,7 +113,7 @@ def test_engine_matches_two_term_oracle():
     mat = rng.standard_normal((10, 8))
     b = rng.standard_normal(10)
     A = DenseOperator(mat)
-    pm, nm = identity_setting(10, 8)
+    pm, nm = identity_setting(8)
     state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 5)
     oracle = gk_decompose(A, b, 5)
     assert np.max(np.abs(state.M - oracle.M[:6, :5])) <= 1e-12
@@ -141,7 +141,7 @@ def _step_case(case):
     rng = np.random.default_rng(12)
     A = DenseOperator(rng.standard_normal((m, n)))
     b = rng.standard_normal(m)
-    return (A, b, *generalized_setting(m, n, seed=13))
+    return (A, b, *generalized_setting(n, seed=13))
 
 
 @pytest.mark.parametrize("case", list(STEP_CASES))
@@ -241,7 +241,7 @@ def test_k_steps_make_k_products_of_each_kind(mode, monkeypatch):
     geom = tomo.CTGeometry(n=16, angles=tomo.default_angles(count=8, step=22.0))
     A = tomo.RadonOperator(geom)
     b = A.apply(tomo.make_phantom(16))
-    pm, nm = generalized_setting(geom.nrows, geom.ncols, seed=24)
+    pm, nm = generalized_setting(geom.ncols, seed=24)
     products, covariance = [], []
 
     def recording(direction, product):
@@ -274,7 +274,7 @@ def test_inexact_zero_beta_reduces_bitwise():
     mat = rng.standard_normal((12, 9))
     b = rng.standard_normal(12)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(12, 9, seed=4)
+    pm, nm = generalized_setting(9, seed=4)
     zero_err = linop.InexactnessModel(mode="gaussian-entry", beta=0.0, seed=5)
     s1 = bidiag.igenGK_run(A, zero_err, pm, nm, b, 6)
     s2 = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
@@ -290,7 +290,7 @@ def test_reduction_chain_to_classic_gk():
         mat = rng.standard_normal((20, 15))
         b = rng.standard_normal(20)
         A = DenseOperator(mat)
-        pm, nm = identity_setting(20, 15)
+        pm, nm = identity_setting(15)
         eng = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 8)
         gk = gk_decompose(A, b, 8, reorthogonalize=True)
         assert basis_sign_distance(eng.U, gk.U) <= 1e-10
@@ -346,7 +346,7 @@ def test_weighted_orthogonality_invariants():
     mat = rng.standard_normal((25, 18))
     b = rng.standard_normal(25)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(25, 18, seed=9)
+    pm, nm = generalized_setting(18, seed=9)
     state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 10)
     rep = bidiag.relation_diagnostics(state, A, pm, nm)
     assert rep.err_Vorth <= 1e-10
@@ -360,7 +360,7 @@ def test_hessenberg_and_triangular_structure_exact():
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(15, 12, seed=11)
+    pm, nm = generalized_setting(12, seed=11)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=12)
     state = bidiag.igenGK_run(A, model, pm, nm, b, 7)
     M, C = state.M, state.C
@@ -379,7 +379,7 @@ def test_exact_modes_numerically_bidiagonal():
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(15, 12, seed=14)
+    pm, nm = generalized_setting(12, seed=14)
     state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 7)
     scale = np.linalg.norm(state.M)
     for i in range(state.M.shape[1]):
@@ -394,7 +394,7 @@ def test_z_is_q_times_v(beta):
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(15, 12, seed=16)
+    pm, nm = generalized_setting(12, seed=16)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=17)
     state = bidiag.igenGK_run(A, model, pm, nm, b, 6)
     assert not state.terminated
@@ -407,7 +407,7 @@ def test_z_is_q_times_v(beta):
 def test_z_is_v_under_identity_prior():
     rng = np.random.default_rng(22)
     A = DenseOperator(rng.standard_normal((15, 12)))
-    pm, nm = identity_setting(15, 12)
+    pm, nm = identity_setting(12)
     state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, rng.standard_normal(15), 6)
     np.testing.assert_array_equal(state.Z, state.V)
 
@@ -417,7 +417,7 @@ def test_diagnostics_do_not_read_z():
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(15, 12, seed=19)
+    pm, nm = generalized_setting(12, seed=19)
     state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
     before = bidiag.relation_diagnostics(state, A, pm, nm)._asdict()
     state.Z[:] = 0.0
@@ -434,7 +434,7 @@ def test_state_is_allocated_once_at_its_run_length():
     m, n, steps = 30, 20, 12
     A = DenseOperator(rng.standard_normal((m, n)))
     b = rng.standard_normal(m)
-    pm, nm = generalized_setting(m, n, seed=21)
+    pm, nm = generalized_setting(n, seed=21)
     state = bidiag.igenGK_init(A, pm, nm, b, steps)
     assert state.capacity == steps
     assert state._Z is not state._V
@@ -464,7 +464,7 @@ def test_state_capacity_is_bounded_by_the_operator():
     """A run far longer than min(m, n) allocates min(m, n) columns, not ``steps``."""
     rng = np.random.default_rng(22)
     A = DenseOperator(rng.standard_normal((7, 5)))
-    pm, nm = identity_setting(7, 5)
+    pm, nm = identity_setting(5)
     state = bidiag.igenGK_init(A, pm, nm, rng.standard_normal(7), 2**31 - 1)
     assert state.capacity == 5
     assert state._Z is state._V
@@ -474,9 +474,6 @@ class ClaimsIdentity:
     """Q = 2 I behind a claim to be the identity."""
 
     is_identity = True
-
-    def __init__(self, n):
-        self.n = n
 
     def apply(self, x):
         return 2.0 * np.asarray(x, dtype=float)
@@ -489,8 +486,8 @@ def test_z_aliases_v_only_for_the_identity_covariance_type():
     m, n = 12, 8
     A = DenseOperator(rng.standard_normal((m, n)))
     b = rng.standard_normal(m)
-    nm = prior.NoiseModel(sigma=1.0, dimension=m)
-    pm = prior.PriorModel(mu=np.zeros(n), Q=ClaimsIdentity(n))
+    nm = prior.NoiseModel(sigma=1.0)
+    pm = prior.PriorModel(mu=np.zeros(n), Q=ClaimsIdentity())
     state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 5)
     assert state.k == 5
     assert state._Z is not state._V
@@ -506,7 +503,7 @@ def test_run_allocates_its_bases_once():
     m, n, steps = 600, 400, 20
     A = DenseOperator(rng.standard_normal((m, n)))
     b = rng.standard_normal(m)
-    pm, nm = generalized_setting(m, n, seed=24)
+    pm, nm = generalized_setting(n, seed=24)
     tracemalloc.start()
     try:
         state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, steps)
@@ -528,7 +525,7 @@ def small_ct_problem():
     kern = prior.MaternKernel(nu=1.5, alpha=100.0)
     Q = prior.CovarianceOperator((n, n), kern)
     pm = prior.PriorModel(mu=np.zeros(n * n), Q=Q)
-    nm = prior.NoiseModel(sigma=1.0, dimension=geom.nrows)
+    nm = prior.NoiseModel(sigma=1.0)
     return A, pm, nm, d
 
 
@@ -575,7 +572,7 @@ def test_breakdown_does_not_depend_on_the_scale_of_b(matern):
     if matern:
         Q = prior.CovarianceOperator((n, n), prior.MaternKernel(nu=1.5, alpha=100.0))
         pm = prior.PriorModel(mu=np.zeros(n * n), Q=Q)
-    nm = prior.NoiseModel(sigma=1.0, dimension=geom.nrows)
+    nm = prior.NoiseModel(sigma=1.0)
     ref = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 300)
     assert ref.terminated and ref.k < 300
     for scale in (1e-20, 1e13, 1e16):
@@ -589,7 +586,7 @@ def test_breakdown_leaves_state_solvable():
     A = IdentityOperator(4)
     b = np.zeros(4)
     b[1] = 2.0
-    pm, nm = identity_setting(4, 4)
+    pm, nm = identity_setting(4)
     state = bidiag.igenGK_init(A, pm, nm, b, 4)
     assert bidiag.igenGK_step(state, A, linop.EXACT, pm, nm) is state
     assert state.terminated

@@ -301,23 +301,59 @@ def test_merged_csv_and_summary_read_the_histories(tmp_path, experiment, merged,
 
 @pytest.mark.parametrize("experiment", ["compare-reg", "inexact-angles", "reconstruct"])
 def test_each_inexactness_model_is_decomposed_once(tmp_path, monkeypatch, experiment):
-    """compare-reg projects one decomposition under its three rules; inexact-angles
-    decomposes its exact baseline and each schedule."""
-    calls = []
-    run = bidiag.igenGK_run
+    """Every decomposition is made inside solve.run_iterative_solve: reconstruct
+    calls it once, compare-reg once for its three rules, inexact-angles once for
+    its exact baseline and once for each schedule."""
+    events = []
+    run, run_solve = bidiag.igenGK_run, solve.run_iterative_solve
 
     def counting(*args):
-        calls.append(args)
+        events.append("decompose")
         return run(*args)
 
+    def counting_solve(*args, **kwargs):
+        events.append("solve")
+        records = run_solve(*args, **kwargs)
+        events.append("return")
+        return records
+
     monkeypatch.setattr(bidiag, "igenGK_run", counting)
+    monkeypatch.setattr(solve, "run_iterative_solve", counting_solve)
     cfg = tiny_config(
         tmp_path, experiment=experiment, mode="igengk", reg=RegConfig(rule="optimal"),
         angle_schedules=((1e-1, 1e-3), (1e-2, 1e-4)),
     )
     assert harness.COMMANDS[experiment](cfg) == 0
     expected = 1 + len(cfg.angle_schedules) if experiment == "inexact-angles" else 1
-    assert len(calls) == expected
+    assert events == ["solve", "decompose", "return"] * expected
+
+
+@pytest.mark.parametrize("mode", ["igk", "igengk"])
+def test_sweep_histories_are_reconstruct_histories(tmp_path, mode):
+    """Each history_<name>.csv of a sweep is byte for byte the history.csv of a
+    reconstruct with that run's rule and inexactness: compare-reg's under each
+    rule, inexact-angles' exact baseline under the exact mode (gk or gengk), and
+    its sched0 under angle-perturbation with that one schedule."""
+    cfg = tiny_config(tmp_path, mode=mode, reg=RegConfig(rule="dp"),
+                      angle_schedules=((1e-1, 1e-3), (1e-2, 1e-4)))
+
+    def run(command, name, **overrides):
+        out = tmp_path / name
+        assert harness.COMMANDS[command](replace(cfg, output_dir=str(out), **overrides)) == 0
+        return out
+
+    compared, angles = run("compare-reg", "compare"), run("inexact-angles", "angles")
+    pairs = {
+        compared / f"history_{rule}.csv": run("reconstruct", rule, reg=RegConfig(rule=rule))
+        for rule in ("optimal", "dp", "wgcv")
+    }
+    pairs[angles / "history_exact.csv"] = run("reconstruct", "exact", mode=mode[1:])
+    pairs[angles / "history_sched0.csv"] = run(
+        "reconstruct", "sched0", inexactness=InexactConfig(mode="angle-perturbation"),
+        angle_schedules=cfg.angle_schedules[:1],
+    )
+    for path, out in pairs.items():
+        assert path.read_bytes() == (out / "history.csv").read_bytes(), path.name
 
 
 def test_merged_csv_stops_at_the_shortest_run(tmp_path):

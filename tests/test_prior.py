@@ -206,9 +206,9 @@ def test_pruned_fft_bitwise_matches_padded_transforms(shape):
 
 
 def test_noise_model_basic():
-    nm = prior.NoiseModel(sigma=1.0, dimension=2)
+    nm = prior.NoiseModel(sigma=1.0)
     np.testing.assert_array_equal(nm.apply_rinv(np.array([2.0, 3.0])), [2.0, 3.0])
-    nm2 = prior.NoiseModel(sigma=2.0, dimension=2)
+    nm2 = prior.NoiseModel(sigma=2.0)
     np.testing.assert_allclose(nm2.apply_rinv(np.array([4.0, 8.0])), [1.0, 2.0])
     x = np.random.default_rng(4).standard_normal(2)
     assert abs(np.dot(x, nm2.apply_rinv(x)) - np.dot(x, x) / 4.0) <= 1e-14
@@ -217,7 +217,7 @@ def test_noise_model_basic():
 def test_weighted_norm_identity_and_noise():
     x = np.array([3.0, 4.0])
     assert prior.weighted_norm(x, x) == pytest.approx(5.0, rel=1e-14)
-    nm = prior.NoiseModel(sigma=2.0, dimension=2)
+    nm = prior.NoiseModel(sigma=2.0)
     assert prior.weighted_norm(x, nm.apply_rinv(x)) == pytest.approx(2.5, rel=1e-14)
     assert prior.weighted_norm(np.zeros(2), np.zeros(2)) == 0.0
 
@@ -239,4 +239,4 @@ def test_weighted_norm_rejects_indefinite():
 
 def test_prior_model_validation():
     pm = prior.identity_prior(3)
-    assert isinstance(pm.Q, prior.IdentityCovariance) and pm.Q.n == 3
+    assert isinstance(pm.Q, prior.IdentityCovariance) and pm.mu.tolist() == [0.0] * 3

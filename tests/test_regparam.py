@@ -298,7 +298,7 @@ def oracle_error(pm, s_true, Z, prob):
 
 
 def shifted_prior(n, rng):
-    return prior.PriorModel(mu=rng.standard_normal(n), Q=prior.IdentityCovariance(n))
+    return prior.PriorModel(mu=rng.standard_normal(n), Q=prior.IdentityCovariance())
 
 
 def test_gram_oracle_error_matches_explicit_error():

@@ -10,6 +10,7 @@ from conftest import (
     IdentityOperator,
     dense_generalized_tikhonov,
     random_spd,
+    solve_one,
 )
 
 
@@ -162,9 +163,9 @@ def test_identity_problem_solved_in_one_step():
     s_true = rng.standard_normal(n)
     A = IdentityOperator(n)
     pm = prior.identity_prior(n)
-    nm = prior.NoiseModel(sigma=1.0, dimension=n)
+    nm = prior.NoiseModel(sigma=1.0)
     none = regparam.RegConfig(rule="none")
-    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, s_true, 5, none, s_true=s_true)
+    rec = solve_one(A, linop.EXACT, pm, nm, s_true, 5, none, s_true=s_true)
     assert rec.stop_reason == "breakdown"
     assert rec.relerr[0] <= 1e-12
 
@@ -177,13 +178,13 @@ def full_rank_generalized_problem(seed):
     b = rng.standard_normal(20)
     A = DenseOperator(Amat)
     pm = prior.PriorModel(mu=np.zeros(15), Q=DenseSPDCovariance(Qm))
-    nm = prior.NoiseModel(sigma=sigma, dimension=20)
+    nm = prior.NoiseModel(sigma=sigma)
     return Amat, Qm, sigma, b, A, pm, nm
 
 
 def test_full_subspace_matches_dense_oracle():
     Amat, Qm, sigma, b, A, pm, nm = full_rank_generalized_problem(8)
-    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 15, regparam.RegConfig(rule="none"))
+    rec = solve_one(A, linop.EXACT, pm, nm, b, 15, regparam.RegConfig(rule="none"))
     s_ref = dense_generalized_tikhonov(Amat, Qm, sigma, b, 0.0)
     assert np.linalg.norm(rec.solution - s_ref) <= 1e-8 * np.linalg.norm(s_ref)
 
@@ -191,7 +192,7 @@ def test_full_subspace_matches_dense_oracle():
 def test_galerkin_residual_consistency():
     Amat, Qm, sigma, b, A, pm, nm = full_rank_generalized_problem(9)
     rule = regparam.RegConfig(rule="fixed", lambda_fixed=0.4)
-    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 8, rule)
+    rec = solve_one(A, linop.EXACT, pm, nm, b, 8, rule)
     x = np.linalg.solve(Qm, rec.solution)  # x with s = Q x (mu = 0); oracle-side inverse
     full_res = Amat @ Qm @ x - b
     weighted = np.linalg.norm(full_res) / sigma
@@ -203,7 +204,7 @@ def test_history_without_s_true():
     """One row per iteration, k = 1..K in order; with no s_true every relerr is NaN."""
     _, _, _, b, A, pm, nm = full_rank_generalized_problem(9)
     rule = regparam.RegConfig(rule="fixed", lambda_fixed=0.4)
-    rec = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 8, rule)
+    rec = solve_one(A, linop.EXACT, pm, nm, b, 8, rule)
     assert [row.k for row in rec.history] == list(range(1, 9))
     assert rec.iterations == 8
     assert all(np.isnan(row.relerr) for row in rec.history)
@@ -214,8 +215,8 @@ def test_history_without_s_true():
 def test_driver_is_deterministic():
     Amat, Qm, sigma, b, A, pm, nm = full_rank_generalized_problem(10)
     rule = regparam.RegConfig(rule="none")
-    r1 = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 6, rule)
-    r2 = solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 6, rule)
+    r1 = solve_one(A, linop.EXACT, pm, nm, b, 6, rule)
+    r2 = solve_one(A, linop.EXACT, pm, nm, b, 6, rule)
     np.testing.assert_array_equal(r1.solution, r2.solution)
     assert [row.lam for row in r1.history] == [row.lam for row in r2.history]
     assert [row.proj_residual for row in r1.history] == [row.proj_residual for row in r2.history]
@@ -226,15 +227,14 @@ def test_degenerate_adjoint_of_rhs_is_input_error():
     A = DenseOperator(np.diag([1.0, 0.0]))
     b = np.array([0.0, 1.0])
     with pytest.raises(InputError, match="adjoint of right-hand side is degenerate"):
-        solve.run_iterative_solve(A, linop.EXACT, prior.identity_prior(2),
-                                  prior.NoiseModel(sigma=1.0, dimension=2), b, 3,
-                                  regparam.RegConfig(rule="none"))
+        solve_one(A, linop.EXACT, prior.identity_prior(2), prior.NoiseModel(sigma=1.0), b, 3,
+                  regparam.RegConfig(rule="none"))
 
 
 def test_driver_rejects_zero_iterations():
     _, _, _, b, A, pm, nm = full_rank_generalized_problem(11)
     with pytest.raises(InputError, match="the decomposition has no step to project"):
-        solve.run_iterative_solve(A, linop.EXACT, pm, nm, b, 0, regparam.RegConfig(rule="none"))
+        solve_one(A, linop.EXACT, pm, nm, b, 0, regparam.RegConfig(rule="none"))
 
 
 def test_project_rejects_a_state_without_steps():
@@ -245,33 +245,36 @@ def test_project_rejects_a_state_without_steps():
 
 
 def test_one_decomposition_projects_as_each_rule_solves(small_ct):
-    """project only reads the state: under every rule, projecting one igenGK_run
-    state gives that rule's run_iterative_solve history and solution bit for bit."""
+    """project only reads the state: one run_iterative_solve under several rules
+    gives, for each rule, the history and solution of projecting one igenGK_run
+    state bit for bit, and only its first record holds the decomposition time."""
     geom, A = small_ct
     s_true = tomo.make_phantom(geom.n)
     b, noise_norm = tomo.synthesize_observation(A, s_true, 0.04, seed=3)
     kernel = prior.MaternKernel(nu=1.5, alpha=10.0)
     Q = prior.CovarianceOperator((geom.n, geom.n), kernel)
     pm = prior.PriorModel(mu=np.zeros(geom.ncols), Q=Q)
-    nm = prior.NoiseModel(sigma=1.0, dimension=geom.nrows)
+    nm = prior.NoiseModel(sigma=1.0)
     inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=5)
     args = (A, inexact, pm, nm, b, 10)
     state = bidiag.igenGK_run(*args)
     before = [arr.copy() for arr in (state.U, state.M, state.Z, state.C)]
-    rules = [
-        regparam.RegConfig(rule="none"),
-        regparam.RegConfig(rule="fixed", lambda_fixed=0.3),
-        regparam.RegConfig(rule="optimal"),
-        regparam.RegConfig(rule="dp"),
-        regparam.RegConfig(rule="wgcv"),
-        regparam.RegConfig(rule="wgcv", omega_mode="adaptive"),
-    ]
-    for rule in rules:
+    rules = {
+        "none": regparam.RegConfig(rule="none"),
+        "fixed": regparam.RegConfig(rule="fixed", lambda_fixed=0.3),
+        "optimal": regparam.RegConfig(rule="optimal"),
+        "dp": regparam.RegConfig(rule="dp"),
+        "wgcv": regparam.RegConfig(rule="wgcv"),
+        "adaptive": regparam.RegConfig(rule="wgcv", omega_mode="adaptive"),
+    }
+    solved = solve.run_iterative_solve(*args, rules, noise_norm, s_true)
+    assert list(solved) == list(rules)
+    for name, rule in rules.items():
         projected = solve.project(state, pm, rule, noise_norm, s_true)
-        solved = solve.run_iterative_solve(*args, rule, noise_norm, s_true)
         assert projected.iterations == 10
-        assert projected.history == solved.history, rule
-        assert projected.solution.tobytes() == solved.solution.tobytes(), rule
-        assert projected.stop_reason == solved.stop_reason
+        assert projected.history == solved[name].history, name
+        assert projected.solution.tobytes() == solved[name].solution.tobytes(), name
+        assert projected.stop_reason == solved[name].stop_reason
+    assert ["decomposition_s" in rec.timings for rec in solved.values()] == [True] + [False] * 5
     after = (state.U, state.M, state.Z, state.C)
     assert [arr.tobytes() for arr in after] == [arr.tobytes() for arr in before]

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from igenkrylov import harness, linop, prior, regparam, solve, tomo
+from igenkrylov import harness, linop, prior, regparam, tomo
 from igenkrylov.config import ExperimentConfig, InexactConfig
 from igenkrylov.errors import ConfigError, InputError
 
-from conftest import dot_test, grid_to_image, read_pgm, reference_system_matrix
+from conftest import dot_test, grid_to_image, read_pgm, reference_system_matrix, solve_one
 
 
 def sampled_line_integral(vec, n, theta_deg, offset, nsamples=200001):
@@ -324,9 +324,9 @@ def test_caches_keep_one_jittered_matrix(small_ct, monkeypatch):
     tomo.system_matrix.cache_clear()
     tomo._jittered_operator.cache_clear()
     model = angle_model(1e-1, 1e-3, max_iter=20, seed=5)
-    rec = solve.run_iterative_solve(
+    rec = solve_one(
         op, model, prior.identity_prior(geom.ncols),
-        prior.NoiseModel(sigma=1.0, dimension=geom.nrows), op.apply(tomo.make_phantom(16)),
+        prior.NoiseModel(sigma=1.0), op.apply(tomo.make_phantom(16)),
         20, regparam.RegConfig(rule="none"),
     )
     assert rec.iterations == 20
