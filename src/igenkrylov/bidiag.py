@@ -47,10 +47,10 @@ class BidiagState:
     its buffer. ``terminated`` is set when a breakdown ends the recurrence.
     """
 
-    def __init__(self, nrows, ncols, capacity, identity_prior, beta1):
+    def __init__(self, nrows, ncols, capacity, identity_cov, beta1):
         self._U = np.empty((nrows, capacity + 1), order="F")
         self._V = np.empty((ncols, capacity), order="F")
-        self._Z = self._V if identity_prior else np.empty((ncols, capacity), order="F")
+        self._Z = self._V if identity_cov else np.empty((ncols, capacity), order="F")
         self._M = np.zeros((capacity + 1, capacity))
         self._C = np.zeros((capacity, capacity))
         self.beta1 = beta1
@@ -118,7 +118,7 @@ def _orthogonalize(vec, basis, coefficients):
     return vec, coeffs
 
 
-def igenGK_init(A, prior, noise, b, steps):
+def igenGK_init(A, Q, noise, b, steps):
     """Initial state of a run of ``steps`` iterations: u1 = b / ||b||_{R^{-1}}, no V column yet.
 
     The state's buffers are allocated once, for capacity = min(steps, m, n)
@@ -132,13 +132,13 @@ def igenGK_init(A, prior, noise, b, steps):
         beta1 = _finite(weighted_norm(b, noise.apply_rinv(b)), "beta1")
         if beta1 == 0.0:
             raise InputError("right-hand side is zero")
-        identity = isinstance(prior.Q, IdentityCovariance)
+        identity = isinstance(Q, IdentityCovariance)
         state = BidiagState(A.nrows, A.ncols, capacity, identity, beta1)
         np.divide(b, beta1, out=state._U[:, 0])
     return state
 
 
-def igenGK_step(state, A, inexact, prior, noise):
+def igenGK_step(state, A, inexact, Q, noise):
     """Advance the decomposition by one column pair.
 
     Iteration i = k+1 first computes v_i from the adjoint product at
@@ -165,7 +165,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     vbar = linop.perturbed_apply_adjoint(A, inexact, i, noise.apply_rinv(state.U[:, -1]))
     Z = state.Z
     v, lcol = _orthogonalize(vbar, state.V, lambda w: Z.T @ w)
-    qv = prior.Q.apply(v)
+    qv = Q.apply(v)
     norm_v = _finite(weighted_norm(v, qv), "V-side normalization")
     if norm_v <= BREAKDOWN_RTOL * math.hypot(norm_v, np.linalg.norm(lcol)):
         if i == 1:
@@ -200,7 +200,7 @@ def igenGK_step(state, A, inexact, prior, noise):
     return state
 
 
-def igenGK_run(A, inexact, prior, noise, b, steps):
+def igenGK_run(A, inexact, Q, noise, b, steps):
     """The one decomposition loop: ``steps`` iterations, stopping gracefully on breakdown.
 
     Returns the state; its ``terminated`` says whether a breakdown ended the
@@ -208,10 +208,10 @@ def igenGK_run(A, inexact, prior, noise, b, steps):
     when a breakdown on the V side ends it. A step only writes new columns of
     M and Z, so every iteration's M and Z are leading blocks of the final ones.
     """
-    state = igenGK_init(A, prior, noise, b, steps)
+    state = igenGK_init(A, Q, noise, b, steps)
     with overflow_checked():
         while state.k < steps and not state.terminated:
-            igenGK_step(state, A, inexact, prior, noise)
+            igenGK_step(state, A, inexact, Q, noise)
     return state
 
 
@@ -224,7 +224,7 @@ class RelationReport(NamedTuple):
     err_Uorth: float
 
 
-def relation_diagnostics(state, exact_op, prior, noise):
+def relation_diagnostics(state, exact_op, Q, noise):
     """Residuals of the four factorization relations, using exact products.
 
     The left-hand sides are evaluated with the exact operator, so with
@@ -239,7 +239,7 @@ def relation_diagnostics(state, exact_op, prior, noise):
     lhs_adj = np.column_stack([exact_op.apply_adjoint(rinv_U[:, j]) for j in range(k)])
     err_adjoint = _rel_fro(lhs_adj - Vk @ state.C, lhs_adj)
 
-    QV = np.column_stack([prior.Q.apply(Vk[:, j]) for j in range(k)])
+    QV = np.column_stack([Q.apply(Vk[:, j]) for j in range(k)])
     lhs_fwd = np.column_stack([exact_op.apply(QV[:, j]) for j in range(k)])
     err_forward = _rel_fro(lhs_fwd - U @ state.M, lhs_fwd)
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import bidiag, solve, tomo
 from .errors import ConfigError, NumericalError
 from .linop import EXACT, InexactnessModel
-from .prior import CovarianceOperator, MaternKernel, NoiseModel, PriorModel, identity_prior
+from .prior import CovarianceOperator, IdentityCovariance, MaternKernel, NoiseModel
 from .regparam import SELECTING_RULES
 
 ORTH_GATE = 1e-10
@@ -59,7 +59,7 @@ class CTProblem:
     """Everything needed to run one reconstruction experiment."""
 
     A: tomo.RadonOperator
-    prior: PriorModel
+    prior: object  # the prior covariance Q: CovarianceOperator or IdentityCovariance
     noise: NoiseModel
     s_true: np.ndarray
     b: np.ndarray
@@ -67,7 +67,11 @@ class CTProblem:
 
 
 def build_problem(cfg):
-    """Assemble geometry, prior, observation, and right-hand side from a config."""
+    """Assemble geometry, prior, observation, and right-hand side from a config.
+
+    The prior mean is zero, so the prior is its covariance Q, the right-hand side
+    is d and a solution is Z y.
+    """
     g = cfg.geometry
     angles = tomo.default_angles(g.angle_start, g.angle_step, g.angle_count)
     geom = tomo.CTGeometry(n=g.n, angles=angles, nrays=g.nrays)
@@ -77,12 +81,10 @@ def build_problem(cfg):
     if cfg.mode in ("gengk", "igengk"):
         kernel = MaternKernel(nu=cfg.prior.nu, alpha=1.0 / cfg.prior.ell)
         Q = CovarianceOperator((g.n, g.n), kernel)
-        prior_model = PriorModel(mu=np.zeros(geom.ncols), Q=Q)
     else:
-        prior_model = identity_prior(geom.ncols)
+        Q = IdentityCovariance()
     noise = NoiseModel(sigma=cfg.noise_sigma)
-    # Both priors have mean zero, so the right-hand side d - A mu is d.
-    return CTProblem(A, prior_model, noise, s_true, d, noise_norm / noise.sigma)
+    return CTProblem(A, Q, noise, s_true, d, noise_norm / noise.sigma)
 
 
 def inexactness_for(cfg, beta=None, angles=None):

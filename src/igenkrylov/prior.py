@@ -103,7 +103,6 @@ class CovarianceOperator:
     def __init__(self, grid_shape, kernel):
         grid_shape = tuple(int(s) for s in grid_shape)
         self.grid_shape = grid_shape
-        self.n = grid_shape[0] * grid_shape[1]
         self._fft_shape = tuple(_fast_len(2 * n - 1) for n in grid_shape)
         self._symbol = _embedding_symbol(grid_shape, kernel, self._fft_shape)
         if not np.isfinite(self._symbol).all():
@@ -143,22 +142,6 @@ class NoiseModel:
 
     def apply_rinv(self, x):
         return np.asarray(x, dtype=float) / (self.sigma * self.sigma)
-
-
-@dataclass
-class PriorModel:
-    """Gaussian prior: mean ``mu`` and covariance operator ``Q``."""
-
-    mu: np.ndarray
-    Q: object
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-
-
-def identity_prior(n):
-    """Prior with zero mean and Q = I (standard, non-generalized setting)."""
-    return PriorModel(mu=np.zeros(n), Q=IdentityCovariance())
 
 
 def weighted_norm(x, wx):

@@ -9,12 +9,12 @@ construction, through the filter factors of ``ProjectedProblem.filters`` (the
 oracle rule needs only their ``gain``), so one evaluation is k-sized work and
 never touches an n-vector:
 
-- the oracle error ||mu + Z y - s_true||^2 is the least-squares residual
-  ||R_k y + e_k||^2 plus a constant, from the triangular factor R of one thin
-  QR of [Z, mu - s_true] (``OracleError``), taken from the final basis of a
-  solve; iteration k reads its leading k-by-k block and k entries, since
-  lambda never feeds back into the decomposition (Chung & Saibaba, SISC
-  39(5), 2017);
+- the oracle error ||Z y - s_true||^2 (the prior mean is zero, so the solution
+  is Z y) is the least-squares residual ||R_k y + e_k||^2 plus a constant,
+  from the triangular factor R of one thin QR of [Z, -s_true] (``OracleError``),
+  taken from the final basis of a solve; iteration k reads its leading k-by-k
+  block and k entries, since lambda never feeds back into the decomposition
+  (Chung & Saibaba, SISC 39(5), 2017);
 - every rule evaluates all points of the lambda grid in one call and refines
   its minimum in at most four rounds of one call each, over grids
   precomputed for a unit sigma_max (``_grid_then_refine``); values within a
@@ -112,7 +112,7 @@ class RegConfig:
         if self.omega_mode not in OMEGA_MODES:
             raise ConfigError(f"unknown omega_mode {self.omega_mode!r}")
 
-    def chooser(self, prior, Z, noise_norm=None, s_true=None):
+    def chooser(self, Z, noise_norm=None, s_true=None):
         """Per-solve selection: ``choose(prob) -> lambda``, Z = Q V_k the final basis.
 
         ``noise_norm`` is the norm of the data noise in the residual's metric,
@@ -122,10 +122,8 @@ class RegConfig:
         oracle rule the ``OracleError`` of Z, built here once. The selectors
         are looked up in this module at call time.
         """
-        if self.rule == "dp" and noise_norm is None:
-            raise ConfigError("rule 'dp' requires noise_norm")
         suggestions = []
-        oracle = OracleError(prior, s_true, Z) if self.rule == "optimal" else None
+        oracle = OracleError(s_true, Z) if self.rule == "optimal" else None
 
         def choose(prob):
             if self.rule == "none":
@@ -146,9 +144,9 @@ class RegConfig:
 
 
 class OracleError:
-    """The oracle error ||mu + Z y - s_true||^2 as a least-squares residual.
+    """The oracle error ||Z y - s_true||^2 as a least-squares residual.
 
-    With d = mu - s_true and the thin QR [Z, d] = Q R of a basis Z with K
+    With d = -s_true and the thin QR [Z, d] = Q R of a basis Z with K
     columns, taken once, O(n K^2), the error for y on the first k columns of
     Z is ||R_k y + e_k||^2 + ||d||^2 - e_k^T e_k, with R_k = R[:k, :k] and
     e_k = R[:k, K]. R_k is the triangular factor of the first k columns
@@ -157,10 +155,8 @@ class OracleError:
     matrix Z^T Z) is formed.
     """
 
-    def __init__(self, prior, s_true, Z):
-        if s_true is None:
-            raise ConfigError("optimal rule requires the true solution")
-        d = prior.mu - np.asarray(s_true, dtype=float)
+    def __init__(self, s_true, Z):
+        d = -np.asarray(s_true, dtype=float)
         Z = np.asarray(Z, dtype=float)
         K = Z.shape[1]
         R = np.linalg.qr(np.column_stack([Z, d]), mode="r")

@@ -3,9 +3,9 @@
 The decomposition reduces the generalized least-squares problem to a small
 (k+1)-by-k problem  min ||M y - beta1 e1||^2 + lambda^2 ||y||^2, solved here
 through the SVD of M and its filter factors
-phi_i = sigma_i^2 / (sigma_i^2 + lambda^2). The solution in original
-coordinates is mu + Q (V y) = mu + Z y, with Z = Q V kept by the
-decomposition, so recovering it applies no covariance product.
+phi_i = sigma_i^2 / (sigma_i^2 + lambda^2). The prior mean is zero, so the
+solution in original coordinates is Q (V y) = Z y, with Z = Q V kept by the
+decomposition, and recovering it applies no covariance product.
 
 The outer driver ``run_iterative_solve`` is the only code that projects a
 decomposition: one ``bidiag.igenGK_run``, then ``project`` under each of its
@@ -104,11 +104,9 @@ def projected_tikhonov(prob, lam):
     return y, float(np.linalg.norm(resid))
 
 
-def recover_solution(prior, Z, y):
-    """Solution in original coordinates: mu + Z y, where Z = Q V (no covariance product)."""
-    Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return prior.mu + Z @ y
+def recover_solution(Z, y):
+    """Solution in original coordinates: Z y, where Z = Q V (no covariance product)."""
+    return np.asarray(Z, dtype=float) @ np.asarray(y, dtype=float)
 
 
 class Iterate(NamedTuple):
@@ -142,7 +140,7 @@ class ReconRecord:
         return self.history[-1].relerr
 
 
-def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rules, noise_norm, s_true):
+def run_iterative_solve(A, inexact, Q, noise, b, max_iter, rules, noise_norm, s_true):
     """``project`` of one ``bidiag.igenGK_run`` of ``max_iter`` steps under each of ``rules``.
 
     ``rules`` maps names to ``regparam.RegConfig``s; ``noise_norm`` and ``s_true``
@@ -150,14 +148,14 @@ def run_iterative_solve(A, inexact, prior, noise, b, max_iter, rules, noise_norm
     one's timings also hold ``decomposition_s``. The state is freed on return.
     """
     t0 = time.perf_counter()
-    state = bidiag.igenGK_run(A, inexact, prior, noise, b, max_iter)
+    state = bidiag.igenGK_run(A, inexact, Q, noise, b, max_iter)
     decomposition_s = time.perf_counter() - t0
-    records = {name: project(state, prior, r, noise_norm, s_true) for name, r in rules.items()}
+    records = {name: project(state, r, noise_norm, s_true) for name, r in rules.items()}
     next(iter(records.values())).timings["decomposition_s"] = decomposition_s
     return records
 
 
-def project(state, prior, rule, noise_norm=None, s_true=None):
+def project(state, rule, noise_norm=None, s_true=None):
     """Select lambda and solve at each iteration of a decomposition ``state`` of k >= 1 steps.
 
     ``rule`` is a ``regparam.RegConfig``; ``noise_norm`` (the noise norm in
@@ -180,7 +178,7 @@ def project(state, prior, rule, noise_norm=None, s_true=None):
     history = []
 
     t0 = time.perf_counter()
-    choose = rule.chooser(prior, state.Z, noise_norm, s_true)
+    choose = rule.chooser(state.Z, noise_norm, s_true)
     timings["param_selection_s"] += time.perf_counter() - t0
     # A lambda_fixed near the float limit makes filters' unused psi inf/inf, silently.
     with bidiag.overflow_checked():
@@ -195,7 +193,7 @@ def project(state, prior, rule, noise_norm=None, s_true=None):
 
             t0 = time.perf_counter()
             y, residual = projected_tikhonov(prob, lam)
-            solution = recover_solution(prior, state.Z[:, :k], y)
+            solution = recover_solution(state.Z[:, :k], y)
             timings["projected_solve_s"] += time.perf_counter() - t0
 
             if s_true is not None:

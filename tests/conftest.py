@@ -284,10 +284,10 @@ def gk_decompose(A, b, steps, reorthogonalize=True):
     )
 
 
-def solve_one(A, inexact, prior, noise, b, max_iter, rule, noise_norm=None, s_true=None):
+def solve_one(A, inexact, Q, noise, b, max_iter, rule, noise_norm=None, s_true=None):
     """The record of a ``solve.run_iterative_solve`` under the one ``rule``."""
     records = solve.run_iterative_solve(
-        A, inexact, prior, noise, b, max_iter, {"run": rule}, noise_norm, s_true
+        A, inexact, Q, noise, b, max_iter, {"run": rule}, noise_norm, s_true
     )
     return records["run"]
 
@@ -323,14 +323,12 @@ def dot_test(op, rng, scale=None):
     return abs(lhs - rhs) / denom if denom > 0 else abs(lhs - rhs)
 
 
-def dense_generalized_tikhonov(Amat, Qmat, sigma, b, lam, mu=None):
+def dense_generalized_tikhonov(Amat, Qmat, sigma, b, lam):
     """Direct solution of min ||A Q x - b||_{R^{-1}}^2 + lam^2 ||x||_Q^2, R = sigma^2 I.
 
     Whitening oracle: substitute z = Q^{1/2} x, solve standard Tikhonov by SVD,
-    and return s = mu + Q^{1/2} z (no inverse of Q needed).
+    and return s = Q^{1/2} z (no inverse of Q needed).
     """
-    n = Qmat.shape[0]
-    mu = np.zeros(n) if mu is None else mu
     w, P = np.linalg.eigh(Qmat)
     Qh = P @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ P.T
     B = (Amat @ Qh) / sigma
@@ -342,7 +340,7 @@ def dense_generalized_tikhonov(Amat, Qmat, sigma, b, lam, mu=None):
     else:
         filt = s / (s * s + lam * lam)
     z = Vt.T @ (filt * bt)
-    return mu + Qh @ z
+    return Qh @ z
 
 
 @pytest.fixture(scope="session")

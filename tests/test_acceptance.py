@@ -7,6 +7,7 @@ iteration makes one covariance product, so the angle-jitter rebuilds of
 criterion 07 dominate the runtime.
 """
 
+import math
 import time
 
 import numpy as np
@@ -48,9 +49,8 @@ def build_desk_problem(seed=DESK_SEED):
     d, noise_norm = tomo.synthesize_observation(A, s_true, 0.04, seed=seed)
     kernel = prior.MaternKernel(nu=1.5, alpha=1.0 / 0.01)
     Q = prior.CovarianceOperator((DESK_N, DESK_N), kernel)
-    pm = prior.PriorModel(mu=np.zeros(geom.ncols), Q=Q)
     nm = prior.NoiseModel(sigma=1.0)
-    return geom, A, pm, nm, s_true, d, noise_norm
+    return geom, A, Q, nm, s_true, d, noise_norm
 
 
 @pytest.fixture(scope="module")
@@ -60,21 +60,21 @@ def desk():
 
 @pytest.fixture(scope="module")
 def desk_unregularized(desk):
-    geom, A, pm, nm, s_true, d, _ = desk
+    geom, A, Q, nm, s_true, d, _ = desk
     model = linop.InexactnessModel(mode="gaussian-entry", beta=DESK_BETA, seed=DESK_SEED)
     t0 = time.perf_counter()
-    record = solve_one(A, model, pm, nm, d, DESK_ITERS, RegConfig(rule="none"), s_true=s_true)
+    record = solve_one(A, model, Q, nm, d, DESK_ITERS, RegConfig(rule="none"), s_true=s_true)
     return record, time.perf_counter() - t0
 
 
 def test_criterion_01_relation_table(desk):
-    geom, A, pm, nm, s_true, d, _ = desk
+    geom, A, Q, nm, s_true, d, _ = desk
     t0 = time.perf_counter()
     reports = {}
     for beta in (1e-2, 1e-4, 1e-6):
         model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=DESK_SEED)
-        state = bidiag.igenGK_run(A, model, pm, nm, d, DESK_ITERS)
-        reports[beta] = bidiag.relation_diagnostics(state, A, pm, nm)
+        state = bidiag.igenGK_run(A, model, Q, nm, d, DESK_ITERS)
+        reports[beta] = bidiag.relation_diagnostics(state, A, Q, nm)
     elapsed = time.perf_counter() - t0
 
     orth_ok = all(r.err_Vorth <= 1e-10 and r.err_Uorth <= 1e-10 for r in reports.values())
@@ -101,17 +101,17 @@ def test_criterion_02_reduction_chain():
         A = DenseOperator(mat)
 
         Qm = random_spd(15, rng, cond=6.0)
-        pm_gen = prior.PriorModel(mu=np.zeros(15), Q=DenseSPDCovariance(Qm))
+        Q_gen = DenseSPDCovariance(Qm)
         nm_gen = prior.NoiseModel(sigma=1.5)
         zero = linop.InexactnessModel(mode="gaussian-entry", beta=0.0, seed=seed)
-        s_inexact = bidiag.igenGK_run(A, zero, pm_gen, nm_gen, b, 8)
-        s_exact = bidiag.igenGK_run(A, linop.EXACT, pm_gen, nm_gen, b, 8)
+        s_inexact = bidiag.igenGK_run(A, zero, Q_gen, nm_gen, b, 8)
+        s_exact = bidiag.igenGK_run(A, linop.EXACT, Q_gen, nm_gen, b, 8)
         worst = max(worst, float(np.max(np.abs(s_inexact.M - s_exact.M))))
         worst = max(worst, float(np.max(np.abs(s_inexact.V - s_exact.V))))
 
-        pm_id = prior.identity_prior(15)
+        Q_id = prior.IdentityCovariance()
         nm_id = prior.NoiseModel(sigma=1.0)
-        eng = bidiag.igenGK_run(A, zero, pm_id, nm_id, b, 8)
+        eng = bidiag.igenGK_run(A, zero, Q_id, nm_id, b, 8)
         gk = gk_decompose(A, b, 8, reorthogonalize=True)
         for k in range(1, 9):
             y_eng = solve.projected_tikhonov(
@@ -141,12 +141,12 @@ def test_criterion_03_dense_oracle_equivalence():
     sigma = 1.2
     b = rng.standard_normal(20)
     A = DenseOperator(Amat)
-    pm = prior.PriorModel(mu=np.zeros(15), Q=DenseSPDCovariance(Qm))
+    Q = DenseSPDCovariance(Qm)
     nm = prior.NoiseModel(sigma=sigma)
     worst = 0.0
     for lam in (0.0, 0.1, 1.0):
         rule = RegConfig(rule="none") if lam == 0.0 else RegConfig(rule="fixed", lambda_fixed=lam)
-        rec = solve_one(A, linop.EXACT, pm, nm, b, 15, rule)
+        rec = solve_one(A, linop.EXACT, Q, nm, b, 15, rule)
         s_ref = dense_generalized_tikhonov(Amat, Qm, sigma, b, lam)
         worst = max(worst, np.linalg.norm(rec.solution - s_ref) / np.linalg.norm(s_ref))
     elapsed = time.perf_counter() - t0
@@ -164,11 +164,11 @@ def test_criterion_04_semiconvergence(desk_unregularized):
 
 
 def test_criterion_05_hybrid_stabilization(desk, desk_unregularized):
-    geom, A, pm, nm, s_true, d, _ = desk
+    geom, A, Q, nm, s_true, d, _ = desk
     unreg, _ = desk_unregularized
     model = linop.InexactnessModel(mode="gaussian-entry", beta=DESK_BETA, seed=DESK_SEED)
     t0 = time.perf_counter()
-    rec = solve_one(A, model, pm, nm, d, DESK_ITERS, RegConfig(rule="optimal"), s_true=s_true)
+    rec = solve_one(A, model, Q, nm, d, DESK_ITERS, RegConfig(rule="optimal"), s_true=s_true)
     elapsed = time.perf_counter() - t0
     e = np.array(rec.relerr)
     kstar = int(np.argmin(e))
@@ -188,9 +188,9 @@ def test_criterion_06_dp_near_optimal():
     t0 = time.perf_counter()
     gaps = []
     for seed in (101, 202, 303):
-        geom, A, pm, nm, s_true, d, noise_norm = build_desk_problem(seed=seed)
+        geom, A, Q, nm, s_true, d, noise_norm = build_desk_problem(seed=seed)
         model = linop.InexactnessModel(mode="gaussian-entry", beta=DESK_BETA, seed=seed)
-        args = (A, model, pm, nm, d, DESK_ITERS)
+        args = (A, model, Q, nm, d, DESK_ITERS)
         rec_opt = solve_one(*args, RegConfig(rule="optimal"), s_true=s_true)
         rec_dp = solve_one(
             *args, RegConfig(rule="dp", nu_dp=1.0), noise_norm=noise_norm, s_true=s_true
@@ -201,12 +201,12 @@ def test_criterion_06_dp_near_optimal():
 
 
 def test_criterion_07_angle_inexactness_ordering(desk):
-    geom, A, pm, nm, s_true, d, _ = desk
+    geom, A, Q, nm, s_true, d, _ = desk
     t0 = time.perf_counter()
     rule = RegConfig(rule="optimal")
 
     def final(model):
-        return solve_one(A, model, pm, nm, d, DESK_ITERS, rule, s_true=s_true).final_relerr
+        return solve_one(A, model, Q, nm, d, DESK_ITERS, rule, s_true=s_true).final_relerr
 
     finals = {}
     finals["exact"] = final(linop.EXACT)
@@ -237,7 +237,7 @@ def test_criterion_08_covariance_backends():
         dense = build_dense_cov(shape, kernel)
         fft_op = prior.CovarianceOperator(shape, kernel)
         for _ in range(50):
-            x = rng.standard_normal(fft_op.n)
+            x = rng.standard_normal(math.prod(fft_op.grid_shape))
             ref = dense @ x
             worst = max(worst, np.linalg.norm(fft_op.apply(x) - ref) / np.linalg.norm(ref))
     big = prior.CovarianceOperator((128, 128), kernel)
@@ -298,13 +298,12 @@ def test_criterion_10_regparam_unit_oracles():
         gcv_ok &= abs(regparam.wgcv_value(p2, lam, 1.0) - ref) <= 1e-12 * abs(ref)
 
     V = rng.standard_normal((9, 5))
-    pm = prior.identity_prior(9)
     s_true = rng.standard_normal(9)
-    lam_opt = regparam.select_lambda_optimal(p2, regparam.OracleError(pm, s_true, V))
+    lam_opt = regparam.select_lambda_optimal(p2, regparam.OracleError(s_true, V))
 
     def f(la):
         yy, _ = solve.projected_tikhonov(p2, la)
-        return float(np.linalg.norm(solve.recover_solution(pm, V, yy) - s_true) ** 2)
+        return float(np.linalg.norm(solve.recover_solution(V, yy) - s_true) ** 2)
 
     opt_ok = all(f(lam_opt) <= f(la) * (1 + 1e-12) for la in regparam._lambda_grid(p2))
     elapsed = time.perf_counter() - t0

@@ -9,16 +9,15 @@ from igenkrylov.errors import InputError, NumericalError
 from conftest import DenseOperator, DenseSPDCovariance, IdentityOperator, gk_decompose, random_spd
 
 
-def identity_setting(n):
-    return prior.identity_prior(n), prior.NoiseModel(sigma=1.0)
+def identity_setting():
+    return prior.IdentityCovariance(), prior.NoiseModel(sigma=1.0)
 
 
 def generalized_setting(n, seed, cond=8.0):
     rng = np.random.default_rng(seed)
     Q = DenseSPDCovariance(random_spd(n, rng, cond=cond))
-    pm = prior.PriorModel(mu=np.zeros(n), Q=Q)
     nm = prior.NoiseModel(sigma=1.0 + rng.random())
-    return pm, nm
+    return Q, nm
 
 
 def basis_sign_distance(B1, B2):
@@ -38,9 +37,9 @@ def test_init_euclidean_norm():
     m = 6
     b = np.zeros(m)
     b[0], b[1] = 3.0, 4.0
-    pm, nm = identity_setting(4)
+    Q, nm = identity_setting()
     A = DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
-    state = bidiag.igenGK_init(A, pm, nm, b, 1)
+    state = bidiag.igenGK_init(A, Q, nm, b, 1)
     assert state.beta1 == pytest.approx(5.0, rel=1e-15)
     np.testing.assert_allclose(state.U[:, 0], b / 5.0, rtol=1e-15)
 
@@ -49,10 +48,10 @@ def test_init_weighted_norm():
     m = 6
     b = np.zeros(m)
     b[0], b[1] = 3.0, 4.0
-    pm = prior.identity_prior(4)
+    Q = prior.IdentityCovariance()
     nm = prior.NoiseModel(sigma=2.0)
     A = DenseOperator(np.random.default_rng(0).standard_normal((m, 4)))
-    state = bidiag.igenGK_init(A, pm, nm, b, 1)
+    state = bidiag.igenGK_init(A, Q, nm, b, 1)
     assert state.beta1 == pytest.approx(2.5, rel=1e-15)
     np.testing.assert_allclose(state.U[:, 0], b / 2.5, rtol=1e-15)
 
@@ -62,10 +61,10 @@ def test_init_matches_classic_start():
     mat = rng.standard_normal((9, 7))
     b = rng.standard_normal(9)
     A = DenseOperator(mat)
-    pm, nm = identity_setting(7)
-    state = bidiag.igenGK_init(A, pm, nm, b, 1)
+    Q, nm = identity_setting()
+    state = bidiag.igenGK_init(A, Q, nm, b, 1)
     assert state.V.shape == (7, 0)
-    bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
+    bidiag.igenGK_step(state, A, linop.EXACT, Q, nm)
     u1 = b / np.linalg.norm(b)
     v1 = mat.T @ u1
     v1 /= np.linalg.norm(v1)
@@ -75,37 +74,37 @@ def test_init_matches_classic_start():
 
 def test_init_rejects_zero_rhs():
     A = DenseOperator(np.eye(3))
-    pm, nm = identity_setting(3)
+    Q, nm = identity_setting()
     with pytest.raises(InputError, match="right-hand side is zero"):
-        bidiag.igenGK_init(A, pm, nm, np.zeros(3), 1)
+        bidiag.igenGK_init(A, Q, nm, np.zeros(3), 1)
 
 
 def test_degenerate_first_step_does_not_terminate_the_state():
     """A^T b = 0 at i = 1 is an input error, not a breakdown: ``terminated`` stays unset."""
     A = DenseOperator(np.diag([1.0, 0.0]))
-    pm, nm = identity_setting(2)
-    state = bidiag.igenGK_init(A, pm, nm, np.array([0.0, 1.0]), 3)
+    Q, nm = identity_setting()
+    state = bidiag.igenGK_init(A, Q, nm, np.array([0.0, 1.0]), 3)
     with pytest.raises(InputError, match="adjoint of right-hand side is degenerate"):
-        bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
+        bidiag.igenGK_step(state, A, linop.EXACT, Q, nm)
     assert not state.terminated and state.k == 0
 
 
 def test_init_rejects_overflowing_normalization():
     # ||A^T b||^2 overflows to inf, which must not normalize v1 to zero.
     A = DenseOperator(np.full((3, 2), 1e200))
-    pm, nm = identity_setting(2)
+    Q, nm = identity_setting()
     with pytest.raises(NumericalError):
-        bidiag.igenGK_run(A, linop.EXACT, pm, nm, np.ones(3), 1)
+        bidiag.igenGK_run(A, linop.EXACT, Q, nm, np.ones(3), 1)
 
 
 def test_indefinite_covariance_is_a_numerical_error():
     # v^T Q v < 0: the V side reports it, not a degenerate right-hand side.
     rng = np.random.default_rng(3)
     A = DenseOperator(rng.standard_normal((6, 4)))
-    pm = prior.PriorModel(mu=np.zeros(4), Q=DenseSPDCovariance(-np.eye(4)))
+    Q = DenseSPDCovariance(-np.eye(4))
     nm = prior.NoiseModel(sigma=1.0)
     with pytest.raises(NumericalError, match="quadratic form .* negative beyond tolerance"):
-        bidiag.igenGK_run(A, linop.EXACT, pm, nm, rng.standard_normal(6), 3)
+        bidiag.igenGK_run(A, linop.EXACT, Q, nm, rng.standard_normal(6), 3)
 
 
 def test_engine_matches_two_term_oracle():
@@ -113,8 +112,8 @@ def test_engine_matches_two_term_oracle():
     mat = rng.standard_normal((10, 8))
     b = rng.standard_normal(10)
     A = DenseOperator(mat)
-    pm, nm = identity_setting(8)
-    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 5)
+    Q, nm = identity_setting()
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, 5)
     oracle = gk_decompose(A, b, 5)
     assert np.max(np.abs(state.M - oracle.M[:6, :5])) <= 1e-12
     assert basis_sign_distance(state.U, oracle.U) <= 1e-10
@@ -150,20 +149,20 @@ def test_each_step_is_a_leading_block_of_the_run(case):
     M and Z equal, bit for bit, the leading blocks of the final state of
     ``igenGK_run``, so a solve can select lambda after the decomposition."""
     m, n, steps, breaks_down = STEP_CASES[case]
-    A, b, pm, nm = _step_case(case)
+    A, b, Q, nm = _step_case(case)
     inexact = linop.EXACT
     if case == "gaussian-entry":
         inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=14)
 
-    state = bidiag.igenGK_init(A, pm, nm, b, steps)
+    state = bidiag.igenGK_init(A, Q, nm, b, steps)
     copies = []
     for _ in range(steps):
-        bidiag.igenGK_step(state, A, inexact, pm, nm)
+        bidiag.igenGK_step(state, A, inexact, Q, nm)
         copies.append((state.M.copy(), state.Z.copy()))
         if state.terminated:
             break
 
-    final = bidiag.igenGK_run(A, inexact, pm, nm, b, steps)
+    final = bidiag.igenGK_run(A, inexact, Q, nm, b, steps)
     assert final.terminated == state.terminated == breaks_down
     assert final.k == min(steps, m, n)
     # The step that finds the vanishing v adds nothing, but the loop records it.
@@ -178,7 +177,7 @@ def test_each_step_is_a_leading_block_of_the_run(case):
         np.testing.assert_array_equal(Z, final.Z[:, :k])
     if case == "v-limit":
         # One step more asks for the vanishing v and changes nothing else.
-        longer = bidiag.igenGK_run(A, inexact, pm, nm, b, steps + 1)
+        longer = bidiag.igenGK_run(A, inexact, Q, nm, b, steps + 1)
         assert longer.terminated
         np.testing.assert_array_equal(longer.M, final.M)
         np.testing.assert_array_equal(longer.Z, final.Z)
@@ -188,8 +187,8 @@ def test_each_step_is_a_leading_block_of_the_run(case):
 def test_stepping_a_terminated_state_changes_nothing(case, monkeypatch):
     """A breakdown is the state's terminal flag: a further step returns the
     state as it was, with no product made and not a byte of it changed."""
-    A, b, pm, nm = _step_case(case)
-    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, STEP_CASES[case][2])
+    A, b, Q, nm = _step_case(case)
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, STEP_CASES[case][2])
     assert state.terminated
     before = [a.tobytes() for a in (state.U, state.V, state.Z, state.M, state.C)]
     k = state.k
@@ -199,7 +198,7 @@ def test_stepping_a_terminated_state_changes_nothing(case, monkeypatch):
 
     monkeypatch.setattr(linop, "perturbed_apply_adjoint", no_product)
     monkeypatch.setattr(linop, "perturbed_apply", no_product)
-    assert bidiag.igenGK_step(state, A, linop.EXACT, pm, nm) is state
+    assert bidiag.igenGK_step(state, A, linop.EXACT, Q, nm) is state
     assert state.k == k and state.terminated
     assert [a.tobytes() for a in (state.U, state.V, state.Z, state.M, state.C)] == before
 
@@ -208,7 +207,7 @@ def test_stepping_a_terminated_state_changes_nothing(case, monkeypatch):
 def test_run_makes_one_step_call_more_only_for_a_v_side_breakdown(case, monkeypatch):
     """``igenGK_run`` steps until k reaches ``steps`` or the state terminates:
     k calls, and k + 1 when the last call finds a vanishing v."""
-    A, b, pm, nm = _step_case(case)
+    A, b, Q, nm = _step_case(case)
     _, _, steps, breaks_down = STEP_CASES[case]
     calls = []
     step = bidiag.igenGK_step
@@ -218,7 +217,7 @@ def test_run_makes_one_step_call_more_only_for_a_v_side_breakdown(case, monkeypa
         return step(*args)
 
     monkeypatch.setattr(bidiag, "igenGK_step", counted)
-    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, steps)
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, steps)
     assert state.terminated == breaks_down
     assert len(calls) == state.k + (case == "v-breakdown")
 
@@ -241,7 +240,7 @@ def test_k_steps_make_k_products_of_each_kind(mode, monkeypatch):
     geom = tomo.CTGeometry(n=16, angles=tomo.default_angles(count=8, step=22.0))
     A = tomo.RadonOperator(geom)
     b = A.apply(tomo.make_phantom(16))
-    pm, nm = generalized_setting(geom.ncols, seed=24)
+    Q, nm = generalized_setting(geom.ncols, seed=24)
     products, covariance = [], []
 
     def recording(direction, product):
@@ -251,7 +250,7 @@ def test_k_steps_make_k_products_of_each_kind(mode, monkeypatch):
 
         return wrapper
 
-    def recording_q(x, apply=pm.Q.apply):
+    def recording_q(x, apply=Q.apply):
         covariance.append(len(products))
         return apply(x)
 
@@ -259,8 +258,8 @@ def test_k_steps_make_k_products_of_each_kind(mode, monkeypatch):
     monkeypatch.setattr(
         linop, "perturbed_apply_adjoint", recording("adj", linop.perturbed_apply_adjoint)
     )
-    monkeypatch.setattr(pm.Q, "apply", recording_q)
-    state = bidiag.igenGK_run(A, PRODUCT_MODELS[mode], pm, nm, b, PRODUCT_STEPS)
+    monkeypatch.setattr(Q, "apply", recording_q)
+    state = bidiag.igenGK_run(A, PRODUCT_MODELS[mode], Q, nm, b, PRODUCT_STEPS)
     assert not state.terminated and state.k == PRODUCT_STEPS
     assert products == [
         (direction, k) for k in range(1, PRODUCT_STEPS + 1) for direction in ("adj", "fwd")
@@ -274,10 +273,10 @@ def test_inexact_zero_beta_reduces_bitwise():
     mat = rng.standard_normal((12, 9))
     b = rng.standard_normal(12)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(9, seed=4)
+    Q, nm = generalized_setting(9, seed=4)
     zero_err = linop.InexactnessModel(mode="gaussian-entry", beta=0.0, seed=5)
-    s1 = bidiag.igenGK_run(A, zero_err, pm, nm, b, 6)
-    s2 = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
+    s1 = bidiag.igenGK_run(A, zero_err, Q, nm, b, 6)
+    s2 = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, 6)
     np.testing.assert_array_equal(s1.U, s2.U)
     np.testing.assert_array_equal(s1.V, s2.V)
     np.testing.assert_array_equal(s1.M, s2.M)
@@ -290,8 +289,8 @@ def test_reduction_chain_to_classic_gk():
         mat = rng.standard_normal((20, 15))
         b = rng.standard_normal(20)
         A = DenseOperator(mat)
-        pm, nm = identity_setting(15)
-        eng = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 8)
+        Q, nm = identity_setting()
+        eng = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, 8)
         gk = gk_decompose(A, b, 8, reorthogonalize=True)
         assert basis_sign_distance(eng.U, gk.U) <= 1e-10
         assert basis_sign_distance(eng.V, gk.V) <= 1e-10
@@ -346,9 +345,9 @@ def test_weighted_orthogonality_invariants():
     mat = rng.standard_normal((25, 18))
     b = rng.standard_normal(25)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(18, seed=9)
-    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 10)
-    rep = bidiag.relation_diagnostics(state, A, pm, nm)
+    Q, nm = generalized_setting(18, seed=9)
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, 10)
+    rep = bidiag.relation_diagnostics(state, A, Q, nm)
     assert rep.err_Vorth <= 1e-10
     assert rep.err_Uorth <= 1e-10
     assert rep.err_adjoint <= 1e-10
@@ -360,9 +359,9 @@ def test_hessenberg_and_triangular_structure_exact():
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(12, seed=11)
+    Q, nm = generalized_setting(12, seed=11)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-3, seed=12)
-    state = bidiag.igenGK_run(A, model, pm, nm, b, 7)
+    state = bidiag.igenGK_run(A, model, Q, nm, b, 7)
     M, C = state.M, state.C
     for j in range(M.shape[0]):
         for i in range(M.shape[1]):
@@ -379,8 +378,8 @@ def test_exact_modes_numerically_bidiagonal():
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(12, seed=14)
-    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 7)
+    Q, nm = generalized_setting(12, seed=14)
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, 7)
     scale = np.linalg.norm(state.M)
     for i in range(state.M.shape[1]):
         for j in range(i):
@@ -394,21 +393,21 @@ def test_z_is_q_times_v(beta):
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(12, seed=16)
+    Q, nm = generalized_setting(12, seed=16)
     model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=17)
-    state = bidiag.igenGK_run(A, model, pm, nm, b, 6)
+    state = bidiag.igenGK_run(A, model, Q, nm, b, 6)
     assert not state.terminated
     assert state.Z.shape == state.V.shape == (12, 6)
     for j in range(6):
-        ref = pm.Q.mat @ state.V[:, j]
+        ref = Q.mat @ state.V[:, j]
         assert np.linalg.norm(state.Z[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_z_is_v_under_identity_prior():
     rng = np.random.default_rng(22)
     A = DenseOperator(rng.standard_normal((15, 12)))
-    pm, nm = identity_setting(12)
-    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, rng.standard_normal(15), 6)
+    Q, nm = identity_setting()
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, rng.standard_normal(15), 6)
     np.testing.assert_array_equal(state.Z, state.V)
 
 
@@ -417,11 +416,11 @@ def test_diagnostics_do_not_read_z():
     mat = rng.standard_normal((15, 12))
     b = rng.standard_normal(15)
     A = DenseOperator(mat)
-    pm, nm = generalized_setting(12, seed=19)
-    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 6)
-    before = bidiag.relation_diagnostics(state, A, pm, nm)._asdict()
+    Q, nm = generalized_setting(12, seed=19)
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, 6)
+    before = bidiag.relation_diagnostics(state, A, Q, nm)._asdict()
     state.Z[:] = 0.0
-    after = bidiag.relation_diagnostics(state, A, pm, nm)._asdict()
+    after = bidiag.relation_diagnostics(state, A, Q, nm)._asdict()
     assert after == before
 
 
@@ -434,13 +433,13 @@ def test_state_is_allocated_once_at_its_run_length():
     m, n, steps = 30, 20, 12
     A = DenseOperator(rng.standard_normal((m, n)))
     b = rng.standard_normal(m)
-    pm, nm = generalized_setting(n, seed=21)
-    state = bidiag.igenGK_init(A, pm, nm, b, steps)
+    Q, nm = generalized_setting(n, seed=21)
+    state = bidiag.igenGK_init(A, Q, nm, b, steps)
     assert state.capacity == steps
     assert state._Z is not state._V
     taken = []
     for k in range(1, steps + 1):
-        bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
+        bidiag.igenGK_step(state, A, linop.EXACT, Q, nm)
         assert state.k == k
         assert state.U.shape == (m, k + 1)
         assert state.V.shape == state.Z.shape == (n, k)
@@ -456,7 +455,7 @@ def test_state_is_allocated_once_at_its_run_length():
             np.testing.assert_array_equal(whole[: kept.shape[0], : kept.shape[1]], kept)
     with pytest.raises(NumericalError, match="orthogonality lost"):
         with bidiag.overflow_checked():
-            bidiag.igenGK_step(state, A, linop.EXACT, pm, nm)
+            bidiag.igenGK_step(state, A, linop.EXACT, Q, nm)
     assert state.k == steps
 
 
@@ -464,8 +463,8 @@ def test_state_capacity_is_bounded_by_the_operator():
     """A run far longer than min(m, n) allocates min(m, n) columns, not ``steps``."""
     rng = np.random.default_rng(22)
     A = DenseOperator(rng.standard_normal((7, 5)))
-    pm, nm = identity_setting(5)
-    state = bidiag.igenGK_init(A, pm, nm, rng.standard_normal(7), 2**31 - 1)
+    Q, nm = identity_setting()
+    state = bidiag.igenGK_init(A, Q, nm, rng.standard_normal(7), 2**31 - 1)
     assert state.capacity == 5
     assert state._Z is state._V
 
@@ -487,8 +486,8 @@ def test_z_aliases_v_only_for_the_identity_covariance_type():
     A = DenseOperator(rng.standard_normal((m, n)))
     b = rng.standard_normal(m)
     nm = prior.NoiseModel(sigma=1.0)
-    pm = prior.PriorModel(mu=np.zeros(n), Q=ClaimsIdentity())
-    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 5)
+    Q = ClaimsIdentity()
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, 5)
     assert state.k == 5
     assert state._Z is not state._V
     QV = 2.0 * state.V
@@ -503,10 +502,10 @@ def test_run_allocates_its_bases_once():
     m, n, steps = 600, 400, 20
     A = DenseOperator(rng.standard_normal((m, n)))
     b = rng.standard_normal(m)
-    pm, nm = generalized_setting(n, seed=24)
+    Q, nm = generalized_setting(n, seed=24)
     tracemalloc.start()
     try:
-        state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, steps)
+        state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -524,27 +523,26 @@ def small_ct_problem():
     d, _ = tomo.synthesize_observation(A, s_true, 0.04, seed=77)
     kern = prior.MaternKernel(nu=1.5, alpha=100.0)
     Q = prior.CovarianceOperator((n, n), kern)
-    pm = prior.PriorModel(mu=np.zeros(n * n), Q=Q)
     nm = prior.NoiseModel(sigma=1.0)
-    return A, pm, nm, d
+    return A, Q, nm, d
 
 
 def test_ct_orthogonality_with_inexact_products(small_ct_problem):
-    A, pm, nm, d = small_ct_problem
+    A, Q, nm, d = small_ct_problem
     model = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=77)
-    state = bidiag.igenGK_run(A, model, pm, nm, d, 25)
-    rep = bidiag.relation_diagnostics(state, A, pm, nm)
+    state = bidiag.igenGK_run(A, model, Q, nm, d, 25)
+    rep = bidiag.relation_diagnostics(state, A, Q, nm)
     assert rep.err_Vorth <= 1e-12
     assert rep.err_Uorth <= 1e-12
 
 
 def test_ct_relation_errors_scale_linearly(small_ct_problem):
-    A, pm, nm, d = small_ct_problem
+    A, Q, nm, d = small_ct_problem
     errs = {}
     for beta in (1e-2, 1e-4):
         model = linop.InexactnessModel(mode="gaussian-entry", beta=beta, seed=78)
-        state = bidiag.igenGK_run(A, model, pm, nm, d, 20)
-        errs[beta] = bidiag.relation_diagnostics(state, A, pm, nm)
+        state = bidiag.igenGK_run(A, model, Q, nm, d, 20)
+        errs[beta] = bidiag.relation_diagnostics(state, A, Q, nm)
     ratio_adj = errs[1e-2].err_adjoint / errs[1e-4].err_adjoint
     ratio_fwd = errs[1e-2].err_forward / errs[1e-4].err_forward
     assert abs(ratio_adj / 100.0 - 1.0) <= 0.10
@@ -553,9 +551,9 @@ def test_ct_relation_errors_scale_linearly(small_ct_problem):
 
 
 def test_exact_relations_at_rounding_level(small_ct_problem):
-    A, pm, nm, d = small_ct_problem
-    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, d, 15)
-    rep = bidiag.relation_diagnostics(state, A, pm, nm)
+    A, Q, nm, d = small_ct_problem
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, d, 15)
+    rep = bidiag.relation_diagnostics(state, A, Q, nm)
     assert rep.err_adjoint <= 1e-10
     assert rep.err_forward <= 1e-10
 
@@ -568,15 +566,14 @@ def test_breakdown_does_not_depend_on_the_scale_of_b(matern):
     geom = tomo.CTGeometry(n=n, angles=tomo.default_angles(count=8, step=22.0))
     A = tomo.RadonOperator(geom)
     b, _ = tomo.synthesize_observation(A, tomo.make_phantom(n), 0.04, seed=77)
-    pm = prior.identity_prior(n * n)
+    Q = prior.IdentityCovariance()
     if matern:
         Q = prior.CovarianceOperator((n, n), prior.MaternKernel(nu=1.5, alpha=100.0))
-        pm = prior.PriorModel(mu=np.zeros(n * n), Q=Q)
     nm = prior.NoiseModel(sigma=1.0)
-    ref = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, 300)
+    ref = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, 300)
     assert ref.terminated and ref.k < 300
     for scale in (1e-20, 1e13, 1e16):
-        state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, scale * b, 300)
+        state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, scale * b, 300)
         assert (state.k, state.terminated) == (ref.k, ref.terminated), scale
         np.testing.assert_allclose(state.M, ref.M, rtol=0, atol=1e-11 * np.abs(ref.M).max())
 
@@ -586,26 +583,26 @@ def test_breakdown_leaves_state_solvable():
     A = IdentityOperator(4)
     b = np.zeros(4)
     b[1] = 2.0
-    pm, nm = identity_setting(4)
-    state = bidiag.igenGK_init(A, pm, nm, b, 4)
-    assert bidiag.igenGK_step(state, A, linop.EXACT, pm, nm) is state
+    Q, nm = identity_setting()
+    state = bidiag.igenGK_init(A, Q, nm, b, 4)
+    assert bidiag.igenGK_step(state, A, linop.EXACT, Q, nm) is state
     assert state.terminated
     assert state.M.shape == (1, 1)
     assert state.M[0, 0] == pytest.approx(1.0, rel=1e-14)
     # The relations hold over the one column of the square terminal state.
-    assert max(bidiag.relation_diagnostics(state, A, pm, nm)) <= 1e-12
+    assert max(bidiag.relation_diagnostics(state, A, Q, nm)) <= 1e-12
 
 
 def test_relations_check_every_column_after_a_u_side_breakdown():
     """An exact multi-step run that ends in a U-side breakdown is checked over
     all k columns: k products of each kind, every residual at rounding level."""
-    A, b, pm, nm = _step_case("u-breakdown")
-    state = bidiag.igenGK_run(A, linop.EXACT, pm, nm, b, STEP_CASES["u-breakdown"][2])
+    A, b, Q, nm = _step_case("u-breakdown")
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, STEP_CASES["u-breakdown"][2])
     assert state.terminated and state.k > 1 and state.M.shape == (state.k, state.k)
     products = []
     apply, apply_adjoint = A.apply, A.apply_adjoint
     A.apply = lambda x: products.append("forward") or apply(x)
     A.apply_adjoint = lambda x: products.append("adjoint") or apply_adjoint(x)
-    rep = bidiag.relation_diagnostics(state, A, pm, nm)
+    rep = bidiag.relation_diagnostics(state, A, Q, nm)
     assert sorted(products) == ["adjoint"] * state.k + ["forward"] * state.k
     assert max(rep) <= 1e-10

@@ -19,6 +19,7 @@ from igenkrylov.config import (
     preset,
 )
 from igenkrylov.errors import ConfigError
+from igenkrylov.prior import CovarianceOperator, IdentityCovariance, MaternKernel
 
 from conftest import config_to_json
 
@@ -167,6 +168,23 @@ def test_presets():
     assert preset("paper").geometry.n == 128
     with pytest.raises(ConfigError):
         preset("napkin")
+
+
+@pytest.mark.parametrize("mode", ["gk", "igk", "gengk", "igengk"])
+def test_build_problem_gives_the_covariance_of_the_mode(mode):
+    """gk/igk get Q = I; gengk/igengk get the Matern covariance of ``prior`` on the n x n grid."""
+    n = 16
+    cfg = ExperimentConfig(
+        mode=mode, geometry=GeometryConfig(n=n), prior=PriorConfig(nu=2.5, ell=0.2)
+    )
+    Q = harness.build_problem(cfg).prior
+    if mode in ("gk", "igk"):
+        assert isinstance(Q, IdentityCovariance)
+        return
+    assert isinstance(Q, CovarianceOperator) and Q.grid_shape == (n, n)
+    x = np.random.default_rng(33).standard_normal(n * n)
+    ref = CovarianceOperator((n, n), MaternKernel(nu=2.5, alpha=1.0 / 0.2))
+    assert Q.apply(x).tobytes() == ref.apply(x).tobytes()
 
 
 def test_reconstruct_outputs_and_reproducibility(tmp_path):

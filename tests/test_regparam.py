@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igenkrylov import bidiag, config, harness, prior, regparam, solve
+from igenkrylov import bidiag, config, harness, regparam, solve
 from igenkrylov.config import RegConfig
 from igenkrylov.errors import ConfigError
 
@@ -14,9 +14,9 @@ def make_prob(M, beta1=1.0):
     return solve.ProjectedProblem(M=np.asarray(M, dtype=float), beta1=beta1)
 
 
-def select_optimal(prob, Z, pm, s_true):
+def select_optimal(prob, Z, s_true):
     """The oracle rule's lambda, from the ``OracleError`` of Z."""
-    return regparam.select_lambda_optimal(prob, regparam.OracleError(pm, s_true, Z))
+    return regparam.select_lambda_optimal(prob, regparam.OracleError(s_true, Z))
 
 
 def scalar_toy():
@@ -37,8 +37,6 @@ def gcv_reference(M, beta1, lam, omega=1.0):
 
 
 def test_rule_validation():
-    with pytest.raises(ConfigError):
-        RegConfig(rule="dp").chooser(prior.identity_prior(3), np.zeros((3, 1)))
     with pytest.raises(ConfigError):
         RegConfig(rule="fixed")
     with pytest.raises(ConfigError):
@@ -69,7 +67,7 @@ def test_every_rule_name_dispatches(kind):
     prob = make_prob(rng.standard_normal((7, 6)), 1.2)
     V = rng.standard_normal((9, 6))
     rule = RegConfig(rule=kind, lambda_fixed=0.3)
-    choose = rule.chooser(prior.identity_prior(9), V, 0.4, rng.standard_normal(9))
+    choose = rule.chooser(V, 0.4, rng.standard_normal(9))
     lam = choose(prob)
     assert np.isfinite(lam) and lam >= 0.0
 
@@ -78,7 +76,7 @@ def test_adaptive_wgcv_averages_suggestions():
     rng = np.random.default_rng(11)
     probs = [make_prob(rng.standard_normal((k + 1, k)), 1.0) for k in (3, 4, 5)]
     rule = RegConfig(rule="wgcv", omega_mode="adaptive")
-    choose = rule.chooser(prior.identity_prior(5), np.zeros((5, 5)))
+    choose = rule.chooser(np.zeros((5, 5)))
     for i, prob in enumerate(probs):
         lam = choose(prob)
         expected = float(np.mean([regparam.suggest_omega(p) for p in probs[: i + 1]]))
@@ -224,9 +222,8 @@ def test_dp_residual_monotone(seed):
 def test_optimal_analytic_scalar_minimizer():
     prob = scalar_toy()
     V = np.array([[1.0]])
-    pm = prior.identity_prior(1)
     s_true = np.array([0.5])  # s(lam) = 1/(1+lam^2) -> minimizer at lam = 1
-    lam = select_optimal(prob, V, pm, s_true)
+    lam = select_optimal(prob, V, s_true)
     assert lam == pytest.approx(1.0, abs=2e-4)
     # dense grid oracle
     grid = np.geomspace(1e-6, 1e3, 20000)
@@ -238,13 +235,12 @@ def test_optimal_noiseless_prefers_floor():
     rng = np.random.default_rng(1)
     prob = make_prob(rng.standard_normal((6, 5)), 1.0)
     V = rng.standard_normal((9, 5))
-    pm = prior.identity_prior(9)
     y0, _ = solve.projected_tikhonov(prob, 0.0)
-    s_true = solve.recover_solution(pm, V, y0)
-    lam = select_optimal(prob, V, pm, s_true)
+    s_true = solve.recover_solution(V, y0)
+    lam = select_optimal(prob, V, s_true)
     y, _ = solve.projected_tikhonov(prob, lam)
-    f_sel = np.linalg.norm(solve.recover_solution(pm, V, y) - s_true) ** 2
-    f0 = np.linalg.norm(solve.recover_solution(pm, V, y0) - s_true) ** 2
+    f_sel = np.linalg.norm(solve.recover_solution(V, y) - s_true) ** 2
+    f0 = np.linalg.norm(solve.recover_solution(V, y0) - s_true) ** 2
     # f is flat at rounding level for tiny lambda; "floor" means negligible regularization
     assert lam <= 1e-6 * prob.sigma_max
     assert f_sel <= f0 + 1e-10
@@ -257,60 +253,54 @@ def test_optimal_floor_resolved_when_truth_in_range():
         k = int(rng.integers(2, 9))
         prob = make_prob(rng.standard_normal((k + 1, k)), 1.0)
         Z = rng.standard_normal((12, k))
-        pm = prior.identity_prior(12)
-        s_true = solve.recover_solution(pm, Z, solve.projected_tikhonov(prob, 0.0)[0])
-        lam = select_optimal(prob, Z, pm, s_true)
+        s_true = solve.recover_solution(Z, solve.projected_tikhonov(prob, 0.0)[0])
+        lam = select_optimal(prob, Z, s_true)
         assert lam <= 1e-6 * prob.sigma_max, seed
-
-
-def test_optimal_requires_truth():
-    prob = scalar_toy()
-    with pytest.raises(ConfigError):
-        select_optimal(prob, np.array([[1.0]]), prior.identity_prior(1), None)
 
 
 def test_optimal_beats_every_grid_point():
     rng = np.random.default_rng(2)
     prob = make_prob(rng.standard_normal((8, 6)), 1.0)
     V = rng.standard_normal((12, 6))
-    pm = prior.identity_prior(12)
     s_true = rng.standard_normal(12)
-    lam = select_optimal(prob, V, pm, s_true)
+    lam = select_optimal(prob, V, s_true)
 
     def f(la):
         yy, _ = solve.projected_tikhonov(prob, la)
-        return np.linalg.norm(solve.recover_solution(pm, V, yy) - s_true) ** 2
+        return np.linalg.norm(solve.recover_solution(V, yy) - s_true) ** 2
 
     fsel = f(lam)
     for la in regparam._lambda_grid(prob):
         assert fsel <= f(la) * (1 + 1e-12)
 
 
-def oracle_error(pm, s_true, Z, prob):
+def oracle_error(s_true, Z, prob):
     """The full oracle error as a function of lambda: ``OracleError.error_terms``
-    plus the constant ||mu - s_true||^2 - e_k^T e_k that it leaves out."""
-    oracle = regparam.OracleError(pm, s_true, Z)
-    d = pm.mu - s_true
+    plus the constant ||s_true||^2 - e_k^T e_k that it leaves out."""
+    oracle = regparam.OracleError(s_true, Z)
+    d = -s_true
     e = oracle.e[: prob.M.shape[1]]
     const = float(np.dot(d, d)) - float(np.dot(e, e))
     terms = oracle.error_terms(prob)
     return lambda lam: const + terms(lam)[0]
 
 
-def shifted_prior(n, rng):
-    return prior.PriorModel(mu=rng.standard_normal(n), Q=prior.IdentityCovariance())
+def shifted_truth(n, rng):
+    """A truth s - mu: the error of mu + Z y against s is that of Z y against s - mu,
+    so this truth, generally outside range(Z), stands for a nonzero prior mean."""
+    mu = rng.standard_normal(n)
+    return rng.standard_normal(n) - mu
 
 
 def test_gram_oracle_error_matches_explicit_error():
     rng = np.random.default_rng(20)
     prob = make_prob(rng.standard_normal((9, 8)), 1.6)
     Z = rng.standard_normal((40, 8))
-    pm = shifted_prior(40, rng)
-    s_true = rng.standard_normal(40)
-    error = oracle_error(pm, s_true, Z, prob)
+    s_true = shifted_truth(40, rng)
+    error = oracle_error(s_true, Z, prob)
     for lam in regparam._lambda_grid(prob):
         y, _ = solve.projected_tikhonov(prob, lam)
-        explicit = np.linalg.norm(solve.recover_solution(pm, Z, y) - s_true) ** 2
+        explicit = np.linalg.norm(solve.recover_solution(Z, y) - s_true) ** 2
         assert error(lam) == pytest.approx(explicit, rel=1e-10)
 
 
@@ -318,8 +308,7 @@ def test_grid_objectives_match_scalar_evaluations():
     rng = np.random.default_rng(21)
     prob = make_prob(rng.standard_normal((8, 7)), 1.2)
     grid = regparam._lambda_grid(prob)
-    pm = shifted_prior(30, rng)
-    error = oracle_error(pm, rng.standard_normal(30), rng.standard_normal((30, 7)), prob)
+    error = oracle_error(shifted_truth(30, rng), rng.standard_normal((30, 7)), prob)
     np.testing.assert_allclose(error(grid), [error(lam) for lam in grid], rtol=1e-12)
     for omega in (1.0, 0.4):
         wgcv = regparam.wgcv_value(prob, grid, omega)
@@ -345,18 +334,18 @@ def test_leading_gram_blocks_select_from_scratch_lambda():
     iterations = 16
     state = bidiag.igenGK_run(*args, problem.b, iterations)
     assert state.k == iterations
-    oracle = regparam.OracleError(problem.prior, problem.s_true, state.Z[:, : state.k])
-    d = problem.prior.mu - problem.s_true
+    oracle = regparam.OracleError(problem.s_true, state.Z[:, : state.k])
+    d = -problem.s_true
 
     def error(prob, Z, lam):
         y, _ = solve.projected_tikhonov(prob, lam)
-        return np.linalg.norm(solve.recover_solution(problem.prior, Z, y) - problem.s_true)
+        return np.linalg.norm(solve.recover_solution(Z, y) - problem.s_true)
 
     for k in range(1, iterations + 1):
         prob = solve.ProjectedProblem(M=state.M[: k + 1, :k], beta1=state.beta1)
         Zk = state.Z[:, :k]
         lam = regparam.select_lambda_optimal(prob, oracle)
-        scratch = select_optimal(prob, Zk, problem.prior, problem.s_true)
+        scratch = select_optimal(prob, Zk, problem.s_true)
         Rk, ek = oracle.R[:k, :k], oracle.e[:k]
         G = Zk.T @ Zk
         assert np.linalg.norm(Rk.T @ Rk - G) <= 1e-12 * np.linalg.norm(G)
@@ -395,9 +384,9 @@ def synthetic_oracle_case(seed, truth):
     return M, Z, s_true
 
 
-def oracle_error_explicit(M, Z, pm, s_true, lam):
+def oracle_error_explicit(M, Z, s_true, lam):
     y, _ = solve.projected_tikhonov(make_prob(M), lam)
-    return np.linalg.norm(solve.recover_solution(pm, Z, y) - s_true) ** 2
+    return np.linalg.norm(solve.recover_solution(Z, y) - s_true) ** 2
 
 
 def test_selected_lambda_survives_rounding_level_perturbations():
@@ -412,7 +401,6 @@ def test_selected_lambda_survives_rounding_level_perturbations():
     discrepancy principle, at three targets between the residuals at lambda = 0
     and at infinity, are checked on the same matrices.
     """
-    pm = prior.identity_prior(40)
     cases = [
         synthetic_oracle_case(seed, truth)
         for truth in ("random", "near", "in-range")
@@ -420,19 +408,19 @@ def test_selected_lambda_survives_rounding_level_perturbations():
     ]
     flat = 0
     for M, Z, s_true in cases:
-        lam = select_optimal(make_prob(M), Z, pm, s_true)
+        lam = select_optimal(make_prob(M), Z, s_true)
         lam_wgcv = regparam.select_lambda_wgcv(make_prob(M), 1.0)
         prob = make_prob(M)
         r0 = np.sqrt(prob.residual_norm2(prob.filters(0.0)))
         targets = [r0 + f * (prob.beta1 - r0) for f in (0.1, 0.5, 0.9)]
         lams_dp = [regparam.select_lambda_dp(prob, t) for t in targets]
         floor = regparam._lambda_grid(prob)[0]
-        errors = [oracle_error_explicit(M, Z, pm, s_true, la) for la in (floor, lam)]
+        errors = [oracle_error_explicit(M, Z, s_true, la) for la in (floor, lam)]
         flat += lam > 1e3 * floor and 0.0 <= errors[1] - errors[0] <= 1e-8 * errors[0]
         rng = np.random.default_rng(M.size)
         for _ in range(2):
             M2, Z2 = perturbed(M, rng), perturbed(Z, rng)
-            lam2 = select_optimal(make_prob(M2), Z2, pm, s_true)
+            lam2 = select_optimal(make_prob(M2), Z2, s_true)
             assert lam2 == pytest.approx(lam, rel=1e-8)
             assert regparam.select_lambda_wgcv(make_prob(M2), 1.0) == pytest.approx(lam_wgcv, rel=1e-8)
             for target, lam_dp in zip(targets, lams_dp):
@@ -450,9 +438,9 @@ def test_selected_lambda_survives_rounding_level_perturbations():
     for _ in range(12):
         bidiag.igenGK_step(state, *args)
         M, Z = state.M, state.Z[:, : state.k]
-        lam = select_optimal(make_prob(M), Z, problem.prior, problem.s_true)
+        lam = select_optimal(make_prob(M), Z, problem.s_true)
         M2, Z2 = perturbed(M, rng), perturbed(Z, rng)
-        lam2 = select_optimal(make_prob(M2), Z2, problem.prior, problem.s_true)
+        lam2 = select_optimal(make_prob(M2), Z2, problem.s_true)
         assert lam2 == pytest.approx(lam, rel=1e-8)
 
 
@@ -461,17 +449,16 @@ def rank_deficient_basis_errors(seed, truth):
     for ``synthetic_oracle_case(seed, truth)`` with one column of Z duplicated to
     1e-15 relative, which makes Z numerically rank deficient (a diagonal entry of
     its R factor at rounding level)."""
-    pm = prior.identity_prior(40)
     M, Z, s_true = synthetic_oracle_case(seed, truth)
     rng = np.random.default_rng(seed)
     i, j = rng.choice(Z.shape[1], 2, replace=False)
     Z[:, j] = Z[:, i] * (1.0 + 1e-15 * rng.standard_normal(40))
     prob = make_prob(M)
-    lam = select_optimal(prob, Z, pm, s_true)
+    lam = select_optimal(prob, Z, s_true)
     grid = np.geomspace(regparam.GRID_FLOOR_RTOL, regparam.GRID_TOP_FACTOR, 4000)
     Y = (prob.filters(grid * prob.sigma_max).gain * prob.bhat) @ prob.Vt
-    best = np.min(np.sum((Y @ Z.T + pm.mu - s_true) ** 2, axis=1))
-    return oracle_error_explicit(M, Z, pm, s_true, lam), best
+    best = np.min(np.sum((Y @ Z.T - s_true) ** 2, axis=1))
+    return oracle_error_explicit(M, Z, s_true, lam), best
 
 
 def test_optimal_reaches_dense_grid_minimum_with_rank_deficient_basis():
@@ -525,7 +512,7 @@ def test_one_selection_makes_at_most_six_evaluations(monkeypatch, truth):
     prob = make_prob(M)
     r0 = np.sqrt(prob.residual_norm2(prob.filters(0.0)))
     monkeypatch.setattr(solve.ProjectedProblem, "filters", counted)
-    assert count(lambda p: select_optimal(p, Z, prior.identity_prior(40), s_true)) <= 6
+    assert count(lambda p: select_optimal(p, Z, s_true)) <= 6
     assert calls[0] == regparam.GRID_POINTS
     assert count(lambda p: regparam.select_lambda_wgcv(p, 1.0)) <= 6
     assert count(lambda p: regparam.select_lambda_dp(p, 0.5 * (r0 + p.beta1))) == 6

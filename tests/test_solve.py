@@ -139,22 +139,18 @@ def test_zero_lambda_truncates_at_the_rank_tolerance():
 
 
 def test_recover_trivial_cases():
-    pm = prior.identity_prior(4)
     V = np.random.default_rng(5).standard_normal((4, 2))
-    np.testing.assert_array_equal(solve.recover_solution(pm, V, np.zeros(2)), pm.mu)
+    np.testing.assert_array_equal(solve.recover_solution(V, np.zeros(2)), np.zeros(4))
     y = np.array([1.0, -2.0])
-    np.testing.assert_allclose(solve.recover_solution(pm, V, y), V @ y, rtol=1e-15)
+    np.testing.assert_allclose(solve.recover_solution(V, y), V @ y, rtol=1e-15)
 
 
 def test_recover_dense_covariance_oracle():
     rng = np.random.default_rng(6)
     Qm = random_spd(6, rng)
-    mu = rng.standard_normal(6)
-    pm = prior.PriorModel(mu=mu, Q=DenseSPDCovariance(Qm))
-    Z = Qm @ rng.standard_normal((6, 3))
+    V = rng.standard_normal((6, 3))
     y = rng.standard_normal(3)
-    expected = mu + Z @ y
-    np.testing.assert_allclose(solve.recover_solution(pm, Z, y), expected, atol=1e-12)
+    np.testing.assert_allclose(solve.recover_solution(Qm @ V, y), Qm @ (V @ y), atol=1e-12)
 
 
 def test_identity_problem_solved_in_one_step():
@@ -162,10 +158,10 @@ def test_identity_problem_solved_in_one_step():
     rng = np.random.default_rng(7)
     s_true = rng.standard_normal(n)
     A = IdentityOperator(n)
-    pm = prior.identity_prior(n)
+    Q = prior.IdentityCovariance()
     nm = prior.NoiseModel(sigma=1.0)
     none = regparam.RegConfig(rule="none")
-    rec = solve_one(A, linop.EXACT, pm, nm, s_true, 5, none, s_true=s_true)
+    rec = solve_one(A, linop.EXACT, Q, nm, s_true, 5, none, s_true=s_true)
     assert rec.stop_reason == "breakdown"
     assert rec.relerr[0] <= 1e-12
 
@@ -177,23 +173,23 @@ def full_rank_generalized_problem(seed):
     sigma = 1.3
     b = rng.standard_normal(20)
     A = DenseOperator(Amat)
-    pm = prior.PriorModel(mu=np.zeros(15), Q=DenseSPDCovariance(Qm))
+    Q = DenseSPDCovariance(Qm)
     nm = prior.NoiseModel(sigma=sigma)
-    return Amat, Qm, sigma, b, A, pm, nm
+    return Amat, Qm, sigma, b, A, Q, nm
 
 
 def test_full_subspace_matches_dense_oracle():
-    Amat, Qm, sigma, b, A, pm, nm = full_rank_generalized_problem(8)
-    rec = solve_one(A, linop.EXACT, pm, nm, b, 15, regparam.RegConfig(rule="none"))
+    Amat, Qm, sigma, b, A, Q, nm = full_rank_generalized_problem(8)
+    rec = solve_one(A, linop.EXACT, Q, nm, b, 15, regparam.RegConfig(rule="none"))
     s_ref = dense_generalized_tikhonov(Amat, Qm, sigma, b, 0.0)
     assert np.linalg.norm(rec.solution - s_ref) <= 1e-8 * np.linalg.norm(s_ref)
 
 
 def test_galerkin_residual_consistency():
-    Amat, Qm, sigma, b, A, pm, nm = full_rank_generalized_problem(9)
+    Amat, Qm, sigma, b, A, Q, nm = full_rank_generalized_problem(9)
     rule = regparam.RegConfig(rule="fixed", lambda_fixed=0.4)
-    rec = solve_one(A, linop.EXACT, pm, nm, b, 8, rule)
-    x = np.linalg.solve(Qm, rec.solution)  # x with s = Q x (mu = 0); oracle-side inverse
+    rec = solve_one(A, linop.EXACT, Q, nm, b, 8, rule)
+    x = np.linalg.solve(Qm, rec.solution)  # x with s = Q x; oracle-side inverse
     full_res = Amat @ Qm @ x - b
     weighted = np.linalg.norm(full_res) / sigma
     projected = rec.history[-1].proj_residual
@@ -202,9 +198,9 @@ def test_galerkin_residual_consistency():
 
 def test_history_without_s_true():
     """One row per iteration, k = 1..K in order; with no s_true every relerr is NaN."""
-    _, _, _, b, A, pm, nm = full_rank_generalized_problem(9)
+    _, _, _, b, A, Q, nm = full_rank_generalized_problem(9)
     rule = regparam.RegConfig(rule="fixed", lambda_fixed=0.4)
-    rec = solve_one(A, linop.EXACT, pm, nm, b, 8, rule)
+    rec = solve_one(A, linop.EXACT, Q, nm, b, 8, rule)
     assert [row.k for row in rec.history] == list(range(1, 9))
     assert rec.iterations == 8
     assert all(np.isnan(row.relerr) for row in rec.history)
@@ -213,10 +209,10 @@ def test_history_without_s_true():
 
 
 def test_driver_is_deterministic():
-    Amat, Qm, sigma, b, A, pm, nm = full_rank_generalized_problem(10)
+    Amat, Qm, sigma, b, A, Q, nm = full_rank_generalized_problem(10)
     rule = regparam.RegConfig(rule="none")
-    r1 = solve_one(A, linop.EXACT, pm, nm, b, 6, rule)
-    r2 = solve_one(A, linop.EXACT, pm, nm, b, 6, rule)
+    r1 = solve_one(A, linop.EXACT, Q, nm, b, 6, rule)
+    r2 = solve_one(A, linop.EXACT, Q, nm, b, 6, rule)
     np.testing.assert_array_equal(r1.solution, r2.solution)
     assert [row.lam for row in r1.history] == [row.lam for row in r2.history]
     assert [row.proj_residual for row in r1.history] == [row.proj_residual for row in r2.history]
@@ -227,21 +223,21 @@ def test_degenerate_adjoint_of_rhs_is_input_error():
     A = DenseOperator(np.diag([1.0, 0.0]))
     b = np.array([0.0, 1.0])
     with pytest.raises(InputError, match="adjoint of right-hand side is degenerate"):
-        solve_one(A, linop.EXACT, prior.identity_prior(2), prior.NoiseModel(sigma=1.0), b, 3,
+        solve_one(A, linop.EXACT, prior.IdentityCovariance(), prior.NoiseModel(sigma=1.0), b, 3,
                   regparam.RegConfig(rule="none"))
 
 
 def test_driver_rejects_zero_iterations():
-    _, _, _, b, A, pm, nm = full_rank_generalized_problem(11)
+    _, _, _, b, A, Q, nm = full_rank_generalized_problem(11)
     with pytest.raises(InputError, match="the decomposition has no step to project"):
-        solve_one(A, linop.EXACT, pm, nm, b, 0, regparam.RegConfig(rule="none"))
+        solve_one(A, linop.EXACT, Q, nm, b, 0, regparam.RegConfig(rule="none"))
 
 
 def test_project_rejects_a_state_without_steps():
-    _, _, _, b, A, pm, nm = full_rank_generalized_problem(11)
-    state = bidiag.igenGK_init(A, pm, nm, b, 1)
+    _, _, _, b, A, Q, nm = full_rank_generalized_problem(11)
+    state = bidiag.igenGK_init(A, Q, nm, b, 1)
     with pytest.raises(InputError, match="the decomposition has no step to project"):
-        solve.project(state, pm, regparam.RegConfig(rule="none"))
+        solve.project(state, regparam.RegConfig(rule="none"))
 
 
 def test_one_decomposition_projects_as_each_rule_solves(small_ct):
@@ -253,10 +249,9 @@ def test_one_decomposition_projects_as_each_rule_solves(small_ct):
     b, noise_norm = tomo.synthesize_observation(A, s_true, 0.04, seed=3)
     kernel = prior.MaternKernel(nu=1.5, alpha=10.0)
     Q = prior.CovarianceOperator((geom.n, geom.n), kernel)
-    pm = prior.PriorModel(mu=np.zeros(geom.ncols), Q=Q)
     nm = prior.NoiseModel(sigma=1.0)
     inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=5)
-    args = (A, inexact, pm, nm, b, 10)
+    args = (A, inexact, Q, nm, b, 10)
     state = bidiag.igenGK_run(*args)
     before = [arr.copy() for arr in (state.U, state.M, state.Z, state.C)]
     rules = {
@@ -270,7 +265,7 @@ def test_one_decomposition_projects_as_each_rule_solves(small_ct):
     solved = solve.run_iterative_solve(*args, rules, noise_norm, s_true)
     assert list(solved) == list(rules)
     for name, rule in rules.items():
-        projected = solve.project(state, pm, rule, noise_norm, s_true)
+        projected = solve.project(state, rule, noise_norm, s_true)
         assert projected.iterations == 10
         assert projected.history == solved[name].history, name
         assert projected.solution.tobytes() == solved[name].solution.tobytes(), name

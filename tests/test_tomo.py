@@ -325,7 +325,7 @@ def test_caches_keep_one_jittered_matrix(small_ct, monkeypatch):
     tomo._jittered_operator.cache_clear()
     model = angle_model(1e-1, 1e-3, max_iter=20, seed=5)
     rec = solve_one(
-        op, model, prior.identity_prior(geom.ncols),
+        op, model, prior.IdentityCovariance(),
         prior.NoiseModel(sigma=1.0), op.apply(tomo.make_phantom(16)),
         20, regparam.RegConfig(rule="none"),
     )
