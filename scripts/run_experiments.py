@@ -18,18 +18,20 @@ options that only a configuration file sets, a Matern prior of an order
 without a closed form, and runs that break down, one of them with angle
 jitter and two on the U side, one under WGCV and one in the relation check.
 Run it at two commits, or twice at one, from same-named directories;
-apart from timings.json every file must be byte-identical, which
-``compare`` checks:
+every file but timings.json must be byte-identical, and every timings.json
+must have the same keys, which ``compare`` checks:
 
     python scripts/run_experiments.py compare results other/results
 
 Extra flags are passed to every run.
 
-``compare OLD NEW`` diffs two result trees, timings.json aside. It names every file that is in
+``compare OLD NEW`` diffs two result trees. It names every file that is in
 one tree only or differs, prints the largest relative move of each CSV
 column that changed and, for an image of the same size, how many pixels
 differ and the largest difference in levels of 1/65535, and exits 1 on any
-difference, 0 on none.
+difference, 0 on none. A timings.json is compared by its keys only, since
+its values are wall times, and is left out of the file count; one whose
+keys differ, or that is in one tree only, is a difference too.
 """
 
 import csv
@@ -122,6 +124,14 @@ def runs(which, config_dir):
     return listed
 
 
+def _timing_keys(root):
+    """{relative path: sorted keys} of each timings.json under ``root``."""
+    return {
+        path.relative_to(root).as_posix(): sorted(json.loads(path.read_text()))
+        for path in root.rglob("timings.json")
+    }
+
+
 def _files(root):
     return {
         path.relative_to(root).as_posix()
@@ -172,7 +182,7 @@ def _pgm_moves(old_path, new_path):
 
 
 def compare(old_root, new_root):
-    """Print how two result trees differ outside timings.json; 1 if they do, else 0."""
+    """Print how two result trees differ, timings.json by its keys; 1 if they do, else 0."""
     old_files, new_files = _files(old_root), _files(new_root)
     differ = 0
     for name in sorted(old_files ^ new_files):
@@ -192,9 +202,17 @@ def compare(old_root, new_root):
             continue
         for column, move in moves.items():
             print(f"differs: {name} column {column}: largest relative move {move:.3g}")
+    old_keys, new_keys = _timing_keys(old_root), _timing_keys(new_root)
+    keys_differ = 0
+    for name in sorted(old_keys.keys() | new_keys.keys()):
+        old, new = old_keys.get(name, "no file"), new_keys.get(name, "no file")
+        if old != new:
+            print(f"differs: {name} keys {old} in {old_root}, {new} in {new_root}")
+            keys_differ += 1
     total = len(old_files | new_files)
-    print(f"{differ} of {total} files differ" if differ else f"all {total} files identical")
-    return 1 if differ else 0
+    summary = f"{differ} of {total} files differ" if differ else f"all {total} files identical"
+    print(summary + (f"; keys of {keys_differ} timings.json differ" if keys_differ else ""))
+    return 1 if differ or keys_differ else 0
 
 
 def main(argv):

@@ -112,11 +112,11 @@ class RegConfig:
         if self.omega_mode not in OMEGA_MODES:
             raise ConfigError(f"unknown omega_mode {self.omega_mode!r}")
 
-    def chooser(self, Z, noise_norm=None, s_true=None):
+    def chooser(self, Z, noise_norm, s_true):
         """Per-solve selection: ``choose(prob) -> lambda``, Z = Q V_k the final basis.
 
         ``noise_norm`` is the norm of the data noise in the residual's metric,
-        required by dp; ``s_true`` is required by the oracle rule. The
+        read by dp; ``s_true`` is the true solution, read by the oracle rule. The
         chooser carries the state of one solve: in adaptive WGCV mode the
         ``suggest_omega`` values so far (omega is their mean), under the
         oracle rule the ``OracleError`` of Z, built here once. The selectors

@@ -9,13 +9,12 @@ decomposition, and recovering it applies no covariance product.
 
 The outer driver ``run_iterative_solve`` is the only code that projects a
 decomposition: one ``bidiag.igenGK_run``, then ``project`` under each of its
-rules. Lambda never feeds back into the recurrence and a step only appends
-to M and Z, so ``project`` reads one finished state at k = 1, 2, ...: the
-rule picks lambda on the leading (k+1)-by-k block of M, and one projected
-solve at it is recovered with the first k columns of Z.
+rules, given the noise norm and the true solution. Lambda never feeds back
+into the recurrence and a step only appends to M and Z, so ``project``
+reads one finished state at k = 1, 2, ...: the rule picks lambda on
+M[: k + 1, :k], and one projected solve at it is recovered with Z[:, :k].
 """
 
-import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,8 +75,6 @@ class ProjectedProblem:
             keep = s > RANK_RTOL * self.sigma_max
             phi = keep.astype(float)
             return Filters(phi, 1.0 - phi, np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0))
-        if lam.ndim > 1 or not (lam > 0.0).all():
-            raise NumericalError("lambda must be positive: a scalar or a 1-D array")
         lam2 = (lam * lam)[..., None]
         denom = s * s + lam2
         return Filters(s * s / denom, lam2 / denom, s / denom)
@@ -143,9 +140,9 @@ class ReconRecord:
 def run_iterative_solve(A, inexact, Q, noise, b, max_iter, rules, noise_norm, s_true):
     """``project`` of one ``bidiag.igenGK_run`` of ``max_iter`` steps under each of ``rules``.
 
-    ``rules`` maps names to ``regparam.RegConfig``s; ``noise_norm`` and ``s_true``
-    are as in ``project``. Returns the records by name, in order; the first
-    one's timings also hold ``decomposition_s``. The state is freed on return.
+    ``rules`` maps names to ``regparam.RegConfig``s; every one is given the noise
+    norm and the truth, as in ``project``. Returns the records by name, in order;
+    the first one's timings also hold ``decomposition_s``. The state is freed.
     """
     t0 = time.perf_counter()
     state = bidiag.igenGK_run(A, inexact, Q, noise, b, max_iter)
@@ -155,49 +152,40 @@ def run_iterative_solve(A, inexact, Q, noise, b, max_iter, rules, noise_norm, s_
     return records
 
 
-def project(state, rule, noise_norm=None, s_true=None):
+def project(state, rule, noise_norm, s_true):
     """Select lambda and solve at each iteration of a decomposition ``state`` of k >= 1 steps.
 
-    ``rule`` is a ``regparam.RegConfig``; ``noise_norm`` (the noise norm in
-    the residual's metric) is required by its dp rule and ``s_true`` by its
-    oracle rule. The state is only read. For each iteration k, the projected
-    problem of the leading blocks of M and Z is factored once, the rule picks
-    lambda and one projected solve is made at it. Records one ``Iterate`` per
-    iteration, k = 1, 2, ...: the relative error against ``s_true`` (NaN in
-    every row when ``s_true`` is not given, so ``final_relerr`` is NaN too),
-    the selected lambda and the projected residual, and keeps the final
-    iterate and the stop reason, read from ``state.terminated``.
+    ``rule`` is a ``regparam.RegConfig``; its dp rule reads ``noise_norm``, its
+    oracle rule ``s_true``. The state is only read. For each iteration k, the
+    projected problem of the leading blocks of M and Z is factored once, the
+    rule picks lambda and one projected solve is made at it. Records one
+    ``Iterate`` per iteration, k = 1, 2, ...: the relative error against
+    ``s_true``, the selected lambda and the projected residual, and keeps the
+    final iterate and the stop reason, read from ``state.terminated``.
+    ``param_selection_s`` times the rule and its chooser; ``projected_solve_s``
+    is the rest of the wall time.
     """
     if state.k < 1:
         raise InputError("the decomposition has no step to project")
-    s_true = None if s_true is None else np.asarray(s_true, dtype=float)
-    s_true_norm = float(np.linalg.norm(s_true)) if s_true is not None else 0.0
-    relerr = math.nan
-
-    timings = {"param_selection_s": 0.0, "projected_solve_s": 0.0}
+    s_true = np.asarray(s_true, dtype=float)
+    s_true_norm = float(np.linalg.norm(s_true))
     history = []
 
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     choose = rule.chooser(state.Z, noise_norm, s_true)
-    timings["param_selection_s"] += time.perf_counter() - t0
+    selection_s = time.perf_counter() - start
     # A lambda_fixed near the float limit makes filters' unused psi inf/inf, silently.
     with bidiag.overflow_checked():
         for k in range(1, state.k + 1):
-            t0 = time.perf_counter()
             prob = ProjectedProblem(M=state.M[: k + 1, :k], beta1=state.beta1)
-            timings["projected_solve_s"] += time.perf_counter() - t0
-
             t0 = time.perf_counter()
             lam = choose(prob)
-            timings["param_selection_s"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
+            selection_s += time.perf_counter() - t0
             y, residual = projected_tikhonov(prob, lam)
             solution = recover_solution(state.Z[:, :k], y)
-            timings["projected_solve_s"] += time.perf_counter() - t0
-
-            if s_true is not None:
-                relerr = float(np.linalg.norm(solution - s_true) / s_true_norm)
+            relerr = float(np.linalg.norm(solution - s_true) / s_true_norm)
             history.append(Iterate(k, relerr, float(lam), residual))
 
+    rest_s = time.perf_counter() - start - selection_s
+    timings = {"param_selection_s": selection_s, "projected_solve_s": rest_s}
     return ReconRecord(history, solution, "breakdown" if state.terminated else "max_iter", timings)

@@ -284,8 +284,11 @@ def gk_decompose(A, b, steps, reorthogonalize=True):
     )
 
 
-def solve_one(A, inexact, Q, noise, b, max_iter, rule, noise_norm=None, s_true=None):
-    """The record of a ``solve.run_iterative_solve`` under the one ``rule``."""
+def solve_one(A, inexact, Q, noise, b, max_iter, rule, s_true, noise_norm=None):
+    """The record of a ``solve.run_iterative_solve`` under the one ``rule``.
+
+    A rule other than dp does not read the noise norm, so its tests pass none.
+    """
     records = solve.run_iterative_solve(
         A, inexact, Q, noise, b, max_iter, {"run": rule}, noise_norm, s_true
     )

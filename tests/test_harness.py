@@ -204,7 +204,8 @@ def test_reconstruct_outputs_and_reproducibility(tmp_path):
         "lambda_final",
     }
     assert (out / "final.pgm").exists()
-    assert (out / "timings.json").exists()
+    timings = json.loads((out / "timings.json").read_text())
+    assert set(timings) == {"decomposition_s", "param_selection_s", "projected_solve_s"}
 
     cfg2 = tiny_config(tmp_path, output_dir=str(tmp_path / "out2"))
     harness.cmd_reconstruct(cfg2)

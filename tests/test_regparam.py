@@ -76,7 +76,7 @@ def test_adaptive_wgcv_averages_suggestions():
     rng = np.random.default_rng(11)
     probs = [make_prob(rng.standard_normal((k + 1, k)), 1.0) for k in (3, 4, 5)]
     rule = RegConfig(rule="wgcv", omega_mode="adaptive")
-    choose = rule.chooser(np.zeros((5, 5)))
+    choose = rule.chooser(np.zeros((5, 5)), None, np.ones(5))
     for i, prob in enumerate(probs):
         lam = choose(prob)
         expected = float(np.mean([regparam.suggest_omega(p) for p in probs[: i + 1]]))
@@ -596,6 +596,19 @@ def test_suggest_omega_in_unit_interval():
         prob = make_prob(rng.standard_normal((8, 6)), 1.0)
         om = regparam.suggest_omega(prob)
         assert 0.0 < om <= 1.0
+
+
+def test_suggest_omega_falls_back_to_one():
+    """omega = 1 where sigma_min(M) = 0, and where beta1 e1 is orthogonal to
+    range(M), so that bhat = 0 and the residual does not move with lambda;
+    adaptive WGCV then selects as WGCV at omega = 1."""
+    singular = make_prob([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    orthogonal = make_prob([[0.0], [1.0]])
+    assert singular.s[-1] == 0.0 and not orthogonal.bhat.any()
+    assert regparam.suggest_omega(singular) == 1.0
+    assert regparam.suggest_omega(orthogonal) == 1.0
+    choose = RegConfig(rule="wgcv", omega_mode="adaptive").chooser(np.eye(2, 1), None, np.ones(2))
+    assert choose(orthogonal) == regparam.select_lambda_wgcv(orthogonal, 1.0)
 
 
 def test_rules_are_pure():

@@ -31,6 +31,21 @@ def test_compare_ignores_timings(script, tmp_path, capsys):
     assert "all 2 files identical" in capsys.readouterr().out
 
 
+def test_compare_reports_timings_whose_keys_differ(script, tmp_path, capsys):
+    """A timings.json whose keys differ, or that is in one tree only, is a
+    difference; it stays out of the file count."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    write_tree(old, HISTORY, timings='{"a_s": 1.0, "b_s": 2.0}\n')
+    write_tree(new, HISTORY, timings='{"a_s": 1.5, "c_s": 2.0}\n')
+    (new / "other").mkdir()
+    (new / "other" / "timings.json").write_text('{"a_s": 1.0}\n')
+    assert script.main(["compare", str(old), str(new)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"differs: run/timings.json keys ['a_s', 'b_s'] in {old}, ['a_s', 'c_s'] in {new}" in out
+    assert f"differs: other/timings.json keys no file in {old}, ['a_s'] in {new}" in out
+    assert out[-1] == "all 2 files identical; keys of 2 timings.json differ"
+
+
 def test_compare_reports_largest_move_per_changed_column(script, tmp_path, capsys):
     write_tree(tmp_path / "old", HISTORY)
     changed = "iter,relerr,lambda\n1,0.5,2.0\n2,0.2500001,4.0\n3,0.12501,1e-9\n"

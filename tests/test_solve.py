@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -121,13 +123,6 @@ def test_scalar_lambda_is_a_one_point_grid():
                 assert np.array_equal(one, row[i]), seed
 
 
-def test_filters_reject_a_lambda_that_is_not_positive():
-    prob = make_prob(np.random.default_rng(5).standard_normal((5, 4)), 1.0)
-    for bad in (-1.0, np.nan, -np.inf, np.ones((2, 2)), np.array([1.0, -1.0]), [1.0, np.nan]):
-        with pytest.raises(NumericalError):
-            prob.filters(bad)
-
-
 def test_zero_lambda_truncates_at_the_rank_tolerance():
     """At lambda = 0 only the singular values above RANK_RTOL * sigma_max are kept."""
     s = np.array([1.0, 2.0 * solve.RANK_RTOL, 0.5 * solve.RANK_RTOL])
@@ -180,15 +175,15 @@ def full_rank_generalized_problem(seed):
 
 def test_full_subspace_matches_dense_oracle():
     Amat, Qm, sigma, b, A, Q, nm = full_rank_generalized_problem(8)
-    rec = solve_one(A, linop.EXACT, Q, nm, b, 15, regparam.RegConfig(rule="none"))
     s_ref = dense_generalized_tikhonov(Amat, Qm, sigma, b, 0.0)
+    rec = solve_one(A, linop.EXACT, Q, nm, b, 15, regparam.RegConfig(rule="none"), s_ref)
     assert np.linalg.norm(rec.solution - s_ref) <= 1e-8 * np.linalg.norm(s_ref)
 
 
 def test_galerkin_residual_consistency():
     Amat, Qm, sigma, b, A, Q, nm = full_rank_generalized_problem(9)
     rule = regparam.RegConfig(rule="fixed", lambda_fixed=0.4)
-    rec = solve_one(A, linop.EXACT, Q, nm, b, 8, rule)
+    rec = solve_one(A, linop.EXACT, Q, nm, b, 8, rule, np.ones(15))
     x = np.linalg.solve(Qm, rec.solution)  # x with s = Q x; oracle-side inverse
     full_res = Amat @ Qm @ x - b
     weighted = np.linalg.norm(full_res) / sigma
@@ -196,26 +191,41 @@ def test_galerkin_residual_consistency():
     assert abs(weighted - projected) <= 1e-8 * max(weighted, 1.0)
 
 
-def test_history_without_s_true():
-    """One row per iteration, k = 1..K in order; with no s_true every relerr is NaN."""
+def test_history_has_one_row_per_iteration():
+    """One row per iteration, k = 1..K in order."""
     _, _, _, b, A, Q, nm = full_rank_generalized_problem(9)
     rule = regparam.RegConfig(rule="fixed", lambda_fixed=0.4)
-    rec = solve_one(A, linop.EXACT, Q, nm, b, 8, rule)
+    rec = solve_one(A, linop.EXACT, Q, nm, b, 8, rule, np.ones(15))
     assert [row.k for row in rec.history] == list(range(1, 9))
     assert rec.iterations == 8
-    assert all(np.isnan(row.relerr) for row in rec.history)
-    assert np.isnan(rec.final_relerr)
     assert [row.lam for row in rec.history] == [0.4] * 8
 
 
 def test_driver_is_deterministic():
     Amat, Qm, sigma, b, A, Q, nm = full_rank_generalized_problem(10)
     rule = regparam.RegConfig(rule="none")
-    r1 = solve_one(A, linop.EXACT, Q, nm, b, 6, rule)
-    r2 = solve_one(A, linop.EXACT, Q, nm, b, 6, rule)
+    r1 = solve_one(A, linop.EXACT, Q, nm, b, 6, rule, np.ones(15))
+    r2 = solve_one(A, linop.EXACT, Q, nm, b, 6, rule, np.ones(15))
     np.testing.assert_array_equal(r1.solution, r2.solution)
     assert [row.lam for row in r1.history] == [row.lam for row in r2.history]
     assert [row.proj_residual for row in r1.history] == [row.proj_residual for row in r2.history]
+
+
+def test_timings_are_three_buckets_and_project_splits_its_wall_time():
+    """A solve's timings are its three buckets, each finite and nonnegative, and
+    the two buckets of a project call add up to at most its wall time."""
+    _, _, _, b, A, Q, nm = full_rank_generalized_problem(12)
+    rule = regparam.RegConfig(rule="wgcv", omega_mode="adaptive")
+    rec = solve_one(A, linop.EXACT, Q, nm, b, 8, rule, np.ones(15))
+    assert set(rec.timings) == {"decomposition_s", "param_selection_s", "projected_solve_s"}
+    assert all(np.isfinite(v) and v >= 0.0 for v in rec.timings.values())
+    state = bidiag.igenGK_run(A, linop.EXACT, Q, nm, b, 8)
+    t0 = time.perf_counter()
+    projected = solve.project(state, rule, None, np.ones(15))
+    wall = time.perf_counter() - t0
+    assert set(projected.timings) == {"param_selection_s", "projected_solve_s"}
+    assert min(projected.timings.values()) >= 0.0
+    assert sum(projected.timings.values()) <= wall
 
 
 def test_degenerate_adjoint_of_rhs_is_input_error():
@@ -224,20 +234,20 @@ def test_degenerate_adjoint_of_rhs_is_input_error():
     b = np.array([0.0, 1.0])
     with pytest.raises(InputError, match="adjoint of right-hand side is degenerate"):
         solve_one(A, linop.EXACT, prior.IdentityCovariance(), prior.NoiseModel(sigma=1.0), b, 3,
-                  regparam.RegConfig(rule="none"))
+                  regparam.RegConfig(rule="none"), np.ones(2))
 
 
 def test_driver_rejects_zero_iterations():
     _, _, _, b, A, Q, nm = full_rank_generalized_problem(11)
     with pytest.raises(InputError, match="the decomposition has no step to project"):
-        solve_one(A, linop.EXACT, Q, nm, b, 0, regparam.RegConfig(rule="none"))
+        solve_one(A, linop.EXACT, Q, nm, b, 0, regparam.RegConfig(rule="none"), np.ones(15))
 
 
 def test_project_rejects_a_state_without_steps():
     _, _, _, b, A, Q, nm = full_rank_generalized_problem(11)
     state = bidiag.igenGK_init(A, Q, nm, b, 1)
     with pytest.raises(InputError, match="the decomposition has no step to project"):
-        solve.project(state, regparam.RegConfig(rule="none"))
+        solve.project(state, regparam.RegConfig(rule="none"), None, np.ones(15))
 
 
 def test_one_decomposition_projects_as_each_rule_solves(small_ct):

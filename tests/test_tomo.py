@@ -324,10 +324,11 @@ def test_caches_keep_one_jittered_matrix(small_ct, monkeypatch):
     tomo.system_matrix.cache_clear()
     tomo._jittered_operator.cache_clear()
     model = angle_model(1e-1, 1e-3, max_iter=20, seed=5)
+    s_true = tomo.make_phantom(16)
     rec = solve_one(
         op, model, prior.IdentityCovariance(),
-        prior.NoiseModel(sigma=1.0), op.apply(tomo.make_phantom(16)),
-        20, regparam.RegConfig(rule="none"),
+        prior.NoiseModel(sigma=1.0), op.apply(s_true),
+        20, regparam.RegConfig(rule="none"), s_true,
     )
     assert rec.iterations == 20
     del rec
