@@ -9,7 +9,7 @@ of a 2-core Xeon, the desk preset (n=64, 36 angles, 91 rays) takes about
 3 s and the paper preset (n=128, A is 6516x16384) about 12 s; the paper
 angle study runs 100 iterations, everything else 50. The two jittered
 inexact-angles runs take the largest share, because they rebuild the
-system matrix at every iteration (about 10 ms a build at n=64, 33 ms at
+system matrix at every iteration (about 9 ms a build at n=64, 28 ms at
 n=128).
 
 ``sweep`` is the byte-identity sweep, 31 runs: every solver mode under every
@@ -33,6 +33,14 @@ difference, 0 on none. A timings.json is compared by its keys only, since
 its values are wall times, and is left out of the file count; one whose
 keys differ, or that is in one tree only, is a difference too.
 """
+
+import os
+
+if __name__ == "__main__":
+    # BLAS reductions change their summation order with the thread count, so
+    # output bytes hold only at a fixed count: pin it before numpy is loaded.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
 
 import csv
 import json

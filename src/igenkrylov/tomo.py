@@ -197,7 +197,11 @@ def system_matrix(geom):
     Rays travel along (-sin t, cos t) with perpendicular offsets along
     (cos t, sin t). The chords and crossing windows of all rays are computed
     at once on (angles x rays) arrays; the traversal then runs angle by
-    angle over the rays that hit the image and fills the CSR arrays.
+    angle over the rays that hit the image. It writes each angle's entries
+    straight into one values and one indices buffer, allocated once and
+    bounded by the window widths: a hit ray keeps at most its chord ends and
+    its own window's crossings, w_x + w_y + 3 segments. The matrix holds
+    views of the filled parts; the pages past them are never touched.
 
     It is the same matrix the full-grid traversal gives, stored in traversal
     order: each row keeps its entries in order of increasing t, with
@@ -215,33 +219,29 @@ def system_matrix(geom):
     p = e[:, :, None] * geom.offsets()
     t_lo, t_hi, hit = _clip_chords(h, d[:, :, None], p)
     starts, widths = _edge_windows(n, h, d[:, :, None], p, t_lo, t_hi)
-    widths = np.where(hit, widths, 0.0).max(axis=2)
+    widths = np.where(hit, widths, 0.0)
+    cap = int(widths.sum()) + 3 * int(hit.sum())
+    widths = widths.max(axis=2)
     bounds = np.zeros(len(radians) + 1, dtype=np.int64)
     np.cumsum(hit.sum(axis=1), out=bounds[1:])
     p, starts = p[:, hit], starts[:, hit]
     t_lo, t_hi = t_lo[hit], t_hi[hit]
 
-    index_dtype = np.int32 if max(geom.nrows, geom.ncols) <= np.iinfo(np.int32).max else np.int64
-    counts, cols, vals = [], [], []
+    index_dtype = np.int32 if max(geom.nrows, geom.ncols, cap) < 2**31 else np.int64
+    data, indices = np.empty(cap), np.empty(cap, dtype=index_dtype)
+    counts, nnz = np.empty(bounds[-1], dtype=np.int64), 0
     for a in range(len(radians)):
         rays = slice(bounds[a], bounds[a + 1])
-        c, j, v = _traverse(
+        counts[rays], j, v = _traverse(
             n, h, d[:, a], p[:, rays], starts[:, rays], widths[:, a], t_lo[rays], t_hi[rays]
         )
-        counts.append(c)
-        cols.append(j.astype(index_dtype))
-        vals.append(v)
-    row_counts = np.zeros(geom.nrows, dtype=np.int64)
-    row_counts[hit.ravel()] = np.concatenate(counts)
-    indptr = np.zeros(geom.nrows + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=indptr[1:])
-    index_dtype = np.int64 if indptr[-1] > np.iinfo(np.int32).max else index_dtype
-    # The indices are cast angle by angle, so no float copy of them is ever
-    # whole, and the per-angle values are freed before the indices are joined.
-    data = np.concatenate(vals)
-    del vals
-    indices = np.concatenate(cols, dtype=index_dtype)
-    return CSRMatrix(data, indices, indptr.astype(index_dtype), (geom.nrows, geom.ncols), len(data))
+        data[nnz : nnz + v.size] = v
+        indices[nnz : nnz + v.size] = j
+        nnz += v.size
+    indptr = np.zeros(geom.nrows + 1, dtype=index_dtype)
+    indptr[1:][hit.ravel()] = counts
+    np.cumsum(indptr, out=indptr)
+    return CSRMatrix(data[:nnz], indices[:nnz], indptr, (geom.nrows, geom.ncols), nnz)
 
 
 class RadonOperator(LinearOperator):

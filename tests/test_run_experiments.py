@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,27 @@ def script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_loading_the_script_leaves_the_environment_alone(monkeypatch):
+    """Only a run as the main program pins the BLAS thread count."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    spec = importlib.util.spec_from_file_location("run_experiments", SCRIPT)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert dict(os.environ) == before
+
+
+def test_running_the_script_pins_unset_thread_counts(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "compare"])
+    with pytest.raises(SystemExit):
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "1"
+    assert os.environ["MKL_NUM_THREADS"] == "4"
 
 
 def write_tree(root, history, summary='{"iterations": 3}\n', timings='{"s": 1.0}\n'):

@@ -167,18 +167,21 @@ def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
             assert before.tobytes() == after.tobytes(), name
 
 
-def test_assembly_peak_stays_below_twice_the_matrix():
-    """Indices are cast per angle and each list of per-angle arrays is freed
-    after its join, so a build's traced peak stays below twice the bytes of
-    the CSR arrays it returns."""
-    geom = tomo.CTGeometry(n=64, angles=tomo.default_angles())
-    tracemalloc.start()
-    try:
-        mat = tomo.system_matrix.__wrapped__(geom)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
+def test_assembly_peak_stays_below_one_and_a_half_times_the_matrix():
+    """Each angle's entries are written straight into two buffers bounded by
+    the window widths, and the matrix holds views of their filled parts, so
+    a build never holds its entries twice: its traced peak stays below 1.5
+    times the bytes of the CSR arrays it returns (about 1.43 at n=64 and
+    1.36 at n=128; per-angle arrays joined at the end reached 1.78 and 1.73)."""
+    for n in (64, 128):
+        geom = tomo.CTGeometry(n=n, angles=tomo.default_angles())
+        tracemalloc.start()
+        try:
+            mat = tomo.system_matrix.__wrapped__(geom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes), n
 
 
 def test_adjoint_dot_test(small_ct):
