@@ -6,10 +6,9 @@ the piecewise-constant image along one ray: intersection lengths times pixel
 values. The lengths come from a restricted Siddon/Jacobs traversal, which
 cuts each ray's chord only at the grid lines in a window around it
 (R. L. Siddon, Med. Phys. 12(2), 1985; F. Jacobs et al., J. Comput. Inf.
-Technol. 6(1), 1998). They go straight into CSR arrays, once per geometry:
-the same matrix a traversal of every grid line gives, stored in traversal
-order, each row's entries in order along the ray. SciPy's compiled kernels
-apply it and its exact transpose, deterministically.
+Technol. 6(1), 1998). They go straight into CSR arrays in traversal order,
+each row's entries in order along the ray, the matrix a full-grid traversal
+gives; SciPy's compiled kernels apply it and its transpose deterministically.
 """
 
 import functools
@@ -190,25 +189,25 @@ class CSRMatrix:
     nnz: int
 
 
-@functools.lru_cache(maxsize=1)
+# Holds no matrix (maxsize 0) but counts each build as a miss; the benchmark
+# reads that count and calls cache_clear. Library code must not clear it.
+@functools.lru_cache(maxsize=0)
 def system_matrix(geom):
     """Sparse ray-weight matrix for the geometry (rows: angle-major rays).
 
     Rays travel along (-sin t, cos t) with perpendicular offsets along
     (cos t, sin t). The chords and crossing windows of all rays are computed
     at once on (angles x rays) arrays; the traversal then runs angle by
-    angle over the rays that hit the image. It writes each angle's entries
-    straight into one values and one indices buffer, allocated once and
-    bounded by the window widths: a hit ray keeps at most its chord ends and
-    its own window's crossings, w_x + w_y + 3 segments. The matrix holds
-    views of the filled parts; the pages past them are never touched.
+    angle over the hit rays and writes their entries into one values and one
+    indices buffer, allocated once and bounded by the window widths (a hit
+    ray keeps at most its chord ends and its window's crossings, w_x + w_y +
+    3 segments). The matrix holds views of the filled parts.
 
     It is the same matrix the full-grid traversal gives, stored in traversal
-    order: each row keeps its entries in order of increasing t, with
-    unsorted columns, which no product needs. A ray grazing a grid line can
-    split one pixel's chord in two and keeps both entries. Its canonical
-    form (columns sorted, repeated entries summed) is bit for bit the matrix
-    of the COO assembly.
+    order: each row's entries in order of increasing t, columns unsorted,
+    which no product needs. A ray grazing a grid line can split one pixel's
+    chord in two and keeps both entries. The canonical form (columns sorted,
+    repeated entries summed) is bit for bit the COO assembly's matrix.
     """
     n, h = geom.n, geom.n / 2.0
     radians = [math.radians(theta) for theta in geom.angles]
@@ -273,9 +272,10 @@ class RadonOperator(LinearOperator):
         return _jittered_operator(self.geom, model.magnitude(k), int(model.seed), int(k))
 
 
-# One entry here and in system_matrix: both products of iteration k come from one step.
+# Both products of iteration k share one entry, emptied before the next build.
 @functools.lru_cache(maxsize=1)
 def _jittered_operator(geom, alpha_k, seed, k):
+    _jittered_operator.cache_clear()
     g = substream(seed, TAG_ANGLE_JITTER, k).standard_normal(len(geom.angles))
     jittered = tuple(theta + alpha_k * gi for theta, gi in zip(geom.angles, g))
     return RadonOperator(replace(geom, angles=jittered))

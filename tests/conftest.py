@@ -1,5 +1,9 @@
+import contextlib
+import faulthandler
 import json
 import math
+import os
+import sys
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -7,11 +11,43 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from igenkrylov import linop, solve, tomo
-from igenkrylov.bidiag import BREAKDOWN_RTOL
-from igenkrylov.errors import IgenKrylovError, InputError
+# A hang fails the run: past HANG_TIMEOUT_S in one test, in collection or in
+# the imports below, faulthandler prints every thread's stack and exits with
+# status 1. It is armed before the package is imported, since importing
+# regparam runs a loop; until pytest_configure points it past output capture,
+# its stacks show only under -s. The slowest test takes about 1 s, the suite
+# about 12 s.
+HANG_TIMEOUT_S = 120
+faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True, file=sys.__stderr__)
+
+from igenkrylov import linop, solve, tomo  # noqa: E402
+from igenkrylov.bidiag import BREAKDOWN_RTOL  # noqa: E402
+from igenkrylov.errors import IgenKrylovError, InputError  # noqa: E402
 
 DENSE_LIMIT = 4096
+
+# A copy of the terminal's stderr for the hang dump, which output capture
+# would otherwise swallow when faulthandler exits the process.
+_hang_fd = None
+
+
+def pytest_configure(config):
+    global _hang_fd
+    capman = config.pluginmanager.getplugin("capturemanager")
+    with capman.global_and_fixture_disabled() if capman else contextlib.nullcontext():
+        _hang_fd = os.dup(sys.stderr.fileno())
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True, file=_hang_fd)
+
+
+@pytest.fixture(autouse=True)
+def _hang_timer():
+    """Re-arm the hang timer for each test: pytest cancels it after a failure."""
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True, file=_hang_fd)
+    yield
+
+
+def pytest_sessionfinish(session):
+    faulthandler.cancel_dump_traceback_later()
 
 
 class CapacityError(IgenKrylovError):

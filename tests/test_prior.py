@@ -47,6 +47,13 @@ def test_three_halves_closed_form_vs_bessel():
     assert abs(float(k(r)) - kv_formula(1.5, 1.0, r)) <= 1e-12
 
 
+@pytest.mark.parametrize("nu", [1.0, 2.0])
+def test_orders_without_a_closed_form_match_bessel(nu):
+    k = prior.MaternKernel(nu=nu, alpha=1.0)
+    for r in (0.1, 0.5, 2.0):
+        assert abs(float(k(r)) - kv_formula(nu, 1.0, r)) <= 1e-12, r
+
+
 # Runs in a fresh interpreter: an n=16 gengk reconstruction at nu = 1.5, then
 # a Matern kernel of an order without a closed form. Prints whether
 # scipy.special was loaded before and after the kernel, whether the

@@ -611,6 +611,47 @@ def test_suggest_omega_falls_back_to_one():
     assert choose(orthogonal) == regparam.select_lambda_wgcv(orthogonal, 1.0)
 
 
+def random_projected_problem(rng):
+    """M = U diag(s) V^T, (k+1)-by-k, with 0 < sigma_min <= 1, and beta1 in [0.5, 2]."""
+    k = int(rng.integers(3, 9))
+    U, _ = np.linalg.qr(rng.standard_normal((k + 1, k)))
+    V, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    smin = rng.uniform(0.05, 1.0)
+    s = np.geomspace(smin * rng.uniform(2.0, 1e3), smin, k)
+    return (U * s) @ V.T, rng.uniform(0.5, 2.0)
+
+
+def test_suggest_omega_makes_wgcv_stationary_at_sigma_min():
+    """omega solves dG_omega/dlambda = 0 at lambda = sigma_min(M), clamped to 1.
+
+    Where omega lies inside (0, 1), a central difference of G_omega at
+    sigma_min vanishes relative to G / lambda. dG/dlambda falls as omega
+    grows, so where omega is clamped to 1 the root lies at or above 1 and
+    G_1 does not fall at sigma_min. Scaling M and beta1 together by c scales
+    lambda, the residual and its derivative but leaves omega as it is; at
+    c = 1e-3 that derivative is below 1.
+    """
+    rng = np.random.default_rng(11)
+    clamped = 0
+    for _ in range(40):
+        M, beta1 = random_projected_problem(rng)
+        prob = make_prob(M, beta1)
+        omega = regparam.suggest_omega(prob)
+        lam = prob.s[-1]
+        h = 1e-5 * lam
+        up, mid, down = regparam.wgcv_value(prob, np.array([lam + h, lam, lam - h]), omega)
+        slope = (up - down) / (2.0 * h) * lam / mid
+        if omega < 1.0:
+            assert 0.0 < omega and abs(slope) <= 1e-8, (omega, slope)
+        else:
+            clamped += 1
+            assert slope >= -1e-8, slope
+        for c in (1e-3, 1e3):
+            scaled = regparam.suggest_omega(make_prob(c * M, c * beta1))
+            assert scaled == pytest.approx(omega, rel=1e-10, abs=0.0), c
+    assert 0 < clamped < 40  # both branches of the law are reached
+
+
 def test_rules_are_pure():
     rng = np.random.default_rng(8)
     prob = make_prob(rng.standard_normal((7, 6)), 1.1)

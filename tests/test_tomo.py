@@ -122,8 +122,8 @@ def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
     adjoint is bitwise the reference's; forward products sum each row in
     traversal order and agree to rounding. Both products are bitwise SciPy's
     ``A @ x`` and ``A.T @ y`` on the same arrays, strided inputs included.
-    Products leave the arrays that ``system_matrix`` shares through its cache
-    untouched.
+    Products leave the matrix's arrays untouched, and a second build gives
+    the same bytes.
     """
     rng = np.random.default_rng(n)
     for name, angles in oracle_angle_sets().items():
@@ -131,7 +131,9 @@ def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
         ref = reference_system_matrix(geom)
         op = tomo.RadonOperator(geom)
         mat = op._mat
-        assert mat is tomo.system_matrix(geom), name
+        again = tomo.system_matrix(geom)
+        for arr in ("indptr", "indices", "data"):
+            assert getattr(again, arr).tobytes() == getattr(mat, arr).tobytes(), (name, arr)
         assert mat.indptr.dtype == mat.indices.dtype, name
         assert isinstance(mat.nnz, int) and mat.nnz == mat.data.size, name
         csr = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
@@ -314,17 +316,20 @@ def test_jittered_operator_deterministic(small_ct):
 
 
 def test_caches_keep_one_jittered_matrix(small_ct, monkeypatch):
-    geom, op = small_ct
-    matrices = []
+    """One jittered matrix per iteration, and as each one's build begins no
+    earlier one is alive: the operator and matrix of iteration k - 1 are
+    freed before iteration k's matrix is built, so a solve never holds two."""
+    _, op = small_ct
+    matrices, alive_at_build = [], []
     init = tomo.RadonOperator.__init__
 
     def recording_init(self, g):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in matrices))
         init(self, g)
-        if g != geom:
-            matrices.append(weakref.ref(self._mat))
+        matrices.append(weakref.ref(self._mat))
 
     monkeypatch.setattr(tomo.RadonOperator, "__init__", recording_init)
-    tomo.system_matrix.cache_clear()
     tomo._jittered_operator.cache_clear()
     model = angle_model(1e-1, 1e-3, max_iter=20, seed=5)
     s_true = tomo.make_phantom(16)
@@ -334,9 +339,10 @@ def test_caches_keep_one_jittered_matrix(small_ct, monkeypatch):
         20, regparam.RegConfig(rule="none"), s_true,
     )
     assert rec.iterations == 20
+    # One build per iteration, both its products share it, and none overlap.
+    assert alive_at_build == [0] * 20
     del rec
     gc.collect()
-    assert len(matrices) == 20  # one per iteration: both its products come from one step
     assert sum(ref() is not None for ref in matrices) <= 1
 
 
