@@ -235,7 +235,7 @@ def relation_diagnostics(state, exact_op, Q, noise):
     k = state.k
     U, Vk = state.U, state.V
 
-    rinv_U = np.column_stack([noise.apply_rinv(U[:, j]) for j in range(U.shape[1])])
+    rinv_U = noise.apply_rinv(U)
     lhs_adj = np.column_stack([exact_op.apply_adjoint(rinv_U[:, j]) for j in range(k)])
     err_adjoint = _rel_fro(lhs_adj - Vk @ state.C, lhs_adj)
 

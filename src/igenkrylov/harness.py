@@ -7,7 +7,7 @@ lives in a separate file). compare-reg and inexact-angles are sweeps of
 named reconstructions of one problem, one per rule or per angle schedule
 (the latter after the exact baseline). Every reconstruction is a
 ``solve.run_iterative_solve``: compare-reg makes one for its three rules,
-inexact-angles one per run; ``_sweep_files`` makes their files.
+inexact-angles one per run; ``_sweep`` makes both sweeps and their files.
 A command makes the contents of all of its files first (``csv_text``,
 ``json_text``, ``pgm_bytes``), then hands them to ``_publish``, the only
 code that creates the output directory or writes a file.
@@ -147,12 +147,6 @@ def _run_fields(record):
     }
 
 
-def _per_run(records, keys):
-    """The summary fields ``keys`` of a sweep, each as a {run name: value} map."""
-    fields = {name: _run_fields(rec) for name, rec in records.items()}
-    return {key: {name: f[key] for name, f in fields.items()} for key in keys}
-
-
 def _summary_json(cfg, **fields):
     """summary.json: the schema version, the configuration and a command's own fields."""
     return json_text({"schema_version": cfg.schema_version, "config": asdict(cfg), **fields})
@@ -172,18 +166,6 @@ def _publish(cfg, files):
         (out / name).write_bytes(data if isinstance(data, bytes) else data.encode("ascii"))
 
 
-def _sweep_files(records):
-    """Each history as ``history_<name>.csv``, and ``timings.json``, whose ``<name>_s`` sums
-    that record's timings: a decomposition counts only in the run that made it."""
-    files = {
-        f"history_{name}.csv": csv_text(HISTORY_HEADER, rec.history)
-        for name, rec in records.items()
-    }
-    timings = {f"{name}_s": sum(rec.timings.values()) for name, rec in records.items()}
-    files["timings.json"] = json_text(timings)
-    return files
-
-
 def _merged_csv(records, columns):
     """One row per iteration, up to the shortest run: the ``columns`` of each run side by side.
 
@@ -196,6 +178,29 @@ def _merged_csv(records, columns):
         for same_k in zip(*(rec.history for rec in records.values()))
     ]
     return csv_text(header, rows)
+
+
+def _sweep(cfg, problem, runs, merged, columns, keys, **fields):
+    """Solve ``runs``, (inexactness, {name: RegConfig}) pairs in order, and publish the sweep.
+
+    Its files: each history as ``history_<name>.csv``; ``timings.json``, whose
+    ``<name>_s`` sums that record's timings (a decomposition counts only in the
+    run that made it); ``merged``, the histories' ``columns`` side by side; and
+    ``summary.json``: ``fields``, and each summary field of ``keys`` as a
+    {name: value} map.
+    """
+    records = {}
+    for inexact, rules in runs:
+        records |= _solve(cfg, problem, inexact, rules)
+    files = {f"history_{n}.csv": csv_text(HISTORY_HEADER, r.history) for n, r in records.items()}
+    timings = {f"{n}_s": sum(r.timings.values()) for n, r in records.items()}
+    files["timings.json"] = json_text(timings)
+    files[merged] = _merged_csv(records, columns)
+    per_run = {name: _run_fields(rec) for name, rec in records.items()}
+    fields |= {key: {name: f[key] for name, f in per_run.items()} for key in keys}
+    files["summary.json"] = _summary_json(cfg, **fields)
+    _publish(cfg, files)
+    return 0
 
 
 def cmd_verify_relations(cfg):
@@ -262,14 +267,10 @@ def cmd_compare_reg(cfg):
     inexact = inexactness_for(cfg)
     problem = build_problem(cfg)
     rules = {name: replace(cfg.reg, rule=name) for name in SELECTING_RULES}
-    records = _solve(cfg, problem, inexact, rules)
-    files = _sweep_files(records)
-    files["compare.csv"] = _merged_csv(records, ("relerr", "lambda"))
-    files["summary.json"] = _summary_json(
-        cfg, **_per_run(records, ("final_relerr", "min_relerr", "argmin_iter", "lambda_final"))
+    return _sweep(
+        cfg, problem, [(inexact, rules)], "compare.csv", ("relerr", "lambda"),
+        ("final_relerr", "min_relerr", "argmin_iter", "lambda_final"),
     )
-    _publish(cfg, files)
-    return 0
 
 
 def cmd_inexact_angles(cfg):
@@ -277,17 +278,14 @@ def cmd_inexact_angles(cfg):
     problem = build_problem(cfg)
     schedules = {"exact": None}
     schedules.update((f"sched{idx}", pair) for idx, pair in enumerate(cfg.angle_schedules))
-    records = {}
-    for name, angles in schedules.items():
-        inexact = EXACT if angles is None else inexactness_for(cfg, angles=angles)
-        records |= _solve(cfg, problem, inexact, {name: cfg.reg})
-    files = _sweep_files(records)
-    files["comparison.csv"] = _merged_csv(records, ("relerr",))
-    files["summary.json"] = _summary_json(
-        cfg, schedules=schedules, **_per_run(records, ("final_relerr", "min_relerr"))
+    runs = [
+        (EXACT if angles is None else inexactness_for(cfg, angles=angles), {name: cfg.reg})
+        for name, angles in schedules.items()
+    ]
+    return _sweep(
+        cfg, problem, runs, "comparison.csv", ("relerr",), ("final_relerr", "min_relerr"),
+        schedules=schedules,
     )
-    _publish(cfg, files)
-    return 0
 
 
 COMMANDS = {

@@ -52,7 +52,6 @@ OMEGA_MODES = ("fixed", "adaptive")
 GRID_POINTS = 50
 GRID_FLOOR_RTOL = 1e-12
 GRID_TOP_FACTOR = 10.0
-REFINE_RELWIDTH = 1e-5
 REFINE_POINTS = 65
 # A value ties with the minimum when it exceeds it by at most TIE_RTOL * k
 # times the rounding scale at the minimum (k columns of M). The first-order
@@ -61,19 +60,18 @@ REFINE_POINTS = 65
 TIE_RTOL = 256.0 * np.finfo(float).eps
 
 
-# The lambda grid is UNIT_GRID * sigma_max. A refinement round spans a
-# bracket of two steps of the grid or round before it, and its points are the
-# bracket's lower end times the round's unit array, so every bracket of a
-# round spans the same ratio. Rounds go on until a bracket is narrower than
-# REFINE_RELWIDTH relative (four rounds of REFINE_POINTS; the last spacing
-# is about 5.9e-7 relative).
+# The lambda grid is UNIT_GRID * sigma_max. Each of the four refinement rounds
+# spans a bracket of two steps of the grid or round before it, and its points
+# are the bracket's lower end times the round's unit array of REFINE_POINTS, so
+# every bracket of a round spans the same ratio. The last round's step is about
+# 5.9e-7 relative.
 UNIT_GRID = np.geomspace(GRID_FLOOR_RTOL, GRID_TOP_FACTOR, GRID_POINTS)
 
 
 def _refine_rounds():
     rounds = []
     ratio = (UNIT_GRID[1] / UNIT_GRID[0]) ** 2
-    while 1.0 - 1.0 / ratio > REFINE_RELWIDTH:
+    for _ in range(4):
         rounds.append(np.geomspace(1.0, ratio, REFINE_POINTS))
         ratio = rounds[-1][2]
     return tuple(rounds)

@@ -13,10 +13,10 @@ import scipy.sparse as sp
 
 # A hang fails the run: past HANG_TIMEOUT_S in one test, in collection or in
 # the imports below, faulthandler prints every thread's stack and exits with
-# status 1. It is armed before the package is imported, since importing
-# regparam runs a loop; until pytest_configure points it past output capture,
-# its stacks show only under -s. The slowest test takes about 1 s, the suite
-# about 12 s.
+# status 1. It is armed before the package is imported, so a hang in an
+# import is caught too; until pytest_configure points it past output capture,
+# its stacks show only under -s. The slowest test takes about 2 s, the suite
+# about 16 s.
 HANG_TIMEOUT_S = 120
 faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True, file=sys.__stderr__)
 

@@ -318,6 +318,28 @@ def test_merged_csv_and_summary_read_the_histories(tmp_path, experiment, merged,
         assert {key: summary[key][name] for key in keys} == {key: expected[key] for key in keys}
 
 
+@pytest.mark.parametrize(
+    "experiment, own",
+    [
+        ("reconstruct", {"history.csv", "final.pgm"}),
+        ("compare-reg",
+         {"history_optimal.csv", "history_dp.csv", "history_wgcv.csv", "compare.csv"}),
+        ("inexact-angles",
+         {"history_exact.csv", "history_sched0.csv", "history_sched1.csv", "comparison.csv"}),
+        ("verify-relations", {"relations.csv"}),
+    ],
+)
+def test_each_command_writes_exactly_its_documented_files(tmp_path, experiment, own):
+    """Every command's own files, then summary.json and timings.json, and no
+    other file; inexact-angles runs the two default schedules after its exact
+    baseline."""
+    cfg = tiny_config(tmp_path, experiment=experiment, mode="igengk", reg=RegConfig(rule="optimal"))
+    assert len(cfg.angle_schedules) == 2
+    assert harness.COMMANDS[experiment](cfg) == 0
+    written = {path.name for path in (tmp_path / "out").iterdir()}
+    assert written == own | {"summary.json", "timings.json"}
+
+
 @pytest.mark.parametrize("experiment", ["compare-reg", "inexact-angles", "reconstruct"])
 def test_each_inexactness_model_is_decomposed_once(tmp_path, monkeypatch, experiment):
     """Every decomposition is made inside solve.run_iterative_solve: reconstruct

@@ -575,7 +575,7 @@ def test_wgcv_selected_matches_brute_force():
 )
 def test_refinement_reaches_the_refinement_width(point, offset):
     """A smooth minimum at ``offset`` times a grid point, also one within half
-    a step of the first round from it, is found to REFINE_RELWIDTH; past
+    a step of the first round from it, is found to 1e-5 relative; past
     either end of the grid the end is returned."""
     prob = make_prob([[3.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     grid = regparam._lambda_grid(prob)
@@ -587,7 +587,28 @@ def test_refinement_reaches_the_refinement_width(point, offset):
 
     lam = regparam._grid_then_refine(prob, terms)
     expected = min(max(target, grid[0]), grid[-1])
-    assert abs(lam / expected - 1.0) <= regparam.REFINE_RELWIDTH
+    assert abs(lam / expected - 1.0) <= 1e-5
+
+
+def test_refinement_table_is_four_rounds_each_two_steps_of_the_one_before():
+    """Four rounds of REFINE_POINTS points: round 1 spans two steps of
+    UNIT_GRID, each later round two steps of the round before, and the last
+    step is below 1e-5 relative. The arrays are, byte for byte, those of the
+    construction that added rounds while a bracket was wider than 1e-5."""
+    rounds = regparam.REFINE_ROUNDS
+    assert len(rounds) == 4
+    assert all(unit.shape == (regparam.REFINE_POINTS,) and unit[0] == 1.0 for unit in rounds)
+    assert rounds[0][-1] == (regparam.UNIT_GRID[1] / regparam.UNIT_GRID[0]) ** 2
+    for before, unit in zip(rounds, rounds[1:]):
+        assert unit[-1] == before[2]
+    assert rounds[-1][1] - 1.0 < 1e-5
+
+    reference = []
+    ratio = (regparam.UNIT_GRID[1] / regparam.UNIT_GRID[0]) ** 2
+    while 1.0 - 1.0 / ratio > 1e-5:
+        reference.append(np.geomspace(1.0, ratio, regparam.REFINE_POINTS))
+        ratio = reference[-1][2]
+    assert [unit.tobytes() for unit in rounds] == [unit.tobytes() for unit in reference]
 
 
 def test_suggest_omega_in_unit_interval():
