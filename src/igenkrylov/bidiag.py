@@ -58,29 +58,12 @@ class BidiagState:
         self._ucols = 1
         self.terminated = False
 
-    @property
-    def capacity(self):
-        return self._V.shape[1]
-
-    @property
-    def U(self):
-        return self._U[:, : self._ucols]
-
-    @property
-    def V(self):
-        return self._V[:, : self.k]
-
-    @property
-    def Z(self):
-        return self._Z[:, : self.k]
-
-    @property
-    def M(self):
-        return self._M[: self._ucols, : self.k]
-
-    @property
-    def C(self):
-        return self._C[: self.k, : self.k]
+    capacity = property(lambda self: self._V.shape[1])
+    U = property(lambda self: self._U[:, : self._ucols])
+    V = property(lambda self: self._V[:, : self.k])
+    Z = property(lambda self: self._Z[:, : self.k])
+    M = property(lambda self: self._M[: self._ucols, : self.k])
+    C = property(lambda self: self._C[: self.k, : self.k])
 
 
 def _finite(norm, what):
@@ -251,7 +234,4 @@ def relation_diagnostics(state, exact_op, Q, noise):
 
 
 def _rel_fro(resid, ref):
-    denom = np.linalg.norm(ref)
-    if denom == 0.0:
-        return float(np.linalg.norm(resid))
-    return float(np.linalg.norm(resid) / denom)
+    return float(np.linalg.norm(resid) / (np.linalg.norm(ref) or 1.0))

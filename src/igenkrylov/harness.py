@@ -221,18 +221,16 @@ def cmd_verify_relations(cfg):
         timings[f"beta_{beta!r}_s"] = time.perf_counter() - t0
     rows = [(float(beta), *rep) for beta, rep in zip(cfg.betas, reports)]
 
-    ratios = []
     nonzero = [(b, rep) for b, rep in zip(cfg.betas, reports) if b > 0]
-    for (b1, r1), (b2, r2) in zip(nonzero, nonzero[1:]):
-        expected = b1 / b2
-        ratios.append(
-            {
-                "beta_pair": [b1, b2],
-                "expected": expected,
-                "adjoint_ratio": r1.err_adjoint / r2.err_adjoint if r2.err_adjoint else None,
-                "forward_ratio": r1.err_forward / r2.err_forward if r2.err_forward else None,
-            }
-        )
+    ratios = [
+        {
+            "beta_pair": [b1, b2],
+            "expected": b1 / b2,
+            "adjoint_ratio": r1.err_adjoint / r2.err_adjoint if r2.err_adjoint else None,
+            "forward_ratio": r1.err_forward / r2.err_forward if r2.err_forward else None,
+        }
+        for (b1, r1), (b2, r2) in zip(nonzero, nonzero[1:])
+    ]
     orth_ok = all(rep.err_Vorth <= ORTH_GATE and rep.err_Uorth <= ORTH_GATE for rep in reports)
     ratio_ok = all(
         r[key] is not None and abs(r[key] / r["expected"] - 1) <= RATIO_GATE
@@ -276,8 +274,7 @@ def cmd_compare_reg(cfg):
 def cmd_inexact_angles(cfg):
     """Angle-jitter schedules against the exact-angle baseline."""
     problem = build_problem(cfg)
-    schedules = {"exact": None}
-    schedules.update((f"sched{idx}", pair) for idx, pair in enumerate(cfg.angle_schedules))
+    schedules = {"exact": None} | {f"sched{i}": pair for i, pair in enumerate(cfg.angle_schedules)}
     runs = [
         (EXACT if angles is None else inexactness_for(cfg, angles=angles), {name: cfg.reg})
         for name, angles in schedules.items()

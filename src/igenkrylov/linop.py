@@ -84,11 +84,7 @@ class InexactnessModel:
 
     @property
     def active(self):
-        if self.mode == "none":
-            return False
-        if self.mode == "gaussian-entry":
-            return self.beta > 0
-        return True
+        return self.mode != "none" and (self.mode != "gaussian-entry" or self.beta > 0)
 
 
 EXACT = InexactnessModel()

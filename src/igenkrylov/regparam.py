@@ -310,10 +310,9 @@ def suggest_omega(prob):
     form; clamped into (0, 1]. The adaptive WGCV rule averages these
     suggestions along the iteration.
     """
-    smin = float(prob.s[-1])
-    if smin <= 0:
+    lam = float(prob.s[-1])
+    if lam <= 0:
         return 1.0
-    lam = smin
     filt = prob.filters(lam)
     num = prob.residual_norm2(filt)
     dpsi = 2.0 * lam * filt.gain * filt.gain  # d(psi_i)/dlambda = -d(phi_i)/dlambda

@@ -9,6 +9,7 @@ cuts each ray's chord only at the grid lines in a window around it
 Technol. 6(1), 1998). They go straight into CSR arrays in traversal order,
 each row's entries in order along the ray, the matrix a full-grid traversal
 gives; SciPy's compiled kernels apply it and its transpose deterministically.
+A large matrix is built on two threads, into the same bytes as on one.
 """
 
 import functools
@@ -27,6 +28,9 @@ from .rng import TAG_ANGLE_JITTER, TAG_OBSERVATION_NOISE, substream
 
 _PARALLEL_EPS = 1e-12
 _MIN_SEGMENT = 1e-12
+# The mean slot bound per angle from which a build runs on two CPUs, if it may.
+_SPLIT_MIN_SLOTS = 10_000
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # SciPy's compiled sparse kernels, loaded without running scipy/sparse/__init__.py:
 # importing scipy.sparse adds about 20 MB to the resident size of a process.
@@ -135,27 +139,28 @@ def _traverse(n, h, d, p, starts, widths, t_lo, t_hi):
     increasing t. Vector index is iy + n*ix (column-major image with x as the
     column coordinate).
     """
-    lo = t_lo[:, None]
-    hi = t_hi[:, None]
+    lo, hi = t_lo[:, None], t_hi[:, None]
     params = [lo]
     for axis in (0, 1):
         if abs(d[axis]) > _PARALLEL_EPS:
-            step = np.arange(widths[axis] + 1.0)
-            if d[axis] < 0:
-                step = -step
-            crossings = starts[axis][:, None] + step
-            crossings -= p[axis][:, None]
-            crossings /= d[axis]
-            params.append(crossings)
+            step = np.arange(widths[axis] + 1.0) * math.copysign(1.0, d[axis])
+            params.append((starts[axis][:, None] + step - p[axis][:, None]) / d[axis])
     params.append(hi)
     allt = np.concatenate(params, axis=1)
+    del params
     np.maximum(allt, lo, out=allt)
     np.minimum(allt, hi, out=allt)
     allt.sort(axis=1)
 
-    seg = allt[:, 1:] - allt[:, :-1]
-    mid = allt[:, :-1] + allt[:, 1:]
+    # Lengths and midpoints on the flat array, so that no operand is strided;
+    # the last column pairs a ray's end with the next ray's start and is masked.
+    flat = allt.reshape(-1)
+    seg, mid = np.empty_like(allt), np.empty_like(allt)
+    seg.reshape(-1)[-1:] = mid.reshape(-1)[-1:] = 0.0
+    np.subtract(flat[1:], flat[:-1], out=seg.reshape(-1)[:-1])
+    np.add(flat[:-1], flat[1:], out=mid.reshape(-1)[:-1])
     mid /= 2.0
+    del allt, flat
     # In place, but in the order of floor(p + mid * d + h): the pixel of
     # every segment must stay bitwise that of the full-grid traversal.
     ix = mid * d[0]
@@ -168,14 +173,13 @@ def _traverse(n, h, d, p, starts, widths, t_lo, t_hi):
     iy += h
     np.floor(iy, out=iy)
     valid = seg > _MIN_SEGMENT
-    valid &= ix >= 0
-    valid &= ix < n
-    valid &= iy >= 0
-    valid &= iy < n
-    pix = ix
-    pix *= n
-    pix += iy
-    return valid.sum(axis=1), pix[valid], seg[valid]
+    valid[:, -1] = False
+    valid &= (ix >= 0) & (ix < n)
+    valid &= (iy >= 0) & (iy < n)
+    ix *= n
+    ix += iy
+    del iy, mid
+    return valid.sum(axis=1), ix[valid], seg[valid]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +203,14 @@ def system_matrix(geom):
     (cos t, sin t). The chords and crossing windows of all rays are computed
     at once on (angles x rays) arrays; the traversal then runs angle by
     angle over the hit rays and writes their entries into one values and one
-    indices buffer, allocated once and bounded by the window widths (a hit
+    indices buffer, allocated once and bounded by the window widths: a hit
     ray keeps at most its chord ends and its window's crossings, w_x + w_y +
-    3 segments). The matrix holds views of the filled parts.
+    3 segments, its slot bound. The matrix holds views of the filled parts.
+    If the mean slot bound per angle is at least _SPLIT_MIN_SLOTS and the
+    process may run on two CPUs, a worker thread takes the angles past the
+    midpoint of the cumulative bound, writing from that point on, and one
+    forward copy in place closes the gap. Each angle makes the same
+    traversal, and its entries end where one thread writes them.
 
     It is the same matrix the full-grid traversal gives, stored in traversal
     order: each row's entries in order of increasing t, columns unsorted,
@@ -219,24 +228,43 @@ def system_matrix(geom):
     t_lo, t_hi, hit = _clip_chords(h, d[:, :, None], p)
     starts, widths = _edge_windows(n, h, d[:, :, None], p, t_lo, t_hi)
     widths = np.where(hit, widths, 0.0)
-    cap = int(widths.sum()) + 3 * int(hit.sum())
+    slots = np.cumsum([0, *(widths.sum(axis=(0, 2)) + 3 * hit.sum(axis=1))], dtype=np.int64)
+    cap = int(slots[-1])
     widths = widths.max(axis=2)
-    bounds = np.zeros(len(radians) + 1, dtype=np.int64)
-    np.cumsum(hit.sum(axis=1), out=bounds[1:])
-    p, starts = p[:, hit], starts[:, hit]
-    t_lo, t_hi = t_lo[hit], t_hi[hit]
+    bounds = np.cumsum([0, *hit.sum(axis=1)])
+    p, starts, t_lo, t_hi = p[:, hit], starts[:, hit], t_lo[hit], t_hi[hit]
 
     index_dtype = np.int32 if max(geom.nrows, geom.ncols, cap) < 2**31 else np.int64
     data, indices = np.empty(cap), np.empty(cap, dtype=index_dtype)
-    counts, nnz = np.empty(bounds[-1], dtype=np.int64), 0
-    for a in range(len(radians)):
-        rays = slice(bounds[a], bounds[a + 1])
-        counts[rays], j, v = _traverse(
-            n, h, d[:, a], p[:, rays], starts[:, rays], widths[:, a], t_lo[rays], t_hi[rays]
-        )
-        data[nnz : nnz + v.size] = v
-        indices[nnz : nnz + v.size] = j
-        nnz += v.size
+    counts = np.empty(bounds[-1], dtype=np.int64)
+
+    def fill(angles, nnz):
+        for a in angles:
+            rays = slice(bounds[a], bounds[a + 1])
+            counts[rays], j, v = _traverse(
+                n, h, d[:, a], p[:, rays], starts[:, rays], widths[:, a], t_lo[rays], t_hi[rays]
+            )
+            data[nnz : nnz + v.size] = v
+            indices[nnz : nnz + v.size] = j
+            nnz += v.size
+            del j, v
+        return nnz
+
+    if cap < _SPLIT_MIN_SLOTS * len(radians) or _CPUS < 2:
+        nnz = fill(range(len(radians)), 0)
+    else:
+        # Imported here, its only use, so that a process that never splits a build does not load it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        k = int(np.searchsorted(slots, cap / 2))
+        start = int(slots[k])
+        with ThreadPoolExecutor(1) as pool:
+            second = pool.submit(fill, range(k, len(radians)), start)
+            nnz = fill(range(k), 0)
+            end = second.result()
+        data[nnz : nnz + end - start] = data[start:end]
+        indices[nnz : nnz + end - start] = indices[start:end]
+        nnz += end - start
     indptr = np.zeros(geom.nrows + 1, dtype=index_dtype)
     indptr[1:][hit.ravel()] = counts
     np.cumsum(indptr, out=indptr)

@@ -1,9 +1,11 @@
 import gc
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -83,6 +85,13 @@ def test_forward_matches_sampled_integral_oracle():
         assert sino[ray] == pytest.approx(ref, abs=5e-3)
 
 
+def force_split(monkeypatch, on):
+    """Build every matrix on two threads (``on``), or every one on one."""
+    monkeypatch.setattr(tomo, "_CPUS", 2 if on else 1)
+    if on:
+        monkeypatch.setattr(tomo, "_SPLIT_MIN_SLOTS", 0)
+
+
 def oracle_angle_sets():
     """Angle sets the windowed assembly must reproduce bit for bit."""
     rng = np.random.default_rng(11)
@@ -113,7 +122,7 @@ GRAZING_DUPLICATES = {(16, None): 21, (64, None): 93, (128, None): 189,
 @pytest.mark.parametrize(
     "n, nrays", [(n, nrays) for n in (16, 17, 64, 128) for nrays in (None, 7)] + [(6, 48)]
 )
-def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
+def test_system_matrix_bitwise_matches_coo_assembly(n, nrays, monkeypatch):
     """The same matrix as the COO assembly's, stored in traversal order.
 
     Its canonical form (a SciPy copy of its arrays after ``sum_duplicates``)
@@ -123,59 +132,63 @@ def test_system_matrix_bitwise_matches_coo_assembly(n, nrays):
     traversal order and agree to rounding. Both products are bitwise SciPy's
     ``A @ x`` and ``A.T @ y`` on the same arrays, strided inputs included.
     Products leave the matrix's arrays untouched, and a second build gives
-    the same bytes.
+    the same bytes. All of this holds for one-thread and two-thread builds.
     """
     rng = np.random.default_rng(n)
-    for name, angles in oracle_angle_sets().items():
+    for split, (name, angles) in itertools.product((False, True), oracle_angle_sets().items()):
+        force_split(monkeypatch, split)
         geom = tomo.CTGeometry(n=n, angles=angles, nrays=nrays)
         ref = reference_system_matrix(geom)
         op = tomo.RadonOperator(geom)
         mat = op._mat
         again = tomo.system_matrix(geom)
         for arr in ("indptr", "indices", "data"):
-            assert getattr(again, arr).tobytes() == getattr(mat, arr).tobytes(), (name, arr)
-        assert mat.indptr.dtype == mat.indices.dtype, name
-        assert isinstance(mat.nnz, int) and mat.nnz == mat.data.size, name
+            assert getattr(again, arr).tobytes() == getattr(mat, arr).tobytes(), (name, split, arr)
+        assert mat.indptr.dtype == mat.indices.dtype, (name, split)
+        assert isinstance(mat.nnz, int) and mat.nnz == mat.data.size, (name, split)
         csr = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
-        assert csr.format == "csr" and csr.shape == ref.shape, name
+        assert csr.format == "csr" and csr.shape == ref.shape, (name, split)
         canonical = csr.copy()
         canonical.sum_duplicates()
         for arr in ("indptr", "indices"):
             got, want = getattr(canonical, arr), getattr(ref, arr)
-            assert got.dtype == want.dtype == getattr(mat, arr).dtype, (name, arr)
-            np.testing.assert_array_equal(got, want, err_msg=f"{name} {arr}")
-        assert canonical.data.tobytes() == ref.data.tobytes(), name
+            assert got.dtype == want.dtype == getattr(mat, arr).dtype, (name, split, arr)
+            np.testing.assert_array_equal(got, want, err_msg=f"{name} {split} {arr}")
+        assert canonical.data.tobytes() == ref.data.tobytes(), (name, split)
         duplicates = GRAZING_DUPLICATES.get((n, nrays), 0) if name == "grazing" else 0
-        assert mat.nnz - ref.nnz == duplicates, name
+        assert mat.nnz - ref.nnz == duplicates, (name, split)
 
         stored = [arr.copy() for arr in (mat.indptr, mat.indices, mat.data)]
         x = rng.standard_normal(geom.ncols)
         y = rng.standard_normal(geom.nrows)
         fwd, fwd_ref = op.apply(x), ref @ x
-        assert np.max(np.abs(fwd - fwd_ref)) <= 1e-14 * np.max(np.abs(fwd_ref)), name
+        assert np.max(np.abs(fwd - fwd_ref)) <= 1e-14 * np.max(np.abs(fwd_ref)), (name, split)
         adj, adj_ref = op.apply_adjoint(y), ref.T @ y
         if duplicates == 0:
-            assert adj.tobytes() == adj_ref.tobytes(), name
+            assert adj.tobytes() == adj_ref.tobytes(), (name, split)
         else:
-            assert np.max(np.abs(adj - adj_ref)) <= 1e-14 * np.max(np.abs(adj_ref)), name
-        assert fwd.tobytes() == (csr @ x).tobytes(), name
-        assert adj.tobytes() == (csr.T @ y).tobytes(), name
+            assert np.max(np.abs(adj - adj_ref)) <= 1e-14 * np.max(np.abs(adj_ref)), (name, split)
+        assert fwd.tobytes() == (csr @ x).tobytes(), (name, split)
+        assert adj.tobytes() == (csr.T @ y).tobytes(), (name, split)
         xs = rng.standard_normal((geom.ncols, 3))[:, 1]
         ys = rng.standard_normal((geom.nrows, 3))[:, 1]
         assert not xs.flags.contiguous and not ys.flags.contiguous
-        assert op.apply(xs).tobytes() == (csr @ xs).tobytes(), name
-        assert op.apply_adjoint(ys).tobytes() == (csr.T @ ys).tobytes(), name
+        assert op.apply(xs).tobytes() == (csr @ xs).tobytes(), (name, split)
+        assert op.apply_adjoint(ys).tobytes() == (csr.T @ ys).tobytes(), (name, split)
         for before, after in zip(stored, (mat.indptr, mat.indices, mat.data)):
-            assert before.tobytes() == after.tobytes(), name
+            assert before.tobytes() == after.tobytes(), (name, split)
 
 
-def test_assembly_peak_stays_below_one_and_a_half_times_the_matrix():
+def test_assembly_peak_stays_below_one_and_a_half_times_the_matrix(monkeypatch):
     """Each angle's entries are written straight into two buffers bounded by
     the window widths, and the matrix holds views of their filled parts, so
     a build never holds its entries twice: its traced peak stays below 1.5
-    times the bytes of the CSR arrays it returns (about 1.43 at n=64 and
-    1.36 at n=128; per-angle arrays joined at the end reached 1.78 and 1.73)."""
-    for n in (64, 128):
+    times the bytes of the CSR arrays it returns. On one thread that is about
+    1.29 at n=64 and 1.21 at n=128; two threads each hold one angle's arrays,
+    1.39-1.45 and 1.31-1.36. Per-angle arrays joined at the end reached 1.78
+    and 1.73."""
+    for split, n in itertools.product((False, True), (64, 128)):
+        force_split(monkeypatch, split)
         geom = tomo.CTGeometry(n=n, angles=tomo.default_angles())
         tracemalloc.start()
         try:
@@ -183,7 +196,94 @@ def test_assembly_peak_stays_below_one_and_a_half_times_the_matrix():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes), n
+        assert peak < 1.5 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes), (n, split)
+
+
+def test_traversal_makes_no_segment_from_one_ray_to_the_next():
+    """Segment lengths and midpoints come from the flattened crossings, where
+    one ray's chord end meets the next ray's start. That pair is no entry,
+    even where the stretch between them runs inside the grid on the first
+    ray: here ray 0 ends at y = 0 and ray 1 starts at y = 1."""
+    n, h, d = 4, 2.0, np.array([0.0, 1.0])
+    p = np.array([[0.5, 1.5], [0.0, 0.0]])
+    t_lo, t_hi = np.array([-1.0, 1.0]), np.array([0.0, 2.0])
+    starts, widths = tomo._edge_windows(n, h, d[:, None], p, t_lo, t_hi)
+    counts, pix, lengths = tomo._traverse(n, h, d, p, starts, widths.max(axis=1), t_lo, t_hi)
+    assert counts.tolist() == [1, 1]
+    assert pix.tolist() == [1 + n * 2, 3 + n * 3] and lengths.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [96, 128])
+def test_two_thread_build_is_bitwise_the_one_thread_build(n, monkeypatch):
+    default = np.array(tomo.default_angles())
+    jitter = np.random.default_rng(n).standard_normal((2, default.size))
+    angle_sets = (
+        tuple(default),
+        tuple(default + 0.1 * jitter[0]),
+        tuple(default + jitter[1]),
+        (0.0, 90.0, 180.0, 270.0, -30.0, 400.0),
+        (33.0,),
+    )
+    # On an empty grid every ray misses.
+    geoms = [tomo.CTGeometry(n=n, angles=a) for a in angle_sets]
+    geoms.append(tomo.CTGeometry(n=0, angles=(1.0, 45.0, 90.0), nrays=7))
+    # The threads switch as often as the interpreter allows.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for geom in geoms:
+            force_split(monkeypatch, False)
+            one = tomo.system_matrix(geom)
+            force_split(monkeypatch, True)
+            two = tomo.system_matrix(geom)
+            for arr in ("data", "indices", "indptr"):
+                same = getattr(two, arr).tobytes() == getattr(one, arr).tobytes()
+                assert same, (geom.angles, arr)
+            assert (two.nnz, two.shape) == (one.nnz, one.shape) and isinstance(two.nnz, int)
+    finally:
+        sys.setswitchinterval(interval)
+    assert geoms[-1].nrows == 21 and one.nnz == 0
+
+
+def test_only_builds_from_n96_run_on_two_threads(monkeypatch):
+    """At the default angles the mean slot bound per angle is 5,544 at n=64,
+    8,553 at n=80 and 12,221 at n=96, against a threshold of 10,000."""
+    monkeypatch.setattr(tomo, "_CPUS", 2)
+    threads, traverse = set(), tomo._traverse
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return traverse(*args)
+
+    monkeypatch.setattr(tomo, "_traverse", recording)
+    for n in (64, 80, 96, 128):
+        threads.clear()
+        tomo.system_matrix(tomo.CTGeometry(n=n, angles=tomo.default_angles()))
+        assert len(threads) == (2 if n >= 96 else 1), n
+    monkeypatch.setattr(tomo, "_CPUS", 1)
+    threads.clear()
+    tomo.system_matrix(tomo.CTGeometry(n=128, angles=tomo.default_angles()))
+    assert threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("failing_half", ["first", "second"])
+def test_a_failed_traversal_reaches_the_caller_and_leaves_no_thread(failing_half, monkeypatch):
+    """The first half runs on the calling thread, the second on the worker."""
+    force_split(monkeypatch, True)
+    caller, traverse = threading.get_ident(), tomo._traverse
+    error = RuntimeError(f"traversal failed in the {failing_half} half")
+
+    def failing(*args):
+        if (threading.get_ident() == caller) == (failing_half == "first"):
+            raise error
+        return traverse(*args)
+
+    monkeypatch.setattr(tomo, "_traverse", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        tomo.system_matrix(tomo.CTGeometry(n=96, angles=tomo.default_angles()))
+    assert info.value is error
+    assert threading.active_count() == before
 
 
 def test_adjoint_dot_test(small_ct):
