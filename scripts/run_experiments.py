@@ -4,13 +4,13 @@
     python scripts/run_experiments.py desk|paper|sweep [extra igenkrylov flags]
     python scripts/run_experiments.py compare OLD NEW
 
-``desk`` and ``paper`` run all four experiments at that preset. On one core
-of a 2-core Xeon, the desk preset (n=64, 36 angles, 91 rays) takes about
-3 s and the paper preset (n=128, A is 6516x16384) about 12 s; the paper
+``desk`` and ``paper`` run all four experiments at that preset. On a
+2-core Xeon, the desk preset (n=64, 36 angles, 91 rays) takes about 2 s
+and the paper preset (n=128, A is 6516x16384) about 7 s; the paper
 angle study runs 100 iterations, everything else 50. The two jittered
 inexact-angles runs take the largest share, because they rebuild the
-system matrix at every iteration (about 9 ms a build at n=64, 28 ms at
-n=128).
+system matrix at every iteration (about 6 ms a build at n=64 on one
+thread, 18 ms at n=128 on two).
 
 ``sweep`` is the byte-identity sweep, 31 runs: every solver mode under every
 rule, both rule comparisons and angle studies, the relation check, the rule

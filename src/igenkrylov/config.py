@@ -204,7 +204,7 @@ PRESETS = ("desk", "paper")
 
 def preset(name, experiment="reconstruct"):
     """Built-in configuration of ``experiment``: 'desk' at n=64 (the four experiments take about
-    3 s on one core), 'paper' at n=128 (about 12 s), whose angle study makes 100 iterations."""
+    2 s on a 2-core Xeon), 'paper' at n=128 (about 7 s), whose angle study makes 100 iterations."""
     if name == "desk":
         return ExperimentConfig(experiment=experiment)
     if name == "paper":

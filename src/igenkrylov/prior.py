@@ -77,17 +77,16 @@ def _embedding_symbol(grid_shape, kernel, fft_shape):
 
     Entry j of an axis of size m holds the signed offset d = j (j < n) or
     j - m; offsets with |d| >= n never meet the truncated product and are zero.
+    The kernel is evaluated once for each |d| < n, and d < 0 mirrors d > 0.
     """
-    dist, keep = [], []
-    for n, m in zip(grid_shape, fft_shape):
-        j = np.arange(m)
-        d = np.abs(np.where(j < n, j, j - m))
-        dist.append(d * (1.0 / n))
-        keep.append(d < n)
-    r = np.hypot(dist[0][:, None], dist[1][None, :])
-    inside = keep[0][:, None] & keep[1][None, :]
+    (n0, n1), (m0, m1) = grid_shape, fft_shape
+    d0, d1 = (np.arange(n) * (1.0 / n) for n in grid_shape)
+    embedding = np.zeros(fft_shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.rfftn(np.where(inside, kernel(r), 0.0))
+        embedding[:n0, :n1] = kernel(np.hypot(d0[:, None], d1))
+        embedding[m0 - n0 + 1 :, :n1] = embedding[n0 - 1 : 0 : -1, :n1]
+        embedding[:, m1 - n1 + 1 :] = embedding[:, n1 - 1 : 0 : -1]
+        return np.fft.rfftn(embedding)
 
 
 class CovarianceOperator:

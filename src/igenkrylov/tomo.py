@@ -159,16 +159,15 @@ def _traverse(n, h, d, p, starts, widths, t_lo, t_hi):
     seg.reshape(-1)[-1:] = mid.reshape(-1)[-1:] = 0.0
     np.subtract(flat[1:], flat[:-1], out=seg.reshape(-1)[:-1])
     np.add(flat[:-1], flat[1:], out=mid.reshape(-1)[:-1])
-    mid /= 2.0
     del allt, flat
-    # In place, but in the order of floor(p + mid * d + h): the pixel of
-    # every segment must stay bitwise that of the full-grid traversal.
-    ix = mid * d[0]
+    # In place, in the order of floor(p + (mid / 2) d + h) with d halved, which is
+    # exact: the pixel of every segment must stay bitwise that of the full-grid traversal.
+    ix = mid * (d[0] / 2.0)
     ix += p[0][:, None]
     ix += h
     np.floor(ix, out=ix)
     iy = mid
-    iy *= d[1]
+    iy *= d[1] / 2.0
     iy += p[1][:, None]
     iy += h
     np.floor(iy, out=iy)
@@ -327,18 +326,20 @@ _ELLIPSES = (
 def make_phantom(n):
     """Deterministic head phantom, values clipped to [0, 1], column-major vector."""
     coords = (np.arange(n) + 0.5) * (2.0 / n) - 1.0
-    x = coords[:, None]  # x varies along image columns
-    y = coords[None, :]
     img = np.zeros((n, n))
     for value, a, b, x0, y0, ang in _ELLIPSES:
         phi = math.radians(ang)
         c, s = math.cos(phi), math.sin(phi)
-        xr = (x - x0) * c + (y - y0) * s
-        yr = -(x - x0) * s + (y - y0) * c
-        img += np.where((xr / a) ** 2 + (yr / b) ** 2 <= 1.0, value, 0.0)
-    img = np.clip(img, 0.0, 1.0)
+        # Past its bounding box widened by a pixel, an ellipse adds exactly 0.0.
+        wx, wy = math.hypot(a * c, b * s) + 2.0 / n, math.hypot(a * s, b * c) + 2.0 / n
+        ix = slice(*np.searchsorted(coords, (x0 - wx, x0 + wx)))
+        iy = slice(*np.searchsorted(coords, (y0 - wy, y0 + wy)))
+        x, y = coords[ix, None] - x0, coords[None, iy] - y0  # x varies along image columns
+        xr = x * c + y * s
+        yr = -x * s + y * c
+        img[ix, iy] += np.where((xr / a) ** 2 + (yr / b) ** 2 <= 1.0, value, 0.0)
     # img[ix, iy]: flatten x-major to match vector index iy + n*ix
-    return img.reshape(-1)
+    return np.clip(img, 0.0, 1.0).reshape(-1)
 
 
 def image_to_grid(vec, n):

@@ -1,9 +1,5 @@
-import contextlib
-import faulthandler
 import json
 import math
-import os
-import sys
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -11,43 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-# A hang fails the run: past HANG_TIMEOUT_S in one test, in collection or in
-# the imports below, faulthandler prints every thread's stack and exits with
-# status 1. It is armed before the package is imported, so a hang in an
-# import is caught too; until pytest_configure points it past output capture,
-# its stacks show only under -s. The slowest test takes about 2 s, the suite
-# about 16 s.
-HANG_TIMEOUT_S = 120
-faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True, file=sys.__stderr__)
-
-from igenkrylov import linop, solve, tomo  # noqa: E402
-from igenkrylov.bidiag import BREAKDOWN_RTOL  # noqa: E402
-from igenkrylov.errors import IgenKrylovError, InputError  # noqa: E402
+from igenkrylov import linop, solve, tomo
+from igenkrylov.bidiag import BREAKDOWN_RTOL
+from igenkrylov.errors import IgenKrylovError, InputError
 
 DENSE_LIMIT = 4096
-
-# A copy of the terminal's stderr for the hang dump, which output capture
-# would otherwise swallow when faulthandler exits the process.
-_hang_fd = None
-
-
-def pytest_configure(config):
-    global _hang_fd
-    capman = config.pluginmanager.getplugin("capturemanager")
-    with capman.global_and_fixture_disabled() if capman else contextlib.nullcontext():
-        _hang_fd = os.dup(sys.stderr.fileno())
-    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True, file=_hang_fd)
-
-
-@pytest.fixture(autouse=True)
-def _hang_timer():
-    """Re-arm the hang timer for each test: pytest cancels it after a failure."""
-    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True, file=_hang_fd)
-    yield
-
-
-def pytest_sessionfinish(session):
-    faulthandler.cancel_dump_traceback_later()
 
 
 class CapacityError(IgenKrylovError):
@@ -94,6 +58,42 @@ def padded_covariance_apply(cov, x):
     axes = tuple(range(len(shape)))
     out = np.fft.irfftn(np.fft.rfftn(xpad) * cov._symbol, s=cov._fft_shape, axes=axes)
     return out[inner].ravel(order="F")
+
+
+def reference_phantom(n):
+    """The head phantom with every ellipse evaluated on every pixel.
+
+    What ``tomo.make_phantom`` once computed, kept as its bitwise reference.
+    """
+    coords = (np.arange(n) + 0.5) * (2.0 / n) - 1.0
+    x = coords[:, None]
+    y = coords[None, :]
+    img = np.zeros((n, n))
+    for value, a, b, x0, y0, ang in tomo._ELLIPSES:
+        phi = math.radians(ang)
+        c, s = math.cos(phi), math.sin(phi)
+        xr = (x - x0) * c + (y - y0) * s
+        yr = -(x - x0) * s + (y - y0) * c
+        img += np.where((xr / a) ** 2 + (yr / b) ** 2 <= 1.0, value, 0.0)
+    return np.clip(img, 0.0, 1.0).reshape(-1)
+
+
+def reference_embedding_symbol(grid_shape, kernel, fft_shape):
+    """FFT of the circulant embedding with the kernel evaluated on the whole padded grid.
+
+    What ``prior._embedding_symbol`` once computed, kept as its bitwise
+    reference: offsets with |d| >= n are zeroed after the kernel is evaluated.
+    """
+    dist, keep = [], []
+    for n, m in zip(grid_shape, fft_shape):
+        j = np.arange(m)
+        d = np.abs(np.where(j < n, j, j - m))
+        dist.append(d * (1.0 / n))
+        keep.append(d < n)
+    r = np.hypot(dist[0][:, None], dist[1][None, :])
+    inside = keep[0][:, None] & keep[1][None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.rfftn(np.where(inside, kernel(r), 0.0))
 
 
 def config_to_json(cfg, path=None):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -11,12 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.special import gamma as gamma_fn
-from scipy.special import kv
+from scipy.special import k1, kv
 
 from igenkrylov import prior
 from igenkrylov.errors import NumericalError
 
-from conftest import CapacityError, build_dense_cov, padded_covariance_apply, random_spd
+from conftest import (
+    CapacityError,
+    build_dense_cov,
+    padded_covariance_apply,
+    random_spd,
+    reference_embedding_symbol,
+)
 
 
 def kv_formula(nu, alpha, r):
@@ -34,9 +41,20 @@ def test_kernel_value_at_zero(nu, alpha):
 
 
 def test_half_smoothness_is_exponential():
-    k = prior.MaternKernel(nu=0.5, alpha=2.0)
-    for r in (0.1, 1.0, 3.0):
-        assert abs(float(k(r)) - math.exp(-2.0 * r)) <= 1e-12
+    """nu = 1/2 is the closed form exp(-t), t = alpha r, bit for bit."""
+    r = np.linspace(0.0, 3.0, 31)
+    assert prior.MaternKernel(nu=0.5, alpha=2.0)(r).tobytes() == np.exp(-2.0 * r).tobytes()
+
+
+def test_unit_smoothness_is_t_times_k1():
+    """nu = 1 has no closed form in the kernel: its value is t K_1(t) with
+    t = sqrt(2) alpha r, and 1 at r = 0, its limit."""
+    r = np.linspace(0.0, 2.0, 21)
+    t = math.sqrt(2.0) * 3.0 * r
+    want = np.ones_like(t)
+    want[1:] = t[1:] * k1(t[1:])
+    got = prior.MaternKernel(nu=1.0, alpha=3.0)(r)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_three_halves_closed_form_vs_bessel():
@@ -210,6 +228,39 @@ def test_pruned_fft_bitwise_matches_padded_transforms(shape):
     for _ in range(3):
         x = rng.standard_normal(math.prod(op.grid_shape))
         assert op.apply(x).tobytes() == padded_covariance_apply(op, x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape", [(16, 16), (13, 13), (1, 40), (40, 1), (20, 33), (7, 50), (128, 128), (1, 1)]
+)
+def test_symbol_bitwise_matches_kernel_on_the_whole_padded_grid(shape):
+    """Evaluating the kernel once per distinct offset and mirroring it into
+    the embedding changes no bit of the symbol; at (13, 13) the embedding is
+    2n - 1 = 25 long, so no offset outside the grid is padded in."""
+    op = prior.CovarianceOperator(shape, prior.MaternKernel(nu=0.5, alpha=1.0))
+    if shape == (13, 13):
+        assert op._fft_shape == (25, 25)
+    for nu, ell in itertools.product((0.5, 1.5, 2.5, 1.1), (0.01, 0.3, 10.0)):
+        kernel = prior.MaternKernel(nu=nu, alpha=1.0 / ell)
+        got = prior._embedding_symbol(op.grid_shape, kernel, op._fft_shape)
+        want = reference_embedding_symbol(op.grid_shape, kernel, op._fft_shape)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (nu, ell)
+
+
+def test_kernel_overflow_raises_only_where_it_meets_the_grid():
+    """At n = 16 the largest offset in the grid is 15/16 sqrt(2) = 1.33; the
+    padded grid of 32 also holds offsets up to sqrt(2), which the truncated
+    product never meets. A kernel that overflows inside the grid raises; one
+    that overflows only past it gives the reference's finite symbol."""
+    with pytest.raises(NumericalError, match="covariance is not finite"):
+        prior.CovarianceOperator((16, 16), lambda r: np.exp(1000.0 * r))
+
+    def past(r):  # overflows from r = 1.37 on
+        return np.exp(518.0 * r)
+
+    op = prior.CovarianceOperator((16, 16), past)
+    want = reference_embedding_symbol(op.grid_shape, past, op._fft_shape)
+    assert np.isfinite(op._symbol).all() and op._symbol.tobytes() == want.tobytes()
 
 
 def test_noise_model_basic():

@@ -19,7 +19,14 @@ from igenkrylov import harness, linop, prior, regparam, tomo
 from igenkrylov.config import ExperimentConfig, InexactConfig
 from igenkrylov.errors import ConfigError, InputError
 
-from conftest import dot_test, grid_to_image, read_pgm, reference_system_matrix, solve_one
+from conftest import (
+    dot_test,
+    grid_to_image,
+    read_pgm,
+    reference_phantom,
+    reference_system_matrix,
+    solve_one,
+)
 
 
 def sampled_line_integral(vec, n, theta_deg, offset, nsamples=200001):
@@ -119,64 +126,95 @@ GRAZING_DUPLICATES = {(16, None): 21, (64, None): 93, (128, None): 189,
                       (16, 7): 9, (64, 7): 9, (128, 7): 9}
 
 
-@pytest.mark.parametrize(
-    "n, nrays", [(n, nrays) for n in (16, 17, 64, 128) for nrays in (None, 7)] + [(6, 48)]
-)
-def test_system_matrix_bitwise_matches_coo_assembly(n, nrays, monkeypatch):
+def assert_matches_coo_assembly(geom, rng, duplicates, label):
     """The same matrix as the COO assembly's, stored in traversal order.
 
     Its canonical form (a SciPy copy of its arrays after ``sum_duplicates``)
-    is bit for bit the reference. Where no row repeats a pixel, every pixel
-    of an adjoint product gathers one term per row in row order, so the
+    is bit for bit the reference, and the matrix keeps ``duplicates`` more
+    entries than it (any number if None). Where no row repeats a pixel, every
+    pixel of an adjoint product gathers one term per row in row order, so the
     adjoint is bitwise the reference's; forward products sum each row in
     traversal order and agree to rounding. Both products are bitwise SciPy's
     ``A @ x`` and ``A.T @ y`` on the same arrays, strided inputs included.
     Products leave the matrix's arrays untouched, and a second build gives
-    the same bytes. All of this holds for one-thread and two-thread builds.
+    the same bytes. Returns the number of duplicate entries.
     """
+    ref = reference_system_matrix(geom)
+    op = tomo.RadonOperator(geom)
+    mat = op._mat
+    again = tomo.system_matrix(geom)
+    for arr in ("indptr", "indices", "data"):
+        assert getattr(again, arr).tobytes() == getattr(mat, arr).tobytes(), (label, arr)
+    assert mat.indptr.dtype == mat.indices.dtype, label
+    assert isinstance(mat.nnz, int) and mat.nnz == mat.data.size, label
+    csr = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+    assert csr.format == "csr" and csr.shape == ref.shape, label
+    canonical = csr.copy()
+    canonical.sum_duplicates()
+    for arr in ("indptr", "indices"):
+        got, want = getattr(canonical, arr), getattr(ref, arr)
+        assert got.dtype == want.dtype == getattr(mat, arr).dtype, (label, arr)
+        np.testing.assert_array_equal(got, want, err_msg=f"{label} {arr}")
+    assert canonical.data.tobytes() == ref.data.tobytes(), label
+    kept = mat.nnz - ref.nnz
+    assert kept == duplicates if duplicates is not None else kept >= 0, (label, kept)
+
+    stored = [arr.copy() for arr in (mat.indptr, mat.indices, mat.data)]
+    x = rng.standard_normal(geom.ncols)
+    y = rng.standard_normal(geom.nrows)
+    fwd, fwd_ref = op.apply(x), ref @ x
+    assert np.max(np.abs(fwd - fwd_ref)) <= 1e-14 * np.max(np.abs(fwd_ref)), label
+    adj, adj_ref = op.apply_adjoint(y), ref.T @ y
+    if kept == 0:
+        assert adj.tobytes() == adj_ref.tobytes(), label
+    else:
+        assert np.max(np.abs(adj - adj_ref)) <= 1e-14 * np.max(np.abs(adj_ref)), label
+    assert fwd.tobytes() == (csr @ x).tobytes(), label
+    assert adj.tobytes() == (csr.T @ y).tobytes(), label
+    xs = rng.standard_normal((geom.ncols, 3))[:, 1]
+    ys = rng.standard_normal((geom.nrows, 3))[:, 1]
+    assert not xs.flags.contiguous and not ys.flags.contiguous
+    assert op.apply(xs).tobytes() == (csr @ xs).tobytes(), label
+    assert op.apply_adjoint(ys).tobytes() == (csr.T @ ys).tobytes(), label
+    for before, after in zip(stored, (mat.indptr, mat.indices, mat.data)):
+        assert before.tobytes() == after.tobytes(), label
+    return kept
+
+
+@pytest.mark.parametrize(
+    "n, nrays", [(n, nrays) for n in (16, 17, 64, 128) for nrays in (None, 7)] + [(6, 48)]
+)
+def test_system_matrix_bitwise_matches_coo_assembly(n, nrays, monkeypatch):
+    """Every oracle angle set, on one thread and on two."""
     rng = np.random.default_rng(n)
     for split, (name, angles) in itertools.product((False, True), oracle_angle_sets().items()):
         force_split(monkeypatch, split)
         geom = tomo.CTGeometry(n=n, angles=angles, nrays=nrays)
-        ref = reference_system_matrix(geom)
-        op = tomo.RadonOperator(geom)
-        mat = op._mat
-        again = tomo.system_matrix(geom)
-        for arr in ("indptr", "indices", "data"):
-            assert getattr(again, arr).tobytes() == getattr(mat, arr).tobytes(), (name, split, arr)
-        assert mat.indptr.dtype == mat.indices.dtype, (name, split)
-        assert isinstance(mat.nnz, int) and mat.nnz == mat.data.size, (name, split)
-        csr = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
-        assert csr.format == "csr" and csr.shape == ref.shape, (name, split)
-        canonical = csr.copy()
-        canonical.sum_duplicates()
-        for arr in ("indptr", "indices"):
-            got, want = getattr(canonical, arr), getattr(ref, arr)
-            assert got.dtype == want.dtype == getattr(mat, arr).dtype, (name, split, arr)
-            np.testing.assert_array_equal(got, want, err_msg=f"{name} {split} {arr}")
-        assert canonical.data.tobytes() == ref.data.tobytes(), (name, split)
         duplicates = GRAZING_DUPLICATES.get((n, nrays), 0) if name == "grazing" else 0
-        assert mat.nnz - ref.nnz == duplicates, (name, split)
+        assert_matches_coo_assembly(geom, rng, duplicates, (name, split))
 
-        stored = [arr.copy() for arr in (mat.indptr, mat.indices, mat.data)]
-        x = rng.standard_normal(geom.ncols)
-        y = rng.standard_normal(geom.nrows)
-        fwd, fwd_ref = op.apply(x), ref @ x
-        assert np.max(np.abs(fwd - fwd_ref)) <= 1e-14 * np.max(np.abs(fwd_ref)), (name, split)
-        adj, adj_ref = op.apply_adjoint(y), ref.T @ y
-        if duplicates == 0:
-            assert adj.tobytes() == adj_ref.tobytes(), (name, split)
-        else:
-            assert np.max(np.abs(adj - adj_ref)) <= 1e-14 * np.max(np.abs(adj_ref)), (name, split)
-        assert fwd.tobytes() == (csr @ x).tobytes(), (name, split)
-        assert adj.tobytes() == (csr.T @ y).tobytes(), (name, split)
-        xs = rng.standard_normal((geom.ncols, 3))[:, 1]
-        ys = rng.standard_normal((geom.nrows, 3))[:, 1]
-        assert not xs.flags.contiguous and not ys.flags.contiguous
-        assert op.apply(xs).tobytes() == (csr @ xs).tobytes(), (name, split)
-        assert op.apply_adjoint(ys).tobytes() == (csr.T @ ys).tobytes(), (name, split)
-        for before, after in zip(stored, (mat.indptr, mat.indices, mat.data)):
-            assert before.tobytes() == after.tobytes(), (name, split)
+
+@pytest.mark.parametrize("n", [16, 17, 31, 64, 96])
+def test_system_matrix_matches_coo_assembly_on_and_near_the_axes(n, monkeypatch):
+    """Angles on the axes and the diagonal, 1e-13 degrees off them (off an
+    axis, inside the parallel tolerance, so the rays are taken as parallel
+    to it) and at random, each jittered by 0, 1e-6 and 1e-1 degrees, on one
+    thread and on two. A ray 1e-6 degrees off an axis or the diagonal can
+    graze a grid line; only those keep repeated pixels, as many on two
+    threads as on one."""
+    rng = np.random.default_rng(n)
+    near = tuple(a + s * 1e-13 for a in (0.0, 45.0, 90.0, 180.0, 270.0) for s in (1.0, -1.0))
+    angle_sets = {
+        "axes": (0.0, 45.0, 90.0, 180.0),
+        "near-axes": near,
+        "random": tuple(rng.uniform(-360.0, 360.0, 20)),
+    }
+    for (name, angles), jitter in itertools.product(angle_sets.items(), (0.0, 1e-6, 1e-1)):
+        geom = tomo.CTGeometry(n=n, angles=angles + jitter * rng.standard_normal(len(angles)))
+        duplicates = None if jitter == 1e-6 and name != "random" else 0
+        for split in (False, True):
+            force_split(monkeypatch, split)
+            duplicates = assert_matches_coo_assembly(geom, rng, duplicates, (name, jitter, split))
 
 
 def test_assembly_peak_stays_below_one_and_a_half_times_the_matrix(monkeypatch):
@@ -349,6 +387,13 @@ def test_phantom_range_and_determinism():
 
 def test_phantom_paper_scale_length():
     assert tomo.make_phantom(128).size == 16384
+
+
+def test_phantom_bitwise_matches_every_ellipse_on_every_pixel():
+    """Evaluating each ellipse on its bounding box widened by one pixel
+    changes no bit of the phantom."""
+    for n in range(16, 301):
+        assert tomo.make_phantom(n).tobytes() == reference_phantom(n).tobytes(), n
 
 
 def test_synthesize_observation_exact_level():
