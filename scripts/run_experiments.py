@@ -23,7 +23,8 @@ must have the same keys, which ``compare`` checks:
 
     python scripts/run_experiments.py compare results other/results
 
-Extra flags are passed to every run.
+Extra flags go to every run; --out, --preset and --config, which the script
+sets, are refused. Importing ``igenkrylov.cli`` pins the BLAS thread count.
 
 ``compare OLD NEW`` diffs two result trees. It names every file that is in
 one tree only or differs, prints the largest relative move of each CSV
@@ -34,14 +35,6 @@ its values are wall times, and is left out of the file count; one whose
 keys differ, or that is in one tree only, is a difference too.
 """
 
-import os
-
-if __name__ == "__main__":
-    # BLAS reductions change their summation order with the thread count, so
-    # output bytes hold only at a fixed count: pin it before numpy is loaded.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-
 import csv
 import json
 import math
@@ -49,9 +42,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
+# cli is imported before numpy: that order is what pins the BLAS thread count.
 from igenkrylov import cli
+
+import numpy as np
 
 EXPERIMENTS = [
     ("verify-relations", ["verify-relations"]),
@@ -229,14 +223,17 @@ def main(argv):
             print("usage: run_experiments.py compare OLD NEW (two directories)", file=sys.stderr)
             return 2
         return compare(Path(argv[1]), Path(argv[2]))
-    if not argv or argv[0] not in ("desk", "paper", "sweep"):
+    which, extra = argv[0] if argv else None, argv[1:]
+    # Each run sets its --out and --preset or --config; argparse would keep a repeat's value.
+    given = vars(cli.build_parser().parse_args(["reconstruct", *extra]))
+    if which not in ("desk", "paper", "sweep") or any(
+            given[flag] is not None for flag in ("out", "preset", "config")):
         print(
-            "usage: run_experiments.py desk|paper|sweep [igenkrylov flags]\n"
+            "usage: run_experiments.py desk|paper|sweep [flags but --out/--preset/--config]\n"
             "       run_experiments.py compare OLD NEW",
             file=sys.stderr,
         )
         return 2
-    which, extra = argv[0], argv[1:]
     results = Path("results") / which
     with tempfile.TemporaryDirectory() as config_dir:
         for name, args in runs(which, Path(config_dir)):

@@ -11,9 +11,7 @@ Modules:
   errors   - the package's error classes, each with its CLI exit code
   config   - JSON experiment configuration, checked on construction
   harness  - experiment commands behind the ``igenkrylov`` CLI
-  cli      - argparse front end
+  cli      - argparse front end; importing it pins the BLAS thread count
 """
-
-from . import bidiag, config, harness, linop, prior, regparam, solve, tomo
 
 __version__ = "0.1.0"

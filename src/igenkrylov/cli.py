@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface; importing it pins each unset BLAS thread count to 1.
 
     igenkrylov <command> [--config FILE | --preset desk|paper] [options]
 
@@ -8,9 +8,13 @@ a package error exits with its class's ``exit_code`` (see ``errors``).
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
+# BLAS reductions change their summation order with the thread count; pin it before numpy loads.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 from .config import PRESETS, SOLVER_MODES, config_from_json, preset
 from .errors import IgenKrylovError
 from .harness import COMMANDS

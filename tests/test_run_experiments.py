@@ -1,12 +1,15 @@
 import importlib.util
+import json
 import os
-import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "run_experiments.py"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -17,25 +20,89 @@ def script():
     return module
 
 
-def test_loading_the_script_leaves_the_environment_alone(monkeypatch):
-    """Only a run as the main program pins the BLAS thread count."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    before = dict(os.environ)
-    spec = importlib.util.spec_from_file_location("run_experiments", SCRIPT)
-    spec.loader.exec_module(importlib.util.module_from_spec(spec))
-    assert dict(os.environ) == before
+def fresh_python(args, **env):
+    """Run ``python args`` in a fresh interpreter with the package on its path,
+    the three thread variables removed from the environment and ``env`` set."""
+    environ = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+    environ.update(env, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=environ, capture_output=True, text=True,
+                          check=True)
 
 
-def test_running_the_script_pins_unset_thread_counts(monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("MKL_NUM_THREADS", "4")
-    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "compare"])
-    with pytest.raises(SystemExit):
-        runpy.run_path(str(SCRIPT), run_name="__main__")
-    assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "1"
-    assert os.environ["MKL_NUM_THREADS"] == "4"
+# Runs the code of its first argument in a fresh interpreter, where a meta
+# path finder records the thread variables when numpy is first looked up.
+# Prints them, whether numpy is loaded, and the variables at the end.
+THREAD_PROBE = """
+import json, os, sys
+VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+at_numpy = {}
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not at_numpy:
+            at_numpy.update((var, os.environ.get(var)) for var in VARS)
+sys.meta_path.insert(0, Recorder())
+try:
+    exec(sys.argv[1])
+except SystemExit:
+    pass
+print(json.dumps({"at_numpy": at_numpy or None, "numpy": "numpy" in sys.modules,
+                  "after": {var: os.environ.get(var) for var in VARS}}))
+"""
+
+# The pin of an importer of igenkrylov.cli: unset variables become 1, a set one is kept.
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}
+
+
+def thread_probe(code):
+    proc = fresh_python(["-c", THREAD_PROBE, code], MKL_NUM_THREADS="4")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_numpy_and_sets_no_variable():
+    probe = thread_probe("import igenkrylov")
+    assert probe["at_numpy"] is None and not probe["numpy"]
+    assert probe["after"] == {**PINNED, "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+
+
+def test_importing_the_cli_pins_unset_thread_counts_before_numpy_loads():
+    assert thread_probe("import igenkrylov.cli") == {
+        "at_numpy": PINNED, "numpy": True, "after": PINNED}
+
+
+def test_running_the_script_pins_unset_thread_counts():
+    code = (f"import runpy\nsys.argv = [{str(SCRIPT)!r}, 'compare']\n"
+            f"runpy.run_path({str(SCRIPT)!r}, run_name='__main__')")
+    assert thread_probe(code) == {"at_numpy": PINNED, "numpy": True, "after": PINNED}
+
+
+def test_cli_history_bytes_do_not_depend_on_an_unset_thread_count(script, tmp_path):
+    """``python -m igenkrylov.cli reconstruct`` on the sweep's limit-gk-dp-n16
+    configuration, cut to 200 iterations, writes the same history.csv with the
+    three thread variables removed from the environment as with each set to 1.
+    Without the pin in cli, the unset run uses OpenBLAS's default of a thread
+    per core: on a 2-core host its relerr then moves in the last digit and this
+    test fails. On a 1-CPU host both runs use one thread, and it passes trivially."""
+    path = tmp_path / "limit-gk-dp-n16.json"
+    path.write_text(json.dumps({**script.SWEEP_CONFIGS["limit-gk-dp-n16"], "max_iter": 200}))
+    histories = []
+    for name, env in (("unset", {}), ("pinned", dict.fromkeys(THREAD_VARS, "1"))):
+        out = tmp_path / name
+        fresh_python(["-m", "igenkrylov.cli", "reconstruct", "--config", str(path),
+                      "--out", str(out)], **env)
+        histories.append((out / "history.csv").read_bytes())
+    assert histories[0] == histories[1]
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--out", "x"], ["paper", "--pres", "desk"],
+                                  ["desk", "--config=x.json"]])
+def test_a_flag_the_script_sets_itself_exits_2_before_any_run(script, tmp_path, monkeypatch,
+                                                               capsys, argv):
+    """argparse keeps the last of a repeated flag, so an extra --out or --preset
+    would override the script's own, abbreviated or not."""
+    monkeypatch.chdir(tmp_path)
+    assert script.main(argv) == 2
+    assert not (tmp_path / "results").exists()
+    assert capsys.readouterr().err.startswith("usage: run_experiments.py")
 
 
 def write_tree(root, history, summary='{"iterations": 3}\n', timings='{"s": 1.0}\n'):
