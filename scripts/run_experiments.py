@@ -6,7 +6,7 @@
 
 ``desk`` and ``paper`` run all four experiments at that preset. On a
 2-core Xeon, the desk preset (n=64, 36 angles, 91 rays) takes about 2 s
-and the paper preset (n=128, A is 6516x16384) about 7 s; the paper
+and the paper preset (n=128, A is 6516x16384) about 8 s; the paper
 angle study runs 100 iterations, everything else 50. The two jittered
 inexact-angles runs take the largest share, because they rebuild the
 system matrix at every iteration (about 6 ms a build at n=64 on one

@@ -99,8 +99,8 @@ class ExperimentConfig:
     max_iter: int = 50
     seed: int = 1234
     output_dir: str = "out"
-    betas: tuple = (1e-2, 1e-4, 1e-6)
-    angle_schedules: tuple = ((1e-1, 1e-6), (1e0, 1e-6))
+    betas: tuple[float, ...] = (1e-2, 1e-4, 1e-6)
+    angle_schedules: tuple[tuple[float, float], ...] = ((1e-1, 1e-6), (1e0, 1e-6))
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -142,13 +142,12 @@ def _is_number_list(v):
 
 
 # What a JSON value must be for a field of each type: (description, check).
-# The two tuple fields are named, because their element types differ.
 _VALUE_CHECKS = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
-    "betas": ("a list of numbers", _is_number_list),
-    "angle_schedules": (
+    tuple[float, ...]: ("a list of numbers", _is_number_list),
+    tuple[tuple[float, float], ...]: (
         "a list of lists of numbers",
         lambda v: isinstance(v, list) and all(map(_is_number_list, v)),
     ),
@@ -175,7 +174,7 @@ def _build(cls, data, prefix=""):
         if is_dataclass(f.type):
             kwargs[key] = _build(f.type, value, f"{prefix}{key}.")
             continue
-        what, ok = _VALUE_CHECKS.get(key) or _VALUE_CHECKS[f.type]
+        what, ok = _VALUE_CHECKS[f.type]
         if not (ok(value) or (value is None and f.default is None)):
             raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
         kwargs[key] = _to_tuples(value)
@@ -204,7 +203,7 @@ PRESETS = ("desk", "paper")
 
 def preset(name, experiment="reconstruct"):
     """Built-in configuration of ``experiment``: 'desk' at n=64 (the four experiments take about
-    2 s on a 2-core Xeon), 'paper' at n=128 (about 7 s), whose angle study makes 100 iterations."""
+    2 s on a 2-core Xeon), 'paper' at n=128 (about 8 s), whose angle study makes 100 iterations."""
     if name == "desk":
         return ExperimentConfig(experiment=experiment)
     if name == "paper":

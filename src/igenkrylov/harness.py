@@ -15,7 +15,7 @@ code that creates the output directory or writes a file.
 
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,20 +54,8 @@ def pgm_bytes(vec, n):
     return f"P5\n{n} {n}\n65535\n".encode("ascii") + data.tobytes()
 
 
-@dataclass
-class CTProblem:
-    """Everything needed to run one reconstruction experiment."""
-
-    A: tomo.RadonOperator
-    prior: object  # the prior covariance Q: CovarianceOperator or IdentityCovariance
-    noise: NoiseModel
-    s_true: np.ndarray
-    b: np.ndarray
-    noise_norm: float  # in the residual's R^{-1} metric
-
-
 def build_problem(cfg):
-    """Assemble geometry, prior, observation, and right-hand side from a config.
+    """The ``solve.Problem`` of a config: geometry, prior, observation and right-hand side.
 
     The prior mean is zero, so the prior is its covariance Q, the right-hand side
     is d and a solution is Z y.
@@ -84,7 +72,7 @@ def build_problem(cfg):
     else:
         Q = IdentityCovariance()
     noise = NoiseModel(sigma=cfg.noise_sigma)
-    return CTProblem(A, Q, noise, s_true, d, noise_norm / noise.sigma)
+    return solve.Problem(A, Q, noise, s_true, d, noise_norm / noise.sigma)
 
 
 def inexactness_for(cfg, beta=None, angles=None):
@@ -122,17 +110,10 @@ def inexactness_for(cfg, beta=None, angles=None):
     return InexactnessModel(mode="gaussian-entry", beta=float(beta), seed=seed)
 
 
-def _solve(cfg, problem, inexact, rules):
-    """``solve.run_iterative_solve`` of ``problem`` under ``inexact``: one record per rule."""
-    return solve.run_iterative_solve(
-        problem.A, inexact, problem.prior, problem.noise, problem.b, cfg.max_iter,
-        rules, problem.noise_norm, problem.s_true,
-    )
-
-
 def run_reconstruction(cfg, problem):
     """One solve of ``problem`` under ``cfg``."""
-    return _solve(cfg, problem, inexactness_for(cfg), {"run": cfg.reg})["run"]
+    rules = {"run": cfg.reg}
+    return solve.run_iterative_solve(problem, inexactness_for(cfg), cfg.max_iter, rules)["run"]
 
 
 def _run_fields(record):
@@ -191,7 +172,7 @@ def _sweep(cfg, problem, runs, merged, columns, keys, **fields):
     """
     records = {}
     for inexact, rules in runs:
-        records |= _solve(cfg, problem, inexact, rules)
+        records |= solve.run_iterative_solve(problem, inexact, cfg.max_iter, rules)
     files = {f"history_{n}.csv": csv_text(HISTORY_HEADER, r.history) for n, r in records.items()}
     timings = {f"{n}_s": sum(r.timings.values()) for n, r in records.items()}
     files["timings.json"] = json_text(timings)

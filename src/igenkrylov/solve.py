@@ -8,11 +8,11 @@ solution in original coordinates is Q (V y) = Z y, with Z = Q V kept by the
 decomposition, and recovering it applies no covariance product.
 
 The outer driver ``run_iterative_solve`` is the only code that projects a
-decomposition: one ``bidiag.igenGK_run``, then ``project`` under each of its
-rules, given the noise norm and the true solution. Lambda never feeds back
-into the recurrence and a step only appends to M and Z, so ``project``
-reads one finished state at k = 1, 2, ...: the rule picks lambda on
-M[: k + 1, :k], and one projected solve at it is recovered with Z[:, :k].
+decomposition: one ``bidiag.igenGK_run`` of a ``Problem``, then ``project``
+under each of its rules. Lambda never feeds back into the recurrence and a
+step only appends to M and Z, so ``project`` reads one finished state at
+k = 1, 2, ...: the rule picks lambda on M[: k + 1, :k], and one projected
+solve at it is recovered with Z[:, :k].
 """
 
 import time
@@ -137,17 +137,35 @@ class ReconRecord:
         return self.history[-1].relerr
 
 
-def run_iterative_solve(A, inexact, Q, noise, b, max_iter, rules, noise_norm, s_true):
-    """``project`` of one ``bidiag.igenGK_run`` of ``max_iter`` steps under each of ``rules``.
+@dataclass(frozen=True)
+class Problem:
+    """The generalized Tikhonov problem of one experiment, and what its rules read.
 
-    ``rules`` maps names to ``regparam.RegConfig``s; every one is given the noise
-    norm and the truth, as in ``project``. Returns the records by name, in order;
-    the first one's timings also hold ``decomposition_s``. The state is freed.
+    The oracle rule reads ``s_true``. Only the dp rule reads ``noise_norm``, in
+    the residual's R^{-1} metric; a solve without it may leave it None.
     """
+
+    A: object  # the forward operator, a linop.LinearOperator
+    prior: object  # the prior covariance Q
+    noise: object  # the noise model R = sigma^2 I: prior.NoiseModel
+    s_true: np.ndarray
+    b: np.ndarray
+    noise_norm: float
+
+
+def run_iterative_solve(problem, inexact, max_iter, rules):
+    """``project`` of one ``bidiag.igenGK_run`` of ``problem`` under each of ``rules``.
+
+    The run makes ``max_iter`` steps under ``inexact``. ``rules`` maps names to
+    ``regparam.RegConfig``s; every one is given the problem's noise norm and
+    truth, as in ``project``. Returns the records by name, in order; the first
+    one's timings also hold ``decomposition_s``. The state is freed.
+    """
+    p = problem
     t0 = time.perf_counter()
-    state = bidiag.igenGK_run(A, inexact, Q, noise, b, max_iter)
+    state = bidiag.igenGK_run(p.A, inexact, p.prior, p.noise, p.b, max_iter)
     decomposition_s = time.perf_counter() - t0
-    records = {name: project(state, r, noise_norm, s_true) for name, r in rules.items()}
+    records = {name: project(state, r, p.noise_norm, p.s_true) for name, r in rules.items()}
     next(iter(records.values())).timings["decomposition_s"] = decomposition_s
     return records
 

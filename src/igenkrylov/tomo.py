@@ -188,7 +188,6 @@ class CSRMatrix:
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    shape: tuple
     nnz: int
 
 
@@ -267,7 +266,7 @@ def system_matrix(geom):
     indptr = np.zeros(geom.nrows + 1, dtype=index_dtype)
     indptr[1:][hit.ravel()] = counts
     np.cumsum(indptr, out=indptr)
-    return CSRMatrix(data[:nnz], indices[:nnz], indptr, (geom.nrows, geom.ncols), nnz)
+    return CSRMatrix(data[:nnz], indices[:nnz], indptr, nnz)
 
 
 class RadonOperator(LinearOperator):

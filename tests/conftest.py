@@ -325,10 +325,8 @@ def solve_one(A, inexact, Q, noise, b, max_iter, rule, s_true, noise_norm=None):
 
     A rule other than dp does not read the noise norm, so its tests pass none.
     """
-    records = solve.run_iterative_solve(
-        A, inexact, Q, noise, b, max_iter, {"run": rule}, noise_norm, s_true
-    )
-    return records["run"]
+    problem = solve.Problem(A, Q, noise, s_true, b, noise_norm)
+    return solve.run_iterative_solve(problem, inexact, max_iter, {"run": rule})["run"]
 
 
 def random_spd(n, rng, cond=10.0):

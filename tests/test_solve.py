@@ -261,8 +261,7 @@ def test_one_decomposition_projects_as_each_rule_solves(small_ct):
     Q = prior.CovarianceOperator((geom.n, geom.n), kernel)
     nm = prior.NoiseModel(sigma=1.0)
     inexact = linop.InexactnessModel(mode="gaussian-entry", beta=1e-2, seed=5)
-    args = (A, inexact, Q, nm, b, 10)
-    state = bidiag.igenGK_run(*args)
+    state = bidiag.igenGK_run(A, inexact, Q, nm, b, 10)
     before = [arr.copy() for arr in (state.U, state.M, state.Z, state.C)]
     rules = {
         "none": regparam.RegConfig(rule="none"),
@@ -272,7 +271,8 @@ def test_one_decomposition_projects_as_each_rule_solves(small_ct):
         "wgcv": regparam.RegConfig(rule="wgcv"),
         "adaptive": regparam.RegConfig(rule="wgcv", omega_mode="adaptive"),
     }
-    solved = solve.run_iterative_solve(*args, rules, noise_norm, s_true)
+    problem = solve.Problem(A, Q, nm, s_true, b, noise_norm)
+    solved = solve.run_iterative_solve(problem, inexact, 10, rules)
     assert list(solved) == list(rules)
     for name, rule in rules.items():
         projected = solve.project(state, rule, noise_norm, s_true)

@@ -147,7 +147,7 @@ def assert_matches_coo_assembly(geom, rng, duplicates, label):
         assert getattr(again, arr).tobytes() == getattr(mat, arr).tobytes(), (label, arr)
     assert mat.indptr.dtype == mat.indices.dtype, label
     assert isinstance(mat.nnz, int) and mat.nnz == mat.data.size, label
-    csr = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+    csr = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(op.nrows, op.ncols))
     assert csr.format == "csr" and csr.shape == ref.shape, label
     canonical = csr.copy()
     canonical.sum_duplicates()
@@ -277,7 +277,8 @@ def test_two_thread_build_is_bitwise_the_one_thread_build(n, monkeypatch):
             for arr in ("data", "indices", "indptr"):
                 same = getattr(two, arr).tobytes() == getattr(one, arr).tobytes()
                 assert same, (geom.angles, arr)
-            assert (two.nnz, two.shape) == (one.nnz, one.shape) and isinstance(two.nnz, int)
+            assert two.nnz == one.nnz and isinstance(two.nnz, int)
+            assert one.indptr.size == geom.nrows + 1, geom.angles
     finally:
         sys.setswitchinterval(interval)
     assert geoms[-1].nrows == 21 and one.nnz == 0
